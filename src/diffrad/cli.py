@@ -26,11 +26,10 @@ FIXTURE_ROOT = Path(__file__).parent / "fixtures"
 class Options:
     """Resolved global options shared by CLI calls and fixture runs."""
 
-    def __init__(self, backend="exact", precision=256, tolerance=None, seed=0):
+    def __init__(self, backend="exact", precision=256, tolerance=None):
         self.backend = backend
         self.precision = precision
         self.tolerance = tolerance
-        self.seed = seed
 
     def poly(self, src: str) -> Poly:
         p = parse_poly(src)
@@ -250,8 +249,8 @@ def cmd_verify_paper(filter_text: str | None, as_json: bool) -> int:
     for case in cases:
         try:
             ok, result = run_fixture(case)
-        except DiffradError as exc:
-            ok, result = False, {"error": str(exc)}
+        except Exception as exc:  # one broken fixture must not end the suite
+            ok, result = False, {"error": str(exc), "error_type": type(exc).__name__}
         rows.append(
             {"name": case["name"], "source": case.get("source", ""), "pass": ok}
         )
@@ -292,10 +291,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tolerance", type=float, default=None,
         help="numeric comparison tolerance (default: 2^(-precision/2))",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for sampling subcommands (reserved)",
     )
     common.add_argument("--json", action="store_true", help="emit JSON output")
 
@@ -402,14 +397,12 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         precision=args.precision,
         tolerance=args.tolerance,
-        seed=args.seed,
     )
     opts = {
         key: value
         for key, value in vars(args).items()
         if key not in (
-            "command", "inputs", "backend", "precision", "tolerance",
-            "seed", "json",
+            "command", "inputs", "backend", "precision", "tolerance", "json",
         )
     }
     inputs = getattr(args, "inputs", [])

@@ -8,29 +8,17 @@ the falling-factorial (Newton) basis around an arbitrary base point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .poly import FactoredPoly, Poly
+from .poly import FactoredPoly, Poly, _from_lane, _to_lane, product
 from .scalar import Exact, Numeric, Scalar, as_scalar
 
 
-@lru_cache(maxsize=None)
-def _pascal_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _pascal_row(n - 1)
-    return tuple(
-        (prev[k - 1] if k else 0) + (prev[k] if k < n else 0) for k in range(n + 1)
-    )
-
-
 def binomial(n: int, k: int) -> int:
-    """C(n, k) by the Pascal recurrence on exact integers."""
-    if k < 0 or k > n:
-        return 0
-    return _pascal_row(n)[k]
+    """C(n, k) on exact integers; 0 outside 0 <= k <= n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def shift(p: Poly, k) -> Poly:
@@ -55,21 +43,25 @@ def shift(p: Poly, k) -> Poly:
 
 
 def _shift_rational(p: Poly, step: Exact) -> Poly | None:
-    """Synthetic Horner shift on plain fractions; None if radicals appear."""
+    """Taylor shift on the integer lane; None if radicals appear.
+
+    With step = u/v and p = sum c_i z^i / den,
+    v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z, so an
+    integer synthetic shift by u followed by rescaling w^j to v^j z^j
+    gives the result without fractions.
+    """
     h = step.as_fraction()
-    if h is None:
+    lane = _to_lane(p) if h is not None else None
+    if lane is None:
         return None
-    cs: list[Fraction] = []
-    for c in p.coeffs:
-        f = c.as_fraction()
-        if f is None:
-            return None
-        cs.append(f)
+    cs, den = lane
+    u, v = h.numerator, h.denominator
     d = len(cs) - 1
+    cs = [c * v ** (d - i) for i, c in enumerate(cs)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            cs[j] += h * cs[j + 1]
-    return Poly([Exact.from_rational(c) for c in cs])
+            cs[j] += u * cs[j + 1]
+    return _from_lane([c * v**j for j, c in enumerate(cs)], den * v**d)
 
 
 def delta(p: Poly) -> Poly:
@@ -91,20 +83,16 @@ def falling_power(p: Poly, n: int) -> Poly:
     """p(z) p(z-1) ... p(z-n+1); n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("falling power needs n >= 0")
-    out = Poly.constant(as_scalar(1, p.lead) if p else 1)
-    for j in range(n):
-        out = out * shift(p, -j)
-    return out
+    one = Poly.constant(as_scalar(1, p.lead) if p else 1)
+    return product([one] + [shift(p, -j) for j in range(n)])
 
 
 def raising_power(p: Poly, n: int) -> Poly:
     """p(z) p(z+1) ... p(z+n-1); n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("raising power needs n >= 0")
-    out = Poly.constant(as_scalar(1, p.lead) if p else 1)
-    for j in range(n):
-        out = out * shift(p, j)
-    return out
+    one = Poly.constant(as_scalar(1, p.lead) if p else 1)
+    return product([one] + [shift(p, j) for j in range(n)])
 
 
 def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
@@ -120,10 +108,10 @@ def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
 
 def falling_factorial_linear(root: Scalar, n: int) -> Poly:
     """(z - root) (z - root - 1) ... (z - root - n + 1) as a Poly."""
-    out = Poly.constant(as_scalar(1, root))
-    for j in range(n):
-        out = out * Poly.linear(root + as_scalar(j, root))
-    return out
+    return product(
+        [Poly.constant(as_scalar(1, root))]
+        + [Poly.linear(root + as_scalar(j, root)) for j in range(n)]
+    )
 
 
 @dataclass(frozen=True)

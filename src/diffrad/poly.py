@@ -13,7 +13,10 @@ that needs root data (chain decompositions, radicals, shifting-prime tests).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -148,6 +151,12 @@ class Poly:
         return rhs + (-self)
 
     def __mul__(self, other) -> Poly:
+        """Product with a scalar or a polynomial.
+
+        Two polynomials whose coefficients are all rational multiply on the
+        integer lane (see ``_mul_ints``); radical and numeric coefficients
+        multiply term by term in their own scalar arithmetic.
+        """
         if isinstance(other, (int, Fraction, Exact, Numeric)):
             scale = other if isinstance(other, (Exact, Numeric)) else Fraction(other)
             return Poly([c * scale for c in self._coeffs])
@@ -156,6 +165,10 @@ class Poly:
         self._check_backend(other)
         if not self or not other:
             return Poly()
+        lanes = _to_lane(self), _to_lane(other)
+        if None not in lanes:
+            (a, da), (b, db) = lanes
+            return _from_lane(_mul_ints(a, b), da * db)
         zero = self._coeffs[0] - self._coeffs[0]
         out = [zero] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
@@ -396,12 +409,10 @@ class FactoredPoly:
         return 0
 
     def expand(self) -> Poly:
-        out = Poly.constant(self._lead)
-        for root, mult in self._roots:
-            lin = Poly.linear(root)
-            for _ in range(mult):
-                out = out * lin
-        return out
+        return product(
+            [Poly.constant(self._lead)]
+            + [Poly.linear(root) for root, mult in self._roots for _ in range(mult)]
+        )
 
     def scale(self, factor) -> FactoredPoly:
         return FactoredPoly(self._lead * factor, self._roots)
@@ -441,26 +452,53 @@ class FactoredPoly:
 
 def classical_rad(f: FactoredPoly) -> Poly:
     """Monic product of z - r over the distinct roots of f."""
-    out = Poly.constant(as_scalar(1, f.lead))
-    for r in f.distinct_roots():
-        out = out * Poly.linear(r)
-    return out
+    return product(
+        [Poly.constant(as_scalar(1, f.lead))]
+        + [Poly.linear(r) for r in f.distinct_roots()]
+    )
+
+
+def product(polys: Iterable[Poly]) -> Poly:
+    """Product of the factors; the constant 1 when there are none.
+
+    When every factor has rational coefficients the product runs on the
+    integer lane as a balanced tree, so that the large operands meet last
+    and go through Kronecker multiplication.  Any other factor list is
+    folded left to right with ``*``, which keeps radical and numeric results
+    (numeric rounding included) those of repeated multiplication.
+    """
+    factors = list(polys)
+    if not factors:
+        return Poly.constant(1)
+    lanes = [_to_lane(f) for f in factors]
+    if None in lanes:
+        return reduce(mul, factors)
+    while len(lanes) > 1:
+        paired = [
+            (_mul_ints(a, b), da * db)
+            for (a, da), (b, db) in zip(lanes[::2], lanes[1::2])
+        ]
+        lanes = paired + lanes[len(paired) * 2 :]
+    return _from_lane(*lanes[0])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm.
+    """Monic greatest common divisor.
 
-    Inputs with purely rational coefficients run on an integer primitive
-    pseudo-remainder sequence, which avoids the fraction blowup of the plain
-    remainder sequence; radical coefficients fall back to generic division.
+    Inputs whose coefficients are all rational run on the integer lane: the
+    heuristic gcd ``_heu_gcd`` first, and an integer primitive
+    pseudo-remainder sequence when it gives up.  Radical coefficients run
+    the Euclidean algorithm with generic division; numeric coefficients are
+    refused.
     """
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
     if (p and p.backend == "numeric") or (q and q.backend == "numeric"):
         raise BackendMismatchError("polynomial gcd requires the exact backend")
-    rationals = _rational_coeff_lists(p, q)
-    if rationals is not None:
-        return _gcd_rational(*rationals)
+    lanes = _to_lane(p), _to_lane(q)
+    if None not in lanes:
+        g = _gcd_ints(_primitive(lanes[0][0]), _primitive(lanes[1][0]))
+        return _from_lane(g, g[-1])
     a, b = p, q
     while b:
         r = a % b
@@ -468,37 +506,146 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return a.monic()
 
 
-def _rational_coeff_lists(
-    p: Poly, q: Poly
-) -> tuple[list[Fraction], list[Fraction]] | None:
-    lists = []
-    for poly in (p, q):
-        fracs = []
-        for c in poly.coeffs:
-            f = c.as_fraction() if isinstance(c, Exact) else None
-            if f is None:
-                return None
-            fracs.append(f)
-        lists.append(fracs)
-    return lists[0], lists[1]
+# -- integer lane ----------------------------------------------------------------
+#
+# Inside a kernel, a polynomial whose coefficients are all rational is a list
+# of ints plus one common denominator: p = sum(ints[k] * z^k) / den.  The lane
+# is made at kernel entry by _to_lane and turned back into Exact coefficients
+# by _from_lane; Poly itself keeps one representation.
+
+# Operands this short or shorter multiply term by term: against 16 to 256
+# coefficients of up to 64 bits, Kronecker multiplication wins from about
+# 8 to 12 coefficients (CPython 3.11, one Intel Xeon core).
+SCHOOLBOOK_MAX = 8
+HEU_GCD_ROUNDS = 6  # evaluation points _heu_gcd tries before giving up
 
 
-def _int_content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = _gcd_int(g, c)
-        if g == 1:
-            break
-    return g or 1
+def _to_lane(p: Poly) -> tuple[list[int], int] | None:
+    """(ints, den) with p = ints / den, or None unless p is rational."""
+    fracs = []
+    for c in p.coeffs:
+        f = c.as_fraction() if isinstance(c, Exact) else None
+        if f is None:
+            return None
+        fracs.append(f)
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def _to_int_list(fracs: list[Fraction]) -> list[int]:
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // _gcd_int(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = _int_content(ints)
-    return [c // g for c in ints]
+def _from_lane(ints: list[int], den: int) -> Poly:
+    return Poly([Fraction(c, den) for c in ints])
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs) or 1
+    return [c // g for c in cs]
+
+
+def _pack(cs: list[int], width: int) -> int:
+    """cs evaluated at 2^(8*width): Kronecker substitution."""
+    bits = 8 * width
+    out = 0
+    for c in reversed(cs):
+        out = (out << bits) + c
+    return out
+
+
+def _unpack(x: int, width: int) -> list[int]:
+    """Signed base-2^(8*width) digits of x, lowest first, each in the
+    balanced range [-2^(8*width-1), 2^(8*width-1)); inverse of _pack."""
+    chunks = -(-(x.bit_length() + 1) // (8 * width))
+    raw = x.to_bytes(chunks * width, "little", signed=True)
+    base = 1 << (8 * width)
+    half = base >> 1
+    out = []
+    carry = 0
+    for k in range(0, len(raw), width):
+        c = int.from_bytes(raw[k : k + width], "little") + carry
+        carry = c >= half
+        out.append(c - base if carry else c)
+    out.append(carry - (x < 0))
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul_ints(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists.
+
+    Short operands multiply term by term.  Longer ones are packed into one
+    integer each at a radix 2^(8*width) that holds every product coefficient
+    as a signed digit, multiplied by CPython's big-int multiplication
+    (Karatsuba), and read back digit by digit (Kronecker substitution).
+    """
+    if not a or not b:
+        return []
+    if min(len(a), len(b)) <= SCHOOLBOOK_MAX:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8
+    return _unpack(_pack(a, width) * _pack(b, width), width)
+
+
+def _divexact_ints(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b over Z, or None when b does not divide a there."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return None if a else []
+    r = a[:]
+    lead = b[-1]
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + n], lead)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for j in range(n):
+                r[k + j] -= c * b[j]
+    return None if any(r[:n]) else q
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two primitive integer polynomials, not both zero."""
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    g = _heu_gcd(a, b)
+    return g if g is not None else _prs_gcd(a, b)
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive a, b of degree >= 1.
+
+    Evaluates both at xi = 2^(8*width) >= 2*min(|a|_inf, |b|_inf) + 29, takes
+    the integer gcd of the two values, and reads a candidate gcd off its
+    balanced xi-adic digits; the two cofactors give two more candidates, as
+    in sympy's dup_zz_heu_gcd.  For xi this large a candidate that divides
+    both inputs over Z is the gcd, and exact division is checked before one
+    is accepted.  Returns None after HEU_GCD_ROUNDS growing evaluation points
+    without success.
+    """
+    bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    width = (bound.bit_length() + 7) // 8
+    for _ in range(HEU_GCD_ROUNDS):
+        va, vb = _pack(a, width), _pack(b, width)
+        if va and vb:  # xi may be a root of the input with the larger norm
+            g = math.gcd(va, vb)
+            h = _primitive(_unpack(g, width))
+            if _divexact_ints(a, h) is not None and _divexact_ints(b, h) is not None:
+                return h
+            for x, y, vx in ((a, b, va), (b, a, vb)):
+                h = _divexact_ints(x, _unpack(vx // g, width))
+                if h is not None and _divexact_ints(y, h) is not None:
+                    return h
+        width += width // 4 + 1
+    return None
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -522,17 +669,13 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _gcd_rational(pa: list[Fraction], pb: list[Fraction]) -> Poly:
-    a = _to_int_list(pa)
-    b = _to_int_list(pb)
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive pseudo-remainder sequence; the fallback of _heu_gcd."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _prem(a, b)
-        g = _int_content(r)
-        a, b = b, [c // g for c in r]
-    lead = Fraction(a[-1])
-    return Poly([Fraction(c) / lead for c in a])
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
 def exact_sqrt(d: Exact) -> Exact | None:
@@ -587,13 +730,10 @@ def _factor_exact(p: Poly, hints: Sequence[Scalar]) -> FactoredPoly:
     changed = True
     while changed and rem.degree >= 1:
         changed = False
-        fracs = [c.as_fraction() for c in rem.coeffs]
-        if any(f is None for f in fracs):
+        lane = _to_lane(rem)
+        if lane is None:
             break
-        den_lcm = 1
-        for f in fracs:
-            den_lcm = den_lcm * f.denominator // _gcd_int(den_lcm, f.denominator)
-        ints = [int(f * den_lcm) for f in fracs]
+        ints = lane[0]
         if ints[0] == 0:
             m = peel(Exact.from_rational(0))
             roots.append((Exact.from_rational(0), m))
@@ -647,12 +787,6 @@ def _factor_exact(p: Poly, hints: Sequence[Scalar]) -> FactoredPoly:
     if out.expand() != p:  # pragma: no cover - internal consistency guard
         raise ArithmeticError("factorization verification failed")
     return out
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import diffcalc
 from .errors import AmbiguousShiftError, BackendMismatchError
-from .poly import FactoredPoly, Poly, poly_gcd
+from .poly import FactoredPoly, Poly, poly_gcd, product
 from .scalar import Exact, Numeric, Scalar, as_scalar
 
 AMBIGUITY_GUARD = 8
@@ -109,10 +109,13 @@ class ChainDecomposition:
         return sum(n for _, n in self.chains)
 
     def expand(self) -> Poly:
-        out = Poly.constant(self.lead)
-        for start, length in self.chains:
-            out = out * diffcalc.falling_factorial_linear(start, length)
-        return out
+        return product(
+            [Poly.constant(self.lead)]
+            + [
+                diffcalc.falling_factorial_linear(start, length)
+                for start, length in self.chains
+            ]
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,19 +206,10 @@ def factor_at(p: Poly, z0, tol=None) -> tuple[int, Poly]:
 
 def _monic_product(factors: list[tuple[Scalar, int]], falling: bool) -> Poly:
     """Monic prod (z - w)^m, plain powers or falling factorials of length m."""
-    out = None
-    one = None
-    for w, m in factors:
-        one = as_scalar(1, w)
-        piece = (
-            diffcalc.falling_factorial_linear(w, m)
-            if falling
-            else Poly.linear(w) ** m
-        )
-        out = piece if out is None else out * piece
-    if out is None:
-        return Poly.constant(1)
-    return out
+    return product(
+        diffcalc.falling_factorial_linear(w, m) if falling else Poly.linear(w) ** m
+        for w, m in factors
+    )
 
 
 def rad_delta(f: FactoredPoly, tol=None) -> Poly:

@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import casorati, diffcalc, shiftcalc
-from .errors import SamplingBudgetError
+from .errors import RootsUnavailableError, SamplingBudgetError
 from .poly import FactoredPoly, Poly, classical_rad, factor, poly_gcd
-from .errors import RootsUnavailableError
 from .scalar import Exact, Scalar, as_scalar
 
 

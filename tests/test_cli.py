@@ -143,6 +143,27 @@ def test_verify_paper_filter(capsys):
     assert doc["total"] >= 5 and doc["passed"] == doc["total"]
 
 
+def test_verify_paper_reports_any_exception_as_fail(capsys, monkeypatch):
+    broken = {
+        "name": "broken_kappa_zero",
+        "source": "test",
+        "command": "rad-kappa",
+        "inputs": ["roots(1; 0:1)"],
+        "args": {"kappa": 0},
+        "expected": {},
+    }
+    cases = [broken] + load_fixtures("sec2")
+    monkeypatch.setattr("diffrad.cli.load_fixtures", lambda filter_text=None: cases)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["total"] == len(cases) and doc["passed"] == len(cases) - 1
+    (failure,) = doc["failures"]
+    assert failure["name"] == "broken_kappa_zero"
+    assert failure["got"]["error_type"] == "ValueError"
+    assert "kappa" in failure["got"]["error"]
+
+
 def test_verify_paper_unknown_filter(capsys):
     code, _, err = run(capsys, "verify-paper", "--filter", "nonexistent")
     assert code == 3

@@ -131,6 +131,12 @@ def test_binomial_pascal_matches_comb():
             assert binomial(n, k) == expected
 
 
+def test_binomial_large_n():
+    # a memoised Pascal recurrence overflowed the recursion limit here
+    assert binomial(3000, 2) == 4498500
+    assert binomial(3000, 1500) == math.comb(3000, 1500)
+
+
 def test_binomial_transform_examples():
     assert binomial_transform_check(Z**2, 0, 2) == (True, True)
     assert binomial_transform_check(rand_rational_poly(random.Random(1), 5), 2, 0) == (

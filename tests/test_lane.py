@@ -1,0 +1,200 @@
+"""Differential tests of the integer lane in diffrad.poly against sympy.
+
+sympy is only a test oracle here: the module is skipped when it is missing.
+"""
+
+import math
+import random
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+import pytest
+
+from diffrad import Exact, FactoredPoly, Poly, gen_chain_poly, poly_gcd
+from diffrad import poly as poly_module
+from diffrad.diffcalc import delta, shift
+from diffrad.poly import SCHOOLBOOK_MAX, product
+
+sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("z")
+
+
+def to_sympy(p: Poly):
+    coeffs = [sympy.Rational(f.numerator, f.denominator) for f in map(Exact.as_fraction, p.coeffs)]
+    return sympy.Poly(list(reversed(coeffs)) or [0], X, domain=sympy.QQ)
+
+
+def from_sympy(s) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(s.all_coeffs())])
+
+
+def random_poly(rng: random.Random, length: int, digits: int) -> Poly:
+    coeffs = [
+        Fraction(rng.randint(-(10**digits), 10**digits), rng.choice((1, 1, 2, 3, 7, 10**digits)))
+        for _ in range(length)
+    ]
+    for k in rng.sample(range(length), length // 4):
+        coeffs[k] = 0  # interior zeros
+    coeffs[-1] = coeffs[-1] or 1
+    return Poly(coeffs)
+
+
+def wide_roots_poly(rng: random.Random, degree: int) -> FactoredPoly:
+    """Chains of lengths 3, 2, 1 with starts of pairwise distinct residues
+    mod 1, denominators 3..31 and numerators 31..60 in size."""
+    roots, residues, left = [], set(), degree
+    while left:
+        n = min(left, (3, 2, 1)[len(residues) % 3])
+        den = 3 + len(residues) % 29
+        while True:
+            start = Fraction(rng.choice((-1, 1)) * rng.randint(31, 60), den)
+            if start.denominator == den and start % 1 not in residues:
+                break
+        residues.add(start % 1)
+        roots += [(start + j, 1) for j in range(n)]
+        left -= n
+    return FactoredPoly(rng.choice((1, -1, 2, Fraction(-5, 4))), roots)
+
+
+def sympy_gcd(p: Poly, q: Poly) -> Poly:
+    return from_sympy(to_sympy(p).gcd(to_sympy(q)).monic())
+
+
+def test_kronecker_mul_matches_sympy():
+    rng = random.Random(11)
+    for _ in range(60):
+        a = random_poly(rng, rng.randint(1, 40), rng.choice((1, 5, 60)))
+        b = random_poly(rng, rng.randint(SCHOOLBOOK_MAX + 1, 70), rng.choice((1, 5, 60)))
+        want = from_sympy(to_sympy(a) * to_sympy(b))
+        assert a * b == want
+        assert b * a == want
+
+
+def test_kronecker_mul_extreme_coefficients():
+    big = 10**200
+    length = 3 * SCHOOLBOOK_MAX
+    cases = [
+        Poly([-big] * length),
+        Poly([big if k % 2 else -big for k in range(length)]),
+        Poly([0] * (length - 1) + [1]),  # z^(length-1)
+        Poly([Fraction(-1, big)] + [0] * (length - 2) + [big]),
+        Poly([Fraction(k - length, 7) for k in range(length)]),
+    ]
+    for a in cases:
+        for b in cases + [Poly([1]), Poly([-big, 1])]:
+            assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+    assert cases[0] * Poly() == Poly()
+
+
+def test_kronecker_mul_digit_at_its_bound():
+    # the middle coefficient n c^2 fills every bit of its digit but the sign
+    n = SCHOOLBOOK_MAX + 1
+    c = math.isqrt((1 << 400) // n)
+    assert (n * c * c).bit_length() == 400
+    for a, b in ((Poly([c] * n), Poly([c] * n)), (Poly([-c] * n), Poly([c] * n))):
+        assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+def test_signed_digits_round_trip_at_the_edges():
+    rng = random.Random(5)
+    for width in (1, 2, 3):
+        half = 1 << (8 * width - 1)
+        for _ in range(300):
+            digits = [rng.choice((-half, half - 1, -1, 0, 1, rng.randrange(-half, half))) for _ in range(rng.randint(1, 9))]
+            while digits and not digits[-1]:
+                digits.pop()
+            packed = poly_module._pack(digits, width)
+            assert packed == sum(d << (8 * width * k) for k, d in enumerate(digits))
+            assert poly_module._unpack(packed, width) == digits
+
+
+def test_tree_product_matches_sequential_product():
+    rng = random.Random(3)
+    for count in (0, 1, 2, 3, 7, 16, 33):
+        factors = [random_poly(rng, rng.randint(1, 12), 3) for _ in range(count)]
+        sequential = reduce(mul, factors, Poly.constant(1))
+        assert product(factors) == sequential
+        if factors:
+            want = reduce(mul, map(to_sympy, factors))
+            assert product(factors) == from_sympy(want)
+
+
+def test_gcd_matches_sympy_on_chain_corpus():
+    rng = random.Random(2024)
+    for _ in range(40):
+        p = gen_chain_poly(rng, max_chains=12, max_length=6).expand()
+        q = gen_chain_poly(rng, max_chains=12, max_length=6).expand()
+        for a, b in ((p, delta(p)), (p, p * q), (p, q), (p, shift(p, 2))):
+            assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+
+@pytest.mark.parametrize("degree", [16, 32, 64, 96])
+def test_gcd_matches_sympy_on_wide_roots(degree):
+    rng = random.Random(degree)
+    for _ in range(2):
+        p = wide_roots_poly(rng, degree).expand()
+        assert poly_gcd(p, delta(p)) == sympy_gcd(p, delta(p))
+
+
+def no_fallback(a, b):
+    raise AssertionError("the heuristic gcd gave up")
+
+
+def test_gcd_matches_sympy_on_shared_powers_of_z(monkeypatch):
+    """Inputs sharing a large power z^n; the heuristic settles them all."""
+    monkeypatch.setattr(poly_module, "_prs_gcd", no_fallback)
+    rng = random.Random(9)
+    z = Poly.z()
+    for n in (1, 5, 20, 48):
+        for _ in range(3):
+            p = wide_roots_poly(rng, rng.randint(4, 40)).expand()
+            q = gen_chain_poly(rng, max_chains=8, max_length=4).expand()
+            a, b = z**n * p, z ** (n + rng.randint(0, 3)) * q * p.monic()
+            assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+
+def test_gcd_cofactor_candidates(monkeypatch):
+    """G = Phi_3 Phi_7 Phi_70 Phi_105 divides z^210 - 1 and has a coefficient
+    133, too large to be read off the digits of gcd(f(xi), g(xi)) at the
+    first evaluation point xi = 256.  The cofactor candidates find G there."""
+    monkeypatch.setattr(poly_module, "HEU_GCD_ROUNDS", 1)
+    monkeypatch.setattr(poly_module, "_prs_gcd", no_fallback)
+    g_sym = sympy.Poly(sympy.prod(sympy.cyclotomic_poly(d, X) for d in (3, 7, 70, 105)), X, domain=sympy.QQ)
+    assert max(abs(c) for c in g_sym.all_coeffs()) == 133
+    G = from_sympy(g_sym)
+    f = Poly([-1] + [0] * 209 + [1])
+    for v in (Poly([6, 1]), Poly([3, 0, 1])):
+        assert poly_gcd(f, G * v) == poly_gcd(G * v, f) == G.monic()
+
+
+def test_prs_fallback_matches_sympy(monkeypatch):
+    monkeypatch.setattr(poly_module, "_heu_gcd", lambda a, b: None)
+    rng = random.Random(17)
+    for degree in (8, 24, 40):
+        p = wide_roots_poly(rng, degree).expand()
+        q = gen_chain_poly(rng).expand()
+        for a, b in ((p, delta(p)), (p * q, q * Poly.z() ** 3), (p, Poly([3]))):
+            assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+
+def test_gcd_edge_cases():
+    p = Poly([Fraction(-3, 2), 0, 3])
+    assert poly_gcd(p, Poly()) == p.monic()
+    assert poly_gcd(Poly(), p) == p.monic()
+    assert poly_gcd(p, Poly([Fraction(2, 7)])) == Poly([1])
+    # the first evaluation point, 256, is a root of the first argument
+    z = Poly.z()
+    assert poly_gcd(z - 256, z**2 - 1) == Poly([1])
+    assert poly_gcd((z - 256) * (z + 1), z**2 - 1) == z + 1
+    with pytest.raises(ValueError):
+        poly_gcd(Poly(), Poly())
+
+
+def test_taylor_shift_matches_sympy_compose():
+    rng = random.Random(8)
+    for _ in range(40):
+        p = random_poly(rng, rng.randint(1, 30), rng.choice((1, 4, 30)))
+        k = Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 9, 1000)))
+        want = to_sympy(p).compose(sympy.Poly(X + sympy.Rational(k.numerator, k.denominator), X, domain=sympy.QQ))
+        assert shift(p, Exact.from_rational(k)) == from_sympy(want)
