@@ -325,7 +325,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         n=dict(type=int, default=1, help="tower height (default 1)"))
     add("shifting-prime", 2, "common shifting divisors of two polynomials")
     add("casoratian", "+", "Casorati determinant of the tuple",
-        form=dict(choices=("delta", "shift"), default="delta"))
+        form=dict(choices=casorati.FORMS, default="delta",
+                  help="row layout, differences or shifts (default delta); "
+                  "both share one determinant, computed from the difference rows"))
     add("mason", 3, "degree inequality for a + b = c",
         classical=dict(action="store_true", help="use the classical radical"))
     add("mason-ext", "+", "extended inequality for f1 + ... + fm = fm+1")

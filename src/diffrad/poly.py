@@ -24,7 +24,7 @@ from .errors import (
     ExactDivisionError,
     RootsUnavailableError,
 )
-from .scalar import Exact, Numeric, Scalar, as_scalar
+from .scalar import Exact, Numeric, Scalar, as_scalar, power
 
 NEG_INF = float("-inf")
 
@@ -183,15 +183,7 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = Poly.constant(self._one()) if self else Poly.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, exponent, Poly.constant(self._one()))
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if not isinstance(other, Poly):
@@ -361,7 +353,10 @@ class FactoredPoly:
             lead = Exact.from_rational(lead)
         if not lead:
             raise ValueError("factored polynomial needs a nonzero lead")
-        merged: list[tuple[Scalar, int]] = []
+        # Exact and Numeric hash consistently with ==; a dict keeps the
+        # first-seen root object and order, and the stable sort keeps that
+        # order among roots with the same text.
+        merged: dict[Scalar, int] = {}
         for root, mult in roots:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
@@ -369,15 +364,10 @@ class FactoredPoly:
                 root = as_scalar(root, lead)
             if root.backend != lead.backend:
                 raise BackendMismatchError("root/lead backend mismatch")
-            for idx, (r, m) in enumerate(merged):
-                if r == root:
-                    merged[idx] = (r, m + mult)
-                    break
-            else:
-                merged.append((root, mult))
-        merged.sort(key=lambda rm: rm[0].text())
+            merged[root] = merged.get(root, 0) + mult
+        ordered = sorted(merged.items(), key=lambda rm: rm[0].text())
         object.__setattr__(self, "_lead", lead)
-        object.__setattr__(self, "_roots", tuple(merged))
+        object.__setattr__(self, "_roots", tuple(ordered))
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredPoly values are immutable")
@@ -485,11 +475,10 @@ def product(polys: Iterable[Poly]) -> Poly:
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor.
 
-    Inputs whose coefficients are all rational run on the integer lane: the
-    heuristic gcd ``_heu_gcd`` first, and an integer primitive
-    pseudo-remainder sequence when it gives up.  Radical coefficients run
-    the Euclidean algorithm with generic division; numeric coefficients are
-    refused.
+    Inputs whose coefficients are all rational run the heuristic gcd
+    ``_heu_gcd`` on the integer lane.  Radical coefficients, and rational
+    ones on which the heuristic gives up, run the Euclidean algorithm with
+    generic division; numeric coefficients are refused.
     """
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
@@ -498,7 +487,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     lanes = _to_lane(p), _to_lane(q)
     if None not in lanes:
         g = _gcd_ints(_primitive(lanes[0][0]), _primitive(lanes[1][0]))
-        return _from_lane(g, g[-1])
+        if g is not None:
+            return _from_lane(g, g[-1])
     a, b = p, q
     while b:
         r = a % b
@@ -610,14 +600,14 @@ def _divexact_ints(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r[:n]) else q
 
 
-def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two primitive integer polynomials, not both zero."""
+def _gcd_ints(a: list[int], b: list[int]) -> list[int] | None:
+    """Primitive gcd of two primitive integer polynomials, not both zero, or
+    None when the heuristic gives up."""
     if not a or not b:
         return a or b
     if len(a) == 1 or len(b) == 1:
         return [1]
-    g = _heu_gcd(a, b)
-    return g if g is not None else _prs_gcd(a, b)
+    return _heu_gcd(a, b)
 
 
 def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
@@ -646,36 +636,6 @@ def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
                     return h
         width += width // 4 + 1
     return None
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a modulo b, over Z."""
-    r = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift_amt = len(r) - 1 - db
-        top = r[-1]
-        r = [c * lb for c in r]
-        for j, bc in enumerate(b):
-            r[shift_amt + j] -= top * bc
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive pseudo-remainder sequence; the fallback of _heu_gcd."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
 
 
 def exact_sqrt(d: Exact) -> Exact | None:

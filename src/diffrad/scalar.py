@@ -77,6 +77,23 @@ def _factor_radicand(n: int) -> tuple[int, frozenset[int]]:
     return outer, frozenset(primes)
 
 
+def power(base, exponent: int, one):
+    """base ** exponent for exponent >= 0 by square-and-multiply from `one`.
+
+    The result takes popcount(exponent) products, in ascending bit order, and
+    the base is squared bit_length(exponent) - 1 times: never after the last
+    bit.  Shared by Exact, Numeric and Poly.
+    """
+    out = one
+    while exponent:
+        if exponent & 1:
+            out = out * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return out
+
+
 def _key_mul(k1: Key, k2: Key) -> tuple[int, Key]:
     """Multiply two radical keys; returns (rational factor, reduced key)."""
     i1, p1 = k1
@@ -260,17 +277,8 @@ class Exact:
     def __pow__(self, exponent: int) -> Exact:
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = Exact.from_rational(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        base = self if exponent >= 0 else self.inverse()
+        return power(base, abs(exponent), Exact.from_rational(1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -461,17 +469,8 @@ class Numeric:
     def __pow__(self, exponent: int) -> Numeric:
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = Numeric.from_rational(1, self.prec)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        base = self if exponent >= 0 else self.inverse()
+        return power(base, abs(exponent), Numeric.from_rational(1, self.prec))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

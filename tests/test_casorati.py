@@ -12,9 +12,9 @@ from diffrad import (
     gcd_tower_closed,
     linearly_independent,
 )
-from diffrad.casorati import _det_bareiss, _det_cofactor
+from diffrad.casorati import _det_bareiss, _det_cofactor, determinant
 from diffrad.theorems import gen_chain_poly
-from helpers import rand_rational_poly
+from helpers import I, S2, rand_rational_poly
 
 Z = Poly.z()
 
@@ -56,12 +56,34 @@ def test_matrix_layout():
     assert s.entries[1] == (Z + 1, (Z + 1) ** 2)
 
 
+def shift_oracle(fs):
+    """The determinant of the shift layout, which casoratian never computes."""
+    return determinant(casorati_matrix(fs, "shift"))
+
+
 def test_forms_agree_bulk():
     rng = random.Random(51)
-    for _ in range(200):
-        m = rng.randint(1, 4)
-        fs = [rand_rational_poly(rng, 6) for _ in range(m)]
-        assert casoratian(fs, "delta") == casoratian(fs, "shift")
+    tuples = [
+        [rand_rational_poly(rng, 6) for _ in range(rng.randint(1, 4))]
+        for _ in range(200)
+    ]
+    # over Q(sqrt 2, i), and 5x5 tuples, which go through Bareiss
+    radical_3 = [Z**2 + S2 * Z - I, I * Z**3 + 2, S2 * I * Z - Fraction(1, 3)]
+    radical_5 = [Z**k + S2 * Z ** (k - 1) + I for k in range(1, 6)]
+    tuples += [[rand_rational_poly(rng, 6) for _ in range(5)] for _ in range(3)]
+    tuples += [radical_3, radical_5]
+    for fs in tuples:
+        want = shift_oracle(fs)
+        assert casoratian(fs, "delta") == casoratian(fs, "shift") == want
+    assert casoratian(radical_3) and casoratian(radical_5)
+
+
+def test_unknown_forms_rejected():
+    for form in ("Shift", "DELTA", "", None):
+        with pytest.raises(ValueError):
+            casorati_matrix([Z, Z**2], form)
+        with pytest.raises(ValueError):
+            casoratian([Z, Z**2], form)
 
 
 def test_linear_independence():

@@ -137,13 +137,21 @@ def test_gcd_matches_sympy_on_wide_roots(degree):
         assert poly_gcd(p, delta(p)) == sympy_gcd(p, delta(p))
 
 
-def no_fallback(a, b):
-    raise AssertionError("the heuristic gcd gave up")
+def heuristic_only(monkeypatch):
+    """Make every call in which _heu_gcd gives up fail the test."""
+    heu_gcd = poly_module._heu_gcd
+
+    def settled(a, b):
+        g = heu_gcd(a, b)
+        assert g is not None, "the heuristic gcd gave up"
+        return g
+
+    monkeypatch.setattr(poly_module, "_heu_gcd", settled)
 
 
 def test_gcd_matches_sympy_on_shared_powers_of_z(monkeypatch):
     """Inputs sharing a large power z^n; the heuristic settles them all."""
-    monkeypatch.setattr(poly_module, "_prs_gcd", no_fallback)
+    heuristic_only(monkeypatch)
     rng = random.Random(9)
     z = Poly.z()
     for n in (1, 5, 20, 48):
@@ -159,7 +167,7 @@ def test_gcd_cofactor_candidates(monkeypatch):
     133, too large to be read off the digits of gcd(f(xi), g(xi)) at the
     first evaluation point xi = 256.  The cofactor candidates find G there."""
     monkeypatch.setattr(poly_module, "HEU_GCD_ROUNDS", 1)
-    monkeypatch.setattr(poly_module, "_prs_gcd", no_fallback)
+    heuristic_only(monkeypatch)
     g_sym = sympy.Poly(sympy.prod(sympy.cyclotomic_poly(d, X) for d in (3, 7, 70, 105)), X, domain=sympy.QQ)
     assert max(abs(c) for c in g_sym.all_coeffs()) == 133
     G = from_sympy(g_sym)
@@ -168,7 +176,8 @@ def test_gcd_cofactor_candidates(monkeypatch):
         assert poly_gcd(f, G * v) == poly_gcd(G * v, f) == G.monic()
 
 
-def test_prs_fallback_matches_sympy(monkeypatch):
+def test_euclid_fallback_matches_sympy(monkeypatch):
+    """When the heuristic gives up, rational input runs the Euclidean loop."""
     monkeypatch.setattr(poly_module, "_heu_gcd", lambda a, b: None)
     rng = random.Random(17)
     for degree in (8, 24, 40):

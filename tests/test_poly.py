@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -195,3 +197,55 @@ def test_expr_text_edge_cases():
     assert (-Z).expr_text() == "-z"
     assert (Z - 1).expr_text() == "z - 1"
     assert Poly.constant(I * -1).expr_text() == "-i"
+
+
+def test_pow_multiplication_count(monkeypatch):
+    """Square-and-multiply from 1: popcount(n) products into the result and
+    bit_length(n) - 1 squarings, none after the last bit."""
+    p = Z - Fraction(1, 3)
+    wants = [reduce(mul, [p] * n, Poly.constant(1)) for n in range(10)]
+    calls = []
+    plain_mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    for n, want in enumerate(wants):
+        calls.clear()
+        assert p**n == want
+        assert len(calls) == (n.bit_count() + n.bit_length() - 1 if n else 0)
+
+
+def test_numeric_pow_keeps_product_order():
+    x = (S2 + I * Fraction(1, 7)).to_numeric(80)
+    for n in range(10):
+        want = x.__class__.from_rational(1, 80)
+        base, k = x, n
+        while k:
+            if k & 1:
+                want = want * base
+            k >>= 1
+            base = base * base
+        assert x**n == want
+
+
+def test_factored_root_merge_keeps_order():
+    """Interleaved duplicates merge; roots come sorted by text()."""
+    a, b, c = Exact.from_rational(Fraction(1, 2)), S2, Exact.from_rational(-3)
+    roots = [(b, 1), (a, 2), (c, 1), (b, 3), (Fraction(1, 2), 1), (c, 2), (Fraction(2, 4), 1)]
+    f = FactoredPoly(2, roots)
+    assert [r.text() for r, _ in f.roots] == ["-3/1", "1/1*sqrt(2)", "1/2"]
+    assert f.roots == ((c, 3), (b, 4), (a, 4))
+    assert f.degree == 11 and f.ord_at(a) == 4
+
+
+def test_factored_numeric_roots_with_equal_text_stay_distinct():
+    from diffrad import Numeric
+
+    one = Numeric.from_rational(1, 64)
+    near = one + Numeric.from_rational(Fraction(1, 2**80), 64)
+    assert near != one and near.text() == one.text()
+    f = FactoredPoly(Numeric.from_rational(1, 64), [(near, 1), (one, 2), (near, 3)])
+    assert [(r == near, m) for r, m in f.roots] == [(True, 4), (False, 2)]
