@@ -115,9 +115,19 @@ def casoratian(fs: Sequence[Poly], form: Form = "delta") -> Poly:
     return determinant(casorati_matrix(fs, "delta"))
 
 
-def linearly_independent(fs: Sequence[Poly]) -> bool:
-    """True iff the Casoratian is not the zero polynomial."""
-    return bool(casoratian(fs))
+def linearly_independent(fs: Sequence[Poly], tol=None) -> bool:
+    """True iff the Casoratian is not the zero polynomial.
+
+    A numeric Casoratian counts as zero (rounding noise) when no coefficient
+    exceeds ``tol``, by default 2^(-prec/2) at the inputs' largest precision.
+    """
+    det = casoratian(fs)
+    if not det or det.backend == "exact":
+        return bool(det)
+    if tol is None:
+        prec = max(c.prec for f in fs if f for c in f.coeffs)
+        tol = 2.0 ** -(prec // 2)
+    return det.coeff_sup() > float(tol)
 
 
 def casoratian_replace(fs: Sequence[Poly], index: int, fsum: Poly) -> Poly:
@@ -127,10 +137,7 @@ def casoratian_replace(fs: Sequence[Poly], index: int, fsum: Poly) -> Poly:
     unchanged (multilinearity kills every duplicated-column term), which is
     asserted before returning.
     """
-    total = Poly()
-    for f in fs:
-        total = total + f
-    if total != fsum:
+    if sum(fs, Poly()) != fsum:
         raise ValueError("fsum must equal the sum of the tuple")
     if not 0 <= index < len(fs):
         raise ValueError("replacement index out of range")

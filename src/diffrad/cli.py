@@ -131,7 +131,8 @@ def cmd_shifting_prime(inputs, opts, options: Options) -> dict:
 def cmd_casoratian(inputs, opts, options: Options) -> dict:
     fs = [options.poly(src) for src in inputs]
     det = casorati.casoratian(fs, opts.get("form", "delta"))
-    return {**_poly_result(det), "independent": bool(det)}
+    independent = casorati.linearly_independent(fs, options.tolerance)
+    return {**_poly_result(det), "independent": independent}
 
 
 def cmd_mason(inputs, opts, options: Options) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import diffcalc
 from .errors import AmbiguousShiftError, BackendMismatchError
@@ -54,15 +55,13 @@ class ShiftClass:
     """Roots pairwise congruent modulo 1, as offsets from a representative.
 
     The representative is the minimal member (offset 0); all stored offsets
-    are nonnegative and map to positive multiplicities.
+    are nonnegative and map to positive multiplicities.  ``shift_classes``
+    is the one place that groups roots: chains, radicals and common shifting
+    divisors all read their offsets and heights off these classes.
     """
 
     representative: Scalar
     members: dict[int, int]
-
-    @property
-    def max_offset(self) -> int:
-        return max(self.members)
 
     def run_length(self, start: int) -> int:
         """Consecutive offsets present starting at `start` (its height)."""
@@ -162,6 +161,7 @@ def shifting_zero_height(p: Poly, z0, tol=None) -> int:
     n = 0
     while _is_zero(p(z0 + as_scalar(n, z0)), tol):
         n += 1
+        _check_run(p, z0, n)
     return n
 
 
@@ -176,7 +176,16 @@ def shifting_zero_height_via_delta(p: Poly, z0, tol=None) -> int:
     while _is_zero(cur(z0), tol):
         cur = diffcalc.delta(cur)
         n += 1
+        _check_run(p, z0, n)
     return n
+
+
+def _check_run(p: Poly, z0: Scalar, n: int) -> None:
+    """A nonzero p has at most deg p zeros: a longer run is tolerance noise."""
+    if n > p.degree:
+        raise AmbiguousShiftError(
+            f"{n} zeros in a row from {z0.text()} exceed degree {p.degree}"
+        )
 
 
 def _is_zero(value: Scalar, tol) -> bool:
@@ -302,35 +311,41 @@ def common_shifting_divisors(
     z0 is reported when some zero chain of one polynomial continues into a
     zero of the other: a zero z0 of f qualifies when g(z0 + m) = 0 for some
     1 <= m <= height of z0 in f, and symmetrically with f and g swapped.
-    Sorted by canonical text; an empty list means f and g are shifting prime.
+    f and g are grouped separately by ``shift_classes``; a class of f and a
+    class of g can share a divisor only when their representatives differ by
+    an integer, and heights are their ``ShiftClass.run_length``.  Sorted by
+    canonical text; an empty list means f and g are shifting prime.
     """
     if f.backend != g.backend:
         raise BackendMismatchError("factored polynomials mix backends")
-    merged = FactoredPoly(
-        as_scalar(1, f.lead),
-        [(r, m) for r, m in f.roots] + [(r, m) for r, m in g.roots],
-    )
-    # Classify the union once, then read each side's membership off it.
+    return _common_divisors(shift_classes(f, tol), shift_classes(g, tol), tol)
+
+
+def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass], tol) -> list[Scalar]:
     found: list[Scalar] = []
-    for cls in shift_classes(merged, tol):
-        offsets_f: dict[int, int] = {}
-        offsets_g: dict[int, int] = {}
-        for side, poly in ((offsets_f, f), (offsets_g, g)):
-            for root, mult in poly.roots:
-                k = integer_offset(root, cls.representative, tol)
-                if k is not None:
-                    side[k] = side.get(k, 0) + mult
-        for a_side, b_side in ((offsets_f, offsets_g), (offsets_g, offsets_f)):
-            for o in a_side:
-                height = 0
-                while a_side.get(o + height, 0) > 0:
-                    height += 1
-                if any(b_side.get(o + m, 0) > 0 for m in range(1, height + 1)):
-                    z0 = cls.representative + as_scalar(o, cls.representative)
-                    if all(z0 != seen for seen in found):
-                        found.append(z0)
+    for cf in cfs:
+        for cg in cgs:
+            k = integer_offset(cg.representative, cf.representative, tol)
+            if k is None:
+                continue
+            # Base points count from the lower representative; a numeric tie
+            # goes to the smaller text, the root a merged scan meets first.
+            tie = k == 0 and cg.representative.text() < cf.representative.text()
+            lo, hi, k = (cg, cf, -k) if k < 0 or tie else (cf, cg, k)
+            base = lo.representative
+            offsets = _chain_hits(lo, hi, k) | {o + k for o in _chain_hits(hi, lo, -k)}
+            found.extend(base + as_scalar(o, base) for o in offsets)
     found.sort(key=lambda s: s.text())
     return found
+
+
+def _chain_hits(a: ShiftClass, b: ShiftClass, k: int) -> set[int]:
+    """Offsets in a whose zero chain runs into b; b's representative is a's + k."""
+    return {
+        o
+        for o in a.members
+        if any(o + m - k in b.members for m in range(1, a.run_length(o) + 1))
+    }
 
 
 def is_shifting_prime(f: FactoredPoly, g: FactoredPoly, tol=None) -> bool:
@@ -341,10 +356,13 @@ def is_shifting_prime(f: FactoredPoly, g: FactoredPoly, tol=None) -> bool:
 def pairwise_shifting_prime(
     fs: list[FactoredPoly], tol=None
 ) -> tuple[bool, tuple[int, int, Scalar] | None]:
-    """All-pairs check; on failure returns (i, j, divisor base) as witness."""
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            divisors = common_shifting_divisors(fs[i], fs[j], tol)
-            if divisors:
-                return False, (i, j, divisors[0])
+    """All-pairs check, grouping each input once; on failure returns
+    (i, j, divisor base) as witness."""
+    if len({f.backend for f in fs}) > 1:
+        raise BackendMismatchError("factored polynomials mix backends")
+    classes = [shift_classes(f, tol) for f in fs]
+    for i, j in combinations(range(len(fs)), 2):
+        divisors = _common_divisors(classes[i], classes[j], tol)
+        if divisors:
+            return False, (i, j, divisors[0])
     return True, None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from . import casorati, diffcalc, shiftcalc
@@ -33,19 +34,30 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class MasonReport:
+    """Degree inequality lhs <= rhs; the verdict is derived from the sides."""
+
     kind: str
     equation_holds: bool
     hypotheses: tuple[Hypothesis, ...]
     lhs: int
     rhs: int
-    slack: int
-    sharp: bool
-    counterexample: bool
     extra: dict = field(default_factory=dict)
 
     @property
     def applicable(self) -> bool:
         return self.equation_holds and all(h.ok for h in self.hypotheses)
+
+    @property
+    def slack(self) -> int:
+        return self.rhs - self.lhs
+
+    @property
+    def sharp(self) -> bool:
+        return self.slack == 0
+
+    @property
+    def counterexample(self) -> bool:
+        return self.applicable and self.slack < 0
 
     @property
     def ok(self) -> bool:
@@ -116,21 +128,8 @@ def _identity_report(residual: Poly, tol) -> tuple[bool, float]:
 
 
 def _sum_equation_holds(parts: Sequence[Poly], total: Poly, tol) -> bool:
-    residual = Poly()
-    for p in parts:
-        residual = residual + p
-    holds, _ = _identity_report(residual - total, tol)
+    holds, _ = _identity_report(sum(parts, Poly()) - total, tol)
     return holds
-
-
-def _independent(polys: Sequence[Poly], tol) -> bool:
-    det = casorati.casoratian(list(polys))
-    if not det or det.backend == "exact":
-        return bool(det)
-    if tol is None:
-        prec = max(c.prec for p in polys if p for c in p.coeffs)
-        tol = 2.0 ** -(prec // 2)
-    return det.coeff_sup() > float(tol)
 
 
 def _shifting_prime_hypothesis(
@@ -175,27 +174,17 @@ def mason_classical(
     a: FactoredPoly, b: FactoredPoly, c: FactoredPoly, tol=None
 ) -> MasonReport:
     """Classical degree inequality for relatively prime a + b = c."""
-    pa, pb, pc = a.expand(), b.expand(), c.expand()
-    equation = _sum_equation_holds([pa, pb], pc, tol)
-
-    hyps = [_relatively_prime_hypothesis([a, b, c], tol)]
-    hyps.append(
-        Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1)
-    )
-
-    lhs = _max_degree([a, b, c])
-    rhs = classical_rad(a.times(b).times(c)).degree - 1
-    slack = rhs - lhs
-    applicable = equation and all(h.ok for h in hyps)
+    equation = _sum_equation_holds([a.expand(), b.expand()], c.expand(), tol)
+    hyps = [
+        _relatively_prime_hypothesis([a, b, c], tol),
+        Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1),
+    ]
     return MasonReport(
         kind="classical",
         equation_holds=equation,
         hypotheses=tuple(hyps),
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        sharp=slack == 0,
-        counterexample=applicable and slack < 0,
+        lhs=_max_degree([a, b, c]),
+        rhs=classical_rad(a.times(b).times(c)).degree - 1,
     )
 
 
@@ -209,22 +198,16 @@ def mason_delta(
         Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1),
     ]
     product = a.times(b).times(c)
-    lhs = _max_degree([a, b, c])
     rhs = shiftcalc.rad_delta(product, tol).degree - 1
     rhs_kappa = shiftcalc.rad_kappa(product, 1, tol).degree - 1
     if rhs != rhs_kappa:  # pragma: no cover - degree identity guard
         raise ArithmeticError("radical degree routes disagree")
-    slack = rhs - lhs
-    applicable = equation and all(h.ok for h in hyps)
     return MasonReport(
         kind="delta",
         equation_holds=equation,
         hypotheses=tuple(hyps),
-        lhs=lhs,
+        lhs=_max_degree([a, b, c]),
         rhs=rhs,
-        slack=slack,
-        sharp=slack == 0,
-        counterexample=applicable and slack < 0,
         extra={"rhs_kappa": rhs_kappa},
     )
 
@@ -238,12 +221,10 @@ def mason_delta_ext(fs: Sequence[FactoredPoly], tol=None) -> MasonReport:
     if len(fs) < 3:
         raise ValueError("need at least three polynomials (m >= 2)")
     m = len(fs) - 1
-    equation = _sum_equation_holds(
-        [f.expand() for f in fs[:-1]], fs[-1].expand(), tol
-    )
-
+    parts = [f.expand() for f in fs[:-1]]
+    equation = _sum_equation_holds(parts, fs[-1].expand(), tol)
     min_deg = min(f.degree for f in fs)
-    indep = _independent([f.expand() for f in fs[:-1]], tol)
+    indep = casorati.linearly_independent(parts, tol)
     hyps = [
         _shifting_prime_hypothesis(fs, tol),
         Hypothesis(
@@ -254,26 +235,19 @@ def mason_delta_ext(fs: Sequence[FactoredPoly], tol=None) -> MasonReport:
         Hypothesis("linear_independence", indep),
     ]
 
-    product = fs[0]
-    for f in fs[1:]:
-        product = product.times(f)
+    product = reduce(FactoredPoly.times, fs)
     lhs = _max_degree(fs)
     penalty = m * (m - 1) // 2
     rhs = shiftcalc.rad_delta_q(product, m - 1, tol).degree - penalty
     rhs_weak = (m - 1) * shiftcalc.rad_delta(product, tol).degree - penalty
     if rhs > rhs_weak:  # pragma: no cover - truncation bound guard
         raise ArithmeticError("truncated radical exceeded its bound")
-    slack = rhs - lhs
-    applicable = equation and all(h.ok for h in hyps)
     return MasonReport(
         kind="delta_ext",
         equation_holds=equation,
         hypotheses=tuple(hyps),
         lhs=lhs,
         rhs=rhs,
-        slack=slack,
-        sharp=slack == 0,
-        counterexample=applicable and slack < 0,
         extra={"rhs_weak": rhs_weak, "slack_weak": rhs_weak - lhs},
     )
 
@@ -346,12 +320,9 @@ def fermat_multi_check(
         raise ValueError("need m >= 2 terms")
 
     powers = [diffcalc.falling_power(f.expand(), n) for f in fs]
-    residual = Poly()
     left = powers if rhs_one else powers[:-1]
-    for p in left:
-        residual = residual + p
     one = Poly.constant(as_scalar(1, fs[0].lead))
-    residual = residual - (one if rhs_one else powers[-1])
+    residual = sum(left, Poly()) - (one if rhs_one else powers[-1])
     equation, sup = _identity_report(residual, tol)
 
     power_factored = [
@@ -365,9 +336,8 @@ def fermat_multi_check(
         ),
         _shifting_prime_hypothesis(power_factored, tol),
     ]
-    indep_powers = powers if rhs_one else powers[:-1]
     hyps.append(
-        Hypothesis("linear_independence", _independent(indep_powers, tol))
+        Hypothesis("linear_independence", casorati.linearly_independent(left, tol))
     )
 
     maxdeg = _max_degree(fs)
@@ -505,9 +475,7 @@ def gen_mason_instance(
             )
             for _ in range(m)
         ]
-        total = Poly()
-        for f in parts:
-            total = total + f.expand()
+        total = sum((f.expand() for f in parts), Poly())
         if not total or total.degree < min_deg:
             continue
         try:

@@ -92,6 +92,19 @@ def test_linear_independence():
     assert not linearly_independent([Z + 1, Z - 1, 2 * Z])
 
 
+def test_numeric_dependent_tuple_is_dependent():
+    f = Poly([Fraction(1, 3), 1, Fraction(1, 5)])
+    g = Poly([Fraction(2, 7), Fraction(1, 11), 1])
+    fs = [p.embed(128) for p in (f, g, f * Fraction(1, 3) + g * Fraction(5, 7))]
+    det = casoratian(fs)
+    # the determinant is rounding noise, not the zero polynomial
+    assert det and det.coeff_sup() < 1e-40
+    assert not linearly_independent(fs)
+    assert linearly_independent(fs[:2])
+    # a tolerance above the pair's own Casoratian calls it dependent too
+    assert not linearly_independent(fs[:2], tol=1e6)
+
+
 def test_alternating_and_multilinear():
     rng = random.Random(53)
     for _ in range(60):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,16 @@ def test_height_command(capsys):
     assert "2" in out
 
 
+def test_height_with_loose_tolerance_exits_1(capsys):
+    # a tolerance of 1e6 calls every value zero; the run stops at the degree
+    for expr in ("z", "z^2 - 1/1000"):
+        code, out, err = run(
+            capsys, "height", expr, "--backend", "numeric", "--tolerance", "1e6"
+        )
+        assert code == 1 and out == ""
+        assert "from 0.0 " in err
+
+
 def test_numeric_backend_smoke(capsys):
     code, out, _ = run(
         capsys, "rad-delta", "roots(1; 0:2, 1:1, 2:1)",
@@ -109,6 +120,17 @@ def test_casoratian_command(capsys):
     code, out, _ = run(capsys, "casoratian", "z", "z^2", "--form", "shift")
     assert code == 0
     assert out.startswith("z^2 + z")
+
+
+def test_casoratian_numeric_noise_is_dependent(capsys):
+    # 3/7*z + 1/7 = 3/7 * (z + 1/3): the determinant is rounding noise
+    code, out, _ = run(
+        capsys, "casoratian", "z + 1/3", "3/7*z + 1/7",
+        "--backend", "numeric", "--precision", "128", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["degree"] == 0 and doc["independent"] is False
 
 
 def test_gcd_tower_command_falls_back_to_euclid(capsys):
@@ -208,3 +230,22 @@ def test_fixture_sources_are_annotated():
         assert case["source"].startswith("paper:")
         ok, _ = run_fixture(case)
         assert ok, case["name"]
+
+
+GOLDEN = Path(__file__).parent / "data" / "fixture_results.json"
+
+
+def test_fixture_results_match_golden():
+    """The full result of every bundled fixture, not only the fragment its
+    `expected` names: verdict fields such as slack, sharp, counterexample,
+    applicable and the hypothesis witnesses are pinned here."""
+    golden = json.loads(GOLDEN.read_text())
+    got = {}
+    for case in load_fixtures():
+        ok, result = run_fixture(case)
+        got[case["name"]] = {"pass": ok, "result": result}
+    got = json.loads(json.dumps(got))
+    # the numeric triad's residual is rounding noise, bounded by its fixture
+    for doc in (golden, got):
+        del doc["sec5.unit-equation-cubic-triad"]["result"]["residual_sup"]
+    assert got == golden

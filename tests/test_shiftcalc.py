@@ -5,6 +5,7 @@ import pytest
 
 from diffrad import (
     AmbiguousShiftError,
+    BackendMismatchError,
     Exact,
     ExactDivisionError,
     FactoredPoly,
@@ -27,8 +28,9 @@ from diffrad import (
     shifting_zero_height,
     shifting_zero_height_via_delta,
 )
+from diffrad import shiftcalc
 from diffrad.theorems import gen_chain_poly
-from helpers import rand_grid_factored
+from helpers import I, S2, rand_fraction, rand_grid_factored
 
 Z = Poly.z()
 
@@ -311,6 +313,59 @@ def test_common_shifting_divisors_against_brute_force():
         ] == brute_common_shifting_divisors(f, g)
 
 
+def rand_radical_factored(rng: random.Random, bases: list) -> FactoredPoly:
+    """Roots at integer offsets from a few bases, with multiplicities 1..2."""
+    roots = [
+        (rng.choice(bases) + Exact.from_rational(rng.randint(-2, 2)), rng.randint(1, 2))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return FactoredPoly(rng.choice((1, -1, 2, Fraction(1, 3))), roots)
+
+
+def test_common_shifting_divisors_against_brute_force_radical_roots():
+    rng = random.Random(61)
+    hits = 0
+    for _ in range(80):
+        # bases in Q(i, sqrt 2); two of them share a class up to an integer
+        bases = [rand_fraction(rng, 3) + I * rand_fraction(rng, 2) + S2 for _ in range(2)]
+        bases.append(bases[0] + Exact.from_rational(3))
+        f = rand_radical_factored(rng, bases)
+        g = rand_radical_factored(rng, bases)
+        want = brute_common_shifting_divisors(f, g)
+        assert [d.text() for d in common_shifting_divisors(f, g)] == want
+        hits += bool(want)
+    assert hits >= 20  # the corpus exercises both verdicts
+
+
+def test_pairwise_groups_each_input_once(monkeypatch):
+    calls = []
+    original = shiftcalc.shift_classes
+
+    def counting(f, tol=None):
+        calls.append(f)
+        return original(f, tol)
+
+    monkeypatch.setattr(shiftcalc, "shift_classes", counting)
+    # residues j/5 differ, so the four inputs are pairwise shifting prime
+    fs = [
+        FactoredPoly(1, [(Fraction(j, 5) + k, 1) for k in range(3)]) for j in range(4)
+    ]
+    assert pairwise_shifting_prime(fs) == (True, None)
+    assert len(calls) == 4
+    calls.clear()
+    ok, witness = pairwise_shifting_prime([fs[0], FactoredPoly(1, [(3, 1)]), fs[1]])
+    assert not ok and witness[:2] == (0, 1)
+    assert len(calls) == 3
+
+
+def test_pairwise_rejects_mixed_backends_before_any_pair():
+    a = FactoredPoly(1, [(0, 1), (1, 1)])
+    bad = FactoredPoly(1, [(2, 1)])  # a and bad already share a divisor
+    numeric = FactoredPoly(nroot(1), [(nroot(5), 1)])
+    with pytest.raises(BackendMismatchError):
+        pairwise_shifting_prime([a, bad, numeric])
+
+
 def test_pairwise_shifting_prime_witness():
     a = FactoredPoly(1, [(0, 1), (1, 1)])
     b = FactoredPoly(-1, [(4, 1), (5, 1)])
@@ -417,6 +472,33 @@ def test_numeric_common_shifting_divisors():
     assert len(common_shifting_divisors(f, g)) == 3
     lone = FactoredPoly(nroot(1), [(nroot(Fraction(5, 2)), 1)])
     assert is_shifting_prime(f, lone)
+
+
+def test_numeric_divisor_base_on_a_tie_is_the_smaller_text():
+    # roots 1e-60 apart sit at the same offset; the base point is the one
+    # whose text sorts first, whichever input it belongs to
+    eps = Numeric.from_rational(Fraction(1, 10**60), 128)
+    g = FactoredPoly(nroot(1), [(nroot(0), 1), (nroot(1), 1)])
+    for near in (nroot(0) + eps, nroot(0) - eps):
+        f = FactoredPoly(nroot(1), [(near, 1)])
+        want = [min(near.text(), nroot(0).text())]
+        assert [d.text() for d in common_shifting_divisors(f, g)] == want
+        assert [d.text() for d in common_shifting_divisors(g, f)] == want
+
+
+def test_height_run_longer_than_degree_is_ambiguous():
+    quadratic = Poly([Fraction(-1, 1000), 0, 1]).embed(128)
+    for height in (shifting_zero_height, shifting_zero_height_via_delta):
+        # at tol 5 the run ends at p(3) = 8.999, so only the degree bound raises
+        for tol in (5, 1e6):
+            with pytest.raises(AmbiguousShiftError, match=r"^3 zeros in a row from 0\.0 "):
+                height(quadratic, 0, tol=tol)
+    with pytest.raises(AmbiguousShiftError):
+        shifting_zero_height_via_delta(Poly([Fraction(1, 1000)]).embed(128), 0, tol=1)
+    # a run as long as the degree is still a height, exactly and numerically
+    cubic = falling_power(Z, 3)
+    for p in (cubic, cubic.embed(128)):
+        assert shifting_zero_height(p, 0) == shifting_zero_height_via_delta(p, 0) == 3
 
 
 def test_numeric_ambiguous_classification():

@@ -5,6 +5,8 @@ import pytest
 from diffrad import (
     Exact,
     FactoredPoly,
+    Hypothesis,
+    MasonReport,
     Poly,
     SamplingBudgetError,
     factor,
@@ -254,3 +256,15 @@ def test_reports_are_deterministic():
     r1 = mason_delta(a, b, c).to_json_dict()
     r2 = mason_delta(a, b, c).to_json_dict()
     assert r1 == r2
+
+
+def test_mason_verdict_is_derived_from_the_sides():
+    ok = Hypothesis("h", True)
+    report = MasonReport("delta", True, (ok,), lhs=3, rhs=2)
+    assert (report.slack, report.sharp, report.counterexample) == (-1, False, True)
+    assert not report.ok
+    inapplicable = MasonReport("delta", True, (Hypothesis("h", False),), lhs=3, rhs=2)
+    assert inapplicable.slack == -1 and not inapplicable.counterexample
+    sharp = MasonReport("delta", False, (ok,), lhs=2, rhs=2)
+    assert sharp.sharp and not sharp.applicable
+    assert sharp.to_json_dict()["slack"] == 0
