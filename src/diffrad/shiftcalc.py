@@ -22,7 +22,7 @@ from itertools import combinations
 from . import diffcalc
 from .errors import AmbiguousShiftError, BackendMismatchError
 from .poly import FactoredPoly, Poly, poly_gcd, product
-from .scalar import Exact, Numeric, Scalar, as_scalar
+from .scalar import _ONE_KEY, Exact, Numeric, Scalar, as_scalar
 
 AMBIGUITY_GUARD = 8
 
@@ -57,7 +57,9 @@ class ShiftClass:
     The representative is the minimal member (offset 0); all stored offsets
     are nonnegative and map to positive multiplicities.  ``shift_classes``
     is the one place that groups roots: chains, radicals and common shifting
-    divisors all read their offsets and heights off these classes.
+    divisors all read their offsets and heights off these classes.  Exact
+    classes come from one keyed pass over the roots, numeric ones from a
+    tolerance scan (see ``shift_classes``).
     """
 
     representative: Scalar
@@ -74,11 +76,46 @@ class ShiftClass:
 def shift_classes(f: FactoredPoly, tol=None) -> list[ShiftClass]:
     """Partition the distinct roots by integer difference.
 
+    Exact roots are grouped in one pass: a - b is an integer exactly when a
+    and b have the same non-rational terms and rational parts congruent
+    modulo 1, so each root goes to the bucket keyed by those two, and the
+    member with the least rational part is the representative.  Numeric
+    roots keep the scan that compares each root with each representative
+    through ``integer_offset``: "within tol of an integer" is not an
+    equivalence relation and has no hash key, and the scan is what raises
+    ``AmbiguousShiftError`` in the guard band.
+
     Classes come back sorted by the canonical text of their representatives,
     the scan order used everywhere chains are emitted.
     """
+    if f.backend == "exact":
+        classes = _bucket_classes(f.roots)
+    else:
+        classes = _scan_classes(f.roots, tol)
+    classes.sort(key=lambda c: c[0].text())
+    return [ShiftClass(rep, members) for rep, members in classes]
+
+
+def _bucket_classes(roots) -> list[tuple[Scalar, dict[int, int]]]:
+    """Exact classes keyed by (non-rational terms, rational part mod 1)."""
+    buckets: dict[tuple, list[tuple[Fraction, Exact, int]]] = {}
+    for root, mult in roots:
+        terms = root.terms
+        q = terms.pop(_ONE_KEY, Fraction(0))
+        key = (frozenset(terms.items()), q % 1)
+        buckets.setdefault(key, []).append((q, root, mult))
+    classes = []
+    for bucket in buckets.values():
+        q_rep, rep, _ = min(bucket, key=lambda m: m[0])
+        classes.append((rep, {int(q - q_rep): mult for q, _, mult in bucket}))
+    return classes
+
+
+def _scan_classes(roots, tol) -> list[tuple[Scalar, dict[int, int]]]:
+    """Numeric classes, and the test oracle for exact ones: each root is
+    compared with each representative, O(roots x classes)."""
     classes: list[tuple[Scalar, dict[int, int]]] = []
-    for root, mult in f.roots:
+    for root, mult in roots:
         for idx, (rep, members) in enumerate(classes):
             k = integer_offset(root, rep, tol)
             if k is None:
@@ -92,8 +129,7 @@ def shift_classes(f: FactoredPoly, tol=None) -> list[ShiftClass]:
             break
         else:
             classes.append((root, {0: mult}))
-    classes.sort(key=lambda c: c[0].text())
-    return [ShiftClass(rep, members) for rep, members in classes]
+    return classes
 
 
 @dataclass(frozen=True)

@@ -144,13 +144,16 @@ def _shifting_prime_hypothesis(
 
 
 def _relatively_prime_hypothesis(
-    fs: Sequence[FactoredPoly], tol
+    fs: Sequence[FactoredPoly], expanded: Sequence[Poly], tol
 ) -> Hypothesis:
-    """Pairwise coprimality: Euclidean gcd exactly, root proximity numerically."""
+    """Pairwise coprimality: Euclidean gcd exactly, root proximity numerically.
+
+    ``expanded[i]`` is ``fs[i].expand()``, made once by the caller.
+    """
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             if fs[i].backend == "exact":
-                g = poly_gcd(fs[i].expand(), fs[j].expand())
+                g = poly_gcd(expanded[i], expanded[j])
                 if g.degree >= 1:
                     return Hypothesis(
                         "relatively_prime",
@@ -174,9 +177,10 @@ def mason_classical(
     a: FactoredPoly, b: FactoredPoly, c: FactoredPoly, tol=None
 ) -> MasonReport:
     """Classical degree inequality for relatively prime a + b = c."""
-    equation = _sum_equation_holds([a.expand(), b.expand()], c.expand(), tol)
+    expanded = [f.expand() for f in (a, b, c)]
+    equation = _sum_equation_holds(expanded[:2], expanded[2], tol)
     hyps = [
-        _relatively_prime_hypothesis([a, b, c], tol),
+        _relatively_prime_hypothesis([a, b, c], expanded, tol),
         Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1),
     ]
     return MasonReport(

@@ -25,12 +25,13 @@ from diffrad import (
     rad_delta,
     rad_delta_q,
     rad_kappa,
+    shift_classes,
     shifting_zero_height,
     shifting_zero_height_via_delta,
 )
 from diffrad import shiftcalc
 from diffrad.theorems import gen_chain_poly
-from helpers import I, S2, rand_fraction, rand_grid_factored
+from helpers import I, S2, S3, rand_fraction, rand_grid_factored
 
 Z = Poly.z()
 
@@ -109,8 +110,6 @@ def test_chain_multiset_independent_of_scan_order():
         expected = sorted(
             (s.text(), n) for s, n in chain_decomposition(f).chains
         )
-        from diffrad import shift_classes
-
         chains = []
         for cls in shift_classes(f):
             remaining = dict(cls.members)
@@ -277,6 +276,59 @@ def brute_common_shifting_divisors(f: FactoredPoly, g: FactoredPoly):
             if hit and all(z0 != seen for seen in found):
                 found.append(z0)
     return sorted(d.text() for d in found)
+
+
+# -- shift classes ------------------------------------------------------------
+
+
+def scanned_classes(f, tol=None):
+    """The pairwise tolerance scan, sorted as shift_classes sorts: the oracle."""
+    classes = sorted(shiftcalc._scan_classes(f.roots, tol), key=lambda c: c[0].text())
+    return [(rep.text(), members) for rep, members in classes]
+
+
+def test_bucketed_classes_match_the_scan():
+    rng = random.Random(71)
+    # non-rational parts over Q(i, sqrt 2, sqrt 3), including none (integer and
+    # rational roots); residues include 0 (pure radicals) and negative
+    # non-integers, where floor and truncation differ
+    radicals = [Exact(), S2, I * S3, S2 + I * Fraction(-1, 2), S2 * S3 - S3]
+    residues = [Fraction(0), Fraction(1, 3), Fraction(-2, 7), Fraction(-5, 2)]
+    shared = 0
+    for _ in range(200):
+        roots = [
+            (
+                rng.choice(radicals)
+                + Exact.from_rational(rng.choice(residues) + rng.randint(-4, 4)),
+                rng.randint(1, 3),
+            )
+            for _ in range(rng.randint(1, 12))
+        ]
+        f = FactoredPoly(rng.choice((1, -3, Fraction(2, 5))), roots)
+        classes = shift_classes(f)
+        assert [(c.representative.text(), c.members) for c in classes] == scanned_classes(f)
+        shared += any(len(c.members) > 1 for c in classes)
+    assert shared >= 100  # most inputs have classes with several offsets
+
+
+def test_exact_classes_make_no_pairwise_comparison(monkeypatch):
+    calls = []
+    original = shiftcalc.integer_offset
+
+    def counting(a, b, tol=None):
+        calls.append((a, b))
+        return original(a, b, tol)
+
+    monkeypatch.setattr(shiftcalc, "integer_offset", counting)
+    exact = FactoredPoly(
+        1, [(Fraction(j, 3) + k + S2 * (j % 2), 1 + k % 2) for j in range(4) for k in range(5)]
+    )
+    assert len(shift_classes(exact)) == 4
+    assert calls == []
+    # the counter does see the numeric scan
+    numeric = FactoredPoly(nroot(1), [(nroot(k), 1) for k in range(3)])
+    assert len(shift_classes(numeric)) == 1
+    assert len(calls) == 2
 
 
 def test_common_shifting_divisors_examples():

@@ -67,6 +67,21 @@ def test_mason_classical_coprimality_flag():
     assert not report.applicable
 
 
+def test_mason_classical_expands_each_input_once(monkeypatch):
+    a, b, c = gen_mason_instance(2, seed=5)
+    calls = []
+    original = FactoredPoly.expand
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FactoredPoly, "expand", counting)
+    report = mason_classical(a, b, c)
+    assert report.equation_holds and hyp_map(report)["relatively_prime"]
+    assert len(calls) == 3
+
+
 # -- three-term inequality, difference radical --------------------------------
 
 
