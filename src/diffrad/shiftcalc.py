@@ -2,15 +2,17 @@
 
 A zero z0 of p has *height* n when p vanishes at z0, z0+1, ..., z0+n-1 but
 not at z0+n (equivalently: p and its first n-1 forward differences vanish at
-z0 while the n-th does not).  Grouping the root multiset of a polynomial by
-integer differences and greedily peeling runs of consecutive zeros yields the
-unique chain decomposition
+z0 while the n-th does not).  In a shift class of roots (``shift_classes``)
+with representative r, m(o) is the order of P at r + o, 0 at an absent
+offset.  The unique chain decomposition
 
-    P(z) = A * prod_j (z - z_j)(z - z_j - 1)...(z - z_j - n_j + 1),
+    P(z) = A * prod_j (z - z_j)(z - z_j - 1)...(z - z_j - n_j + 1)
 
-from which the difference radical (product of z - z_j over chain starts), its
-truncated variants, and the gcd tower gcd(P, dP, ..., d^n P) all follow in
-closed form.
+is the level sets of m (the chains at level l are the maximal runs of
+m >= l), so every radical is prod (z - r - o)^d with an order rule d on m:
+rad_kappa m(o) - min(m(o), m(o+kappa)); rad_delta the same at kappa = -1;
+rad_delta_q m(o) - min(m(o-q), ..., m(o)); the gcd tower gcd(P, dP, ...,
+d^n P) min(m(o), ..., m(o+n)).
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ class ShiftClass:
     """Roots pairwise congruent modulo 1, as offsets from a representative.
 
     The representative is the minimal member (offset 0); all stored offsets
-    are nonnegative and map to positive multiplicities.  ``shift_classes``
-    is the one place that groups roots: chains, radicals and common shifting
-    divisors all read their offsets and heights off these classes.  Exact
-    classes come from one keyed pass over the roots, numeric ones from a
-    tolerance scan (see ``shift_classes``).
+    are nonnegative and map to positive multiplicities: ``members`` is the
+    order function m of the module docstring, the radicals and the gcd tower
+    are order rules on it, and the chains are its level sets.
+    ``shift_classes`` is the one place that groups roots.  Exact classes
+    come from one keyed pass over the roots, numeric ones from a tolerance
+    scan (see ``shift_classes``).
     """
 
     representative: Scalar
@@ -165,8 +168,10 @@ def chain_decomposition(f: FactoredPoly, tol=None) -> ChainDecomposition:
     Within each shift class the smallest remaining offset starts a chain that
     extends through consecutive offsets while remaining multiplicity lasts,
     each participating offset giving up one unit.  The resulting multiset of
-    chains is the unique one; the emission order (classes by representative
-    text, chains greedily within a class) makes the list deterministic.
+    chains is the unique one, the level sets of the class's orders; the
+    emission order (classes by representative text, chains greedily within a
+    class) makes the list deterministic.  The radicals read the orders
+    directly, so the chains serve the ``chains`` command.
     """
     chains: list[tuple[Scalar, int]] = []
     for cls in shift_classes(f, tol):
@@ -249,49 +254,43 @@ def factor_at(p: Poly, z0, tol=None) -> tuple[int, Poly]:
     return n, g
 
 
-def _monic_product(factors: list[tuple[Scalar, int]], falling: bool) -> Poly:
-    """Monic prod (z - w)^m, plain powers or falling factorials of length m."""
-    return product(
-        diffcalc.falling_factorial_linear(w, m) if falling else Poly.linear(w) ** m
-        for w, m in factors
-    )
+def _radical(f: FactoredPoly, order, tol) -> Poly:
+    """Monic prod (z - w)^order(m, o) over w = representative + o, where m is
+    w's class's ``members``; starts from the 1 of f's backend."""
+    factors = [Poly.constant(as_scalar(1, f.lead))]
+    for cls in shift_classes(f, tol):
+        rep, m = cls.representative, cls.members
+        for o in sorted(m):
+            factors += [Poly.linear(rep + as_scalar(o, rep))] * order(m, o)
+    return product(factors)
+
+
+def _least_order(m: dict[int, int], lo: int, hi: int) -> int:
+    """min of the orders at offsets lo..hi, 0 at an absent one; a window of
+    more than len(m) offsets holds an absent one, so it is clamped."""
+    return min(m.get(o, 0) for o in range(lo, min(hi, lo + len(m)) + 1))
 
 
 def rad_delta(f: FactoredPoly, tol=None) -> Poly:
-    """Difference radical: monic product of z - start over all chains."""
-    dec = chain_decomposition(f, tol)
-    return _monic_product([(start, 1) for start, _ in dec.chains], falling=False)
+    """Difference radical, prod of z - start over all chains: the order rule
+    m(o) - min(m(o), m(o-1)), rad_kappa at kappa = -1."""
+    return _radical(f, lambda m, o: m[o] - min(m[o], m.get(o - 1, 0)), tol)
 
 
 def rad_kappa(f: FactoredPoly, kappa: int, tol=None) -> Poly:
-    """Kappa-difference radical: prod (z-w)^(ord_w - min(ord_w, ord_{w+kappa})).
-
-    Orders at w + kappa are read inside w's shift class (roots in other
-    classes cannot differ from w by the integer kappa).
-    """
+    """Kappa-difference radical, m(o) - min(m(o), m(o+kappa)): orders at
+    w + kappa are read in w's class, as no other root differs from w by kappa."""
     if kappa == 0:
         raise ValueError("kappa must be a nonzero integer")
-    factors: list[tuple[Scalar, int]] = []
-    for cls in shift_classes(f, tol):
-        for offset in sorted(cls.members):
-            ord_w = cls.members[offset]
-            ord_shifted = cls.members.get(offset + kappa, 0)
-            d = ord_w - min(ord_w, ord_shifted)
-            if d > 0:
-                factors.append(
-                    (cls.representative + as_scalar(offset, cls.representative), d)
-                )
-    return _monic_product(factors, falling=False)
+    return _radical(f, lambda m, o: m[o] - min(m[o], m.get(o + kappa, 0)), tol)
 
 
 def rad_delta_q(f: FactoredPoly, q: int, tol=None) -> Poly:
-    """Truncated difference radical: chains clamped to length at most q."""
+    """Truncated difference radical, chains clamped to length at most q: the
+    order rule m(o) - min(m(o-q), ..., m(o))."""
     if q < 1:
         raise ValueError("truncation level q must be >= 1")
-    dec = chain_decomposition(f, tol)
-    return _monic_product(
-        [(start, min(n, q)) for start, n in dec.chains], falling=True
-    )
+    return _radical(f, lambda m, o: m[o] - _least_order(m, o - q, o), tol)
 
 
 def gcd_tower_euclid(p: Poly, n: int) -> Poly:
@@ -304,19 +303,18 @@ def gcd_tower_euclid(p: Poly, n: int) -> Poly:
     cur = p
     for _ in range(n):
         cur = diffcalc.delta(cur)
-        g = poly_gcd(g, cur) if cur else g
+        if not cur:  # delta^k p = 0 for every k > deg p
+            break
+        g = poly_gcd(g, cur)
     return g
 
 
 def gcd_tower_closed(f: FactoredPoly, n: int, tol=None) -> Poly:
-    """Closed form prod (z - start)^(falling max(length - n, 0))."""
+    """Closed form prod (z - start)^(falling max(length - n, 0)), chains
+    shortened by n: the order rule min(m(o), ..., m(o+n))."""
     if n < 1:
         raise ValueError("tower height n must be >= 1")
-    dec = chain_decomposition(f, tol)
-    return _monic_product(
-        [(start, length - n) for start, length in dec.chains if length > n],
-        falling=True,
-    )
+    return _radical(f, lambda m, o: _least_order(m, o, o + n), tol)
 
 
 def gcd_tower(p: Poly | FactoredPoly, n: int, tol=None) -> Poly:

@@ -116,6 +116,14 @@ def test_numeric_backend_smoke(capsys):
     assert json.loads(out)["degree"] == 2
 
 
+def test_numeric_constant_radical_is_numeric(capsys):
+    # no surviving factor: the constant 1 stays in the numeric backend
+    for args in (("gcd-tower", "z - 1/3", "--n", "1"), ("rad", "5")):
+        code, out, _ = run(capsys, *args, "--backend", "numeric", "--json")
+        assert code == 0
+        assert json.loads(out)["poly"]["coeffs"] == ["1.0"]
+
+
 def test_casoratian_command(capsys):
     code, out, _ = run(capsys, "casoratian", "z", "z^2", "--form", "shift")
     assert code == 0

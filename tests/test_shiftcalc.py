@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,9 @@ from diffrad import (
     shifting_zero_height_via_delta,
 )
 from diffrad import shiftcalc
+from diffrad.diffcalc import falling_factorial_linear
+from diffrad.poly import product
+from diffrad.scalar import as_scalar
 from diffrad.theorems import gen_chain_poly
 from helpers import I, S2, S3, rand_fraction, rand_grid_factored
 
@@ -242,6 +246,130 @@ def test_gcd_tower_routes_agree():
         p = f.expand()
         for n in (1, 2, 3):
             assert gcd_tower_closed(f, n) == gcd_tower_euclid(p, n)
+
+
+def chain_route(f: FactoredPoly, q: int, n: int, tol=None) -> tuple[Poly, Poly, Poly]:
+    """rad_delta, rad_delta_q and gcd_tower_closed from the chains: the oracle.
+
+    Monic products of z - start, of falling factorials of length min(len, q),
+    and of falling factorials of length len - n over the chains longer than n.
+    """
+    one = Poly.constant(as_scalar(1, f.lead))
+    chains = chain_decomposition(f, tol).chains
+    return (
+        product([one] + [Poly.linear(start) for start, _ in chains]),
+        product([one] + [falling_factorial_linear(s, min(k, q)) for s, k in chains]),
+        product([one] + [falling_factorial_linear(s, k - n) for s, k in chains if k > n]),
+    )
+
+
+def overlapping_chain_poly(rng: random.Random) -> FactoredPoly:
+    """Roots at offsets 0..4 from two bases in Q(i, sqrt 2), multiplicities 1..3,
+    so that chains of one class start, end and overlap at shared offsets."""
+    bases = [
+        rand_fraction(rng, 3) + I * rand_fraction(rng, 2) + S2 * rng.randint(0, 1)
+        for _ in range(2)
+    ]
+    roots = [
+        (rng.choice(bases) + Exact.from_rational(rng.randint(0, 4)), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 8))
+    ]
+    return FactoredPoly(rng.choice((1, -2, Fraction(3, 7))), roots)
+
+
+def test_order_rules_match_the_chain_route():
+    rng = random.Random(29)
+    overlapping = 0
+    for _ in range(240):
+        f = overlapping_chain_poly(rng)
+        q, n = rng.randint(1, 5), rng.randint(1, 5)
+        got = (rad_delta(f), rad_delta_q(f, q), gcd_tower_closed(f, n))
+        assert got == chain_route(f, q, n)
+        # neighbouring offsets of different positive orders: chains of
+        # different extents share an offset
+        overlapping += any(
+            0 < c.members.get(o + 1, 0) != k
+            for c in shift_classes(f)
+            for o, k in c.members.items()
+        )
+    assert overlapping >= 100  # 138 of the 240 inputs
+
+
+def test_order_rules_match_the_chain_route_numerically():
+    rng = random.Random(31)
+    for _ in range(60):
+        exact = overlapping_chain_poly(rng)
+        f = FactoredPoly(
+            exact.lead.to_numeric(128), [(r.to_numeric(128), k) for r, k in exact.roots]
+        )
+        q, n = rng.randint(1, 5), rng.randint(1, 5)
+        got = (rad_delta(f), rad_delta_q(f, q), gcd_tower_closed(f, n))
+        for a, b in zip(got, chain_route(f, q, n)):
+            assert a.degree == b.degree
+            assert all((x - y).magnitude() < 1e-25 for x, y in zip(a.coeffs, b.coeffs))
+
+
+def test_radicals_group_once_and_build_no_chains_or_powers(monkeypatch):
+    calls = {"shift_classes": 0, "chain_decomposition": 0, "pow": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("shift_classes", "chain_decomposition"):
+        monkeypatch.setattr(shiftcalc, name, counting(name, getattr(shiftcalc, name)))
+    monkeypatch.setattr(Poly, "__pow__", counting("pow", Poly.__pow__))
+    for radical in (
+        rad_delta,
+        lambda f: rad_kappa(f, 1),
+        lambda f: rad_delta_q(f, 2),
+        lambda f: gcd_tower_closed(f, 1),
+    ):
+        for key in calls:
+            calls[key] = 0
+        assert radical(NINE).degree > 0
+        assert calls == {"shift_classes": 1, "chain_decomposition": 0, "pow": 0}
+
+
+def test_numeric_constant_radicals_keep_the_backend():
+    no_roots = FactoredPoly(nroot(5))
+    third = FactoredPoly(nroot(1), [(nroot(Fraction(1, 3)), 1)])
+    for out in (
+        rad_delta(no_roots),
+        rad_kappa(no_roots, 1),
+        rad_delta_q(no_roots, 2),
+        gcd_tower_closed(third, 1),
+        gcd_tower(third, 1),
+    ):
+        assert out.degree == 0
+        assert isinstance(out.lead, Numeric) and out.lead.text() == "1.0"
+
+
+def test_huge_tower_height_and_truncation_level_return_at_once(monkeypatch):
+    f = FactoredPoly(3, [(0, 1), (1, 2), (2, 1), (Fraction(1, 2), 2)])
+    p = f.expand()
+    top = f.degree + 1
+    want = gcd_tower(f, top)
+    deltas = []
+    original = shiftcalc.diffcalc.delta
+
+    def bounded_delta(g):
+        deltas.append(g)
+        if len(deltas) > top:
+            raise AssertionError("differenced past delta^(deg p + 1) p = 0")
+        return original(g)
+
+    monkeypatch.setattr(shiftcalc.diffcalc, "delta", bounded_delta)
+    for x in (f, p):
+        deltas.clear()
+        assert gcd_tower(x, 10**8) == want
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert rad_delta_q(f, 10**8) == rad_delta_q(f, top) == p.monic()
+    assert gcd_tower_closed(f, 10**8) == Poly.constant(1)
+    assert time.perf_counter() - start < 5
 
 
 def brute_common_shifting_divisors(f: FactoredPoly, g: FactoredPoly):
