@@ -12,6 +12,7 @@ stays available through ``casorati_matrix`` as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Literal, Sequence
 
 from . import diffcalc
@@ -125,8 +126,8 @@ def linearly_independent(fs: Sequence[Poly], tol=None) -> bool:
     if not det or det.backend == "exact":
         return bool(det)
     if tol is None:
-        prec = max(c.prec for f in fs if f for c in f.coeffs)
-        tol = 2.0 ** -(prec // 2)
+        coeffs = (c for f in fs for c in f.coeffs)
+        tol = max(coeffs, key=attrgetter("prec")).default_tolerance()
     return det.coeff_sup() > float(tol)
 
 

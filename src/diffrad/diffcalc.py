@@ -75,6 +75,8 @@ def delta_k(p: Poly, k: int) -> Poly:
         raise ValueError("difference order must be nonnegative")
     out = p
     for _ in range(k):
+        if not out:  # delta^j p = 0 for every j > deg p
+            break
         out = delta(out)
     return out
 

@@ -355,7 +355,7 @@ def _constant_scalar(node: ExprAst, what: str) -> Exact:
     return value.coeff(0)
 
 
-def eval_factored(ast: ExprAst, hints=()) -> FactoredPoly:
+def eval_factored(ast: ExprAst) -> FactoredPoly:
     """Evaluate to a factored polynomial.
 
     A roots(...) literal maps directly; any other expression is expanded and
@@ -367,12 +367,12 @@ def eval_factored(ast: ExprAst, hints=()) -> FactoredPoly:
             (_constant_scalar(node, "root"), mult) for node, mult in ast.pairs
         ]
         return FactoredPoly(lead, pairs)
-    return factor(eval_expr(ast), hints=hints)
+    return factor(eval_expr(ast))
 
 
 def parse_poly(src: str) -> Poly:
     return eval_expr(parse(src))
 
 
-def parse_factored(src: str, hints=()) -> FactoredPoly:
-    return eval_factored(parse(src), hints=hints)
+def parse_factored(src: str) -> FactoredPoly:
+    return eval_factored(parse(src))

@@ -16,8 +16,8 @@ import json
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import mul
-from typing import Iterable, Sequence
+from operator import attrgetter, mul
+from typing import Iterable
 
 from .errors import (
     BackendMismatchError,
@@ -414,13 +414,6 @@ class FactoredPoly:
             self._lead * other._lead, list(self._roots) + list(other._roots)
         )
 
-    def shift_roots(self, offset) -> FactoredPoly:
-        """Factored form of p(z - offset): every root moves by +offset."""
-        return FactoredPoly(
-            self._lead,
-            [(r + as_scalar(offset, r), m) for r, m in self._roots],
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredPoly):
             return NotImplemented
@@ -664,56 +657,36 @@ def exact_sqrt(d: Exact) -> Exact | None:
     return None
 
 
-def _factor_exact(p: Poly, hints: Sequence[Scalar]) -> FactoredPoly:
+def _factor_exact(p: Poly) -> FactoredPoly:
     lead = p.lead
     roots: list[tuple[Scalar, int]] = []
     rem = p.monic()
-
-    def peel(root: Exact) -> int:
-        nonlocal rem
-        count = 0
-        lin = Poly.linear(root)
-        while rem.degree >= 1 and not rem(root):
-            rem = rem.divexact(lin)
-            count += 1
-        return count
-
-    for h in hints:
-        if not isinstance(h, Exact):
-            h = Exact.from_rational(h)
-        m = peel(h)
-        if m:
-            roots.append((h, m))
-
-    # Rational-root search applies when every remaining coefficient is
-    # rational; clear denominators and test the classical candidate set.
-    changed = True
-    while changed and rem.degree >= 1:
-        changed = False
-        lane = _to_lane(rem)
-        if lane is None:
-            break
-        ints = lane[0]
-        if ints[0] == 0:
-            m = peel(Exact.from_rational(0))
-            roots.append((Exact.from_rational(0), m))
-            changed = True
-            continue
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for pnum in _divisors(a0):
-            for qden in _divisors(an):
-                cand = Fraction(pnum, qden)
-                for val in (cand, -cand):
-                    root = Exact.from_rational(val)
-                    if not rem(root):
-                        m = peel(root)
-                        roots.append((root, m))
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    lane = _to_lane(rem)
+    if lane is not None:
+        # Rational roots on the integer lane.  By Gauss's lemma the primitive
+        # d*z - s divides the primitive ints over Z exactly when s/d is a
+        # root, so one exact division both tests a candidate and deflates.
+        ints = _primitive(lane[0])
+        k = next(i for i, c in enumerate(ints) if c)
+        if k:
+            roots.append((Exact.from_rational(0), k))
+            ints = ints[k:]
+        if len(ints) > 2:  # a linear leftover skips the divisor listing
+            dens = _divisors(ints[-1])
+            candidates = [
+                (t, d)
+                for s in _divisors(ints[0])
+                for d in dens
+                if math.gcd(s, d) == 1
+                for t in (s, -s)
+            ]
+            for s, d in candidates:
+                m = 0
+                while (q := _divexact_ints(ints, [-s, d])) is not None:
+                    ints, m = q, m + 1
+                if m:
+                    roots.append((Exact.from_rational(Fraction(s, d)), m))
+        rem = _from_lane(ints, ints[-1])
 
     if rem.degree == 1:
         roots.append((-rem.coeff(0), 1))
@@ -741,7 +714,7 @@ def _factor_exact(p: Poly, hints: Sequence[Scalar]) -> FactoredPoly:
     if rem.degree >= 1:
         raise RootsUnavailableError(
             f"roots unavailable for exact factor of degree {rem.degree}; "
-            "pass known roots as hints or supply factored input"
+            "supply factored input as roots(lead; r:m, ...)"
         )
     out = FactoredPoly(lead, roots)
     if out.expand() != p:  # pragma: no cover - internal consistency guard
@@ -765,9 +738,10 @@ def _divisors(n: int) -> list[int]:
 def _factor_numeric(p: Poly, tol: float | None) -> FactoredPoly:
     import mpmath
 
-    prec = max(c.prec for c in p.coeffs)
+    widest = max(p.coeffs, key=attrgetter("prec"))
+    prec = widest.prec
     if tol is None:
-        tol = 2.0 ** (-(prec // 2))
+        tol = widest.default_tolerance()
     with mpmath.mp.workprec(prec + 32):
         coeffs = [c.to_mpc() for c in reversed(p.coeffs)]
         found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
@@ -784,17 +758,16 @@ def _factor_numeric(p: Poly, tol: float | None) -> FactoredPoly:
     return FactoredPoly(p.lead, roots)
 
 
-def factor(
-    p: Poly,
-    hints: Sequence[Scalar] = (),
-    tol: float | None = None,
-) -> FactoredPoly:
+def factor(p: Poly, tol: float | None = None) -> FactoredPoly:
     """Factor into (lead, root multiset).
 
-    Exact backend: verified hints, rational-root search, then the quadratic
-    formula over the radical field; degree >= 3 leftovers raise
-    RootsUnavailableError.  Numeric backend: polished companion-style root
-    finding with cluster merging at tolerance tol.
+    Exact backend: rational roots are found on the integer lane, where each
+    candidate s/d divides the primitive integer polynomial by d*z - s
+    exactly or not at all; the linear or quadratic leftover then goes
+    through the quadratic formula over the radical field, and degree >= 3
+    leftovers raise RootsUnavailableError.  Radical coefficients have no
+    lane and go straight to that tail.  Numeric backend: polished
+    companion-style root finding with cluster merging at tolerance tol.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
@@ -802,4 +775,4 @@ def factor(
         return FactoredPoly(p.lead)
     if p.backend == "numeric":
         return _factor_numeric(p, tol)
-    return _factor_exact(p, hints)
+    return _factor_exact(p)

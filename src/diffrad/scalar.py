@@ -370,10 +370,6 @@ class Numeric:
         return cls(from_rational(fr.numerator, fr.denominator, prec, RND), fzero, prec)
 
     @classmethod
-    def from_complex(cls, value: complex, prec: int) -> Numeric:
-        return cls(libmp.from_float(value.real), libmp.from_float(value.imag), prec)
-
-    @classmethod
     def from_mpc(cls, value, prec: int) -> Numeric:
         re, im = value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, fzero)
         return cls(re, im, prec)

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
+from operator import attrgetter
 from typing import Sequence
 
 from . import casorati, diffcalc, shiftcalc
@@ -123,7 +125,7 @@ def _identity_report(residual: Poly, tol) -> tuple[bool, float]:
         return False, residual.coeff_sup()
     sup = residual.coeff_sup()
     if tol is None:
-        tol = 2.0 ** -(max(c.prec for c in residual.coeffs) // 2)
+        tol = max(residual.coeffs, key=attrgetter("prec")).default_tolerance()
     return sup < float(tol), sup
 
 
@@ -150,6 +152,8 @@ def _relatively_prime_hypothesis(
 
     ``expanded[i]`` is ``fs[i].expand()``, made once by the caller.
     """
+    if tol is None and fs[0].backend == "numeric":
+        tol = max((f.lead for f in fs), key=attrgetter("prec")).default_tolerance()
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             if fs[i].backend == "exact":
@@ -161,10 +165,9 @@ def _relatively_prime_hypothesis(
                         f"inputs {i} and {j} share the factor {g.expr_text()}",
                     )
             else:
-                bound = tol if tol is not None else 2.0 ** -(fs[i].lead.prec // 2)
                 for r, _ in fs[i].roots:
                     for s, _ in fs[j].roots:
-                        if r.distance(s) < float(bound):
+                        if r.distance(s) < float(tol):
                             return Hypothesis(
                                 "relatively_prime",
                                 False,
@@ -271,26 +274,23 @@ def fermat_check(
     residual = powers[0] + powers[1] - powers[2]
     equation, sup = _identity_report(residual, tol)
 
-    power_factored = [
-        diffcalc.falling_power_factored(f, n) if f.roots else f
+    classes = [
+        shiftcalc.shift_classes(diffcalc.falling_power_factored(f, n), tol)
         for f in (a, b, c)
     ]
     hyps = [Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1)]
     labels = ["a", "b", "c"]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            divisors = shiftcalc.common_shifting_divisors(
-                power_factored[i], power_factored[j], tol
+    for i, j in combinations(range(3), 2):
+        divisors = shiftcalc._common_divisors(classes[i], classes[j], tol)
+        hyps.append(
+            Hypothesis(
+                f"shifting_prime_{labels[i]}{labels[j]}",
+                not divisors,
+                ""
+                if not divisors
+                else f"common shifting divisor z - ({divisors[0].text()})",
             )
-            hyps.append(
-                Hypothesis(
-                    f"shifting_prime_{labels[i]}{labels[j]}",
-                    not divisors,
-                    ""
-                    if not divisors
-                    else f"common shifting divisor z - ({divisors[0].text()})",
-                )
-            )
+        )
 
     bound = Fraction(2) if min(f.degree for f in (a, b, c)) >= 1 else Fraction(1)
     return FermatReport(
@@ -329,9 +329,7 @@ def fermat_multi_check(
     residual = sum(left, Poly()) - (one if rhs_one else powers[-1])
     equation, sup = _identity_report(residual, tol)
 
-    power_factored = [
-        diffcalc.falling_power_factored(f, n) if f.roots else f for f in fs
-    ]
+    power_factored = [diffcalc.falling_power_factored(f, n) for f in fs]
     hyps = [
         Hypothesis(
             "nonconstant",

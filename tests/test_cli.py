@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from diffrad import diffcalc
 from diffrad.cli import load_fixtures, main, run_fixture
 
 
@@ -231,6 +232,22 @@ def test_delta_k_flag(capsys):
     code, out, _ = run(capsys, "delta", "z^3", "--k", "3")
     assert code == 0
     assert out.strip() == "6"
+
+
+def test_delta_past_the_degree_prints_zero_at_once(capsys, monkeypatch):
+    original = diffcalc.delta
+    calls = []
+
+    def bounded(p):
+        calls.append(p)
+        if len(calls) > 4:  # delta^4 ff(z,3) = 0
+            raise AssertionError("differenced past zero")
+        return original(p)
+
+    monkeypatch.setattr(diffcalc, "delta", bounded)
+    code, out, _ = run(capsys, "delta", "ff(z,3)", "--k", "100000000")
+    assert code == 0
+    assert out.strip() == "0"
 
 
 def test_fixture_sources_are_annotated():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffrad import diffcalc
 from diffrad import (
     Exact,
     NewtonExpansion,
@@ -195,6 +196,25 @@ def test_invalid_orders():
         delta_k(Z, -1)
     with pytest.raises(ValueError):
         falling_power(Z, -2)
+
+
+def test_delta_k_stops_once_the_difference_is_zero(monkeypatch):
+    p = falling_power(Z, 3)
+    calls = []
+    original = diffcalc.delta
+
+    def counting(q):
+        calls.append(q)
+        if len(calls) > p.degree + 1:
+            raise AssertionError("differenced past delta^(deg p + 1) p = 0")
+        return original(q)
+
+    monkeypatch.setattr(diffcalc, "delta", counting)
+    assert delta_k(p, 10**8) == Poly()
+    calls.clear()
+    assert delta_k(p, 3) == Poly.constant(6)
+    assert len(calls) == 3
+    assert delta_k(Poly(), 5) == Poly() and len(calls) == 3
 
 
 def test_shift_by_scalar_step():

@@ -11,7 +11,15 @@ from operator import mul
 
 import pytest
 
-from diffrad import Exact, FactoredPoly, Poly, gen_chain_poly, poly_gcd
+from diffrad import (
+    Exact,
+    FactoredPoly,
+    Poly,
+    RootsUnavailableError,
+    factor,
+    gen_chain_poly,
+    poly_gcd,
+)
 from diffrad import poly as poly_module
 from diffrad.diffcalc import delta, shift
 from diffrad.poly import SCHOOLBOOK_MAX, product
@@ -207,3 +215,43 @@ def test_taylor_shift_matches_sympy_compose():
         k = Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 9, 1000)))
         want = to_sympy(p).compose(sympy.Poly(X + sympy.Rational(k.numerator, k.denominator), X, domain=sympy.QQ))
         assert shift(p, Exact.from_rational(k)) == from_sympy(want)
+
+
+# Irreducible over Q: no rational root, and each quadratic has a negative or
+# non-square discriminant.
+IRREDUCIBLE_QUADRATICS = ([2, 0, 1], [5, 2, 1], [-3, 0, 1], [7, -3, 2])
+IRREDUCIBLE_CUBICS = ([-2, 0, 0, 1], [1, 1, 0, 1], [3, -3, 0, 2], [-1, -3, 0, 1])
+
+
+def test_factor_rational_roots_match_sympy():
+    rng = random.Random(17)
+    refused = 0
+    for _ in range(120):
+        lead = Fraction(rng.choice((1, -1, 2, 3, -5, 12)), rng.choice((1, 2, 7)))
+        factors = [Poly.constant(lead)] + [Poly.z()] * rng.choice((0, 0, 1, 3))
+        for _ in range(rng.randint(0, 5)):
+            root = Exact.from_rational(Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
+            factors += [Poly.linear(root)] * rng.randint(1, 3)
+        tail = rng.choice((IRREDUCIBLE_QUADRATICS, IRREDUCIBLE_CUBICS, ((1,),)))
+        factors.append(Poly(rng.choice(tail)))
+        p = product(factors)
+        if p.degree < 1:
+            continue
+        want = {
+            Fraction(int(r.p), int(r.q)): m
+            for r, m in sympy.roots(to_sympy(p), filter="Q").items()
+        }
+        try:
+            got = factor(p)
+        except RootsUnavailableError as exc:
+            # everything rational was split off; the cubic is what is left
+            refused += 1
+            assert f"degree {p.degree - sum(want.values())};" in str(exc)
+            assert p.degree - sum(want.values()) == 3
+            continue
+        rational = {
+            r.as_fraction(): m for r, m in got.roots if r.as_fraction() is not None
+        }
+        assert rational == want
+        assert got.expand() == p
+    assert refused >= 20

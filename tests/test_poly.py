@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffrad import poly as poly_module
 from diffrad import (
     NEG_INF,
     BackendMismatchError,
@@ -101,9 +102,39 @@ def test_factor_rational_roots():
 def test_factor_unavailable():
     with pytest.raises(RootsUnavailableError):
         factor(Z**3 - 2)
-    # a hint unlocks nothing here (irrational cubic), but hints do get used
-    f = factor(Z**3 - 3 * Z**2 + 3 * Z - 1, hints=[Exact.from_rational(1)])
+    f = factor(Z**3 - 3 * Z**2 + 3 * Z - 1)
     assert f.roots == ((Exact.from_rational(1), 3),)
+
+
+def test_rational_roots_come_from_exact_division_alone(monkeypatch):
+    calls = []
+    original = Poly.__call__
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(Poly, "__call__", counting)
+    p = 6 * Z**3 * (Z - 2) ** 2 * (3 * Z + 1) * (Z**2 + 1)
+    f = factor(p)
+    assert f.expand() == p
+    assert f.ord_at(Exact.from_rational(0)) == 3
+    assert f.ord_at(Exact.from_rational(2)) == 2
+    assert f.ord_at(Exact.from_rational(Fraction(-1, 3))) == 1
+    assert f.ord_at(I) == 1
+    assert calls == []
+
+
+def test_linear_factor_lists_no_divisors(monkeypatch):
+    big = 10**30 + 57
+    monkeypatch.setattr(
+        poly_module, "_divisors", lambda n: pytest.fail("listed divisors")
+    )
+    assert factor(Z - big).roots == ((Exact.from_rational(big), 1),)
+    assert factor(3 * Z**4 - 3 * big * Z**3).roots == (
+        (Exact.from_rational(0), 3),
+        (Exact.from_rational(big), 1),
+    )
 
 
 def test_classical_rad():

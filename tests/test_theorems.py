@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffrad import shiftcalc
 from diffrad import (
     Exact,
     FactoredPoly,
@@ -174,6 +175,30 @@ def test_fermat_falling_squares():
     assert not report.identity_residual
     assert report.bound == 2 and report.within_bound
     assert all(report_h.ok for report_h in report.hypotheses)
+
+
+def test_fermat_checks_group_each_falling_power_once(monkeypatch):
+    calls = []
+    original = shiftcalc.shift_classes
+
+    def counting(f, tol=None):
+        calls.append(f)
+        return original(f, tol)
+
+    monkeypatch.setattr(shiftcalc, "shift_classes", counting)
+    a, b, c = falling_square_triple()
+    report = fermat_check(a, b, c, 2)
+    assert all(h.ok for h in report.hypotheses)
+    assert len(calls) == 3
+    calls.clear()
+    report = fermat_multi_check(unit_linear_triad(), 2, rhs_one=True)
+    assert all(h.ok for h in report.hypotheses)
+    assert len(calls) == 3
+    calls.clear()
+    # a constant input groups no roots and keeps its verdicts
+    report = fermat_check(FactoredPoly(3), FactoredPoly(4), FactoredPoly(7), 2)
+    assert len(calls) == 3
+    assert [h.ok for h in report.hypotheses] == [False, True, True, True]
 
 
 def test_fermat_negative_control_cubes():
