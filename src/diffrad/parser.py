@@ -16,102 +16,52 @@ Grammar (whitespace insignificant, no implicit multiplication):
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2).  ff and rf
 build falling and raising factorial expressions, shift translates the
 argument, and roots(lead; r1:m1, ...) enters a factored polynomial directly
-(the r_i must evaluate to scalars).  sqrt accepts any positive integer and
-normalizes square parts, e.g. sqrt(8) = 2*sqrt(2).
+(the lead and the r_i must evaluate to scalars, the lead nonzero).  sqrt
+accepts any positive integer and normalizes square parts, e.g. sqrt(8) =
+2*sqrt(2).
 
-Every input either parses or raises ParseError with a 0-based offset;
-nesting beyond MAX_NESTING levels is refused rather than risking the
-interpreter stack.
+Parsing is one pass: every grammar rule returns the value it read, a Poly,
+or a FactoredPoly for a roots(...) literal.  A roots literal stays factored
+only when it is the whole input (parentheses allowed); an operator, ff, rf or
+shift expands it.  eval_expr and eval_factored are the two readings of a
+parsed value.
+
+Every input either parses or raises ParseError with a 0-based offset, in
+bounded time.  These limits are checked at the offending token, before
+anything is built:
+
+- nesting beyond MAX_NESTING levels (the interpreter stack);
+- an integer literal of more than MAX_DIGITS digits;
+- a sqrt radicand above MAX_RADICAND, since trial division factors it;
+- a result of degree above MAX_DEGREE: deg * e for '^', deg * count for
+  ff and rf, the degree sum for '*' and the multiplicity sum of roots(...).
+  A constant counts as degree 1 there, so exponents and counts are bounded
+  too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple
 
 from . import diffcalc
 from .errors import ParseError
 from .poly import FactoredPoly, Poly, factor
 from .scalar import Exact
 
-# -- AST ---------------------------------------------------------------------
+MAX_NESTING = 100  # ~5 interpreter frames per level, well under the stack cap
+MAX_DIGITS = 1000  # below CPython's 4300-digit int() limit
+MAX_RADICAND = 10**12  # trial division up to 10^6
+MAX_DEGREE = 1000
 
-
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImagUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class SqrtLit:
-    radicand: int
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAst"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class FallingPow:
-    base: "ExprAst"
-    count: int
-
-
-@dataclass(frozen=True)
-class RaisingPow:
-    base: "ExprAst"
-    count: int
-
-
-@dataclass(frozen=True)
-class ShiftBy:
-    base: "ExprAst"
-    step: int
-
-
-@dataclass(frozen=True)
-class RootsForm:
-    lead: "ExprAst"
-    pairs: tuple[tuple["ExprAst", int], ...]
-
-
-ExprAst = Union[
-    RationalLit, ImagUnit, SqrtLit, Var, Neg, BinOp, Pow,
-    FallingPow, RaisingPow, ShiftBy, RootsForm,
-]
+Value = Poly | FactoredPoly
 
 # -- tokenizer ---------------------------------------------------------------
 
 _SYMBOLS = set("+-*/^(),;:")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int', 'name', or the symbol itself
     text: str
     offset: int
@@ -130,6 +80,10 @@ def _tokenize(src: str) -> list[_Token]:
             start = pos
             while pos < n and src[pos].isdigit():
                 pos += 1
+            if pos - start > MAX_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_DIGITS} digits", start
+                )
             tokens.append(_Token("int", src[start:pos], start))
             continue
         if ch.isalpha():
@@ -147,12 +101,13 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
-MAX_NESTING = 100  # ~5 interpreter frames per level, well under the stack cap
+def _check_degree(degree: int | float, offset: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree above {MAX_DEGREE}", offset)
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
@@ -174,51 +129,51 @@ class _Parser:
             )
         return self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.offset)
-
-    # grammar rules ---------------------------------------------------------
-
-    def parse_expr(self) -> ExprAst:
+    def nest(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError("expression nested too deeply", self.peek().offset)
+
+    # grammar rules ---------------------------------------------------------
+
+    def parse_expr(self) -> Value:
+        self.nest()
         try:
-            node = self.parse_unary()
+            value = self.parse_unary()
             while self.peek().kind in ("+", "-"):
                 op = self.advance().kind
-                rhs = self.parse_unary()
-                node = BinOp(op, node, rhs)
-            return node
+                lhs, rhs = eval_expr(value), eval_expr(self.parse_unary())
+                value = lhs + rhs if op == "+" else lhs - rhs
+            return value
         finally:
             self.depth -= 1
 
-    def parse_unary(self) -> ExprAst:
-        if self.peek().kind == "-":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError("expression nested too deeply", self.peek().offset)
-            try:
-                self.advance()
-                return Neg(self.parse_unary())
-            finally:
-                self.depth -= 1
-        return self.parse_term()
-
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
-        while self.peek().kind == "*":
+    def parse_unary(self) -> Value:
+        if self.peek().kind != "-":
+            return self.parse_term()
+        self.nest()
+        try:
             self.advance()
-            node = BinOp("*", node, self.parse_factor())
-        return node
+            return -eval_expr(self.parse_unary())
+        finally:
+            self.depth -= 1
 
-    def parse_factor(self) -> ExprAst:
-        node = self.parse_atom()
+    def parse_term(self) -> Value:
+        value = self.parse_factor()
+        while self.peek().kind == "*":
+            star = self.advance()
+            rhs = self.parse_factor()
+            _check_degree(value.degree + rhs.degree, star.offset)
+            value = eval_expr(value) * eval_expr(rhs)
+        return value
+
+    def parse_factor(self) -> Value:
+        value = self.parse_atom()
         if self.peek().kind == "^":
             self.advance()
-            node = Pow(node, self.parse_uint())
-        return node
+            exponent = self.parse_count(value)
+            value = eval_expr(value) ** exponent
+        return value
 
     def parse_uint(self) -> int:
         return int(self.expect("int").text)
@@ -229,7 +184,22 @@ class _Parser:
             return -self.parse_uint()
         return self.parse_uint()
 
-    def parse_atom(self) -> ExprAst:
+    def parse_count(self, base: Value) -> int:
+        """An exponent or ff/rf count, refused when the result's degree would
+        pass MAX_DEGREE (a constant base counts as degree 1)."""
+        offset = self.peek().offset
+        count = self.parse_uint()
+        _check_degree(max(base.degree, 1) * count, offset)
+        return count
+
+    def parse_scalar(self, what: str) -> Exact:
+        offset = self.peek().offset
+        value = eval_expr(self.parse_expr())
+        if value.degree >= 1:
+            raise ParseError(f"{what} must be a scalar expression", offset)
+        return value.coeff(0)
+
+    def parse_atom(self) -> Value:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -240,134 +210,108 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", tok.offset)
                 value = Fraction(int(tok.text), den)
-            return RationalLit(value)
+            return Poly.constant(Exact.from_rational(value))
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect(")")
-            return node
+            return value
         if tok.kind == "name":
             return self.parse_name()
-        raise self.fail(f"expected a value, found {tok.text or 'end of input'!r}")
+        raise ParseError(
+            f"expected a value, found {tok.text or 'end of input'!r}", tok.offset
+        )
 
-    def parse_name(self) -> ExprAst:
+    def parse_name(self) -> Value:
         tok = self.advance()
         name = tok.text
         if name == "z":
-            return Var()
+            return Poly.z()
         if name == "i":
-            return ImagUnit()
+            return Poly.constant(Exact.i())
         if name == "sqrt":
             self.expect("(")
+            offset = self.peek().offset
             radicand = self.parse_uint()
             self.expect(")")
             if radicand == 0:
                 raise ParseError("sqrt of zero is not a radical", tok.offset)
-            return SqrtLit(radicand)
+            if radicand > MAX_RADICAND:
+                raise ParseError(f"sqrt radicand above {MAX_RADICAND}", offset)
+            return Poly.constant(Exact.sqrt_int(radicand))
         if name in ("ff", "rf"):
             self.expect("(")
-            base = self.parse_expr()
+            base = eval_expr(self.parse_expr())
             self.expect(",")
-            count = self.parse_uint()
+            count = self.parse_count(base)
             self.expect(")")
-            return (FallingPow if name == "ff" else RaisingPow)(base, count)
+            power = diffcalc.falling_power if name == "ff" else diffcalc.raising_power
+            return power(base, count)
         if name == "shift":
             self.expect("(")
-            base = self.parse_expr()
+            base = eval_expr(self.parse_expr())
             self.expect(",")
             step = self.parse_int()
             self.expect(")")
-            return ShiftBy(base, step)
+            return diffcalc.shift(base, step)
         if name == "roots":
-            return self.parse_roots(tok)
+            return self.parse_roots()
         raise ParseError(f"unknown name {name!r}", tok.offset)
 
-    def parse_roots(self, tok: _Token) -> ExprAst:
+    def parse_roots(self) -> FactoredPoly:
         self.expect("(")
-        lead = self.parse_expr()
-        pairs: list[tuple[ExprAst, int]] = []
+        offset = self.peek().offset
+        lead = self.parse_scalar("leading coefficient")
+        if not lead:
+            raise ParseError("leading coefficient must be nonzero", offset)
+        pairs: list[tuple[Exact, int]] = []
+        degree = 0
         if self.peek().kind == ";":
             self.advance()
             if self.peek().kind != ")":
                 while True:
-                    root = self.parse_expr()
+                    root = self.parse_scalar("root")
                     self.expect(":")
+                    offset = self.peek().offset
                     mult = self.parse_uint()
                     if mult == 0:
-                        raise ParseError("multiplicity must be >= 1", tok.offset)
+                        raise ParseError("multiplicity must be >= 1", offset)
+                    degree += mult
+                    _check_degree(degree, offset)
                     pairs.append((root, mult))
                     if self.peek().kind != ",":
                         break
                     self.advance()
         self.expect(")")
-        return RootsForm(lead, tuple(pairs))
+        return FactoredPoly(lead, pairs)
 
 
-def parse(src: str) -> ExprAst:
-    """Parse source text to an AST; raises ParseError with a 0-based offset."""
+def parse(src: str) -> Value:
+    """Parse source text to its value; raises ParseError with a 0-based offset.
+
+    A roots(...) literal that is the whole input comes back as a FactoredPoly,
+    anything else as a Poly.
+    """
     parser = _Parser(src)
-    node = parser.parse_expr()
+    value = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
-    return node
+    return value
 
 
-# -- evaluation --------------------------------------------------------------
+def eval_expr(value: Value) -> Poly:
+    """The expanded reading of a parsed value."""
+    return value.expand() if isinstance(value, FactoredPoly) else value
 
 
-def eval_expr(ast: ExprAst) -> Poly:
-    """Evaluate an AST to an exact polynomial."""
-    if isinstance(ast, RationalLit):
-        return Poly.constant(Exact.from_rational(ast.value))
-    if isinstance(ast, ImagUnit):
-        return Poly.constant(Exact.i())
-    if isinstance(ast, SqrtLit):
-        return Poly.constant(Exact.sqrt_int(ast.radicand))
-    if isinstance(ast, Var):
-        return Poly.z()
-    if isinstance(ast, Neg):
-        return -eval_expr(ast.operand)
-    if isinstance(ast, BinOp):
-        lhs, rhs = eval_expr(ast.left), eval_expr(ast.right)
-        if ast.op == "+":
-            return lhs + rhs
-        if ast.op == "-":
-            return lhs - rhs
-        return lhs * rhs
-    if isinstance(ast, Pow):
-        return eval_expr(ast.base) ** ast.exponent
-    if isinstance(ast, FallingPow):
-        return diffcalc.falling_power(eval_expr(ast.base), ast.count)
-    if isinstance(ast, RaisingPow):
-        return diffcalc.raising_power(eval_expr(ast.base), ast.count)
-    if isinstance(ast, ShiftBy):
-        return diffcalc.shift(eval_expr(ast.base), ast.step)
-    if isinstance(ast, RootsForm):
-        return eval_factored(ast).expand()
-    raise TypeError(f"not an expression node: {ast!r}")
+def eval_factored(value: Value) -> FactoredPoly:
+    """The factored reading of a parsed value.
 
-
-def _constant_scalar(node: ExprAst, what: str) -> Exact:
-    value = eval_expr(node)
-    if value.degree >= 1:
-        raise ParseError(f"{what} must be a scalar expression", 0)
-    return value.coeff(0)
-
-
-def eval_factored(ast: ExprAst) -> FactoredPoly:
-    """Evaluate to a factored polynomial.
-
-    A roots(...) literal maps directly; any other expression is expanded and
-    passed through factor(), which may raise RootsUnavailableError.
+    A roots(...) literal is already factored; a Poly goes through factor(),
+    which may raise RootsUnavailableError.
     """
-    if isinstance(ast, RootsForm):
-        lead = _constant_scalar(ast.lead, "leading coefficient")
-        pairs = [
-            (_constant_scalar(node, "root"), mult) for node, mult in ast.pairs
-        ]
-        return FactoredPoly(lead, pairs)
-    return factor(eval_expr(ast))
+    return value if isinstance(value, FactoredPoly) else factor(value)
 
 
 def parse_poly(src: str) -> Poly:

@@ -661,16 +661,16 @@ def _factor_exact(p: Poly) -> FactoredPoly:
     lead = p.lead
     roots: list[tuple[Scalar, int]] = []
     rem = p.monic()
+    k = next(i for i, c in enumerate(rem.coeffs) if c)
+    if k:
+        roots.append((Exact.from_rational(0), k))
+        rem = Poly(rem.coeffs[k:])
     lane = _to_lane(rem)
     if lane is not None:
         # Rational roots on the integer lane.  By Gauss's lemma the primitive
         # d*z - s divides the primitive ints over Z exactly when s/d is a
         # root, so one exact division both tests a candidate and deflates.
         ints = _primitive(lane[0])
-        k = next(i for i, c in enumerate(ints) if c)
-        if k:
-            roots.append((Exact.from_rational(0), k))
-            ints = ints[k:]
         if len(ints) > 2:  # a linear leftover skips the divisor listing
             dens = _divisors(ints[-1])
             candidates = [
@@ -761,8 +761,9 @@ def _factor_numeric(p: Poly, tol: float | None) -> FactoredPoly:
 def factor(p: Poly, tol: float | None = None) -> FactoredPoly:
     """Factor into (lead, root multiset).
 
-    Exact backend: rational roots are found on the integer lane, where each
-    candidate s/d divides the primitive integer polynomial by d*z - s
+    Exact backend: the zero root is split off first, whatever the
+    coefficients; other rational roots are found on the integer lane, where
+    each candidate s/d divides the primitive integer polynomial by d*z - s
     exactly or not at all; the linear or quadratic leftover then goes
     through the quadratic formula over the radical field, and degree >= 3
     leftovers raise RootsUnavailableError.  Radical coefficients have no

@@ -477,7 +477,8 @@ def gen_mason_instance(
             )
             for _ in range(m)
         ]
-        total = sum((f.expand() for f in parts), Poly())
+        expanded = [f.expand() for f in parts]
+        total = sum(expanded, Poly())
         if not total or total.degree < min_deg:
             continue
         try:
@@ -488,9 +489,7 @@ def gen_mason_instance(
         ok, _ = shiftcalc.pairwise_shifting_prime(fs)
         if not ok:
             continue
-        if m >= 3 and not casorati.linearly_independent(
-            [f.expand() for f in parts]
-        ):
+        if m >= 3 and not casorati.linearly_independent(expanded):
             continue
         return fs
     raise SamplingBudgetError(

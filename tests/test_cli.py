@@ -250,6 +250,34 @@ def test_delta_past_the_degree_prints_zero_at_once(capsys, monkeypatch):
     assert out.strip() == "0"
 
 
+@pytest.mark.parametrize(
+    "src, roots",
+    [
+        ("z^2*(z - sqrt(2))", "roots(1; 0:2, sqrt(2):1)"),
+        ("z^3*(z - i)", "roots(1; 0:3, i:1)"),
+    ],
+)
+def test_zero_roots_of_radical_input_are_found(capsys, src, roots):
+    code, out, _ = run(capsys, "rad-delta", src, "--json")
+    assert code == 0
+    assert (code, out) == run(capsys, "rad-delta", roots, "--json")[:2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", "z^100000000"),
+        ("delta", "ff(z,100000000)"),
+        ("rad", "sqrt(2305843009213693951)"),
+        ("delta", "1" * 5000),
+    ],
+)
+def test_parser_limits_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("parse error:") and "(offset " in err
+
+
 def test_fixture_sources_are_annotated():
     for case in load_fixtures():
         assert case["source"].startswith("paper:")

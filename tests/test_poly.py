@@ -125,6 +125,20 @@ def test_rational_roots_come_from_exact_division_alone(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "p, roots",
+    [
+        (Z**2 * (Z - S2), [(0, 2), (S2, 1)]),
+        (Z**3 * (Z - I), [(0, 3), (I, 1)]),
+        (Fraction(2, 3) * Z * (Z - I) ** 2, [(0, 1), (I, 2)]),
+    ],
+)
+def test_factor_strips_zero_roots_off_the_lane(p, roots):
+    f = factor(p)
+    assert f == FactoredPoly(p.lead, roots)
+    assert f.expand() == p
+
+
 def test_linear_factor_lists_no_divisors(monkeypatch):
     big = 10**30 + 57
     monkeypatch.setattr(

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffrad import shiftcalc
+from diffrad import shiftcalc, theorems
 from diffrad import (
     Exact,
     FactoredPoly,
@@ -81,6 +81,27 @@ def test_mason_classical_expands_each_input_once(monkeypatch):
     report = mason_classical(a, b, c)
     assert report.equation_holds and hyp_map(report)["relatively_prime"]
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("m, seed", [(2, 5), (3, 1), (3, 2), (3, 4)])
+def test_gen_mason_instance_expands_each_part_once(monkeypatch, m, seed):
+    parts, expanded = [], []
+    generate, expand = theorems.gen_factored_poly, FactoredPoly.expand
+
+    def generating(*args, **kwargs):
+        parts.append(generate(*args, **kwargs))
+        return parts[-1]
+
+    def counting(self):
+        if any(self is part for part in parts):
+            expanded.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(theorems, "gen_factored_poly", generating)
+    monkeypatch.setattr(FactoredPoly, "expand", counting)
+    gen_mason_instance(m, seed=seed)
+    assert len(expanded) == len(parts)
+    assert len({id(f) for f in expanded}) == len(parts)
 
 
 # -- three-term inequality, difference radical --------------------------------
