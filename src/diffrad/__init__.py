@@ -57,8 +57,6 @@ from .shiftcalc import (
     shifting_zero_height_via_delta,
 )
 from .casorati import (
-    CasoratiMatrix,
-    casorati_matrix,
     casoratian,
     casoratian_replace,
     linearly_independent,

@@ -1,18 +1,16 @@
 """Casorati determinants of polynomial tuples.
 
-The matrix comes in two layouts: row k holds the k-th forward differences
-of the tuple, or the k-th shifts f_i(z+k).  Since f(z+k) = sum_j C(k, j)
-delta^j f, the shift rows are a unitriangular recombination of the
-difference rows, so both layouts share one determinant.  ``casoratian``
-computes it from the difference rows for either form: their degrees drop
-row by row, while every shift row keeps the full degree.  The shift layout
-stays available through ``casorati_matrix`` as a test oracle.
+The Casoratian of f_1, ..., f_m is the determinant whose row k holds the
+k-th shifts f_i(z+k).  Since f(z+k) = sum_j C(k, j) delta^j f, those shift
+rows are a unitriangular recombination of the rows of k-th forward
+differences, so both layouts have one determinant.  Production computes it
+from the difference rows only, whose degrees drop row by row while every
+shift row keeps the full degree; that identity is why the shift layout
+lives on only as a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
 from typing import Literal, Sequence
 
 from . import diffcalc
@@ -25,35 +23,6 @@ FORMS = ("delta", "shift")
 def _check_form(form: str) -> None:
     if form not in FORMS:
         raise ValueError(f"unknown Casorati form {form!r}; expected one of {FORMS}")
-
-
-@dataclass(frozen=True)
-class CasoratiMatrix:
-    """m x m grid of polynomials; row 0 is the tuple itself in either form."""
-
-    entries: tuple[tuple[Poly, ...], ...]
-    form: Form
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def casorati_matrix(fs: Sequence[Poly], form: Form = "delta") -> CasoratiMatrix:
-    _check_form(form)
-    if not fs:
-        raise ValueError("need at least one polynomial")
-    m = len(fs)
-    rows = []
-    current = list(fs)
-    for k in range(m):
-        if form == "shift":
-            rows.append(tuple(diffcalc.shift(f, k) for f in fs))
-        else:
-            if k:
-                current = [diffcalc.delta(f) for f in current]
-            rows.append(tuple(current))
-    return CasoratiMatrix(tuple(rows), form)
 
 
 def _det_cofactor(rows: list[list[Poly]]) -> Poly:
@@ -95,13 +64,14 @@ def _det_bareiss(rows: list[list[Poly]]) -> Poly:
     return -det if sign < 0 else det
 
 
-def determinant(matrix: CasoratiMatrix) -> Poly:
-    rows = [list(row) for row in matrix.entries]
+def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square grid of polynomials, given as a list of rows."""
+    rows = [list(row) for row in rows]
     # Cofactor expansion costs n! products, so Bareiss takes over above 4x4.
     # Up to 4x4 cofactors win: on difference rows over Q(i, sqrt 2, sqrt 3,
     # sqrt 5), Bareiss took about 4 (3x3) to 9 (4x4) times as long
     # (CPython 3.11, one Intel Xeon core).
-    if matrix.size <= 4:
+    if len(rows) <= 4:
         return _det_cofactor(rows)
     return _det_bareiss(rows)
 
@@ -110,25 +80,26 @@ def casoratian(fs: Sequence[Poly], form: Form = "delta") -> Poly:
     """Casorati determinant of the tuple.
 
     Both forms name the same determinant, which is computed from the
-    difference rows; ``form`` is only checked.
+    difference rows f_i, delta f_i, ..., delta^(m-1) f_i; ``form`` is only
+    checked.
     """
     _check_form(form)
-    return determinant(casorati_matrix(fs, "delta"))
+    if not fs:
+        raise ValueError("need at least one polynomial")
+    rows = [list(fs)]
+    while len(rows) < len(fs):
+        rows.append([diffcalc.delta(f) for f in rows[-1]])
+    return determinant(rows)
 
 
 def linearly_independent(fs: Sequence[Poly], tol=None) -> bool:
-    """True iff the Casoratian is not the zero polynomial.
+    """True iff the Casoratian is not negligible (see ``Poly.negligible``).
 
-    A numeric Casoratian counts as zero (rounding noise) when no coefficient
-    exceeds ``tol``, by default 2^(-prec/2) at the inputs' largest precision.
+    A numeric Casoratian counts as zero (rounding noise) when every
+    coefficient is below ``tol``, by default 2^(-prec/2) at its widest
+    coefficient, which has the inputs' widest precision.
     """
-    det = casoratian(fs)
-    if not det or det.backend == "exact":
-        return bool(det)
-    if tol is None:
-        coeffs = (c for f in fs for c in f.coeffs)
-        tol = max(coeffs, key=attrgetter("prec")).default_tolerance()
-    return det.coeff_sup() > float(tol)
+    return not casoratian(fs).negligible(tol)
 
 
 def casoratian_replace(fs: Sequence[Poly], index: int, fsum: Poly) -> Poly:

@@ -131,7 +131,7 @@ def cmd_shifting_prime(inputs, opts, options: Options) -> dict:
 def cmd_casoratian(inputs, opts, options: Options) -> dict:
     fs = [options.poly(src) for src in inputs]
     det = casorati.casoratian(fs, opts.get("form", "delta"))
-    independent = casorati.linearly_independent(fs, options.tolerance)
+    independent = not det.negligible(options.tolerance)
     return {**_poly_result(det), "independent": independent}
 
 

@@ -22,7 +22,15 @@ def binomial(n: int, k: int) -> int:
 
 
 def shift(p: Poly, k) -> Poly:
-    """p(z + k), exactly, for an integer or scalar step k."""
+    """p(z + k) by one Taylor-shift loop, for an integer or scalar step k.
+
+    A rational p with a rational step k = u/v runs the loop on the integer
+    lane: with p = sum c_i z^i / den,
+    v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z, so an
+    integer shift by u followed by rescaling w^j to v^j z^j gives the result
+    without fractions.  Every other input, radical or numeric, runs the same
+    loop on its own scalars with the step k itself.
+    """
     if not p:
         return p
     if isinstance(k, (Exact, Numeric)):
@@ -31,37 +39,25 @@ def shift(p: Poly, k) -> Poly:
         step = as_scalar(Fraction(k), p.lead)
     if not step:
         return p
-    if isinstance(step, Exact):
-        fast = _shift_rational(p, step)
-        if fast is not None:
-            return fast
-    acc = Poly()
-    zk = Poly([step, as_scalar(1, step)])  # z + k
-    for c in reversed(p.coeffs):
-        acc = acc * zk + Poly.constant(c)
-    return acc
-
-
-def _shift_rational(p: Poly, step: Exact) -> Poly | None:
-    """Taylor shift on the integer lane; None if radicals appear.
-
-    With step = u/v and p = sum c_i z^i / den,
-    v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z, so an
-    integer synthetic shift by u followed by rescaling w^j to v^j z^j
-    gives the result without fractions.
-    """
-    h = step.as_fraction()
+    h = step.as_fraction() if isinstance(step, Exact) else None
     lane = _to_lane(p) if h is not None else None
     if lane is None:
-        return None
+        return Poly(_taylor(list(p.coeffs), step))
     cs, den = lane
     u, v = h.numerator, h.denominator
     d = len(cs) - 1
-    cs = [c * v ** (d - i) for i, c in enumerate(cs)]
+    cs = _taylor([c * v ** (d - i) for i, c in enumerate(cs)], u)
+    return _from_lane([c * v**j for j, c in enumerate(cs)], den * v**d)
+
+
+def _taylor(cs: list, u) -> list:
+    """Coefficients of sum cs[i] (z + u)^i, by repeated synthetic division
+    in place: d(d+1)/2 multiply-adds and no polynomial product."""
+    d = len(cs) - 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             cs[j] += u * cs[j + 1]
-    return _from_lane([c * v**j for j, c in enumerate(cs)], den * v**d)
+    return cs
 
 
 def delta(p: Poly) -> Poly:

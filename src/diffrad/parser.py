@@ -32,7 +32,8 @@ anything is built:
 
 - nesting beyond MAX_NESTING levels (the interpreter stack);
 - an integer literal of more than MAX_DIGITS digits;
-- a sqrt radicand above MAX_RADICAND, since trial division factors it;
+- a sqrt radicand above MAX_RADICAND, the largest that trial division
+  up to scalar.TRIAL_LIMIT always factors;
 - a result of degree above MAX_DEGREE: deg * e for '^', deg * count for
   ff and rf, the degree sum for '*' and the multiplicity sum of roots(...).
   A constant counts as degree 1 there, so exponents and counts are bounded
@@ -47,11 +48,11 @@ from typing import NamedTuple
 from . import diffcalc
 from .errors import ParseError
 from .poly import FactoredPoly, Poly, factor
-from .scalar import Exact
+from .scalar import TRIAL_LIMIT, Exact
 
 MAX_NESTING = 100  # ~5 interpreter frames per level, well under the stack cap
 MAX_DIGITS = 1000  # below CPython's 4300-digit int() limit
-MAX_RADICAND = 10**12  # trial division up to 10^6
+MAX_RADICAND = TRIAL_LIMIT**2
 MAX_DEGREE = 1000
 
 Value = Poly | FactoredPoly

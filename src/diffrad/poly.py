@@ -12,19 +12,18 @@ that needs root data (chain decompositions, radicals, shifting-prime tests).
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import reduce
 from operator import attrgetter, mul
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     BackendMismatchError,
     ExactDivisionError,
     RootsUnavailableError,
 )
-from .scalar import Exact, Numeric, Scalar, as_scalar, power
+from .scalar import Exact, Numeric, Scalar, as_scalar, power, prime_factors
 
 NEG_INF = float("-inf")
 
@@ -265,13 +264,23 @@ class Poly:
             sup = max(sup, mag)
         return sup
 
+    def negligible(self, tol=None) -> bool:
+        """Zero within tolerance: true for the zero polynomial, and for a
+        numeric polynomial whose coefficient sup is below ``tol``, by default
+        2^(-prec/2) at its widest coefficient.  A nonzero exact polynomial
+        is never negligible."""
+        if not self._coeffs:
+            return True
+        if self.backend == "exact":
+            return False
+        if tol is None:
+            tol = max(self._coeffs, key=attrgetter("prec")).default_tolerance()
+        return self.coeff_sup() < float(tol)
+
     # -- text & JSON -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [c.text() for c in self._coeffs]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def expr_text(self) -> str:
         """Render in the expression grammar; reparsing yields an equal Poly."""
@@ -501,6 +510,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # 8 to 12 coefficients (CPython 3.11, one Intel Xeon core).
 SCHOOLBOOK_MAX = 8
 HEU_GCD_ROUNDS = 6  # evaluation points _heu_gcd tries before giving up
+# Divisor pairs (constant term, leading term) the rational-root search may
+# try; d(a0) * d(an) is known from the prime factors before any is listed.
+MAX_CANDIDATES = 10**7
 
 
 def _to_lane(p: Poly) -> tuple[list[int], int] | None:
@@ -672,20 +684,27 @@ def _factor_exact(p: Poly) -> FactoredPoly:
         # root, so one exact division both tests a candidate and deflates.
         ints = _primitive(lane[0])
         if len(ints) > 2:  # a linear leftover skips the divisor listing
-            dens = _divisors(ints[-1])
-            candidates = [
-                (t, d)
-                for s in _divisors(ints[0])
-                for d in dens
-                if math.gcd(s, d) == 1
-                for t in (s, -s)
-            ]
-            for s, d in candidates:
-                m = 0
-                while (q := _divexact_ints(ints, [-s, d])) is not None:
-                    ints, m = q, m + 1
-                if m:
-                    roots.append((Exact.from_rational(Fraction(s, d)), m))
+            tops, bottoms = prime_factors(abs(ints[0])), prime_factors(abs(ints[-1]))
+            count = math.prod(e + 1 for f in (tops, bottoms) for e in f.values())
+            if count > MAX_CANDIDATES:
+                raise RootsUnavailableError(
+                    f"{count} rational root candidates exceed {MAX_CANDIDATES}; "
+                    "supply factored input as roots(lead; r:m, ...)"
+                )
+            for s in _divisors(tops):
+                if len(ints) <= 2:
+                    break  # the tail takes a linear leftover
+                if ints[0] % s:
+                    continue  # s/d is no root of what is left
+                for d in _divisors(bottoms):
+                    if ints[-1] % d or math.gcd(s, d) != 1:
+                        continue
+                    for t in (s, -s):
+                        m = 0
+                        while (q := _divexact_ints(ints, [-t, d])) is not None:
+                            ints, m = q, m + 1
+                        if m:
+                            roots.append((Exact.from_rational(Fraction(t, d)), m))
         rem = _from_lane(ints, ints[-1])
 
     if rem.degree == 1:
@@ -722,17 +741,15 @@ def _factor_exact(p: Poly) -> FactoredPoly:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _divisors(factors: dict[int, int]) -> Iterator[int]:
+    """The divisors of prod p^e over factors {p: e}, one at a time."""
+    if not factors:
+        yield 1
+        return
+    (p, e), *rest = factors.items()
+    for d in _divisors(dict(rest)):
+        for k in range(e + 1):
+            yield d * p**k
 
 
 def _factor_numeric(p: Poly, tol: float | None) -> FactoredPoly:
@@ -764,7 +781,10 @@ def factor(p: Poly, tol: float | None = None) -> FactoredPoly:
     Exact backend: the zero root is split off first, whatever the
     coefficients; other rational roots are found on the integer lane, where
     each candidate s/d divides the primitive integer polynomial by d*z - s
-    exactly or not at all; the linear or quadratic leftover then goes
+    exactly or not at all.  The candidates come from the prime factors of
+    the constant and leading terms (``prime_factors``); more than
+    MAX_CANDIDATES divisor pairs, or a term trial division cannot factor,
+    raise RootsUnavailableError.  The linear or quadratic leftover then goes
     through the quadratic formula over the radical field, and degree >= 3
     leftovers raise RootsUnavailableError.  Radical coefficients have no
     lane and go straight to that tail.  Numeric backend: polished

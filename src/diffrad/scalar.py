@@ -24,6 +24,7 @@ Mixing the two backends in one arithmetic operation raises
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -42,7 +43,7 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .errors import BackendMismatchError
+from .errors import BackendMismatchError, RootsUnavailableError
 
 RND = round_nearest
 
@@ -55,26 +56,34 @@ _I_KEY: Key = (True, frozenset())
 RationalLike = Union[int, Fraction]
 
 
-def _factor_radicand(n: int) -> tuple[int, frozenset[int]]:
-    """Split n >= 1 into (s, primes) with n = s^2 * prod(primes)."""
+TRIAL_LIMIT = 10**6  # largest trial divisor prime_factors tries
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e, for n >= 1, by trial division.
+
+    Divisors up to TRIAL_LIMIT are tried.  What is left after that is 1 or a
+    prime only when it is below the square of the next divisor; a cofactor
+    that may still be composite raises RootsUnavailableError, so the cost
+    stays bounded whatever the size of n.
+    """
     if n < 1:
-        raise ValueError(f"radicand must be >= 1, got {n}")
-    outer = 1
-    primes: set[int] = set()
+        raise ValueError(f"can only factor n >= 1, got {n}")
+    out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            outer *= p ** (e // 2)
-            if e % 2:
-                primes.add(p)
+    while p <= TRIAL_LIMIT and p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
+    if p * p <= n:
+        raise RootsUnavailableError(
+            f"trial division up to {TRIAL_LIMIT} leaves a cofactor of "
+            f"{n.bit_length()} bits that may be composite"
+        )
     if n > 1:
-        primes.add(n)
-    return outer, frozenset(primes)
+        out[n] = 1
+    return out
 
 
 def power(base, exponent: int, one):
@@ -146,9 +155,10 @@ class Exact:
         """Square root of an integer; negative n contributes a factor i."""
         if n == 0:
             return cls()
-        key_i = n < 0
-        outer, primes = _factor_radicand(abs(n))
-        return cls({(key_i, primes): Fraction(outer)})
+        factors = prime_factors(abs(n)).items()
+        primes = frozenset(p for p, e in factors if e % 2)
+        outer = math.prod(p ** (e // 2) for p, e in factors)
+        return cls({(n < 0, primes): Fraction(outer)})
 
     # -- inspection --------------------------------------------------------
 

@@ -118,20 +118,12 @@ def _max_degree(fs: Sequence[FactoredPoly]) -> int:
 
 
 def _identity_report(residual: Poly, tol) -> tuple[bool, float]:
-    """(holds, coefficient sup): structural zero exactly, sup < tol numerically."""
-    if not residual:
-        return True, 0.0
-    if residual.backend == "exact":
-        return False, residual.coeff_sup()
-    sup = residual.coeff_sup()
-    if tol is None:
-        tol = max(residual.coeffs, key=attrgetter("prec")).default_tolerance()
-    return sup < float(tol), sup
+    """(holds, coefficient sup); holds when the residual is negligible."""
+    return residual.negligible(tol), residual.coeff_sup()
 
 
 def _sum_equation_holds(parts: Sequence[Poly], total: Poly, tol) -> bool:
-    holds, _ = _identity_report(sum(parts, Poly()) - total, tol)
-    return holds
+    return (sum(parts, Poly()) - total).negligible(tol)
 
 
 def _shifting_prime_hypothesis(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from diffrad import Exact, FactoredPoly, Poly, factor
+from diffrad import Exact, FactoredPoly, Poly, delta, factor, shift
+from diffrad.casorati import FORMS
 
 GENERATOR_POOL = ("one", "i", 2, 3, 5, 6)
 
@@ -61,6 +62,24 @@ def unit_quadratic_triad() -> list[FactoredPoly]:
     f2 = Poly([Fraction(c, 48) for c in (-61, -48, 24)])
     f3 = Poly([Fraction(c, 48) * I * S3 for c in (3, 16, 24)])
     return [factor(p) for p in (f1, f2, f3)]
+
+
+def casorati_rows(fs: list[Poly], form: str = "delta") -> list[list[Poly]]:
+    """The Casorati matrix of fs as a list of rows: row k holds the k-th
+    differences (form "delta") or the k-th shifts f_i(z+k) (form "shift").
+
+    ``casoratian`` computes the determinant from the difference rows only;
+    the shift rows are a unitriangular recombination of them, so their
+    determinant is the oracle for it.
+    """
+    if form not in FORMS:
+        raise ValueError(f"unknown Casorati form {form!r}")
+    if form == "shift":
+        return [[shift(f, k) for f in fs] for k in range(len(fs))]
+    rows = [list(fs)]
+    while len(rows) < len(fs):
+        rows.append([delta(f) for f in rows[-1]])
+    return rows
 
 
 def rand_fraction(rng: random.Random, top: int = 9) -> Fraction:

@@ -15,7 +15,6 @@ from diffrad import (
     FactoredPoly,
     Poly,
     binomial_transform_check,
-    casorati_matrix,
     casoratian,
     chain_decomposition,
     delta,
@@ -39,6 +38,7 @@ from diffrad import (
     unit_cubic_triad,
 )
 from helpers import (
+    casorati_rows,
     falling_square_triple,
     rand_rational_poly,
     sharp_quadratic_triple,
@@ -162,7 +162,7 @@ def test_criterion_06_casoratian():
     for _ in range(500):
         m = rng.randint(1, 4)
         fs = [rand_rational_poly(rng, 8) for _ in range(m)]
-        assert casoratian(fs, "delta") == determinant(casorati_matrix(fs, "shift"))
+        assert casoratian(fs, "delta") == determinant(casorati_rows(fs, "shift"))
     for _ in range(100):
         m = rng.randint(2, 3)
         chainfs = [gen_chain_poly(rng, max_chains=2, max_length=3) for _ in range(m)]

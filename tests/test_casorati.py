@@ -6,7 +6,6 @@ import pytest
 from diffrad import (
     FactoredPoly,
     Poly,
-    casorati_matrix,
     casoratian,
     casoratian_replace,
     gcd_tower_closed,
@@ -14,14 +13,14 @@ from diffrad import (
 )
 from diffrad.casorati import _det_bareiss, _det_cofactor, determinant
 from diffrad.theorems import gen_chain_poly
-from helpers import I, S2, rand_rational_poly
+from helpers import I, S2, casorati_rows, rand_rational_poly
 
 Z = Poly.z()
 
 
 def cofactor_oracle(fs, form="delta"):
     """Independent cofactor expansion over the first row."""
-    rows = [list(r) for r in casorati_matrix(fs, form).entries]
+    rows = casorati_rows(fs, form)
 
     def det(mat):
         if len(mat) == 1:
@@ -48,17 +47,15 @@ def test_small_examples():
 
 
 def test_matrix_layout():
-    m = casorati_matrix([Z, Z**2], form="delta")
-    assert m.entries[0] == (Z, Z**2)
-    assert m.entries[1] == (Poly.constant(1), 2 * Z + 1)
-    s = casorati_matrix([Z, Z**2], form="shift")
-    assert s.entries[0] == (Z, Z**2)
-    assert s.entries[1] == (Z + 1, (Z + 1) ** 2)
+    m = casorati_rows([Z, Z**2], "delta")
+    assert m == [[Z, Z**2], [Poly.constant(1), 2 * Z + 1]]
+    s = casorati_rows([Z, Z**2], "shift")
+    assert s == [[Z, Z**2], [Z + 1, (Z + 1) ** 2]]
 
 
 def shift_oracle(fs):
     """The determinant of the shift layout, which casoratian never computes."""
-    return determinant(casorati_matrix(fs, "shift"))
+    return determinant(casorati_rows(fs, "shift"))
 
 
 def test_forms_agree_bulk():
@@ -81,8 +78,6 @@ def test_forms_agree_bulk():
 def test_unknown_forms_rejected():
     for form in ("Shift", "DELTA", "", None):
         with pytest.raises(ValueError):
-            casorati_matrix([Z, Z**2], form)
-        with pytest.raises(ValueError):
             casoratian([Z, Z**2], form)
 
 
@@ -103,6 +98,16 @@ def test_numeric_dependent_tuple_is_dependent():
     assert linearly_independent(fs[:2])
     # a tolerance above the pair's own Casoratian calls it dependent too
     assert not linearly_independent(fs[:2], tol=1e6)
+
+
+def test_mixed_precision_casoratian_keeps_the_widest_precision():
+    # the tolerance read off the determinant equals the one read off the inputs
+    rng = random.Random(83)
+    for _ in range(20):
+        fs = [rand_rational_poly(rng, 4).embed(prec) for prec in (64, 256, 128)]
+        det = casoratian(fs)
+        if det:
+            assert max(c.prec for c in det.coeffs) == 256
 
 
 def test_alternating_and_multilinear():
@@ -162,8 +167,7 @@ def test_bareiss_matches_cofactor():
     for _ in range(40):
         m = rng.randint(2, 5)
         fs = [rand_rational_poly(rng, 4) for _ in range(m)]
-        mat = casorati_matrix(fs, "delta")
-        rows = [list(r) for r in mat.entries]
+        rows = casorati_rows(fs, "delta")
         assert _det_bareiss(rows) == _det_cofactor(rows)
     # degenerate rows exercise the zero-column path
     rows = [[Poly.zero(), Poly.constant(1)], [Poly.zero(), Z]]

@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from diffrad import diffcalc
+from diffrad import casorati, diffcalc, factor, parser
 from diffrad.cli import load_fixtures, main, run_fixture
 
 
@@ -140,6 +141,50 @@ def test_casoratian_numeric_noise_is_dependent(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["degree"] == 0 and doc["independent"] is False
+
+
+def test_casoratian_command_computes_one_determinant(capsys, monkeypatch):
+    calls = []
+    original = casorati.determinant
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(casorati, "determinant", counting)
+    for backend in ("exact", "numeric"):
+        calls.clear()
+        code, out, _ = run(
+            capsys, "casoratian", "z", "z^2", "z^3 - 1", "--backend", backend, "--json"
+        )
+        assert code == 0 and json.loads(out)["independent"] is True
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "src, code",
+    [
+        ("ff(z,20)", 0),
+        ("z^2 - 3*2^200", 0),
+        ("z^3 + 2*z + 1000000000000000000000000000057", 2),
+        ("z^2 + 1000000000000000000000000000057*z + 3", 2),
+        ("ff(z,1000)", 2),
+    ],
+)
+def test_factoring_is_bounded(capsys, monkeypatch, src, code):
+    # the time bound is on factoring; building ff(z,1000) is a parser cost
+    times = []
+
+    def timed(p):
+        start = time.perf_counter()
+        try:
+            return factor(p)
+        finally:
+            times.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(parser, "factor", timed)
+    assert run(capsys, "rad-delta", src)[0] == code
+    assert len(times) == 1 and times[0] < 2
 
 
 def test_gcd_tower_command_falls_back_to_euclid(capsys):

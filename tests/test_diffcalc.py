@@ -23,7 +23,8 @@ from diffrad import (
     shift,
     to_newton,
 )
-from helpers import rand_exact, rand_nonzero_poly, rand_rational_poly
+from diffrad.scalar import as_scalar
+from helpers import rand_exact, rand_fraction, rand_nonzero_poly, rand_rational_poly
 
 Z = Poly.z()
 
@@ -223,3 +224,49 @@ def test_shift_by_scalar_step():
     shifted = shift(p, s2)
     assert shifted(Exact.from_rational(0)) == s2 * s2  # p(sqrt2) = 2
     assert shift(shifted, -1 * s2) == p
+
+
+def horner_shift(p: Poly, step) -> Poly:
+    """Oracle: p(z + step) by Horner's rule, one Poly product per coefficient."""
+    acc = Poly()
+    zk = Poly([step, as_scalar(1, step)])
+    for c in reversed(p.coeffs):
+        acc = acc * zk + Poly.constant(c)
+    return acc
+
+
+def test_shift_matches_horner_on_radical_and_numeric_input():
+    rng = random.Random(73)
+    for _ in range(40):
+        p = Poly([rand_exact(rng) for _ in range(rng.randint(1, 6))])
+        if not p:
+            continue
+        rational = Exact.from_rational(rand_fraction(rng))
+        for step in (rational, rand_exact(rng)):
+            assert shift(p, step) == horner_shift(p, step)
+            for prec in (64, 128, 256):
+                q, nstep = p.embed(prec), step.to_numeric(prec)
+                # the same multiply-adds in the same order: equal bit for bit
+                assert shift(q, nstep) == horner_shift(q, nstep)
+        k = rng.randint(-5, 5)
+        q = p.embed(128)
+        assert shift(q, k) == horner_shift(q, as_scalar(Fraction(k), q.lead))
+
+
+def test_shift_of_radical_input_multiplies_no_polynomials(monkeypatch):
+    rng = random.Random(79)
+    p = Poly([rand_exact(rng) for _ in range(6)])
+    want = horner_shift(p, Exact.sqrt_int(3))
+    calls = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+    assert shift(p, Exact.sqrt_int(3)) == want
+    assert shift(p, 2).degree == p.degree
+    assert shift(p.embed(128), 2).degree == p.degree
+    assert calls == []

@@ -255,3 +255,15 @@ def test_factor_rational_roots_match_sympy():
         assert rational == want
         assert got.expand() == p
     assert refused >= 20
+    # a smooth constant term: 19! * 5 * 2 has 38880 divisors, every one a
+    # candidate numerator until the roots 1..19 are divided out
+    factors = [Poly.linear(Exact.from_rational(k)) for k in range(1, 20)]
+    p = product(factors + [Poly([5, 3]), Poly(IRREDUCIBLE_QUADRATICS[0])])
+    assert p.coeff(0) == 2 * 5 * math.factorial(19) * (-1) ** 19
+    want = {
+        Fraction(int(r.p), int(r.q)): m
+        for r, m in sympy.roots(to_sympy(p), filter="Q").items()
+    }
+    got = factor(p)
+    assert {r.as_fraction(): m for r, m in got.roots if r.is_rational} == want
+    assert len(want) == 20 and got.expand() == p

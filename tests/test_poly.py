@@ -295,3 +295,34 @@ def test_factored_numeric_roots_with_equal_text_stay_distinct():
     assert near != one and near.text() == one.text()
     f = FactoredPoly(Numeric.from_rational(1, 64), [(near, 1), (one, 2), (near, 3)])
     assert [(r == near, m) for r, m in f.roots] == [(True, 4), (False, 2)]
+
+
+def test_negligible():
+    assert Poly().negligible() and Poly().negligible(tol=0)
+    assert not (Z * Fraction(1, 10**40)).negligible(tol=1)  # exact: never
+    tiny = Fraction(1, 2**40)
+    # the default tolerance is 2^(-prec/2) at the widest coefficient
+    low, high = Numeric.from_rational(tiny, 64), Numeric.from_rational(tiny, 256)
+    assert Poly([low]).negligible()
+    assert not Poly([low, high]).negligible()
+    assert not Poly([high, low]).negligible()
+    assert Poly([low, high]).negligible(tol=2**-39)
+
+
+def test_negligible_boundary_is_strict():
+    tol = Fraction(1, 2**32)  # the default at 64 bits
+    at = Poly([Numeric.from_rational(tol, 64)])
+    assert at.coeff_sup() == float(tol)
+    assert not at.negligible() and not at.negligible(tol)
+    assert Poly([Numeric.from_rational(tol * Fraction(99, 100), 64)]).negligible()
+
+
+def test_candidate_cap_trips_before_any_divisor_is_listed(monkeypatch):
+    p = reduce(mul, [Z - k for k in range(1, 8)]) * (Z**2 + 2)  # 7! * 2
+    assert len(factor(p).roots) == 9
+    monkeypatch.setattr(poly_module, "MAX_CANDIDATES", 10)
+    monkeypatch.setattr(
+        poly_module, "_divisors", lambda f: pytest.fail("listed divisors")
+    )
+    with pytest.raises(RootsUnavailableError, match="candidates exceed 10;"):
+        factor(p)

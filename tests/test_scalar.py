@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from diffrad import BackendMismatchError, Exact, Numeric
+from diffrad import BackendMismatchError, Exact, Numeric, RootsUnavailableError
+from diffrad import scalar
+from diffrad.scalar import TRIAL_LIMIT, prime_factors
 from helpers import rand_exact
 
 S2 = Exact.sqrt_int(2)
@@ -110,3 +112,26 @@ def test_conjugation_eliminates_generator():
     x = S2 * 3 + I * S3 + Fraction(1, 2)
     prod = x * x.conjugate_generator("i")
     assert "i" not in {g for g in prod.generators()}
+
+
+def test_prime_factors():
+    assert prime_factors(1) == {}
+    assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+    assert prime_factors(TRIAL_LIMIT**2) == {2: 12, 5: 12}
+    # a cofactor below the square of the next trial divisor is prime
+    assert prime_factors(1000000000039) == {1000000000039: 1}
+    assert prime_factors(2**200 * 3) == {2: 200, 3: 1}
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+def test_prime_factors_refuses_an_uncertified_cofactor(monkeypatch):
+    # 1000003 is prime, but its square outlasts trial division up to 10^6
+    with pytest.raises(RootsUnavailableError):
+        prime_factors(1000003**2)
+    with pytest.raises(RootsUnavailableError):
+        Exact.sqrt_int(10**30 + 57)
+    monkeypatch.setattr(scalar, "TRIAL_LIMIT", 10)
+    assert prime_factors(2**5 * 11) == {2: 5, 11: 1}  # 11 < 11^2: prime
+    with pytest.raises(RootsUnavailableError):
+        prime_factors(11 * 13)
