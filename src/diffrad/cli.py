@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,6 @@ from . import casorati, diffcalc, shiftcalc, theorems
 from .errors import DiffradError, ParseError, RootsUnavailableError
 from .parser import parse_factored, parse_poly
 from .poly import FactoredPoly, Poly, classical_rad
-from .scalar import Exact
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures"
 
@@ -62,7 +62,8 @@ def _poly_result(p: Poly) -> dict:
 
 
 # -- command handlers -------------------------------------------------------
-# Each handler: (inputs, opts: dict, options: Options) -> result dict
+# Each handler: (inputs, opts: dict, options: Options) -> result dict; the
+# handlers of REPORT_COMMANDS return the checker's report instead.
 
 
 def cmd_delta(inputs, opts, options: Options) -> dict:
@@ -135,37 +136,35 @@ def cmd_casoratian(inputs, opts, options: Options) -> dict:
     return {**_poly_result(det), "independent": independent}
 
 
-def cmd_mason(inputs, opts, options: Options) -> dict:
+def cmd_mason(inputs, opts, options: Options):
     fs = [options.factored(src) for src in inputs]
     if opts.get("classical"):
         report = theorems.mason_classical(*fs, tol=options.tolerance)
     else:
         report = theorems.mason_delta(*fs, tol=options.tolerance)
-    return report.to_json_dict()
+    return report
 
 
-def cmd_mason_ext(inputs, opts, options: Options) -> dict:
+def cmd_mason_ext(inputs, opts, options: Options):
     fs = [options.factored(src) for src in inputs]
-    return theorems.mason_delta_ext(fs, tol=options.tolerance).to_json_dict()
+    return theorems.mason_delta_ext(fs, tol=options.tolerance)
 
 
-def cmd_fermat(inputs, opts, options: Options) -> dict:
+def cmd_fermat(inputs, opts, options: Options):
     fs = [options.factored(src) for src in inputs]
-    report = theorems.fermat_check(*fs, n=opts["n"], tol=options.tolerance)
-    return report.to_json_dict()
+    return theorems.fermat_check(*fs, n=opts["n"], tol=options.tolerance)
 
 
-def cmd_fermat_multi(inputs, opts, options: Options) -> dict:
+def cmd_fermat_multi(inputs, opts, options: Options):
     if opts.get("builder") == "unit_cubic_triad":
         roots = theorems.unit_cubic_resolvent_roots(options.precision)
         s = roots[opts.get("root_index", 0)]
         fs = theorems.unit_cubic_triad(s, Fraction(opts.get("t", 1)))
     else:
         fs = [options.factored(src) for src in inputs]
-    report = theorems.fermat_multi_check(
+    return theorems.fermat_multi_check(
         fs, n=opts["n"], rhs_one=bool(opts.get("rhs_one")), tol=options.tolerance
     )
-    return report.to_json_dict()
 
 
 HANDLERS = {
@@ -187,6 +186,14 @@ HANDLERS = {
 }
 
 REPORT_COMMANDS = {"mason", "mason-ext", "fermat", "fermat-multi"}
+
+
+def run_command(command: str, inputs, opts, options: Options) -> tuple[bool, dict]:
+    """(claim ok, result dict): a report's own verdict, True otherwise."""
+    result = HANDLERS[command](inputs, opts, options)
+    if command in REPORT_COMMANDS:
+        return result.ok, result.to_json_dict()
+    return True, result
 
 
 # -- verification fixtures ---------------------------------------------------
@@ -235,8 +242,9 @@ def run_fixture(case: dict) -> tuple[bool, dict]:
         precision=case.get("precision", 256),
         tolerance=case.get("tolerance"),
     )
-    handler = HANDLERS[case["command"]]
-    result = handler(case.get("inputs", []), case.get("args", {}), options)
+    _, result = run_command(
+        case["command"], case.get("inputs", []), case.get("args", {}), options
+    )
     return _subset_match(case["expected"], result), result
 
 
@@ -279,6 +287,15 @@ def cmd_verify_paper(filter_text: str | None, as_json: bool) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """A positive finite float: a tolerance of 0, below 0, inf or nan would
+    make every numeric zero test false or overflow the arithmetic."""
+    value = float(text)
+    if not 0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -290,8 +307,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="bits of precision for the numeric backend (default: 256)",
     )
     common.add_argument(
-        "--tolerance", type=float, default=None,
-        help="numeric comparison tolerance (default: 2^(-precision/2))",
+        "--tolerance", type=_tolerance, default=None,
+        help="numeric comparison tolerance, positive and finite "
+        "(default: 2^(-precision/2))",
     )
     common.add_argument("--json", action="store_true", help="emit JSON output")
 
@@ -412,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(inputs, str):
         inputs = [inputs]
     try:
-        result = HANDLERS[args.command](inputs, opts, options)
+        ok, result = run_command(args.command, inputs, opts, options)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -427,16 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(result, sort_keys=True))
     else:
         print(_human_lines(args.command, result))
-
-    if args.command in REPORT_COMMANDS:
-        hyps_ok = all(h["ok"] for h in result["hypotheses"])
-        claim_ok = result["equation_holds"] and hyps_ok
-        if "slack" in result:
-            claim_ok = claim_ok and result["slack"] >= 0
-        else:
-            claim_ok = claim_ok and result["within_bound"]
-        return 0 if claim_ok else 1
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import FactoredPoly, Poly, _from_lane, _to_lane, product
-from .scalar import Exact, Numeric, Scalar, as_scalar
+from .scalar import Exact, Scalar, as_scalar
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,10 +33,7 @@ def shift(p: Poly, k) -> Poly:
     """
     if not p:
         return p
-    if isinstance(k, (Exact, Numeric)):
-        step = k
-    else:
-        step = as_scalar(Fraction(k), p.lead)
+    step = p.scalar(k)
     if not step:
         return p
     h = step.as_fraction() if isinstance(step, Exact) else None
@@ -81,16 +78,14 @@ def falling_power(p: Poly, n: int) -> Poly:
     """p(z) p(z-1) ... p(z-n+1); n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("falling power needs n >= 0")
-    one = Poly.constant(as_scalar(1, p.lead) if p else 1)
-    return product([one] + [shift(p, -j) for j in range(n)])
+    return product([Poly.constant(p.scalar(1))] + [shift(p, -j) for j in range(n)])
 
 
 def raising_power(p: Poly, n: int) -> Poly:
     """p(z) p(z+1) ... p(z+n-1); n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("raising power needs n >= 0")
-    one = Poly.constant(as_scalar(1, p.lead) if p else 1)
-    return product([one] + [shift(p, j) for j in range(n)])
+    return product([Poly.constant(p.scalar(1))] + [shift(p, j) for j in range(n)])
 
 
 def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
@@ -128,8 +123,7 @@ class NewtonExpansion:
 
 def to_newton(p: Poly, z0) -> NewtonExpansion:
     """Expand around z0; coefficient j is delta^j p(z0) / j!."""
-    if not isinstance(z0, (Exact, Numeric)):
-        z0 = as_scalar(z0, p.lead if p else Exact.from_rational(0))
+    z0 = p.scalar(z0)
     coeffs = []
     cur = p
     fact = 1
@@ -156,8 +150,7 @@ def binomial_transform_check(p: Poly, z, k: int) -> tuple[bool, bool]:
     Second: delta^k p(z) equals sum_j C(k,j) (-1)^(k-j) p(z+j).
     Both hold identically; this is exposed as a self-test primitive.
     """
-    if not isinstance(z, (Exact, Numeric)):
-        z = as_scalar(z, p.lead if p else Exact.from_rational(0))
+    z = p.scalar(z)
     if k < 0:
         raise ValueError("k must be nonnegative")
     deltas = [p]

@@ -31,7 +31,7 @@ NEG_INF = float("-inf")
 def _as_coeff_list(values: Iterable) -> list[Scalar]:
     out: list[Scalar] = []
     for v in values:
-        if isinstance(v, (Exact, Numeric)):
+        if isinstance(v, Scalar):
             out.append(v)
         else:
             out.append(Exact.from_rational(v))
@@ -99,13 +99,15 @@ class Poly:
     def coeff(self, k: int) -> Scalar:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
-        if self._coeffs:
-            return as_scalar(0, self._coeffs[-1])
-        return Exact()
+        return self.scalar(0)
 
-    def _one(self) -> Scalar:
-        anchor = self._coeffs[-1] if self._coeffs else Exact.from_rational(1)
-        return as_scalar(1, anchor)
+    def scalar(self, x) -> Scalar:
+        """x in this polynomial's backend (``as_scalar``).  The zero
+        polynomial has no backend: it takes a scalar as it is, and an int or
+        Fraction as exact."""
+        if self._coeffs:
+            return as_scalar(x, self._coeffs[-1])
+        return x if isinstance(x, Scalar) else Exact.from_rational(x)
 
     def _check_backend(self, other: Poly) -> None:
         if self and other and self.backend != other.backend:
@@ -116,7 +118,7 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, Exact, Numeric)):
+        if isinstance(other, (int, Fraction, Scalar)):
             return Poly([other])
         return None
 
@@ -156,8 +158,8 @@ class Poly:
         integer lane (see ``_mul_ints``); radical and numeric coefficients
         multiply term by term in their own scalar arithmetic.
         """
-        if isinstance(other, (int, Fraction, Exact, Numeric)):
-            scale = other if isinstance(other, (Exact, Numeric)) else Fraction(other)
+        if isinstance(other, (int, Fraction, Scalar)):
+            scale = other if isinstance(other, Scalar) else Fraction(other)
             return Poly([c * scale for c in self._coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
@@ -182,7 +184,7 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        return power(self, exponent, Poly.constant(self._one()))
+        return power(self, exponent, Poly.constant(self.scalar(1)))
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if not isinstance(other, Poly):
@@ -231,11 +233,7 @@ class Poly:
     # -- evaluation & maps -------------------------------------------------
 
     def __call__(self, x) -> Scalar:
-        anchor = self._coeffs[-1] if self._coeffs else Exact.from_rational(0)
-        if not isinstance(x, (Exact, Numeric)):
-            x = as_scalar(x, anchor)
-        elif self and x.backend != anchor.backend:
-            raise BackendMismatchError("evaluation point uses the other backend")
+        x = self.scalar(x)
         acc = as_scalar(0, x)
         for c in reversed(self._coeffs):
             acc = acc * x + c
@@ -265,17 +263,14 @@ class Poly:
         return sup
 
     def negligible(self, tol=None) -> bool:
-        """Zero within tolerance: true for the zero polynomial, and for a
-        numeric polynomial whose coefficient sup is below ``tol``, by default
-        2^(-prec/2) at its widest coefficient.  A nonzero exact polynomial
-        is never negligible."""
-        if not self._coeffs:
-            return True
-        if self.backend == "exact":
-            return False
-        if tol is None:
+        """Zero within tolerance: every coefficient is negligible by the
+        scalar rule (``Scalar.negligible``) at one tolerance, by default
+        2^(-prec/2) at the widest coefficient.  So the zero polynomial is
+        negligible, a nonzero exact one never, and a numeric one when its
+        coefficient sup is below ``tol``."""
+        if tol is None and self.backend == "numeric":
             tol = max(self._coeffs, key=attrgetter("prec")).default_tolerance()
-        return self.coeff_sup() < float(tol)
+        return all(c.negligible(tol) for c in self._coeffs)
 
     # -- text & JSON -------------------------------------------------------
 
@@ -358,7 +353,7 @@ class FactoredPoly:
     __slots__ = ("_lead", "_roots")
 
     def __init__(self, lead, roots: Iterable[tuple[Scalar, int]] = ()):
-        if not isinstance(lead, (Exact, Numeric)):
+        if not isinstance(lead, Scalar):
             lead = Exact.from_rational(lead)
         if not lead:
             raise ValueError("factored polynomial needs a nonzero lead")
@@ -369,10 +364,7 @@ class FactoredPoly:
         for root, mult in roots:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
-            if not isinstance(root, (Exact, Numeric)):
-                root = as_scalar(root, lead)
-            if root.backend != lead.backend:
-                raise BackendMismatchError("root/lead backend mismatch")
+            root = as_scalar(root, lead)
             merged[root] = merged.get(root, 0) + mult
         ordered = sorted(merged.items(), key=lambda rm: rm[0].text())
         object.__setattr__(self, "_lead", lead)
@@ -757,8 +749,6 @@ def _factor_numeric(p: Poly, tol: float | None) -> FactoredPoly:
 
     widest = max(p.coeffs, key=attrgetter("prec"))
     prec = widest.prec
-    if tol is None:
-        tol = widest.default_tolerance()
     with mpmath.mp.workprec(prec + 32):
         coeffs = [c.to_mpc() for c in reversed(p.coeffs)]
         found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
@@ -766,7 +756,7 @@ def _factor_numeric(p: Poly, tol: float | None) -> FactoredPoly:
     clusters: list[list[Numeric]] = []
     for r in numeric_roots:
         for cluster in clusters:
-            if cluster[0].distance(r) < tol:
+            if (cluster[0] - r).negligible(tol):
                 cluster.append(r)
                 break
         else:

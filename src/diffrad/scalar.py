@@ -1,6 +1,10 @@
 """Exact and arbitrary-precision scalar arithmetic.
 
-Two interchangeable backends share one operator surface:
+Two interchangeable backends derive from :class:`Scalar`, which holds the
+operator surface they share: immutability, coercion of ints, Fractions and
+scalars (``as_scalar``), subtraction, reflected subtraction and division,
+integer powers, equality and ``str``.  Each backend supplies its own sum,
+product, negation, quotient, inverse, hash and text.
 
 * :class:`Exact` — an element of the field Q(i, sqrt(p1), sqrt(p2), ...),
   stored as a sparse map from radical keys to rationals.  A radical key is a
@@ -18,8 +22,14 @@ Two interchangeable backends share one operator surface:
   ambient global precision state is consulted.
 
 Mixing the two backends in one arithmetic operation raises
-:class:`BackendMismatchError`; conversion is explicit via
-:meth:`Exact.to_numeric`.
+:class:`BackendMismatchError` (from ``as_scalar``, the one place that does);
+conversion is explicit via :meth:`Exact.to_numeric`.  Comparing scalars of
+the two backends with ``==`` is False, not an error.
+
+Zero within tolerance has one rule, ``negligible(tol=None)``: an exact
+scalar is negligible when it is zero, a numeric one when its magnitude is
+below ``tol``, by default 2^(-prec/2) at its own precision.
+``Poly.negligible`` applies it to every coefficient.
 """
 
 from __future__ import annotations
@@ -121,7 +131,66 @@ def _key_sort(key: Key) -> tuple[int, bool]:
     return n, has_i
 
 
-class Exact:
+class Scalar:
+    """The operator surface Exact and Numeric share.
+
+    A subclass supplies ``__add__``, ``__mul__``, ``__neg__``,
+    ``__truediv__``, ``inverse``, ``__hash__``, ``text``, ``negligible`` and
+    ``_value`` (the state ``==`` compares).
+    """
+
+    __slots__ = ()
+
+    backend: str
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def _coerce(self, other):
+        """other in this backend, or None when it is no scalar operand."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, (int, Fraction, Scalar)):
+            return as_scalar(other, self)
+        return None
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs + (-self)
+
+    def __rtruediv__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs / self
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            self._coerce(exponent)  # an other-backend exponent is a mismatch
+            return NotImplemented
+        base = self if exponent >= 0 else self.inverse()
+        return power(base, abs(exponent), self._coerce(1))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
+        return self._value() == other._value()
+
+    def __str__(self) -> str:
+        return self.text()
+
+
+class Exact(Scalar):
     """Immutable element of Q(i, sqrt(p), ...) in canonical sparse form."""
 
     __slots__ = ("_terms",)
@@ -135,9 +204,6 @@ class Exact:
                 if coeff:
                     clean[key] = coeff
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Exact values are immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -169,6 +235,10 @@ class Exact:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def negligible(self, tol=None) -> bool:
+        """Zero within tolerance: an exact scalar only when it is zero."""
+        return not self._terms
+
     @property
     def is_rational(self) -> bool:
         return all(key == _ONE_KEY for key in self._terms)
@@ -197,17 +267,6 @@ class Exact:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> Exact | None:
-        if isinstance(other, Exact):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Exact.from_rational(other)
-        if isinstance(other, Numeric):
-            raise BackendMismatchError(
-                "cannot mix exact and numeric scalars; convert explicitly"
-            )
-        return None
-
     def __add__(self, other) -> Exact:
         rhs = self._coerce(other)
         if rhs is None:
@@ -221,18 +280,6 @@ class Exact:
 
     def __neg__(self) -> Exact:
         return Exact({key: -coeff for key, coeff in self._terms.items()})
-
-    def __sub__(self, other) -> Exact:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> Exact:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other) -> Exact:
         rhs = self._coerce(other)
@@ -278,24 +325,8 @@ class Exact:
             return NotImplemented
         return self * rhs.inverse()
 
-    def __rtruediv__(self, other) -> Exact:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
-    def __pow__(self, exponent: int) -> Exact:
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self if exponent >= 0 else self.inverse()
-        return power(base, abs(exponent), Exact.from_rational(1))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Exact.from_rational(other)
-        if not isinstance(other, Exact):
-            return NotImplemented
-        return self._terms == other._terms
+    def _value(self):
+        return self._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
@@ -340,14 +371,11 @@ class Exact:
                 pieces.append(("- " if coeff < 0 else "+ ") + body)
         return " ".join(pieces)
 
-    def __str__(self) -> str:
-        return self.text()
-
     def __repr__(self) -> str:
         return f"Exact({self.text()!r})"
 
 
-class Numeric:
+class Numeric(Scalar):
     """Arbitrary-precision complex scalar with per-value precision.
 
     Operations run at the larger operand precision plus GUARD_BITS, so chains
@@ -368,9 +396,6 @@ class Numeric:
         object.__setattr__(self, "_re", re)
         object.__setattr__(self, "_im", im)
         object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Numeric values are immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -395,6 +420,13 @@ class Numeric:
     def default_tolerance(self) -> Fraction:
         return Fraction(1, 2 ** (self.prec // 2))
 
+    def negligible(self, tol=None) -> bool:
+        """Zero within tolerance: magnitude below tol, by default
+        2^(-prec/2) at this scalar's own precision."""
+        if tol is None:
+            tol = self.default_tolerance()
+        return self.magnitude() < float(tol)
+
     def as_integer(self, tol: Fraction | float | None = None) -> int | None:
         """Nearest integer if within tolerance (default 2**(-prec/2))."""
         if tol is None:
@@ -410,17 +442,6 @@ class Numeric:
         return nearest if mpf_cmp(dist, bound) < 0 else None
 
     # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> Numeric | None:
-        if isinstance(other, Numeric):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Numeric.from_rational(other, self.prec)
-        if isinstance(other, Exact):
-            raise BackendMismatchError(
-                "cannot mix exact and numeric scalars; convert explicitly"
-            )
-        return None
 
     def _binary(self, other, fn):
         rhs = self._coerce(other)
@@ -440,12 +461,6 @@ class Numeric:
     def __sub__(self, other):
         return self._binary(other, libmp.mpc_sub)
 
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
-
     def __mul__(self, other):
         return self._binary(other, libmp.mpc_mul)
 
@@ -457,13 +472,7 @@ class Numeric:
             return NotImplemented
         if not rhs:
             raise ZeroDivisionError("numeric scalar division by zero")
-        return self._binary(other, libmp.mpc_div)
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs / self
+        return self._binary(rhs, libmp.mpc_div)
 
     def __neg__(self) -> Numeric:
         re, im = libmp.mpc_neg((self._re, self._im))
@@ -472,25 +481,11 @@ class Numeric:
     def inverse(self) -> Numeric:
         return Numeric.from_rational(1, self.prec) / self
 
-    def __pow__(self, exponent: int) -> Numeric:
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self if exponent >= 0 else self.inverse()
-        return power(base, abs(exponent), Numeric.from_rational(1, self.prec))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Numeric.from_rational(other, self.prec)
-        if not isinstance(other, Numeric):
-            return NotImplemented
-        return self._re == other._re and self._im == other._im
+    def _value(self):
+        return self._re, self._im
 
     def __hash__(self) -> int:
         return hash((self._re, self._im))
-
-    def distance(self, other: Numeric) -> float:
-        diff = self - other
-        return diff.magnitude()
 
     # -- conversions -------------------------------------------------------
 
@@ -512,22 +507,19 @@ class Numeric:
             return re
         return f"({re} {'+' if not im.startswith('-') else '-'} {im.lstrip('-')}j)"
 
-    def __str__(self) -> str:
-        return self.text()
-
     def __repr__(self) -> str:
         return f"Numeric({self.text()}, prec={self.prec})"
 
 
-Scalar = Union[Exact, Numeric]
-
-
 def as_scalar(value, like: Scalar) -> Scalar:
-    """Coerce a Python rational into the backend of `like`."""
-    if isinstance(value, (Exact, Numeric)):
+    """value in the backend of `like`: an int or Fraction is converted, a
+    scalar of that backend passes through, and a scalar of the other backend
+    raises BackendMismatchError."""
+    if isinstance(value, Scalar):
         if value.backend != like.backend:
             raise BackendMismatchError(
-                f"expected {like.backend} scalar, got {value.backend}"
+                f"cannot mix {like.backend} and {value.backend} scalars; "
+                "convert explicitly"
             )
         return value
     if isinstance(like, Exact):

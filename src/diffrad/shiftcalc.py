@@ -24,7 +24,7 @@ from itertools import combinations
 from . import diffcalc
 from .errors import AmbiguousShiftError, BackendMismatchError
 from .poly import FactoredPoly, Poly, poly_gcd, product
-from .scalar import _ONE_KEY, Exact, Numeric, Scalar, as_scalar
+from .scalar import _ONE_KEY, Exact, Scalar, as_scalar
 
 AMBIGUITY_GUARD = 8
 
@@ -197,10 +197,9 @@ def shifting_zero_height(p: Poly, z0, tol=None) -> int:
     """
     if not p:
         raise ValueError("height is undefined for the zero polynomial")
-    if not isinstance(z0, (Exact, Numeric)):
-        z0 = as_scalar(z0, p.lead)
+    z0 = as_scalar(z0, p.lead)
     n = 0
-    while _is_zero(p(z0 + as_scalar(n, z0)), tol):
+    while p(z0 + as_scalar(n, z0)).negligible(tol):
         n += 1
         _check_run(p, z0, n)
     return n
@@ -210,11 +209,10 @@ def shifting_zero_height_via_delta(p: Poly, z0, tol=None) -> int:
     """Height from the definition: least n with delta^n p(z0) nonzero."""
     if not p:
         raise ValueError("height is undefined for the zero polynomial")
-    if not isinstance(z0, (Exact, Numeric)):
-        z0 = as_scalar(z0, p.lead)
+    z0 = as_scalar(z0, p.lead)
     n = 0
     cur = p
-    while _is_zero(cur(z0), tol):
+    while cur(z0).negligible(tol):
         cur = diffcalc.delta(cur)
         n += 1
         _check_run(p, z0, n)
@@ -229,27 +227,18 @@ def _check_run(p: Poly, z0: Scalar, n: int) -> None:
         )
 
 
-def _is_zero(value: Scalar, tol) -> bool:
-    if isinstance(value, Exact):
-        return not value
-    if tol is None:
-        tol = value.default_tolerance()
-    return value.magnitude() < float(tol)
-
-
 def factor_at(p: Poly, z0, tol=None) -> tuple[int, Poly]:
     """Write p = (z - z0)(z - z0 - 1)...(z - z0 - n + 1) * g with n the height.
 
     The cofactor g satisfies g(z0 + n) != 0.  Raises ValueError when z0 is
     not a zero of p.
     """
-    if not isinstance(z0, (Exact, Numeric)):
-        z0 = as_scalar(z0, p.lead)
+    z0 = as_scalar(z0, p.lead)
     n = shifting_zero_height(p, z0, tol)
     if n == 0:
         raise ValueError(f"{z0.text()} is not a zero")
     g = p.divexact(diffcalc.falling_factorial_linear(z0, n))
-    if _is_zero(g(z0 + as_scalar(n, z0)), tol):  # pragma: no cover
+    if g(z0 + as_scalar(n, z0)).negligible(tol):  # pragma: no cover
         raise ArithmeticError("cofactor vanishes at z0 + n")
     return n, g
 

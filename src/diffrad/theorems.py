@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import attrgetter
 from typing import Sequence
 
 from . import casorati, diffcalc, shiftcalc
@@ -140,12 +139,12 @@ def _shifting_prime_hypothesis(
 def _relatively_prime_hypothesis(
     fs: Sequence[FactoredPoly], expanded: Sequence[Poly], tol
 ) -> Hypothesis:
-    """Pairwise coprimality: Euclidean gcd exactly, root proximity numerically.
+    """Pairwise coprimality: Euclidean gcd exactly; numerically, two roots
+    are shared when their difference is negligible, by default at the
+    precision of that pair.
 
     ``expanded[i]`` is ``fs[i].expand()``, made once by the caller.
     """
-    if tol is None and fs[0].backend == "numeric":
-        tol = max((f.lead for f in fs), key=attrgetter("prec")).default_tolerance()
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             if fs[i].backend == "exact":
@@ -159,7 +158,7 @@ def _relatively_prime_hypothesis(
             else:
                 for r, _ in fs[i].roots:
                     for s, _ in fs[j].roots:
-                        if r.distance(s) < float(tol):
+                        if (r - s).negligible(tol):
                             return Hypothesis(
                                 "relatively_prime",
                                 False,
@@ -403,54 +402,43 @@ DEFAULT_GRID_DENOMINATORS = (1, 2)
 DEFAULT_LEADS = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2))
 
 
+def _grid_rational(rng: random.Random) -> Fraction:
+    return Fraction(
+        rng.choice(DEFAULT_GRID_NUMERATORS), rng.choice(DEFAULT_GRID_DENOMINATORS)
+    )
+
+
+def _grid_lead(rng: random.Random) -> Exact:
+    return Exact.from_rational(rng.choice(DEFAULT_LEADS))
+
+
 def gen_chain_poly(
-    rng: random.Random,
-    max_chains: int = 6,
-    max_length: int = 5,
-    numerators: Sequence[int] = DEFAULT_GRID_NUMERATORS,
-    denominators: Sequence[int] = DEFAULT_GRID_DENOMINATORS,
-    leads: Sequence = DEFAULT_LEADS,
+    rng: random.Random, max_chains: int = 6, max_length: int = 5
 ) -> FactoredPoly:
-    """Random product of falling-factorial chains with grid-rational starts."""
+    """Random product of falling-factorial chains with grid-rational starts
+    and a lead from DEFAULT_LEADS."""
     count = rng.randint(1, max_chains)
     roots: list[tuple[Scalar, int]] = []
     for _ in range(count):
-        start = Fraction(rng.choice(numerators), rng.choice(denominators))
+        start = _grid_rational(rng)
         length = rng.randint(1, max_length)
         for j in range(length):
             roots.append((Exact.from_rational(start + j), 1))
-    return FactoredPoly(Exact.from_rational(rng.choice(leads)), roots)
+    return FactoredPoly(_grid_lead(rng), roots)
 
 
 def gen_factored_poly(
-    rng: random.Random,
-    min_degree: int,
-    max_degree: int,
-    numerators: Sequence[int] = DEFAULT_GRID_NUMERATORS,
-    denominators: Sequence[int] = DEFAULT_GRID_DENOMINATORS,
-    leads: Sequence = DEFAULT_LEADS,
+    rng: random.Random, min_degree: int, max_degree: int
 ) -> FactoredPoly:
+    """Random lead from DEFAULT_LEADS times min_degree to max_degree linear
+    factors with grid-rational roots, repeats allowed."""
     degree = rng.randint(min_degree, max_degree)
-    roots = [
-        (
-            Exact.from_rational(
-                Fraction(rng.choice(numerators), rng.choice(denominators))
-            ),
-            1,
-        )
-        for _ in range(degree)
-    ]
-    return FactoredPoly(Exact.from_rational(rng.choice(leads)), roots)
+    roots = [(Exact.from_rational(_grid_rational(rng)), 1) for _ in range(degree)]
+    return FactoredPoly(_grid_lead(rng), roots)
 
 
 def gen_mason_instance(
-    m: int,
-    seed: int,
-    max_degree: int = 3,
-    numerators: Sequence[int] = DEFAULT_GRID_NUMERATORS,
-    denominators: Sequence[int] = DEFAULT_GRID_DENOMINATORS,
-    leads: Sequence = DEFAULT_LEADS,
-    max_attempts: int = 5000,
+    m: int, seed: int, max_degree: int = 3, max_attempts: int = 5000
 ) -> list[FactoredPoly]:
     """Rejection-sample [f_1, ..., f_m, f_{m+1}] with f_1+...+f_m = f_{m+1}.
 
@@ -464,9 +452,7 @@ def gen_mason_instance(
     min_deg = max(1, m - 1)
     for attempt in range(1, max_attempts + 1):
         parts = [
-            gen_factored_poly(
-                rng, min_deg, max(max_degree, min_deg), numerators, denominators, leads
-            )
+            gen_factored_poly(rng, min_deg, max(max_degree, min_deg))
             for _ in range(m)
         ]
         expanded = [f.expand() for f in parts]

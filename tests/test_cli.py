@@ -1,10 +1,12 @@
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from diffrad import casorati, diffcalc, factor, parser
+from diffrad import casorati, diffcalc, factor, parser, theorems
+from diffrad import FermatReport, Hypothesis, MasonReport, Poly
 from diffrad.cli import load_fixtures, main, run_fixture
 
 
@@ -107,6 +109,50 @@ def test_height_with_loose_tolerance_exits_1(capsys):
         )
         assert code == 1 and out == ""
         assert "from 0.0 " in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_tolerance_must_be_positive_and_finite(capsys, tol):
+    # inf overflowed the arithmetic, 0 and -1 made every zero test false
+    with pytest.raises(SystemExit) as excinfo:
+        main(["height", "z*(z - 1)", "--at", "0", "--backend", "numeric",
+              f"--tolerance={tol}"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tolerance: must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+def test_valid_tolerance_reaches_the_zero_tests(capsys):
+    for tol in ("1e-10", "0.5"):
+        code, out, _ = run(
+            capsys, "height", "z*(z - 1)", "--at", "0", "--backend", "numeric",
+            "--tolerance", tol, "--json",
+        )
+        assert code == 0 and json.loads(out)["height"] == 2
+
+
+def test_exit_code_is_the_report_verdict(capsys, monkeypatch):
+    # a real failed hypothesis: z - (z - 1) = 1, but the zero chain of z
+    # runs into the zero 1 of z - 1
+    code, out, _ = run(capsys, "mason", "z", "-(z - 1)", "1", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["equation_holds"] and not doc["counterexample"]
+    assert not doc["hypotheses"][0]["ok"] and doc["slack"] < 0
+    ok = (Hypothesis("pairwise_shifting_prime", True),)
+    counterexample = MasonReport("delta", True, ok, lhs=3, rhs=2)
+    monkeypatch.setattr(theorems, "mason_delta", lambda *a, **k: counterexample)
+    code, out, _ = run(capsys, "mason", "z", "1", "z + 1", "--json")
+    assert code == 1 and json.loads(out)["counterexample"] is True
+    monkeypatch.setattr(theorems, "mason_delta", lambda *a, **k: MasonReport(
+        "delta", True, ok, lhs=2, rhs=2))
+    assert run(capsys, "mason", "z", "1", "z + 1")[0] == 0
+    for within in (False, True):
+        report = FermatReport(Poly(), True, 0.0, 3, 2, Fraction(2), within, ok)
+        monkeypatch.setattr(theorems, "fermat_check", lambda *a, **k: report)
+        code, out, _ = run(capsys, "fermat", "z", "1", "z + 1", "--n", "3", "--json")
+        assert code == (0 if within else 1)
+        assert json.loads(out)["within_bound"] is within
 
 
 def test_numeric_backend_smoke(capsys):

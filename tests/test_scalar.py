@@ -1,10 +1,12 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from diffrad import BackendMismatchError, Exact, Numeric, RootsUnavailableError
+from diffrad import BackendMismatchError, Exact, Numeric, Poly, RootsUnavailableError
 from diffrad import scalar
+from diffrad.scalar import Scalar, as_scalar
 from diffrad.scalar import TRIAL_LIMIT, prime_factors
 from helpers import rand_exact
 
@@ -65,6 +67,123 @@ def test_backend_mixing_rejected():
         S2 + Numeric.from_rational(1, 64)
     with pytest.raises(BackendMismatchError):
         Numeric.from_rational(1, 64) * S2
+
+
+# -- the shared operator surface -----------------------------------------------
+
+EXACT_TWO = Exact.from_rational(2)
+NUMERIC_TWO = Numeric.from_rational(2, 64)
+BINARY = {
+    "+": (operator.add, "__add__", "__radd__"),
+    "-": (operator.sub, "__sub__", "__rsub__"),
+    "*": (operator.mul, "__mul__", "__rmul__"),
+    "/": (operator.truediv, "__truediv__", "__rtruediv__"),
+}
+
+
+def test_both_backends_derive_from_scalar():
+    assert issubclass(Exact, Scalar) and issubclass(Numeric, Scalar)
+    assert isinstance(EXACT_TWO, Scalar) and isinstance(NUMERIC_TWO, Scalar)
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+@pytest.mark.parametrize(
+    "a, b", [(EXACT_TWO, NUMERIC_TWO), (NUMERIC_TWO, EXACT_TWO)],
+    ids=["exact-numeric", "numeric-exact"],
+)
+def test_every_operator_rejects_the_other_backend(name, a, b):
+    op, forward, reflected = BINARY[name]
+    for call in (lambda: op(a, b), lambda: getattr(a, forward)(b),
+                 lambda: getattr(a, reflected)(b)):
+        with pytest.raises(BackendMismatchError, match="^cannot mix "):
+            call()
+
+
+def test_power_rejects_an_exponent_of_the_other_backend():
+    with pytest.raises(BackendMismatchError):
+        EXACT_TWO ** NUMERIC_TWO
+    with pytest.raises(BackendMismatchError):
+        NUMERIC_TWO ** EXACT_TWO
+    with pytest.raises(TypeError):
+        EXACT_TWO ** 0.5
+
+
+def test_as_scalar_is_the_one_mismatch_message():
+    for value, like in ((EXACT_TWO, NUMERIC_TWO), (NUMERIC_TWO, EXACT_TWO)):
+        with pytest.raises(BackendMismatchError) as excinfo:
+            as_scalar(value, like)
+        assert str(excinfo.value) == (
+            f"cannot mix {like.backend} and {value.backend} scalars; "
+            "convert explicitly"
+        )
+    assert as_scalar(EXACT_TWO, EXACT_TWO) is EXACT_TWO
+
+
+def test_equality_across_backends_is_false_not_an_error():
+    assert not EXACT_TWO == NUMERIC_TWO
+    assert not NUMERIC_TWO == EXACT_TWO
+    assert EXACT_TWO != NUMERIC_TWO
+    assert EXACT_TWO == 2 and NUMERIC_TWO == 2
+    assert NUMERIC_TWO == Fraction(4, 2) and EXACT_TWO != Fraction(1, 2)
+
+
+@pytest.mark.parametrize("x", [EXACT_TWO, NUMERIC_TWO], ids=["exact", "numeric"])
+def test_int_and_fraction_operands_on_both_sides(x):
+    half = Fraction(1, 2)
+    assert x + 1 == 3 and 1 + x == 3
+    assert x - 1 == 1 and 1 - x == -1
+    assert x * half == 1 and half * x == 1
+    assert x / 4 == half and 1 / x == half
+    assert x - half == Fraction(3, 2) and half - x == Fraction(-3, 2)
+    assert str(x) == x.text()
+    assert type(x + 1) is type(x) and type(half / x) is type(x)
+
+
+@pytest.mark.parametrize("x", [EXACT_TWO, NUMERIC_TWO], ids=["exact", "numeric"])
+def test_negative_powers(x):
+    assert x**-1 == Fraction(1, 2)
+    assert x**-3 == Fraction(1, 8)
+    assert x**0 == 1
+    assert (x**-2) * (x**2) == 1
+
+
+@pytest.mark.parametrize("x", [EXACT_TWO, NUMERIC_TWO], ids=["exact", "numeric"])
+def test_immutability_error_names_the_class(x):
+    name = type(x).__name__
+    with pytest.raises(AttributeError, match=f"^{name} values are immutable$"):
+        x.anything = 1
+
+
+def test_negligible_exact_is_zero_only():
+    assert Exact().negligible() and Exact().negligible(1e-30)
+    assert not Exact.from_rational(Fraction(1, 10**40)).negligible()
+    assert not EXACT_TWO.negligible(tol=1e6)
+
+
+def test_negligible_numeric_default_and_boundary():
+    # the default is 2^(-prec/2) at the scalar's own precision, strict <
+    for prec in (64, 128, 256):
+        edge = Numeric.from_rational(Fraction(1, 2 ** (prec // 2)), prec)
+        below = Numeric.from_rational(Fraction(1, 2 ** (prec // 2 + 1)), prec)
+        assert not edge.negligible()
+        assert below.negligible()
+        assert (-below).negligible() and Numeric.from_rational(0, prec).negligible()
+    x = Numeric.from_rational(Fraction(1, 1024), 64)
+    assert not x.negligible(tol=Fraction(1, 1024))
+    assert not x.negligible(tol=2.0**-10)
+    assert x.negligible(tol=2.0**-10 * 1.001)
+    # a 64-bit difference at 2^-40 is negligible; at 128 bits it is not
+    tiny = Fraction(1, 2**40)
+    assert Numeric.from_rational(tiny, 64).negligible()
+    assert not Numeric.from_rational(tiny, 128).negligible()
+
+
+def test_zero_polynomial_evaluates_in_the_point_backend():
+    assert Poly()(NUMERIC_TWO) == Numeric.from_rational(0, 64)
+    assert isinstance(Poly()(NUMERIC_TWO), Numeric)
+    assert isinstance(Poly()(3), Exact) and Poly()(3) == 0
+    with pytest.raises(BackendMismatchError):
+        Poly([1, 1])(NUMERIC_TWO)
 
 
 def test_embedding_homomorphism():

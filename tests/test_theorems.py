@@ -8,6 +8,7 @@ from diffrad import (
     FactoredPoly,
     Hypothesis,
     MasonReport,
+    Numeric,
     Poly,
     SamplingBudgetError,
     factor,
@@ -297,18 +298,32 @@ def test_gen_mason_deterministic():
     assert any(x != y for x, y in zip(first, different))
 
 
-def test_gen_mason_budget_error():
-    # every attempt draws three copies of z^2, which are never independent
-    with pytest.raises(SamplingBudgetError) as excinfo:
-        gen_mason_instance(
-            3,
-            seed=0,
-            max_degree=2,
-            numerators=(0,),
-            denominators=(1,),
-            leads=(1,),
-            max_attempts=25,
+def test_numeric_relatively_prime_tolerance_is_per_pair():
+    # a and b hold 64-bit roots 2^-40 apart, inside their own default 2^-32;
+    # the 256-bit c does not tighten that pair to 2^-128
+    def numeric(prec, *roots):
+        return FactoredPoly(
+            Numeric.from_rational(1, prec),
+            [(Numeric.from_rational(r, prec), 1) for r in roots],
         )
+
+    a = numeric(64, 0)
+    b = numeric(64, Fraction(1, 2**40))
+    c = numeric(256, 5)
+    assert not hyp_map(mason_classical(a, b, c))["relatively_prime"]
+    assert hyp_map(mason_classical(a, b, c, tol=1e-20))["relatively_prime"]
+    # a 64-bit root against a 256-bit one is compared at 2^-128
+    d = numeric(256, Fraction(1, 2**40))
+    assert hyp_map(mason_classical(a, d, c))["relatively_prime"]
+
+
+def test_gen_mason_budget_error(monkeypatch):
+    # every attempt draws three copies of z^2, which are never independent
+    monkeypatch.setattr(theorems, "DEFAULT_GRID_NUMERATORS", (0,))
+    monkeypatch.setattr(theorems, "DEFAULT_GRID_DENOMINATORS", (1,))
+    monkeypatch.setattr(theorems, "DEFAULT_LEADS", (1,))
+    with pytest.raises(SamplingBudgetError) as excinfo:
+        gen_mason_instance(3, seed=0, max_degree=2, max_attempts=25)
     assert excinfo.value.attempts == 25
 
 
