@@ -37,7 +37,13 @@ anything is built:
 - a result of degree above MAX_DEGREE: deg * e for '^', deg * count for
   ff and rf, the degree sum for '*' and the multiplicity sum of roots(...).
   A constant counts as degree 1 there, so exponents and counts are bounded
-  too.
+  too;
+- a result whose coefficients are estimated above MAX_BITS bits, the same
+  way: bits * e for '^', the bit sum for '*', count * (bits + len(count))
+  for ff and rf, bits + deg * (len(step) + 1) for shift, and the lead's
+  bits plus each root's bits times its multiplicity for roots(...).  A
+  coefficient counts the longer of its numerator and denominator plus half
+  of each radicand.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ MAX_NESTING = 100  # ~5 interpreter frames per level, well under the stack cap
 MAX_DIGITS = 1000  # below CPython's 4300-digit int() limit
 MAX_RADICAND = TRIAL_LIMIT**2
 MAX_DEGREE = 1000
+# below CPython's 4300-digit str() limit (14284 bits), so every parsed
+# constant prints; ff(z, 1000), whose coefficients reach 8530 bits,
+# estimates 11000
+MAX_BITS = 12_000
 
 Value = Poly | FactoredPoly
 
@@ -105,6 +115,31 @@ def _tokenize(src: str) -> list[_Token]:
 def _check_degree(degree: int | float, offset: int) -> None:
     if degree > MAX_DEGREE:
         raise ParseError(f"degree above {MAX_DEGREE}", offset)
+
+
+def _scalar_bits(c: Exact) -> int:
+    return max(
+        (
+            max(f.numerator.bit_length(), f.denominator.bit_length())
+            + sum((p.bit_length() + 1) // 2 for p in primes)
+            for (_, primes), f in c.terms.items()
+        ),
+        default=1,
+    )
+
+
+def _bits(value: Value) -> int:
+    """Estimated bits of the largest coefficient of a value, at least 1."""
+    if isinstance(value, FactoredPoly):
+        return _scalar_bits(value.lead) + sum(
+            m * _scalar_bits(r) for r, m in value.roots
+        )
+    return max(map(_scalar_bits, value.coeffs), default=1)
+
+
+def _check_bits(bits: int, offset: int) -> None:
+    if bits > MAX_BITS:
+        raise ParseError(f"coefficients above {MAX_BITS} bits", offset)
 
 
 class _Parser:
@@ -165,6 +200,7 @@ class _Parser:
             star = self.advance()
             rhs = self.parse_factor()
             _check_degree(value.degree + rhs.degree, star.offset)
+            _check_bits(_bits(value) + _bits(rhs), star.offset)
             value = eval_expr(value) * eval_expr(rhs)
         return value
 
@@ -185,12 +221,15 @@ class _Parser:
             return -self.parse_uint()
         return self.parse_uint()
 
-    def parse_count(self, base: Value) -> int:
+    def parse_count(self, base: Value, factorial: bool = False) -> int:
         """An exponent or ff/rf count, refused when the result's degree would
-        pass MAX_DEGREE (a constant base counts as degree 1)."""
+        pass MAX_DEGREE (a constant base counts as degree 1) or its estimated
+        bits MAX_BITS (each ff/rf factor base - j has |j| < count)."""
         offset = self.peek().offset
         count = self.parse_uint()
         _check_degree(max(base.degree, 1) * count, offset)
+        spread = count.bit_length() if factorial else 0
+        _check_bits((_bits(base) + spread) * count, offset)
         return count
 
     def parse_scalar(self, what: str) -> Exact:
@@ -244,7 +283,7 @@ class _Parser:
             self.expect("(")
             base = eval_expr(self.parse_expr())
             self.expect(",")
-            count = self.parse_count(base)
+            count = self.parse_count(base, factorial=True)
             self.expect(")")
             power = diffcalc.falling_power if name == "ff" else diffcalc.raising_power
             return power(base, count)
@@ -252,8 +291,11 @@ class _Parser:
             self.expect("(")
             base = eval_expr(self.parse_expr())
             self.expect(",")
+            offset = self.peek().offset
             step = self.parse_int()
             self.expect(")")
+            spread = max(base.degree, 0) * (abs(step).bit_length() + 1)
+            _check_bits(_bits(base) + spread, offset)
             return diffcalc.shift(base, step)
         if name == "roots":
             return self.parse_roots()
@@ -266,7 +308,7 @@ class _Parser:
         if not lead:
             raise ParseError("leading coefficient must be nonzero", offset)
         pairs: list[tuple[Exact, int]] = []
-        degree = 0
+        degree, bits = 0, _scalar_bits(lead)
         if self.peek().kind == ";":
             self.advance()
             if self.peek().kind != ")":
@@ -279,6 +321,8 @@ class _Parser:
                         raise ParseError("multiplicity must be >= 1", offset)
                     degree += mult
                     _check_degree(degree, offset)
+                    bits += mult * _scalar_bits(root)
+                    _check_bits(bits, offset)
                     pairs.append((root, mult))
                     if self.peek().kind != ",":
                         break

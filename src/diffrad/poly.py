@@ -528,6 +528,22 @@ def _primitive(cs: list[int]) -> list[int]:
     return [c // g for c in cs]
 
 
+def _root_bound_exp(ints: list[int]) -> int:
+    """e with every complex root of sum(ints[k] * z^k) at most 2^e in modulus.
+
+    Fujiwara's bound 2 * max_k |a_{n-k} / a_n|^(1/k), without its /2 on the
+    constant term (which only widens it), rounded up to a power of two from
+    bit lengths alone: |a_{n-k} / a_n| < 2^(len(a_{n-k}) - len(a_n) + 1).
+    """
+    n = len(ints) - 1
+    top = abs(ints[n]).bit_length() - 1
+    return 1 + max(
+        -((top - abs(a).bit_length()) // k)
+        for k, a in enumerate(reversed(ints[:n]), 1)
+        if a
+    )
+
+
 def _pack(cs: list[int], width: int) -> int:
     """cs evaluated at 2^(8*width): Kronecker substitution."""
     bits = 8 * width
@@ -676,6 +692,10 @@ def _factor_exact(p: Poly) -> FactoredPoly:
         # root, so one exact division both tests a candidate and deflates.
         ints = _primitive(lane[0])
         if len(ints) > 2:  # a linear leftover skips the divisor listing
+            # every root has |s/d| <= 2^bound, so larger candidates skip the
+            # division; shifting both sides keeps bound < 0 exact
+            bound = _root_bound_exp(ints)
+            up, down = max(bound, 0), max(-bound, 0)
             tops, bottoms = prime_factors(abs(ints[0])), prime_factors(abs(ints[-1]))
             count = math.prod(e + 1 for f in (tops, bottoms) for e in f.values())
             if count > MAX_CANDIDATES:
@@ -689,7 +709,7 @@ def _factor_exact(p: Poly) -> FactoredPoly:
                 if ints[0] % s:
                     continue  # s/d is no root of what is left
                 for d in _divisors(bottoms):
-                    if ints[-1] % d or math.gcd(s, d) != 1:
+                    if ints[-1] % d or math.gcd(s, d) != 1 or s << down > d << up:
                         continue
                     for t in (s, -s):
                         m = 0
@@ -772,9 +792,10 @@ def factor(p: Poly, tol: float | None = None) -> FactoredPoly:
     coefficients; other rational roots are found on the integer lane, where
     each candidate s/d divides the primitive integer polynomial by d*z - s
     exactly or not at all.  The candidates come from the prime factors of
-    the constant and leading terms (``prime_factors``); more than
-    MAX_CANDIDATES divisor pairs, or a term trial division cannot factor,
-    raise RootsUnavailableError.  The linear or quadratic leftover then goes
+    the constant and leading terms (``prime_factors``), and one above
+    Fujiwara's root bound is skipped undivided; more than MAX_CANDIDATES
+    divisor pairs, or a term trial division cannot factor, raise
+    RootsUnavailableError.  The linear or quadratic leftover then goes
     through the quadratic formula over the radical field, and degree >= 3
     leftovers raise RootsUnavailableError.  Radical coefficients have no
     lane and go straight to that tail.  Numeric backend: polished

@@ -358,16 +358,35 @@ UNIT_CUBIC_RESOLVENT = (1, 0, 0, 0, 0, 0, -144, 0, 0, 108)
 
 
 def unit_cubic_resolvent_roots(prec: int = 256) -> list:
-    """All nine roots of the degree-9 resolvent, as numeric scalars."""
+    """All nine roots of the resolvent s^9 - 144 s^3 + 108, as numeric
+    scalars at `prec` bits, in closed form.
+
+    In u = s^3 the resolvent is the cubic u^3 - 144 u + 108, which has three
+    real roots; Viete's trigonometric form gives them as
+    u_k = m cos(theta - 2 pi k / 3), with m = 2 sqrt(48) and
+    theta = acos(-324 / (144 m)) / 3. Each u_k has one real cube root
+    r = sign(u) |u|^(1/3); its other two are r w and r w-bar, where
+    w = -1/2 + (sqrt(3)/2) i. Everything is computed at prec + 64 bits.
+
+    Order: the three real roots ascending (index 0 is the smallest real
+    root, -2.3120197361732771687...), then r w and r w-bar for each real r
+    in that same order.
+    """
     import mpmath
 
     from .scalar import Numeric
 
     with mpmath.mp.workprec(prec + 64):
-        found = mpmath.polyroots(
-            list(UNIT_CUBIC_RESOLVENT), maxsteps=200, extraprec=prec
-        )
-    return [Numeric.from_mpc(r, prec) for r in found]
+        m = 2 * mpmath.sqrt(48)
+        theta = mpmath.acos(-324 / (144 * m)) / 3
+        third_turn = 2 * mpmath.pi / 3
+        us = [m * mpmath.cos(theta - third_turn * k) for k in range(3)]
+        reals = sorted(mpmath.sign(u) * mpmath.cbrt(abs(u)) for u in us)
+        half_sqrt3 = mpmath.sqrt(3) / 2
+        parts = [(r, mpmath.mpf(0)) for r in reals]
+        for r in reals:
+            parts += [(-r / 2, r * half_sqrt3), (-r / 2, -r * half_sqrt3)]
+    return [Numeric(re._mpf_, im._mpf_, prec) for re, im in parts]
 
 
 def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:

@@ -361,6 +361,7 @@ def test_zero_roots_of_radical_input_are_found(capsys, src, roots):
         ("delta", "ff(z,100000000)"),
         ("rad", "sqrt(2305843009213693951)"),
         ("delta", "1" * 5000),
+        ("delta", "z^2*((2^1000)^1000)^10"),
     ],
 )
 def test_parser_limits_exit_2(capsys, argv):

@@ -18,7 +18,8 @@ from diffrad import (
     raising_power,
     shift,
 )
-from diffrad.parser import MAX_DEGREE, MAX_DIGITS, MAX_RADICAND
+from diffrad import parser
+from diffrad.parser import MAX_BITS, MAX_DEGREE, MAX_DIGITS, MAX_RADICAND
 from helpers import rand_exact, rand_rational_poly
 
 Z = Poly.z()
@@ -196,6 +197,40 @@ def test_limits_admit_their_bound():
     assert parse_factored(f"roots(1; 0:{MAX_DEGREE})").degree == MAX_DEGREE
     assert parse_poly(f"2^{MAX_DEGREE}") == Poly.constant(2**MAX_DEGREE)
     assert parse_poly(f"sqrt({MAX_RADICAND})") == Poly.constant(10**6)
+
+
+NINES = "9" * MAX_DIGITS  # 3322 bits
+
+
+@pytest.mark.parametrize(
+    "admitted, refused, offset",
+    [
+        ("(2^1000)^11", "(2^1000)^12", 9),  # 1001 bits * e
+        (f"{NINES}*{NINES}*{NINES}", f"{NINES}*{NINES}*{NINES}*{NINES}", 3002),
+        ("ff(2^112*z, 100)", "ff(2^113*z, 100)", 12),  # count * (bits + 7)
+        (f"shift(z^100, {2**118 - 1})", f"shift(z^100, {2**118})", 13),
+        ("roots(1; 2^1000:11)", "roots(1; 2^1000:12)", 16),
+        ("sqrt(2)^1000", "sqrt(999999999989)^1000", 19),  # half the radicand
+    ],
+)
+def test_bits_limit_sides(admitted, refused, offset):
+    parse(admitted)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"above {MAX_BITS} bits") as excinfo:
+        parse(refused)
+    assert time.perf_counter() - start < 1.0
+    assert excinfo.value.offset == offset
+
+
+def test_bits_limit_refuses_before_building(monkeypatch):
+    with pytest.raises(ParseError, match="bits") as excinfo:
+        parse("z^2*((2^1000)^1000)^10")
+    assert excinfo.value.offset == 14
+    # ff(z, 1000) estimates 11000 bits and passes; skip building it
+    monkeypatch.setattr(parser.diffcalc, "falling_power", lambda base, n: base)
+    assert parse_poly("ff(z,1000)") == Z
+    with pytest.raises(ParseError, match="bits"):
+        parse("ff(2^1000*z,1000)")
 
 
 def test_whitespace_insignificant():

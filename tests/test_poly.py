@@ -326,3 +326,64 @@ def test_candidate_cap_trips_before_any_divisor_is_listed(monkeypatch):
     )
     with pytest.raises(RootsUnavailableError, match="candidates exceed 10;"):
         factor(p)
+
+
+def _linear_product_case(rng):
+    """(p, roots): rational linear factors times z^2 + z + 1.
+
+    Fujiwara's bound is never attained, so the roots nearest the
+    power-of-two bound are powers of two and their reciprocals, of either
+    sign; the rest are grid rationals."""
+    roots = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            r = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+        else:
+            r = Fraction(2) ** rng.randint(-12, 12) * rng.choice((1, -1))
+            if kind == 2:
+                r *= Fraction(rng.choice((1, 3, 5)), rng.choice((1, 3, 7)))
+        roots.append(r)
+    p = reduce(mul, [Z - r for r in roots], Z**2 + Z + 1)
+    return p * rng.choice((1, -3, Fraction(2, 5))), roots
+
+
+def test_root_bound_keeps_every_rational_root():
+    rng = random.Random(20211)
+    for _ in range(150):
+        p, roots = _linear_product_case(rng)
+        ints = poly_module._primitive(poly_module._to_lane(p)[0])
+        e = poly_module._root_bound_exp(ints)
+        assert all(abs(r) <= Fraction(2) ** e for r in roots)
+        # a missed rational root would leave more than the quadratic tail
+        found = [r.as_fraction() for r, m in factor(p).roots for _ in range(m)]
+        assert sorted(r for r in found if r is not None) == sorted(roots)
+        assert found.count(None) == 2
+
+
+@pytest.mark.parametrize(
+    "ints, e",
+    [
+        ([-4, 0, 1], 3),  # z^2 - 4: roots +-2, Fujiwara 2 * 4^(1/2) = 4 -> 2^3
+        ([1, 1], 2),  # z + 1: 2 * 1 -> 2^2 after rounding up
+        ([1, 0, 0, 2**100], -32),  # roots of modulus 2^(-100/3)
+        ([-(2**64), 1], 66),
+    ],
+)
+def test_root_bound_exp(ints, e):
+    assert poly_module._root_bound_exp(ints) == e
+
+
+def test_root_bound_prunes_large_candidates(monkeypatch):
+    divisions = []
+    original = poly_module._divexact_ints
+
+    def counting(a, b):
+        divisions.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(poly_module, "_divexact_ints", counting)
+    # 150 divisors of the constant, and every root inside |z| <= 4
+    with pytest.raises(RootsUnavailableError, match="degree 40"):
+        factor(Z**40 + Z + 2**10 * 3**6 * 5**4)
+    assert {abs(b[0]) for b in divisions} <= {1, 2, 3, 4}

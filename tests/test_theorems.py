@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from diffrad import shiftcalc, theorems
@@ -278,6 +279,68 @@ def test_fermat_multi_unit_cubics_numeric():
     assert report.residual_sup < 1e-25
     assert report.within_bound  # 3 <= 5
     assert all(h.ok for h in report.hypotheses)
+
+
+RESOLVENT_PRECS = [64, 128, 256, 512]
+
+
+def _resolvent_oracle(prec):
+    """The resolvent's roots from a general degree-9 polyroots run."""
+    with mpmath.mp.workprec(prec + 64):
+        return mpmath.polyroots(
+            list(theorems.UNIT_CUBIC_RESOLVENT), maxsteps=200, extraprec=prec
+        )
+
+
+@pytest.mark.parametrize("prec", RESOLVENT_PRECS)
+def test_resolvent_roots_match_polyroots_oracle(prec):
+    roots = unit_cubic_resolvent_roots(prec)
+    oracle = _resolvent_oracle(prec)
+    assert len(roots) == 9 and all(r.prec == prec for r in roots)
+    with mpmath.mp.workprec(prec + 64):
+        tol = mpmath.mpf(2) ** -(prec - 8)
+        for root in roots:
+            s = root.to_mpc()
+            assert min(abs(s - o) for o in oracle) <= tol * abs(s)
+        # the nine roots are distinct, so the matching is one to one
+        nearest = {
+            min(range(9), key=lambda i: abs(r.to_mpc() - oracle[i])) for r in roots
+        }
+        assert len(nearest) == 9
+
+
+@pytest.mark.parametrize("prec", RESOLVENT_PRECS)
+def test_resolvent_roots_are_roots(prec):
+    coeffs = theorems.UNIT_CUBIC_RESOLVENT
+    with mpmath.mp.workprec(prec + 64):
+        bound = mpmath.mpf(2) ** -prec * max(abs(c) for c in coeffs)
+        for root in unit_cubic_resolvent_roots(prec):
+            assert abs(mpmath.polyval(list(coeffs), root.to_mpc())) <= bound
+
+
+@pytest.mark.parametrize("prec", RESOLVENT_PRECS)
+def test_resolvent_root_order(prec):
+    roots = unit_cubic_resolvent_roots(prec)
+    with mpmath.mp.workprec(prec + 64):
+        values = [r.to_mpc() for r in roots]
+        reals = values[:3]
+        assert all(v.imag == 0 for v in reals)
+        assert reals[0].real < reals[1].real < reals[2].real
+        omega = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
+        tol = mpmath.mpf(2) ** -(prec - 8)
+        for k, r in enumerate(reals):
+            assert abs(values[3 + 2 * k] - r * omega) <= tol
+            assert abs(values[4 + 2 * k] - r * mpmath.conj(omega)) <= tol
+    assert roots[0].text().startswith("-2.3120197361732771687")
+
+
+@pytest.mark.parametrize("prec", RESOLVENT_PRECS)
+def test_resolvent_smallest_real_root_text_matches_oracle(prec):
+    reals = [r for r in _resolvent_oracle(prec) if r.imag == 0]
+    oracle = min(reals, key=lambda r: r.real)
+    assert unit_cubic_resolvent_roots(prec)[0].text() == (
+        Numeric.from_mpc(oracle, prec).text()
+    )
 
 
 def test_unit_cubic_triad_validation():
