@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import FactoredPoly, Poly, _from_lane, _to_lane, product
+from .poly import FactoredPoly, Poly, _Lane, _to_lane, product
 from .scalar import Exact, Scalar, as_scalar
 
 
@@ -24,12 +24,14 @@ def binomial(n: int, k: int) -> int:
 def shift(p: Poly, k) -> Poly:
     """p(z + k) by one Taylor-shift loop, for an integer or scalar step k.
 
-    A rational p with a rational step k = u/v runs the loop on the integer
-    lane: with p = sum c_i z^i / den,
-    v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z, so an
-    integer shift by u followed by rescaling w^j to v^j z^j gives the result
-    without fractions.  Every other input, radical or numeric, runs the same
-    loop on its own scalars with the step k itself.
+    An exact p with a rational step k = u/v runs the loop on the ints of
+    each radical key of its lane, since a rational shift maps every key's
+    part to itself: with one part sum c_i z^i / den,
+    v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z and
+    d = deg p, so an integer shift by u followed by rescaling w^j to v^j z^j
+    gives the result without fractions.  Every other input, a radical step
+    or numeric coefficients, runs the same loop on its own scalars with the
+    step k itself.
     """
     if not p:
         return p
@@ -40,11 +42,13 @@ def shift(p: Poly, k) -> Poly:
     lane = _to_lane(p) if h is not None else None
     if lane is None:
         return Poly(_taylor(list(p.coeffs), step))
-    cs, den = lane
     u, v = h.numerator, h.denominator
-    d = len(cs) - 1
-    cs = _taylor([c * v ** (d - i) for i, c in enumerate(cs)], u)
-    return _from_lane([c * v**j for j, c in enumerate(cs)], den * v**d)
+    d = p.degree
+    terms = {}
+    for key, cs in lane.terms.items():
+        cs = _taylor([c * v ** (d - i) for i, c in enumerate(cs)], u)
+        terms[key] = [c * v**j for j, c in enumerate(cs)]
+    return _Lane(terms, lane.den * v**d).to_poly()
 
 
 def _taylor(cs: list, u) -> list:

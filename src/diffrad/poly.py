@@ -23,7 +23,20 @@ from .errors import (
     ExactDivisionError,
     RootsUnavailableError,
 )
-from .scalar import Exact, Numeric, Scalar, as_scalar, power, prime_factors
+from .scalar import (
+    _ONE_KEY,
+    Exact,
+    Key,
+    Numeric,
+    Scalar,
+    _key_mul,
+    _key_sort,
+    as_scalar,
+    int_text,
+    norm_conjugate,
+    power,
+    prime_factors,
+)
 
 NEG_INF = float("-inf")
 
@@ -154,9 +167,9 @@ class Poly:
     def __mul__(self, other) -> Poly:
         """Product with a scalar or a polynomial.
 
-        Two polynomials whose coefficients are all rational multiply on the
-        integer lane (see ``_mul_ints``); radical and numeric coefficients
-        multiply term by term in their own scalar arithmetic.
+        Two exact polynomials multiply once on the lane (see ``_Lane``):
+        ``_mul_ints`` on each pair of radical keys, merged by ``_key_mul``.
+        Numeric coefficients multiply term by term in their own arithmetic.
         """
         if isinstance(other, (int, Fraction, Scalar)):
             scale = other if isinstance(other, Scalar) else Fraction(other)
@@ -166,10 +179,9 @@ class Poly:
         self._check_backend(other)
         if not self or not other:
             return Poly()
-        lanes = _to_lane(self), _to_lane(other)
-        if None not in lanes:
-            (a, da), (b, db) = lanes
-            return _from_lane(_mul_ints(a, b), da * db)
+        a, b = _to_lane(self), _to_lane(other)
+        if a is not None and b is not None:
+            return (a * b).to_poly()
         zero = self._coeffs[0] - self._coeffs[0]
         out = [zero] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
@@ -187,6 +199,11 @@ class Poly:
         return power(self, exponent, Poly.constant(self.scalar(1)))
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """(q, r) with self = q * other + r and deg r < deg other.
+
+        Exact operands divide once on the lane (``_Lane.__divmod__``);
+        numeric ones run term by term with the inverse of the divisor's lead.
+        """
         if not isinstance(other, Poly):
             return NotImplemented
         if not other:
@@ -194,6 +211,10 @@ class Poly:
         self._check_backend(other)
         if self.degree < other.degree:
             return Poly(), self
+        a, b = _to_lane(self), _to_lane(other)
+        if a is not None and b is not None:
+            q, r = divmod(a, b)
+            return q.to_poly(), r.to_poly()
         lead_inv = other.lead.inverse()
         rem = list(self._coeffs)
         dq = len(self._coeffs) - len(other._coeffs)
@@ -307,16 +328,15 @@ def _scalar_expr(c: Scalar) -> tuple[str, bool]:
     if isinstance(c, Numeric):
         return c.text(), True
     parts: list[str] = []
-    from .scalar import _key_sort  # canonical term order
-
-    for key in sorted(c.terms, key=_key_sort):
-        coeff = c.terms[key]
+    terms = c.terms
+    for key in sorted(terms, key=_key_sort):  # canonical term order
+        coeff = terms[key]
         n, has_i = _key_sort(key)
         factors = []
         if abs(coeff) != 1 or (not has_i and n == 1):
-            body = str(abs(coeff.numerator))
+            body = int_text(abs(coeff.numerator))
             if coeff.denominator != 1:
-                body += f"/{coeff.denominator}"
+                body += f"/{int_text(coeff.denominator)}"
             factors.append(body)
         if has_i:
             factors.append("i")
@@ -445,11 +465,10 @@ def classical_rad(f: FactoredPoly) -> Poly:
 def product(polys: Iterable[Poly]) -> Poly:
     """Product of the factors; the constant 1 when there are none.
 
-    When every factor has rational coefficients the product runs on the
-    integer lane as a balanced tree, so that the large operands meet last
-    and go through Kronecker multiplication.  Any other factor list is
-    folded left to right with ``*``, which keeps radical and numeric results
-    (numeric rounding included) those of repeated multiplication.
+    Exact factors multiply on the lane as a balanced tree, so that the large
+    operands meet last, where ``_mul_ints`` switches to Kronecker
+    multiplication.  Numeric factors are folded left to right with ``*``,
+    which keeps their rounding that of repeated multiplication.
     """
     factors = list(polys)
     if not factors:
@@ -458,44 +477,46 @@ def product(polys: Iterable[Poly]) -> Poly:
     if None in lanes:
         return reduce(mul, factors)
     while len(lanes) > 1:
-        paired = [
-            (_mul_ints(a, b), da * db)
-            for (a, da), (b, db) in zip(lanes[::2], lanes[1::2])
-        ]
+        paired = [a * b for a, b in zip(lanes[::2], lanes[1::2])]
         lanes = paired + lanes[len(paired) * 2 :]
-    return _from_lane(*lanes[0])
+    return lanes[0].to_poly()
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor.
 
-    Inputs whose coefficients are all rational run the heuristic gcd
-    ``_heu_gcd`` on the integer lane.  Radical coefficients, and rational
-    ones on which the heuristic gives up, run the Euclidean algorithm with
-    generic division; numeric coefficients are refused.
+    Rational inputs run the heuristic gcd ``_heu_gcd`` on the ints of their
+    lanes.  Radical inputs, and rational ones on which the heuristic gives
+    up, run the Euclidean algorithm on lanes: each divisor is brought to a
+    rational lead and to primitive ints (``_Lane.rational_lead``), the
+    remainder comes from ``_Lane.__mod__``, and the result is made monic
+    once at the end.  Numeric inputs are refused.
     """
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
     if (p and p.backend == "numeric") or (q and q.backend == "numeric"):
         raise BackendMismatchError("polynomial gcd requires the exact backend")
-    lanes = _to_lane(p), _to_lane(q)
-    if None not in lanes:
-        g = _gcd_ints(_primitive(lanes[0][0]), _primitive(lanes[1][0]))
+    a, b = _to_lane(p), _to_lane(q)
+    if a.terms.keys() | b.terms.keys() <= {_ONE_KEY}:
+        ints = [_primitive(x.terms.get(_ONE_KEY, [])) for x in (a, b)]
+        g = _gcd_ints(*ints)
         if g is not None:
-            return _from_lane(g, g[-1])
-    a, b = p, q
+            return _Lane({_ONE_KEY: g}, g[-1]).to_poly()
+    a, b = a.rational_lead(), b.rational_lead()
     while b:
-        r = a % b
-        a, b = b, r.monic() if r else r
-    return a.monic()
+        a, b = b, (a % b).rational_lead()
+    return _Lane(a.terms, a.terms[_ONE_KEY][-1]).to_poly()
 
 
-# -- integer lane ----------------------------------------------------------------
+# -- the lane ----------------------------------------------------------------------
 #
-# Inside a kernel, a polynomial whose coefficients are all rational is a list
-# of ints plus one common denominator: p = sum(ints[k] * z^k) / den.  The lane
-# is made at kernel entry by _to_lane and turned back into Exact coefficients
-# by _from_lane; Poly itself keeps one representation.
+# Inside a kernel, an exact polynomial over Q(i, sqrt(p), ...) is split by
+# radical key into integer coefficient lists over one common denominator:
+# p = sum(key * ints(z) for key, ints in terms.items()) / den.  Q[z] is the
+# one-key case, so rational and radical inputs run the same integer code.  A
+# kernel makes its lanes once at entry (_to_lane) and turns the result back
+# into Exact coefficients once at exit (_Lane.to_poly); Poly itself keeps one
+# representation, and numeric polynomials have no lane.
 
 # Operands this short or shorter multiply term by term: against 16 to 256
 # coefficients of up to 64 bits, Kronecker multiplication wins from about
@@ -507,20 +528,184 @@ HEU_GCD_ROUNDS = 6  # evaluation points _heu_gcd tries before giving up
 MAX_CANDIDATES = 10**7
 
 
-def _to_lane(p: Poly) -> tuple[list[int], int] | None:
-    """(ints, den) with p = ints / den, or None unless p is rational."""
-    fracs = []
-    for c in p.coeffs:
-        f = c.as_fraction() if isinstance(c, Exact) else None
-        if f is None:
+class _Lane:
+    """An exact polynomial as integer lists per radical key over one nonzero
+    denominator (see the comment above).  Each list runs from z^0 up and ends
+    in a nonzero entry, and a key with no terms has no list; the constructor
+    trims the lists it is given in place and keeps them.
+
+    Supports +, -, *, divmod, %, divexact and bool, so the determinant
+    routines run on lanes as on Polys.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict[Key, list[int]] | None = None, den: int = 1):
+        terms = {} if terms is None else terms
+        for ints in terms.values():
+            while ints and not ints[-1]:
+                ints.pop()
+        if not all(terms.values()):
+            terms = {key: ints for key, ints in terms.items() if ints}
+        self.terms = terms
+        self.den = den
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    @property
+    def degree(self) -> int:
+        return max(map(len, self.terms.values())) - 1
+
+    def lead(self) -> dict[Key, int]:
+        """The leading coefficient, times den, as {key: int}."""
+        d = self.degree
+        return {key: ints[d] for key, ints in self.terms.items() if len(ints) > d}
+
+    def to_poly(self) -> Poly:
+        """The Poly with these Exact coefficients."""
+        cells: list[dict[Key, Fraction]] = [
+            {} for _ in range(max(map(len, self.terms.values()), default=0))
+        ]
+        for key, ints in self.terms.items():
+            for k, c in enumerate(ints):
+                if c:
+                    cells[k][key] = Fraction(c, self.den)
+        return Poly(map(Exact, cells))
+
+    def over(self, den: int) -> _Lane:
+        """The same polynomial over den, a multiple of self.den."""
+        f = den // self.den
+        return _Lane({key: [f * c for c in ints] for key, ints in self.terms.items()}, den)
+
+    def primitive(self) -> _Lane:
+        """The ints divided by their content, over den 1: a rational
+        multiple of self."""
+        g = math.gcd(*(c for ints in self.terms.values() for c in ints))
+        return _Lane({key: [c // g for c in ints] for key, ints in self.terms.items()})
+
+    def lead_conjugate(self) -> tuple[_Lane, int]:
+        """(conj, n): a constant lane and an integer n > 0 with
+        lead() * conj = n, from the conjugate tower (``norm_conjugate``)."""
+        conj, n = norm_conjugate(self.lead())
+        sign = 1 if n > 0 else -1
+        return _Lane({key: [sign * c] for key, c in conj.items()}), sign * n
+
+    def rational_lead(self) -> _Lane:
+        """A primitive rational multiple of self whose lead is a positive
+        integer: self times the conjugates of its lead."""
+        if not self:
+            return self
+        return (self * self.lead_conjugate()[0]).primitive()
+
+    def __neg__(self) -> _Lane:
+        return _Lane({key: [-c for c in ints] for key, ints in self.terms.items()}, self.den)
+
+    def __add__(self, other: _Lane) -> _Lane:
+        den = math.lcm(self.den, other.den)
+        out = self.over(den).terms
+        for key, ints in other.over(den).terms.items():
+            acc = out.setdefault(key, [])
+            acc.extend([0] * (len(ints) - len(acc)))
+            for k, c in enumerate(ints):
+                acc[k] += c
+        return _Lane(out, den)
+
+    def __sub__(self, other: _Lane) -> _Lane:
+        return self + (-other)
+
+    def __mul__(self, other: _Lane) -> _Lane:
+        """_mul_ints on each pair of keys, merged by _key_mul."""
+        out: dict[Key, list[int]] = {}
+        for k1, a in self.terms.items():
+            for k2, b in other.terms.items():
+                factor, key = _key_mul(k1, k2)
+                acc = out.setdefault(key, [])
+                acc += [0] * (len(a) + len(b) - 1 - len(acc))
+                _mul_ints(acc, a, b, factor)
+        return _Lane(out, self.den * other.den)
+
+    def __divmod__(self, other: _Lane) -> tuple[_Lane, _Lane]:
+        """Pseudo-division by the divisor made monic.
+
+        With conj from the conjugate tower of the divisor's lead, B = other
+        ints * conj has the positive integer lead n and no other key at the
+        top.  Each step takes the top coefficient t of the remainder, scales
+        remainder and quotient by s = n / gcd(n, t) (1 whenever n divides t)
+        and subtracts (t s / n) z^k B.  That keeps S * A = Q * B + R on ints
+        for the product S of the scales, so self = q * other + r with
+        q = Q * conj * other.den / (S * self.den) and r = R / (S * self.den).
+        """
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        n = other.degree
+        if not self or self.degree < n:
+            return _Lane(), self
+        conj, norm = other.lead_conjugate()
+        divisor = _Lane(other.terms) * conj
+        top = self.degree
+        rem = {key: ints + [0] * (top + 1 - len(ints)) for key, ints in self.terms.items()}
+        quot: dict[Key, list[int]] = {}
+        scale = 1
+        for k in range(top - n, -1, -1):
+            tops = [(key, ints[k + n]) for key, ints in rem.items() if ints[k + n]]
+            if not tops:
+                continue
+            g = math.gcd(norm, *(c for _, c in tops))
+            if g != norm:
+                s = norm // g
+                scale *= s
+                for part in (rem, quot):
+                    for ints in part.values():
+                        ints[:] = [s * c for c in ints]
+            for key, c in tops:
+                c //= g
+                quot.setdefault(key, [0] * (top - n + 1))[k] = c
+                for key2, bs in divisor.terms.items():
+                    factor, key3 = _key_mul(key, key2)
+                    row = rem.get(key3)
+                    if row is None:
+                        row = rem[key3] = [0] * (top + 1)
+                    fc = factor * c
+                    for j, b in enumerate(bs, k):
+                        if b:
+                            row[j] -= fc * b
+        den = scale * self.den
+        quot = {key: [c * other.den for c in ints] for key, ints in quot.items()}
+        return _Lane(quot, den) * conj, _Lane({key: ints[:n] for key, ints in rem.items()}, den)
+
+    def __mod__(self, other: _Lane) -> _Lane:
+        return divmod(self, other)[1]
+
+    def divexact(self, other: _Lane) -> _Lane:
+        """Exact quotient with den reduced against the content; raises
+        ExactDivisionError if a remainder is left."""
+        q, r = divmod(self, other)
+        if r:
+            raise ExactDivisionError(
+                f"inexact division: remainder of degree {r.degree}", remainder=r.to_poly()
+            )
+        g = math.gcd(q.den, *(c for ints in q.terms.values() for c in ints))
+        return _Lane({key: [c // g for c in ints] for key, ints in q.terms.items()}, q.den // g)
+
+
+def _to_lane(p: Poly) -> _Lane | None:
+    """p on the lane, or None when p has a numeric coefficient."""
+    cs = p.coeffs
+    parts: dict[Key, list] = {}  # Fractions, and int 0 where a key is absent
+    for k, c in enumerate(cs):
+        if not isinstance(c, Exact):
             return None
-        fracs.append(f)
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
-def _from_lane(ints: list[int], den: int) -> Poly:
-    return Poly([Fraction(c, den) for c in ints])
+        for key, f in c._terms.items():
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = [0] * len(cs)
+            part[k] = f
+    den = math.lcm(*[f.denominator for part in parts.values() for f in part])
+    return _Lane(
+        {key: [f.numerator * (den // f.denominator) for f in part] for key, part in parts.items()},
+        den,
+    )
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -572,8 +757,9 @@ def _unpack(x: int, width: int) -> list[int]:
     return out
 
 
-def _mul_ints(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists.
+def _mul_ints(acc: list[int], a: list[int], b: list[int], factor: int = 1) -> None:
+    """acc += factor * a * b for integer coefficient lists; acc is long
+    enough for the product.
 
     Short operands multiply term by term.  Longer ones are packed into one
     integer each at a radix 2^(8*width) that holds every product coefficient
@@ -581,17 +767,18 @@ def _mul_ints(a: list[int], b: list[int]) -> list[int]:
     (Karatsuba), and read back digit by digit (Kronecker substitution).
     """
     if not a or not b:
-        return []
+        return
     if min(len(a), len(b)) <= SCHOOLBOOK_MAX:
-        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return out
+                x *= factor
+                for j, y in enumerate(b, i):
+                    acc[j] += x * y
+        return
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = (bound.bit_length() + 8) // 8
-    return _unpack(_pack(a, width) * _pack(b, width), width)
+    prod = _unpack(_pack(a, width) * _pack(b, width), width)
+    acc[: len(prod)] = [x + factor * c for x, c in zip(acc, prod)]
 
 
 def _divexact_ints(a: list[int], b: list[int]) -> list[int] | None:
@@ -652,10 +839,16 @@ def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
 
 
 def exact_sqrt(d: Exact) -> Exact | None:
-    """Square root of an exact scalar when it stays in a radical field.
+    """A square root of an exact scalar inside a radical field, or None.
 
-    Handles rational d (negative values pick up a factor i) and purely
-    imaginary rational d; returns None otherwise.
+    A rational d = p/q has the root sqrt(|p| q) / q, times i when d < 0.
+    Otherwise one generator g of d (i or sqrt(prime)) is taken out at a
+    time: d = u + v g with u, v free of g and g^2 = c rational.  A root
+    x = a + b g has a^2 + c b^2 = u and 2 a b = v, so a^2 solves
+    A^2 - u A + c v^2 / 4 = 0, whose roots (u +- s) / 2 need a square root
+    s of u^2 - c v^2 in the smaller field.  Then a is a square root of A,
+    found the same way, and b = v / (2 a).  A candidate is returned only if
+    x * x == d; when none passes, the result is None.
     """
     if not d:
         return Exact()
@@ -664,17 +857,37 @@ def exact_sqrt(d: Exact) -> Exact | None:
         p, q = fr.numerator, fr.denominator
         root = Exact.sqrt_int(abs(p) * q) * Fraction(1, q)
         return root * Exact.i() if p < 0 else root
-    terms = d.terms
-    if len(terms) == 1:
-        (key, coeff), = terms.items()
-        if key == (True, frozenset()):
-            # sqrt(a*i) = (1 +/- i) * sqrt(|a|/2)
-            half = exact_sqrt(Exact.from_rational(abs(coeff) / 2))
-            unit = Exact.from_rational(1) + (
-                Exact.i() if coeff > 0 else -Exact.i()
-            )
-            return unit * half
+    gens = d.generators()
+    g = min(gens, key=str)
+    u, v = {}, {}
+    for (has_i, primes), coeff in d.terms.items():
+        if g == "i":
+            part, key = (v if has_i else u), (False, primes)
+        else:
+            part, key = (v if g in primes else u), (has_i, primes - {g})
+        part[key] = coeff
+    u, v = Exact(u), Exact(v)
+    gen = Exact.i() if g == "i" else Exact.sqrt_int(g)
+    s = _inner_sqrt(u * u - v * v * (gen * gen))
+    if s is None or not s.generators() <= gens - {g}:
+        return None  # outside the smaller field, where the recursion ends
+    for a2 in ((u + s) * Fraction(1, 2), (u - s) * Fraction(1, 2)):
+        a = _inner_sqrt(a2) if a2 else None
+        if a is not None:
+            x = a + v / (a * 2) * gen
+            if x * x == d:
+                return x
     return None
+
+
+def _inner_sqrt(d: Exact) -> Exact | None:
+    """exact_sqrt inside the recursion, where a rational radicand that trial
+    division cannot split counts as no root: the caller then refuses d as
+    outside the radical field, or tries its other candidate."""
+    try:
+        return exact_sqrt(d)
+    except RootsUnavailableError:
+        return None
 
 
 def _factor_exact(p: Poly) -> FactoredPoly:
@@ -686,11 +899,11 @@ def _factor_exact(p: Poly) -> FactoredPoly:
         roots.append((Exact.from_rational(0), k))
         rem = Poly(rem.coeffs[k:])
     lane = _to_lane(rem)
-    if lane is not None:
+    if lane.terms.keys() == {_ONE_KEY}:
         # Rational roots on the integer lane.  By Gauss's lemma the primitive
         # d*z - s divides the primitive ints over Z exactly when s/d is a
         # root, so one exact division both tests a candidate and deflates.
-        ints = _primitive(lane[0])
+        ints = _primitive(lane.terms[_ONE_KEY])
         if len(ints) > 2:  # a linear leftover skips the divisor listing
             # every root has |s/d| <= 2^bound, so larger candidates skip the
             # division; shifting both sides keeps bound < 0 exact
@@ -717,7 +930,7 @@ def _factor_exact(p: Poly) -> FactoredPoly:
                             ints, m = q, m + 1
                         if m:
                             roots.append((Exact.from_rational(Fraction(t, d)), m))
-        rem = _from_lane(ints, ints[-1])
+        rem = _Lane({_ONE_KEY: ints}, ints[-1]).to_poly()
 
     if rem.degree == 1:
         roots.append((-rem.coeff(0), 1))

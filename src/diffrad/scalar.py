@@ -34,6 +34,7 @@ below ``tol``, by default 2^(-prec/2) at its own precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -113,6 +114,7 @@ def power(base, exponent: int, one):
     return out
 
 
+@functools.lru_cache(maxsize=4096)  # inputs use few distinct key pairs
 def _key_mul(k1: Key, k2: Key) -> tuple[int, Key]:
     """Multiply two radical keys; returns (rational factor, reduced key)."""
     i1, p1 = k1
@@ -121,6 +123,57 @@ def _key_mul(k1: Key, k2: Key) -> tuple[int, Key]:
     for p in p1 & p2:
         factor *= p
     return factor, (i1 ^ i2, p1 ^ p2)
+
+
+def _key_gens(key: Key) -> set[object]:
+    """Generators of a key: "i" and/or its prime radicands."""
+    has_i, primes = key
+    return {"i", *primes} if has_i else set(primes)
+
+
+def _vec_mul(x: dict[Key, int], y: dict[Key, int]) -> dict[Key, int]:
+    """Product of two elements of the integer span of the radical keys."""
+    out: dict[Key, int] = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            factor, key = _key_mul(k1, k2)
+            out[key] = out.get(key, 0) + factor * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def norm_conjugate(vec: dict[Key, int]) -> tuple[dict[Key, int], int]:
+    """(conj, n) with vec * conj = n, a nonzero integer, for nonzero vec.
+
+    The conjugate tower on ints: multiply by the conjugate over each
+    generator in turn (negate the keys that contain it); every step removes
+    that generator from the running product, which ends rational because
+    the radical basis is linearly independent over Q.  So 1/vec = conj/n.
+    """
+    conj = {_ONE_KEY: 1}
+    norm = vec
+    for gen in sorted(set().union(*map(_key_gens, vec)), key=str):
+        flip = {key: -c if gen in _key_gens(key) else c for key, c in norm.items()}
+        conj = _vec_mul(conj, flip)
+        norm = _vec_mul(norm, flip)
+    if norm.keys() != {_ONE_KEY}:  # pragma: no cover - independence guarantee
+        raise ArithmeticError("norm computation failed")
+    return conj, norm[_ONE_KEY]
+
+
+def int_text(n: int) -> str:
+    """Decimal text of an int of any size.
+
+    CPython 3.11 (and 3.10.7 on) refuses to write an int of more than 4300
+    digits by default (sys.set_int_max_str_digits).  Such an int is split by
+    a power of ten into two halves, each written the same way, so no
+    process-wide setting is changed.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        k = abs(n).bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
+        high, low = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + int_text(high) + int_text(low).zfill(k)
 
 
 def _key_sort(key: Key) -> tuple[int, bool]:
@@ -218,9 +271,13 @@ class Exact(Scalar):
 
     @classmethod
     def sqrt_int(cls, n: int) -> Exact:
-        """Square root of an integer; negative n contributes a factor i."""
+        """Square root of an integer; negative n contributes a factor i.
+        Only a non-square |n| is factored (``prime_factors``)."""
         if n == 0:
             return cls()
+        root = math.isqrt(abs(n))
+        if root * root == abs(n):
+            return cls({(n < 0, frozenset()): Fraction(root)})
         factors = prime_factors(abs(n)).items()
         primes = frozenset(p for p, e in factors if e % 2)
         outer = math.prod(p ** (e // 2) for p, e in factors)
@@ -258,12 +315,7 @@ class Exact(Scalar):
 
     def generators(self) -> set[object]:
         """Generators (the string "i" and/or prime ints) in the support."""
-        gens: set[object] = set()
-        for has_i, primes in self._terms:
-            if has_i:
-                gens.add("i")
-            gens.update(primes)
-        return gens
+        return set().union(*map(_key_gens, self._terms))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -305,19 +357,11 @@ class Exact(Scalar):
     def inverse(self) -> Exact:
         if not self._terms:
             raise ZeroDivisionError("exact scalar division by zero")
-        # Multiply by the conjugate over each generator in turn; every step
-        # removes that generator from the running denominator, which ends
-        # rational because the radical basis is linearly independent.
-        numer = Exact.from_rational(1)
-        denom = self
-        for gen in sorted(self.generators(), key=str):
-            conj = denom.conjugate_generator(gen)
-            numer = numer * conj
-            denom = denom * conj
-        fr = denom.as_fraction()
-        if fr is None or fr == 0:  # pragma: no cover - independence guarantee
-            raise ArithmeticError("norm computation failed")
-        return numer * Exact.from_rational(Fraction(1) / fr)
+        # self = vec / den on ints, so 1/self = den * conj / n
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        vec = {key: c.numerator * (den // c.denominator) for key, c in self._terms.items()}
+        conj, n = norm_conjugate(vec)
+        return Exact({key: Fraction(den * c, n) for key, c in conj.items()})
 
     def __truediv__(self, other) -> Exact:
         rhs = self._coerce(other)
@@ -360,7 +404,7 @@ class Exact(Scalar):
         for key in sorted(self._terms, key=_key_sort):
             coeff = self._terms[key]
             n, has_i = _key_sort(key)
-            body = f"{abs(coeff.numerator)}/{coeff.denominator}"
+            body = f"{int_text(abs(coeff.numerator))}/{int_text(coeff.denominator)}"
             if has_i:
                 body += "*i"
             if n != 1:

@@ -102,6 +102,58 @@ def rand_exact(rng: random.Random, max_terms: int = 3, top: int = 9) -> Exact:
     return value
 
 
+def rand_radical_poly(rng: random.Random, degree: int, max_terms: int = 3) -> Poly:
+    """Random polynomial of exactly the given degree over Q(i, sqrt(2),
+    sqrt(3), sqrt(5)); about one coefficient in four is zero."""
+    coeffs = [
+        rand_exact(rng, max_terms) if rng.random() < 0.75 else Exact()
+        for _ in range(degree)
+    ]
+    lead = rand_exact(rng, max_terms)
+    while not lead:
+        lead = rand_exact(rng, max_terms)
+    return Poly(coeffs + [lead])
+
+
+def mul_terms(a: Poly, b: Poly) -> Poly:
+    """Product term by term in scalar arithmetic: the oracle for the lane."""
+    if not a or not b:
+        return Poly()
+    zero = a.coeffs[0] - a.coeffs[0]
+    out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out)
+
+
+def divmod_terms(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division term by term with the inverse of b's lead in scalar
+    arithmetic: the oracle for the lane."""
+    if a.degree < b.degree:
+        return Poly(), a
+    lead_inv = b.lead.inverse()
+    rem = list(a.coeffs)
+    quot = [None] * (len(a.coeffs) - len(b.coeffs) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b.coeffs) - 1] * lead_inv
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b.coeffs):
+                rem[k + j] = rem[k + j] - c * y
+    return Poly(quot), Poly(rem[: len(b.coeffs) - 1])
+
+
+def gcd_terms(a: Poly, b: Poly) -> Poly:
+    """Monic Euclid on divmod_terms, monic at every step."""
+    while b:
+        a, b = b, divmod_terms(a, b)[1]
+        b = b.monic() if b else b
+    return a.monic()
+
+
 def rand_rational_poly(
     rng: random.Random, max_degree: int = 5, top: int = 6
 ) -> Poly:

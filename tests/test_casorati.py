@@ -1,5 +1,8 @@
+import itertools
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -12,8 +15,9 @@ from diffrad import (
     linearly_independent,
 )
 from diffrad.casorati import _det_bareiss, _det_cofactor, determinant
+from diffrad.poly import _Lane, _to_lane
 from diffrad.theorems import gen_chain_poly
-from helpers import I, S2, casorati_rows, rand_rational_poly
+from helpers import I, S2, casorati_rows, mul_terms, rand_radical_poly, rand_rational_poly
 
 Z = Poly.z()
 
@@ -180,3 +184,42 @@ def test_oracle_agreement_on_random_tuples():
         m = rng.randint(1, 3)
         fs = [rand_rational_poly(rng, 5) for _ in range(m)]
         assert casoratian(fs) == cofactor_oracle(fs)
+
+
+def leibniz_oracle(rows):
+    """Sum over permutations of signed products from the term-by-term loop."""
+    n = len(rows)
+    total = Poly()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = reduce(mul_terms, (rows[i][perm[i]] for i in range(n)))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_radical_determinants_match_leibniz():
+    """1x1 to 4x4 by cofactors and 5x5 by Bareiss, each on lanes, over
+    Q(i, sqrt 2, sqrt 3, sqrt 5); entries of degrees 0 to 8, some zero."""
+    rng = random.Random(71)
+    for n, count, top in ((1, 10, 8), (2, 10, 8), (3, 8, 6), (4, 4, 4), (5, 2, 2)):
+        for _ in range(count):
+            rows = [
+                [rand_radical_poly(rng, rng.randint(0, top)) if rng.random() < 0.85 else Poly() for _ in range(n)]
+                for _ in range(n)
+            ]
+            assert determinant(rows) == leibniz_oracle(rows)
+    # a repeated row over the radical field: Bareiss meets a zero pivot column
+    rows = [[rand_radical_poly(rng, 2) for _ in range(5)] for _ in range(4)]
+    assert determinant(rows[:1] + rows) == Poly()
+
+
+def test_bareiss_and_cofactors_agree_on_lanes():
+    rng = random.Random(73)
+    for n in (2, 3, 4, 5):
+        rows = [[rand_radical_poly(rng, rng.randint(0, 3)) for _ in range(n)] for _ in range(n)]
+        lanes = [[_to_lane(p) for p in row] for row in rows]
+        den = math.prod(x.den for row in lanes for x in row)
+        lanes = [[_Lane(x.over(den).terms) for x in row] for row in lanes]
+        by_bareiss, by_cofactors = _det_bareiss(lanes), _det_cofactor(lanes)
+        assert (by_bareiss - by_cofactors).to_poly() == Poly()
+        assert _Lane(by_bareiss.terms, by_bareiss.den * den**n).to_poly() == determinant(rows)

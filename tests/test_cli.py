@@ -178,6 +178,26 @@ def test_casoratian_command(capsys):
     assert out.startswith("z^2 + z")
 
 
+def test_casoratian_past_the_int_to_str_limit(capsys):
+    # each input is inside the parser's bit bound; the determinant
+    # 2^22000 (z^2 + z) has coefficients of 6623 digits
+    code, out, err = run(capsys, "casoratian", "(2^1000)^11*z", "(2^1000)^11*z^2")
+    assert code == 0 and not err
+    coeff, rest = out.split("*z^2 + ")
+    assert len(coeff) == 6623 and coeff.endswith(str(pow(2, 22000, 10**30)))
+    assert rest.startswith(coeff + "*z ")
+
+
+def test_rad_delta_takes_radical_square_roots(capsys):
+    # the discriminant 1 - 2i*sqrt(2) is (sqrt(2) - i)^2
+    outs = []
+    for src in ("(z - sqrt(2))*(z - i)", "roots(1; sqrt(2):1, i:1)"):
+        code, out, err = run(capsys, "rad-delta", src, "--json")
+        assert code == 0 and not err
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+
+
 def test_casoratian_numeric_noise_is_dependent(capsys):
     # 3/7*z + 1/7 = 3/7 * (z + 1/3): the determinant is rounding noise
     code, out, _ = run(

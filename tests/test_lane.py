@@ -1,6 +1,9 @@
-"""Differential tests of the integer lane in diffrad.poly against sympy.
+"""Differential tests of the lane in diffrad.poly: against sympy over Q and
+over Q(i, sqrt 2, sqrt 3, sqrt 5), and against the term-by-term loops of
+tests/helpers.py over the radical field.
 
-sympy is only a test oracle here: the module is skipped when it is missing.
+sympy is only a test oracle here: the tests that use it are skipped when it
+is missing.
 """
 
 import math
@@ -21,11 +24,29 @@ from diffrad import (
     poly_gcd,
 )
 from diffrad import poly as poly_module
+from diffrad import scalar as scalar_module
 from diffrad.diffcalc import delta, shift
 from diffrad.poly import SCHOOLBOOK_MAX, product
+from diffrad.scalar import norm_conjugate
+from helpers import (
+    S2,
+    S3,
+    S6,
+    I,
+    divmod_terms,
+    gcd_terms,
+    mul_terms,
+    rand_exact,
+    rand_fraction,
+    rand_radical_poly,
+)
 
-sympy = pytest.importorskip("sympy")
-X = sympy.Symbol("z")
+try:
+    import sympy
+except ImportError:  # pragma: no cover - sympy is an optional test oracle
+    sympy = None
+requires_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+X = sympy.Symbol("z") if sympy else None
 
 
 def to_sympy(p: Poly):
@@ -69,6 +90,7 @@ def sympy_gcd(p: Poly, q: Poly) -> Poly:
     return from_sympy(to_sympy(p).gcd(to_sympy(q)).monic())
 
 
+@requires_sympy
 def test_kronecker_mul_matches_sympy():
     rng = random.Random(11)
     for _ in range(60):
@@ -79,6 +101,7 @@ def test_kronecker_mul_matches_sympy():
         assert b * a == want
 
 
+@requires_sympy
 def test_kronecker_mul_extreme_coefficients():
     big = 10**200
     length = 3 * SCHOOLBOOK_MAX
@@ -95,6 +118,7 @@ def test_kronecker_mul_extreme_coefficients():
     assert cases[0] * Poly() == Poly()
 
 
+@requires_sympy
 def test_kronecker_mul_digit_at_its_bound():
     # the middle coefficient n c^2 fills every bit of its digit but the sign
     n = SCHOOLBOOK_MAX + 1
@@ -117,6 +141,7 @@ def test_signed_digits_round_trip_at_the_edges():
             assert poly_module._unpack(packed, width) == digits
 
 
+@requires_sympy
 def test_tree_product_matches_sequential_product():
     rng = random.Random(3)
     for count in (0, 1, 2, 3, 7, 16, 33):
@@ -128,6 +153,7 @@ def test_tree_product_matches_sequential_product():
             assert product(factors) == from_sympy(want)
 
 
+@requires_sympy
 def test_gcd_matches_sympy_on_chain_corpus():
     rng = random.Random(2024)
     for _ in range(40):
@@ -137,6 +163,7 @@ def test_gcd_matches_sympy_on_chain_corpus():
             assert poly_gcd(a, b) == sympy_gcd(a, b)
 
 
+@requires_sympy
 @pytest.mark.parametrize("degree", [16, 32, 64, 96])
 def test_gcd_matches_sympy_on_wide_roots(degree):
     rng = random.Random(degree)
@@ -157,6 +184,7 @@ def heuristic_only(monkeypatch):
     monkeypatch.setattr(poly_module, "_heu_gcd", settled)
 
 
+@requires_sympy
 def test_gcd_matches_sympy_on_shared_powers_of_z(monkeypatch):
     """Inputs sharing a large power z^n; the heuristic settles them all."""
     heuristic_only(monkeypatch)
@@ -170,6 +198,7 @@ def test_gcd_matches_sympy_on_shared_powers_of_z(monkeypatch):
             assert poly_gcd(a, b) == sympy_gcd(a, b)
 
 
+@requires_sympy
 def test_gcd_cofactor_candidates(monkeypatch):
     """G = Phi_3 Phi_7 Phi_70 Phi_105 divides z^210 - 1 and has a coefficient
     133, too large to be read off the digits of gcd(f(xi), g(xi)) at the
@@ -184,6 +213,7 @@ def test_gcd_cofactor_candidates(monkeypatch):
         assert poly_gcd(f, G * v) == poly_gcd(G * v, f) == G.monic()
 
 
+@requires_sympy
 def test_euclid_fallback_matches_sympy(monkeypatch):
     """When the heuristic gives up, rational input runs the Euclidean loop."""
     monkeypatch.setattr(poly_module, "_heu_gcd", lambda a, b: None)
@@ -208,6 +238,7 @@ def test_gcd_edge_cases():
         poly_gcd(Poly(), Poly())
 
 
+@requires_sympy
 def test_taylor_shift_matches_sympy_compose():
     rng = random.Random(8)
     for _ in range(40):
@@ -223,6 +254,7 @@ IRREDUCIBLE_QUADRATICS = ([2, 0, 1], [5, 2, 1], [-3, 0, 1], [7, -3, 2])
 IRREDUCIBLE_CUBICS = ([-2, 0, 0, 1], [1, 1, 0, 1], [3, -3, 0, 2], [-1, -3, 0, 1])
 
 
+@requires_sympy
 def test_factor_rational_roots_match_sympy():
     rng = random.Random(17)
     refused = 0
@@ -267,3 +299,131 @@ def test_factor_rational_roots_match_sympy():
     got = factor(p)
     assert {r.as_fraction(): m for r, m in got.roots if r.is_rational} == want
     assert len(want) == 20 and got.expand() == p
+
+
+# -- the lane over Q(i, sqrt 2, sqrt 3, sqrt 5) -------------------------------------
+
+ONE_KEY = poly_module._ONE_KEY
+
+
+def radical_pairs(seed: int, count: int):
+    """Seeded pairs of radical polynomials of degrees 0 to 8, so lanes of
+    unequal lengths meet; one pair in five has a rational side."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rand_radical_poly(rng, rng.randint(0, 8))
+        b = rand_radical_poly(rng, rng.randint(0, 8))
+        if rng.random() < 0.2:
+            b = Poly([rand_fraction(rng) for _ in range(rng.randint(1, 9))] + [1])
+        yield rng, a, b
+
+
+def test_radical_products_match_the_term_loop():
+    for rng, a, b in radical_pairs(101, 150):
+        assert a * b == b * a == mul_terms(a, b)
+        assert a * Poly() == Poly()
+        factors = [a, b] + [rand_radical_poly(rng, rng.randint(0, 4)) for _ in range(rng.randint(0, 5))]
+        assert product(factors) == reduce(mul_terms, factors)
+
+
+def test_keys_that_cancel_leave_rational_coefficients():
+    z = Poly.z()
+    for g in (S2, I, S3, S6, Exact.sqrt_int(5), I * S2):
+        p = (z + g) * (z - g)
+        assert p == z**2 - g * g
+        assert all(c.is_rational for c in p.coeffs)
+        assert poly_module._to_lane(p).terms.keys() == {ONE_KEY}
+        assert product([z + g, z - g, z + 1]) == p * (z + 1)
+    # the i*sqrt(2) parts cancel in the middle coefficient
+    p = (z * S2 + I) * (z * S2 - I) - Poly([0, 0, 2])
+    assert p == Poly([1])
+    lane = poly_module._to_lane((z + S2) ** 3)
+    assert {key: len(ints) for key, ints in lane.terms.items()} == {ONE_KEY: 4, (False, frozenset({2})): 3}
+
+
+def shift_terms(p: Poly, k) -> Poly:
+    """sum c_i (z + k)^i from the term-by-term product."""
+    step = Poly([k, 1])
+    out, power = Poly(), Poly([1])
+    for c in p.coeffs:
+        out = out + mul_terms(Poly([c]), power)
+        power = mul_terms(power, step)
+    return out
+
+
+def test_radical_shifts_match_the_term_loop():
+    for rng, a, _ in radical_pairs(103, 80):
+        rational = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+        radical = rand_exact(rng) + rng.choice((S2, I, S3))
+        for k in (rational, Exact.from_rational(rational), radical):
+            assert shift(a, k) == shift_terms(a, Exact.from_rational(k) if isinstance(k, Fraction) else k)
+        assert shift(shift(a, rational), -rational) == a
+
+
+def test_radical_division_matches_the_term_loop():
+    for rng, a, b in radical_pairs(107, 150):
+        q, r = divmod(a, b)
+        assert (q, r) == divmod_terms(a, b)
+        assert q * b + r == a and r.degree < b.degree
+        # a zero remainder, and a non-monic radical divisor of higher degree
+        c = rand_radical_poly(rng, rng.randint(0, 4))
+        assert divmod(a * b, b) == (a, Poly())
+        if (a * c).degree > 0:
+            assert divmod(b, a * c * b) == (Poly(), b)
+        assert (b * c).divexact(c) == b
+
+
+def test_radical_gcd_matches_monic_euclid():
+    rng = random.Random(109)
+    for _ in range(40):
+        a, b, c = (rand_radical_poly(rng, rng.randint(0, 4)) for _ in range(3))
+        g = poly_gcd(a * c, b * c)
+        assert g == gcd_terms(a * c, b * c)
+        assert g.lead == 1 and (a * c) % g == Poly() and (b * c) % g == Poly()
+        assert poly_gcd(a, Poly()) == a.monic() == poly_gcd(Poly(), a)
+
+
+def test_norm_conjugate_gives_an_integer_norm():
+    rng = random.Random(113)
+    for _ in range(200):
+        x = rand_exact(rng, max_terms=5)
+        if not x:
+            continue
+        den = math.lcm(*(f.denominator for f in x.terms.values()))
+        vec = {key: int(f * den) for key, f in x.terms.items()}
+        conj, n = norm_conjugate(vec)
+        assert n and scalar_module._vec_mul(vec, conj) == {ONE_KEY: n}
+        assert x * x.inverse() == 1
+
+
+def test_numeric_products_and_division_are_the_term_loops():
+    """The numeric backend keeps its term-by-term loops bit for bit."""
+    for rng, a, b in radical_pairs(127, 40):
+        na, nb = a.embed(rng.choice((64, 128))), b.embed(128)
+        assert na * nb == mul_terms(na, nb)
+        assert divmod(na, nb) == divmod_terms(na, nb)
+
+
+def sympy_expr(p: Poly):
+    total = 0
+    for k, c in enumerate(p.coeffs):
+        for (has_i, primes), f in c.terms.items():
+            total += sympy.Rational(f.numerator, f.denominator) * (sympy.I if has_i else 1) * sympy.sqrt(math.prod(primes)) * X**k
+    return sympy.expand(total)
+
+
+@requires_sympy
+def test_radical_gcd_matches_sympy_extension():
+    """Two-generator fields keep sympy's algebraic gcd fast."""
+    rng = random.Random(131)
+    fields = ((I, S2, [sympy.I, sympy.sqrt(2)]), (S2, S3, [sympy.sqrt(2), sympy.sqrt(3)]), (I, Exact.sqrt_int(5), [sympy.I, sympy.sqrt(5)]))
+    z = Poly.z()
+    for g1, g2, extension in fields:
+        def elem():
+            return Exact.from_rational(rng.randint(-3, 3)) + g1 * rng.randint(-2, 2) + g2 * rng.randint(-2, 2)
+        common = z - elem()
+        a = common * (z - elem()) * (z + elem())
+        b = common * (z * elem() - 1 if rng.random() < 0.5 else z - elem())
+        want = sympy.gcd(sympy_expr(a), sympy_expr(b), X, extension=extension)
+        want = sympy.Poly(want, X, extension=extension).monic().as_expr()
+        assert sympy.simplify(sympy_expr(poly_gcd(a, b)) - sympy.expand(want)) == 0

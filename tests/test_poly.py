@@ -18,10 +18,11 @@ from diffrad import (
     Poly,
     RootsUnavailableError,
     classical_rad,
+    exact_sqrt,
     factor,
     poly_gcd,
 )
-from helpers import rand_grid_factored, rand_nonzero_poly
+from helpers import rand_exact, rand_grid_factored, rand_nonzero_poly
 
 Z = Poly.z()
 S2 = Exact.sqrt_int(2)
@@ -86,6 +87,23 @@ def test_factor_quadratic_over_radicals():
         (-S2 - S2 * S3) * Fraction(1, 2),
     }
     assert {r for r, _ in fb.roots} == expected
+
+
+def test_exact_sqrt_one_generator_at_a_time():
+    rng = random.Random(29)
+    for _ in range(300):
+        x = rand_exact(rng)
+        root = exact_sqrt(x * x)
+        assert root is not None and root * root == x * x
+        assert root in (x, -x)
+    # 1 - 2 i sqrt2 = (sqrt2 - i)^2, and sqrt(3i) = (1 + i) sqrt6 / 2
+    assert exact_sqrt(1 - 2 * I * S2) in (S2 - I, I - S2)
+    assert exact_sqrt(3 * I) == (1 + I) * S2 * S3 * Fraction(1, 2)
+    # no square in any radical field: refused, as the quadratic tail expects
+    for d in (S2, 1 + S2, I * S2 + S3, S2 + S3 + I):
+        assert exact_sqrt(d) is None
+    f = factor((Z - S2) * (Z - I))
+    assert {r for r, _ in f.roots} == {S2, I}
 
 
 def test_factor_rational_roots():
@@ -352,7 +370,7 @@ def test_root_bound_keeps_every_rational_root():
     rng = random.Random(20211)
     for _ in range(150):
         p, roots = _linear_product_case(rng)
-        ints = poly_module._primitive(poly_module._to_lane(p)[0])
+        ints = poly_module._primitive(poly_module._to_lane(p).terms[poly_module._ONE_KEY])
         e = poly_module._root_bound_exp(ints)
         assert all(abs(r) <= Fraction(2) ** e for r in roots)
         # a missed rational root would leave more than the quadratic tail

@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -254,3 +255,18 @@ def test_prime_factors_refuses_an_uncertified_cofactor(monkeypatch):
     assert prime_factors(2**5 * 11) == {2: 5, 11: 1}  # 11 < 11^2: prime
     with pytest.raises(RootsUnavailableError):
         prime_factors(11 * 13)
+
+
+def test_int_text_past_the_int_to_str_limit():
+    values = [0, 7, -12, 10**3000, -(10**3611) + 1, 3**20000, -(7**15000) * 10**5, 10**40000]
+    texts = [scalar.int_text(n) for n in values]  # no ValueError at any size
+    big = Exact.from_rational(Fraction(3**20000, 2**15000 + 1))
+    assert big.text().split("/")[1] == scalar.int_text(2**15000 + 1)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
