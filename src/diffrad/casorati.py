@@ -16,6 +16,7 @@ from typing import Literal, Sequence
 
 from . import diffcalc
 from .poly import Poly, _Lane, _to_lane
+from .scalar import _ONE_KEY
 
 Form = Literal["delta", "shift"]
 FORMS = ("delta", "shift")
@@ -76,23 +77,37 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     rows = [list(row) for row in rows]
     lanes = [[_to_lane(p) for p in row] for row in rows]
     if any(None in row for row in lanes):
-        return _det(rows)
+        return _det(rows, COFACTOR_MAX)
     den = 1
     for row in lanes:
         d = math.lcm(*(x.den for x in row))
         row[:] = [_Lane(x.over(d).terms) for x in row]
         den *= d
-    det = _det(lanes)
+    radical = any(key != _ONE_KEY for row in lanes for x in row for key in x.terms)
+    det = _det(lanes, COFACTOR_MAX_RADICAL if radical else COFACTOR_MAX)
     return _Lane(det.terms, det.den * den).to_poly()
 
 
-def _det(rows: list[list]):
-    """Determinant of rows of Polys or of lanes."""
-    # Cofactor expansion costs n! products, so Bareiss takes over above 4x4.
-    # Up to 4x4 cofactors win: on lanes of difference rows of degree 3 to 8
-    # over Q(i, sqrt 2, sqrt 3, sqrt 5), Bareiss took 2.5 to 3.2 (3x3) and
-    # 4.5 to 5.7 (4x4) times as long (CPython 3.11, one Intel Xeon core).
-    if len(rows) <= 4:
+# Cofactor expansion costs n! products, Bareiss n^3 products and exact
+# divisions; each division by a radical pivot runs the conjugate tower.  The
+# largest sizes that cofactors take, from the Bareiss/cofactor time ratio on
+# lanes of difference rows of random degree-3 and degree-8 polynomials over
+# Q and over Q(i, sqrt 2, sqrt 3, sqrt 5) (three tuples each, CPython 3.11,
+# one Intel Xeon core); above 1, cofactors are faster:
+#
+#   rows, degree    4x4        5x5         6x6        7x7
+#   Q, 3            0.97-1.01  0.60-0.81   0.32-0.36  0.17-0.19
+#   Q, 8            1.19-1.34  0.79-0.84   0.31-0.33  0.09-0.10
+#   radical, 3      2.0-5.0    6.0-10.9    1.8-4.0    1.4-2.9
+#   radical, 8      4.8-6.0    4.3-4.9     2.2-3.7    0.9-1.2
+COFACTOR_MAX = 4
+COFACTOR_MAX_RADICAL = 6
+
+
+def _det(rows: list[list], cofactor_max: int):
+    """Determinant of rows of Polys or of lanes: cofactors up to
+    cofactor_max rows, Bareiss above."""
+    if len(rows) <= cofactor_max:
         return _det_cofactor(rows)
     return _det_bareiss(rows)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from . import casorati, diffcalc, shiftcalc, theorems
 from .errors import DiffradError, ParseError, RootsUnavailableError
 from .parser import parse_factored, parse_poly
 from .poly import FactoredPoly, Poly, classical_rad
+from .scalar import Numeric
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures"
 
@@ -202,14 +203,12 @@ def run_command(command: str, inputs, opts, options: Options) -> tuple[bool, dic
 def _subset_match(expected, actual) -> bool:
     """Expected is a fragment: dict keys must exist and match recursively.
 
-    {"max": x} / {"min": x} compare the actual value numerically instead of
-    by equality (used for residual bounds).
+    {"max": x} compares the actual value numerically instead of by equality
+    (used for residual bounds).
     """
     if isinstance(expected, dict):
         if set(expected) == {"max"}:
             return isinstance(actual, (int, float)) and actual <= expected["max"]
-        if set(expected) == {"min"}:
-            return isinstance(actual, (int, float)) and actual >= expected["min"]
         if not isinstance(actual, dict):
             return False
         return all(
@@ -272,7 +271,7 @@ def cmd_verify_paper(filter_text: str | None, as_json: bool) -> int:
             "cases": rows,
             "failures": failures,
         }
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
     else:
         width = max(len(r["name"]) for r in rows)
         for r in rows:
@@ -287,13 +286,39 @@ def cmd_verify_paper(filter_text: str | None, as_json: bool) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    """A positive finite float: a tolerance of 0, below 0, inf or nan would
-    make every numeric zero test false or overflow the arithmetic."""
-    value = float(text)
-    if not 0 < value < math.inf:  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+MAX_PRECISION = 2**16  # bits; every README example answers within 1 s at it
+TOLERANCE_DIGITS = 20000  # 10^20000 > 2^MAX_PRECISION
+
+
+def _precision(text: str) -> int:
+    """Bits of numeric precision, from Numeric.MIN_PREC to MAX_PRECISION:
+    the cost of numeric arithmetic grows with the precision without bound."""
+    value = int(text)
+    if not Numeric.MIN_PREC <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be between {Numeric.MIN_PREC} and {MAX_PRECISION} bits, got {text}"
+        )
     return value
+
+
+def _tolerance(text: str) -> Fraction:
+    """A positive finite decimal, read exactly as a Fraction: a tolerance of
+    0, below 0, inf or nan would make every numeric zero test false or
+    overflow the arithmetic.  At most TOLERANCE_DIGITS digits and a decimal
+    exponent of at most that size keep the Fraction's size bounded."""
+    try:
+        value = Decimal(text)
+        ok = value.is_finite() and value > 0
+    except InvalidOperation:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    if max(len(value.as_tuple().digits), abs(value.adjusted())) > TOLERANCE_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must have at most {TOLERANCE_DIGITS} digits and a decimal exponent "
+            f"of at most that size, got {text}"
+        )
+    return Fraction(value)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -303,13 +328,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="scalar backend (default: exact)",
     )
     common.add_argument(
-        "--precision", type=int, default=256,
-        help="bits of precision for the numeric backend (default: 256)",
+        "--precision", type=_precision, default=256,
+        help=f"bits of precision for the numeric backend, {Numeric.MIN_PREC} to "
+        f"{MAX_PRECISION} (default: 256)",
     )
     common.add_argument(
         "--tolerance", type=_tolerance, default=None,
-        help="numeric comparison tolerance, positive and finite "
-        "(default: 2^(-precision/2))",
+        help="numeric comparison tolerance, a positive finite decimal read "
+        "exactly (default: 2^(-precision/2))",
     )
     common.add_argument("--json", action="store_true", help="emit JSON output")
 
@@ -442,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.json:
-        print(json.dumps(result, sort_keys=True))
+        print(json.dumps(result, sort_keys=True, allow_nan=False))
     else:
         print(_human_lines(args.command, result))
     return 0 if ok else 1

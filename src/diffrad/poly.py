@@ -13,6 +13,7 @@ that needs root data (chain decompositions, radicals, shifting-prime tests).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import attrgetter, mul
@@ -276,12 +277,14 @@ class Poly:
         )
 
     def coeff_sup(self) -> float:
-        """Sup of coefficient magnitudes (numeric measure of smallness)."""
+        """Sup of coefficient magnitudes (numeric measure of smallness), for
+        reports only: capped at the largest finite float, so that JSON stays
+        valid; ``negligible`` makes the decisions."""
         sup = 0.0
         for c in self._coeffs:
             mag = c.magnitude() if isinstance(c, Numeric) else abs(complex(c))
             sup = max(sup, mag)
-        return sup
+        return min(sup, sys.float_info.max)
 
     def negligible(self, tol=None) -> bool:
         """Zero within tolerance: every coefficient is negligible by the

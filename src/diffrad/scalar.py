@@ -29,7 +29,9 @@ the two backends with ``==`` is False, not an error.
 Zero within tolerance has one rule, ``negligible(tol=None)``: an exact
 scalar is negligible when it is zero, a numeric one when its magnitude is
 below ``tol``, by default 2^(-prec/2) at its own precision.
-``Poly.negligible`` applies it to every coefficient.
+``Numeric.negligible`` is the library's one comparison of a magnitude with a
+tolerance, and it is exact: no float is involved, so no precision or
+tolerance underflows.  ``Numeric.as_integer`` and ``Poly.negligible`` call it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_sqrt,
     mpf_sub,
+    round_floor,
     round_nearest,
     to_int,
     to_str,
@@ -346,14 +349,6 @@ class Exact(Scalar):
 
     __rmul__ = __mul__
 
-    def conjugate_generator(self, gen) -> Exact:
-        """Negate every term whose key contains gen ("i" or a prime)."""
-        terms = {}
-        for (has_i, primes), coeff in self._terms.items():
-            hit = (gen == "i" and has_i) or (gen != "i" and gen in primes)
-            terms[(has_i, primes)] = -coeff if hit else coeff
-        return Exact(terms)
-
     def inverse(self) -> Exact:
         if not self._terms:
             raise ZeroDivisionError("exact scalar division by zero")
@@ -466,24 +461,24 @@ class Numeric(Scalar):
 
     def negligible(self, tol=None) -> bool:
         """Zero within tolerance: magnitude below tol, by default
-        2^(-prec/2) at this scalar's own precision."""
-        if tol is None:
-            tol = self.default_tolerance()
-        return self.magnitude() < float(tol)
+        2^(-prec/2) at this scalar's own precision.  Exact: with tol = p/q,
+        (q re)^2 + (q im)^2 < p |p| on exact products, whose sum is rounded
+        down at a precision that holds both squares and p^2, so cannot
+        cross p^2."""
+        tol = Fraction(self.default_tolerance() if tol is None else tol)
+        q = from_int(tol.denominator)
+        re, im = mpf_mul(self._re, q), mpf_mul(self._im, q)
+        re2, im2 = mpf_mul(re, re), mpf_mul(im, im)
+        bound = tol.numerator * abs(tol.numerator)  # p^2, or <= 0 when tol <= 0
+        work = max(re2[3], im2[3], bound.bit_length())  # [3]: mantissa bits
+        total = mpf_add(re2, im2, work, round_floor)
+        return mpf_cmp(total, from_int(bound)) < 0
 
-    def as_integer(self, tol: Fraction | float | None = None) -> int | None:
-        """Nearest integer if within tolerance (default 2**(-prec/2))."""
-        if tol is None:
-            tol = self.default_tolerance()
-        work = self.prec + 16
-        nearest = to_int(self._re, RND)
-        dist = libmp.mpc_abs(
-            (mpf_sub(self._re, from_int(nearest), work, RND), self._im), work
-        )
-        bound = from_rational(
-            Fraction(tol).numerator, Fraction(tol).denominator, work, RND
-        )
-        return nearest if mpf_cmp(dist, bound) < 0 else None
+    def as_integer(self, tol=None) -> int | None:
+        """Nearest integer n when self - n is negligible at tol."""
+        n = to_int(self._re, RND)
+        offset = Numeric(mpf_sub(self._re, from_int(n)), self._im, self.prec)  # exact
+        return n if offset.negligible(tol) else None
 
     # -- arithmetic --------------------------------------------------------
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from mpmath.libmp import from_rational, round_nearest, to_str
+
 from . import diffcalc
 from .errors import AmbiguousShiftError, BackendMismatchError
 from .poly import FactoredPoly, Poly, poly_gcd, product
@@ -43,10 +45,12 @@ def integer_offset(a: Scalar, b: Scalar, tol=None) -> int | None:
     k = diff.as_integer(tol)
     if k is not None:
         return k
-    if diff.as_integer(Fraction(tol) * AMBIGUITY_GUARD) is not None:
+    tol = Fraction(tol)
+    if diff.as_integer(tol * AMBIGUITY_GUARD) is not None:
+        shown = to_str(from_rational(tol.numerator, tol.denominator, 53, round_nearest), 6)
         raise AmbiguousShiftError(
             f"cannot classify root difference {diff.text()} as integer or not "
-            f"at tolerance {float(tol):g}",
+            f"at tolerance {shown}",
             pair=(a, b),
         )
     return None

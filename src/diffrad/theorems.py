@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import casorati, diffcalc, shiftcalc
 from .errors import RootsUnavailableError, SamplingBudgetError
-from .poly import FactoredPoly, Poly, classical_rad, factor, poly_gcd
+from .poly import FactoredPoly, Poly, factor, poly_gcd
 from .scalar import Exact, Scalar, as_scalar
 
 
@@ -182,7 +182,7 @@ def mason_classical(
         equation_holds=equation,
         hypotheses=tuple(hyps),
         lhs=_max_degree([a, b, c]),
-        rhs=classical_rad(a.times(b).times(c)).degree - 1,
+        rhs=len(a.times(b).times(c).roots) - 1,  # deg rad(abc) - 1
     )
 
 

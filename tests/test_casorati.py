@@ -14,6 +14,7 @@ from diffrad import (
     gcd_tower_closed,
     linearly_independent,
 )
+from diffrad import casorati as casorati_mod
 from diffrad.casorati import _det_bareiss, _det_cofactor, determinant
 from diffrad.poly import _Lane, _to_lane
 from diffrad.theorems import gen_chain_poly
@@ -198,8 +199,8 @@ def leibniz_oracle(rows):
 
 
 def test_radical_determinants_match_leibniz():
-    """1x1 to 4x4 by cofactors and 5x5 by Bareiss, each on lanes, over
-    Q(i, sqrt 2, sqrt 3, sqrt 5); entries of degrees 0 to 8, some zero."""
+    """1x1 to 5x5 by cofactors on lanes over Q(i, sqrt 2, sqrt 3, sqrt 5);
+    entries of degrees 0 to 8, some zero."""
     rng = random.Random(71)
     for n, count, top in ((1, 10, 8), (2, 10, 8), (3, 8, 6), (4, 4, 4), (5, 2, 2)):
         for _ in range(count):
@@ -208,9 +209,48 @@ def test_radical_determinants_match_leibniz():
                 for _ in range(n)
             ]
             assert determinant(rows) == leibniz_oracle(rows)
-    # a repeated row over the radical field: Bareiss meets a zero pivot column
-    rows = [[rand_radical_poly(rng, 2) for _ in range(5)] for _ in range(4)]
+    # a repeated row over the radical field: Bareiss (7x7) meets a zero
+    # pivot column
+    rows = [[rand_radical_poly(rng, 1) for _ in range(7)] for _ in range(6)]
     assert determinant(rows[:1] + rows) == Poly()
+
+
+@pytest.mark.parametrize(
+    "ring, n, route",
+    [
+        ("Q", 4, "cofactor"), ("Q", 5, "bareiss"),
+        ("radical", 6, "cofactor"), ("radical", 7, "bareiss"),
+        ("numeric", 4, "cofactor"), ("numeric", 5, "bareiss"),
+    ],
+)
+def test_route_by_ring_and_size(monkeypatch, ring, n, route):
+    """Cofactors through 4x4 over Q and numerically, through 6x6 when a
+    lane carries a radical key; Bareiss above."""
+    calls = {"cofactor": 0, "bareiss": 0}
+
+    def counting(name, fn):
+        def wrapped(rows):
+            calls[name] += 1
+            return fn(rows)
+        return wrapped
+
+    monkeypatch.setattr(casorati_mod, "_det_cofactor", counting("cofactor", _det_cofactor))
+    monkeypatch.setattr(casorati_mod, "_det_bareiss", counting("bareiss", _det_bareiss))
+    # the identity grid plus z on the antidiagonal; sqrt(2) in one corner
+    # makes it radical
+    rows = [
+        [Poly.constant(int(i == j)) + (Z if i + j == n - 1 else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    if ring == "radical":
+        rows[0][0] = rows[0][0] + S2
+    if ring == "numeric":
+        rows = [[p.embed(64) for p in row] for row in rows]
+    determinant(rows)
+    if route == "cofactor":
+        assert calls["bareiss"] == 0 and calls["cofactor"] > 0
+    else:
+        assert calls == {"cofactor": 0, "bareiss": 1}
 
 
 def test_bareiss_and_cofactors_agree_on_lanes():

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -130,6 +132,83 @@ def test_valid_tolerance_reaches_the_zero_tests(capsys):
             "--tolerance", tol, "--json",
         )
         assert code == 0 and json.loads(out)["height"] == 2
+
+
+def test_tolerance_below_the_smallest_float_is_read_exactly(capsys):
+    # float("1e-400") is 0.0; the tolerance is the Fraction 1/10^400
+    code, out, _ = run(
+        capsys, "height", "z*(z - 1)", "--at", "0", "--backend", "numeric",
+        "--precision", "4096", "--tolerance", "1e-400", "--json",
+    )
+    assert code == 0 and json.loads(out)["height"] == 2
+
+
+@pytest.mark.parametrize("tol", ["1e-20001", "1e20001", "1" * 20001, "1/3", "abc"])
+def test_tolerance_out_of_range_or_not_decimal_exits_2(capsys, tol):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["height", "z", "--backend", "numeric", f"--tolerance={tol}"])
+    assert excinfo.value.code == 2
+    assert "--tolerance: must " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prec", ["63", "65537", "100000000", "-1", "x"])
+def test_precision_out_of_range_exits_2(capsys, prec):
+    for backend in ("exact", "numeric"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["delta", "z", "--backend", backend, "--precision", prec])
+        assert excinfo.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+
+def test_precision_range_ends_are_accepted(capsys):
+    for prec in ("64", "65536"):
+        code, out, _ = run(capsys, "delta", "z^2", "--backend", "numeric", "--precision", prec)
+        assert code == 0 and out.strip() == "2.0*z + 1.0"
+
+
+README_EXAMPLES = [
+    ("delta", "ff(z,3)"),
+    ("height", "z^2*(z - 1)*(z - 2)", "--at", "0"),
+    ("chains", "roots(1; -1:1, 0:2, 1:3, 2:2, 4:1)"),
+    ("rad-delta", "roots(1; 0:2, 1:1, 2:1)"),
+    ("rad-kappa", "roots(1; 0:2, 1:1, 2:1)", "--kappa", "1"),
+    ("rad-q", "ff(z + 2/5, 5)", "--q", "2"),
+    ("gcd-tower", "ff(z,3)", "--n", "1"),
+    ("newton", "z^2", "--at", "0", "--json"),
+    ("shifting-prime", "z*(z - 1)*(z - 2)", "(z - 2)*(z - 3)*(z - 4)"),
+    ("casoratian", "z", "z^2", "--form", "shift"),
+    ("mason", "z*(z - 1)", "-(z - 4)*(z - 5)", "4*(2*z - 5)"),
+    ("mason-ext", "ff(z + 2/5, 5)", "-ff(z + 3/5, 5)", "ff(z, 4)",
+     "12/25*z^2 - 36/25*z + 2664/3125"),
+    ("fermat", "z^2", "-(1/2)*i*(sqrt(2)*z^2 + 2*z - sqrt(2))",
+     "-(1/2)*(sqrt(2)*z^2 - 2*z - sqrt(2))", "--n", "2"),
+    ("fermat-multi", "1/2*sqrt(2)*z + 1", "1/2*z + 1/2*(sqrt(2) - sqrt(6))",
+     "1/2*i*sqrt(3)*z + 1/2*i*(sqrt(6) - sqrt(2))", "--n", "2", "--rhs-one"),
+]
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=[a[0] for a in README_EXAMPLES])
+def test_readme_examples_answer_alike_at_every_precision(capsys, argv):
+    """From 2150 bits on 2^(-prec/2) is below the smallest float; the
+    residual sup is rounding noise and is masked."""
+    def verdict(prec):
+        code, out, err = run(capsys, *argv, "--backend", "numeric", "--precision", prec)
+        return code, re.sub(r"residual sup \S+", "residual sup ~", out), err
+
+    want = verdict("256")
+    assert want[0] == 0
+    for prec in ("2150", "4096"):
+        assert verdict(prec) == want
+
+
+def test_overflowing_residual_sup_is_valid_json(capsys):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    code, out, _ = run(capsys, "fermat", "2^1000*z", "z", "z", "--n", "2", "--json")
+    doc = json.loads(out, parse_constant=refuse)
+    assert code == 1 and not doc["equation_holds"]
+    assert doc["residual_sup"] == sys.float_info.max
 
 
 def test_exit_code_is_the_report_verdict(capsys, monkeypatch):

@@ -179,6 +179,39 @@ def test_negligible_numeric_default_and_boundary():
     assert not Numeric.from_rational(tiny, 128).negligible()
 
 
+@pytest.mark.parametrize("prec", [64, 2150, 4096])
+def test_negligible_is_exact_at_every_precision(prec):
+    # 2^(-prec/2) is below the smallest float from 2150 bits on
+    tol = Fraction(1, 2 ** (prec // 2))
+    unit = Numeric.from_rational(tol, prec)
+    half = Numeric.from_rational(tol / 2, prec)
+    assert not unit.negligible() and not unit.negligible(tol)
+    assert half.negligible() and (-half).negligible(tol)
+    # |3 tol + 4 tol i| = 5 tol exactly: the boundary is not negligible
+    edge = unit * 3 + unit * 4 * Exact.i().to_numeric(prec)
+    assert not edge.negligible(5 * tol)
+    assert edge.negligible(5 * tol * Fraction(10**30 + 1, 10**30))
+    # and as_integer keeps the same boundaries on either side of 3
+    three = Numeric.from_rational(3, prec)
+    for sign in (1, -1):
+        assert (three + sign * unit).as_integer() is None
+        assert (three + sign * unit).as_integer(tol) is None
+        assert (three + sign * half).as_integer() == 3
+        assert (three + sign * edge).as_integer(5 * tol) is None
+    assert (three + half).as_integer(tol / 2) is None
+
+
+def test_negligible_takes_tolerances_below_the_smallest_float():
+    tol = Fraction(1, 10**400)  # float(tol) == 0.0
+    x = Numeric.from_rational(Fraction(1, 10**401), 4096)
+    assert x.negligible(tol) and not x.negligible(tol / 100)
+    assert (x + 7).as_integer(tol) == 7
+    assert not Numeric.from_rational(tol * 2, 4096).negligible(tol)
+    # a tolerance that is not positive makes nothing negligible
+    for bad in (0, -tol, Fraction(-1)):
+        assert not Numeric.from_rational(0, 64).negligible(bad)
+
+
 def test_zero_polynomial_evaluates_in_the_point_backend():
     assert Poly()(NUMERIC_TWO) == Numeric.from_rational(0, 64)
     assert isinstance(Poly()(NUMERIC_TWO), Numeric)
@@ -226,12 +259,6 @@ def test_exact_pow_and_negative_pow():
     assert x**0 == Exact.from_rational(1)
     assert x**3 == x * x * x
     assert x**-2 == (x * x).inverse()
-
-
-def test_conjugation_eliminates_generator():
-    x = S2 * 3 + I * S3 + Fraction(1, 2)
-    prod = x * x.conjugate_generator("i")
-    assert "i" not in {g for g in prod.generators()}
 
 
 def test_prime_factors():

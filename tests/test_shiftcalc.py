@@ -691,3 +691,13 @@ def test_numeric_ambiguous_classification():
         chain_decomposition(f, tol=tol)
     # far outside the guard band the same pair is two clean classes
     assert len(chain_decomposition(f, tol=1e-30).chains) == 2
+
+
+def test_ambiguity_message_prints_tolerances_below_the_smallest_float():
+    tol = Fraction(1, 10**400)  # float(tol) == 0.0
+    one = Numeric.from_rational(1, 4096)
+    near = one + Numeric.from_rational(3 * tol, 4096)  # inside the guard band
+    assert shiftcalc.integer_offset(near, one, tol / 100) is None
+    assert shiftcalc.integer_offset(near, one, tol * 10) == 0
+    with pytest.raises(AmbiguousShiftError, match=r"at tolerance 1\.0e-400$"):
+        shiftcalc.integer_offset(near, one, tol)
