@@ -6,17 +6,19 @@ rows are a unitriangular recombination of the rows of k-th forward
 differences, so both layouts have one determinant.  Production computes it
 from the difference rows only, whose degrees drop row by row while every
 shift row keeps the full degree; that identity is why the shift layout
-lives on only as a test oracle.
+lives on only as a test oracle.  One size rule serves every ring: minors,
+with no division, through MINORS_MAX = 7 rows, Bareiss above, so numeric
+input answers through 7 polynomials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Literal, Sequence
 
 from . import diffcalc
 from .poly import Poly, _Lane, _to_lane
-from .scalar import _ONE_KEY
 
 Form = Literal["delta", "shift"]
 FORMS = ("delta", "shift")
@@ -27,20 +29,25 @@ def _check_form(form: str) -> None:
         raise ValueError(f"unknown Casorati form {form!r}; expected one of {FORMS}")
 
 
-def _det_cofactor(rows: list[list]) -> Poly:
-    """Cofactor expansion over the first row, for entries of one ring:
-    Polys or lanes."""
+def _det_minors(rows: list[list]) -> Poly:
+    """Laplace expansion upward from the bottom row, for entries of one
+    ring (Polys or lanes), keeping the lower rows' minors per column subset:
+    n 2^(n-1) - n products, no division.  Rows expand over their nonzero
+    entries in ascending column order, so sums and products come in the
+    order of a cofactor expansion over the first row."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = type(rows[0][0])()
-    for j, top in enumerate(rows[0]):
-        if not top:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = top * _det_cofactor(minor)
-        total = total - term if j % 2 else total + term
-    return total
+    minors = {(c,): x for c, x in enumerate(rows[-1])}
+    for size in range(2, n + 1):
+        row, wider = rows[n - size], {}
+        for cols in itertools.combinations(range(n), size):
+            total = type(row[0])()
+            for k, c in enumerate(cols):
+                if row[c]:
+                    term = row[c] * minors[cols[:k] + cols[k + 1 :]]
+                    total = total - term if k % 2 else total + term
+            wider[cols] = total
+        minors = wider
+    return minors[tuple(range(n))]
 
 
 def _det_bareiss(rows: list[list]) -> Poly:
@@ -68,48 +75,38 @@ def _det_bareiss(rows: list[list]) -> Poly:
 
 
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square grid of polynomials, given as a list of rows.
+    """Determinant of a square grid of polynomials, given as a list of rows:
+    by minors through MINORS_MAX rows, by Bareiss above, where numeric rows
+    usually raise ExactDivisionError on rounding noise.
 
     Exact rows are converted to lanes once, each row scaled to integer
     lanes by the lcm of its denominators, and the product of those scales
     divides the result once at the end.
     """
     rows = [list(row) for row in rows]
+    det = _det_minors if len(rows) <= MINORS_MAX else _det_bareiss
     lanes = [[_to_lane(p) for p in row] for row in rows]
     if any(None in row for row in lanes):
-        return _det(rows, COFACTOR_MAX)
+        return det(rows)
     den = 1
     for row in lanes:
         d = math.lcm(*(x.den for x in row))
         row[:] = [_Lane(x.over(d).terms) for x in row]
         den *= d
-    radical = any(key != _ONE_KEY for row in lanes for x in row for key in x.terms)
-    det = _det(lanes, COFACTOR_MAX_RADICAL if radical else COFACTOR_MAX)
-    return _Lane(det.terms, det.den * den).to_poly()
+    out = det(lanes)
+    return _Lane(out.terms, out.den * den).to_poly()
 
 
-# Cofactor expansion costs n! products, Bareiss n^3 products and exact
-# divisions; each division by a radical pivot runs the conjugate tower.  The
-# largest sizes that cofactors take, from the Bareiss/cofactor time ratio on
-# lanes of difference rows of random degree-3 and degree-8 polynomials over
-# Q and over Q(i, sqrt 2, sqrt 3, sqrt 5) (three tuples each, CPython 3.11,
-# one Intel Xeon core); above 1, cofactors are faster:
+# Minors cost n 2^(n-1) - n products, Bareiss about n^3 products and exact
+# divisions.  Bareiss/minors time ratio on lanes of difference rows of random
+# polynomials (three tuples each, CPython 3.11, one Intel Xeon core); over Q
+# minors lose from 8 rows on, over Q(i, sqrt 2, sqrt 3, sqrt 5) not yet:
 #
-#   rows, degree    4x4        5x5         6x6        7x7
-#   Q, 3            0.97-1.01  0.60-0.81   0.32-0.36  0.17-0.19
-#   Q, 8            1.19-1.34  0.79-0.84   0.31-0.33  0.09-0.10
-#   radical, 3      2.0-5.0    6.0-10.9    1.8-4.0    1.4-2.9
-#   radical, 8      4.8-6.0    4.3-4.9     2.2-3.7    0.9-1.2
-COFACTOR_MAX = 4
-COFACTOR_MAX_RADICAL = 6
-
-
-def _det(rows: list[list], cofactor_max: int):
-    """Determinant of rows of Polys or of lanes: cofactors up to
-    cofactor_max rows, Bareiss above."""
-    if len(rows) <= cofactor_max:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+#   rows, degree    5x5      6x6      7x7      8x8      10x10
+#   Q, 12           1.9      1.6-1.9  1.3      0.9-1.0  0.6
+#   Q, 24           1.9      1.5      1.1      0.8      0.35
+#   radical, 9      5.1-6.6  6.1-7.0  6.2-7.2  5.6-7.2  -
+MINORS_MAX = 7
 
 
 def casoratian(fs: Sequence[Poly], form: Form = "delta") -> Poly:
@@ -131,9 +128,9 @@ def casoratian(fs: Sequence[Poly], form: Form = "delta") -> Poly:
 def linearly_independent(fs: Sequence[Poly], tol=None) -> bool:
     """True iff the Casoratian is not negligible (see ``Poly.negligible``).
 
-    A numeric Casoratian counts as zero (rounding noise) when every
-    coefficient is below ``tol``, by default 2^(-prec/2) at its widest
-    coefficient, which has the inputs' widest precision.
+    A numeric Casoratian, of up to 7 polynomials, counts as zero (rounding
+    noise) when every coefficient is below ``tol``, by default 2^(-prec/2)
+    at its widest coefficient, which has the inputs' widest precision.
     """
     return not casoratian(fs).negligible(tol)
 

@@ -278,12 +278,12 @@ class Poly:
 
     def coeff_sup(self) -> float:
         """Sup of coefficient magnitudes (numeric measure of smallness), for
-        reports only: capped at the largest finite float, so that JSON stays
-        valid; ``negligible`` makes the decisions."""
+        reports only: capped at the largest finite float (valid JSON), at least
+        math.ulp(0.0) when nonzero (never a false 0); ``negligible`` decides."""
         sup = 0.0
         for c in self._coeffs:
             mag = c.magnitude() if isinstance(c, Numeric) else abs(complex(c))
-            sup = max(sup, mag)
+            sup = max(sup, mag if mag or not c else math.ulp(0.0))
         return min(sup, sys.float_info.max)
 
     def negligible(self, tol=None) -> bool:
@@ -1013,9 +1013,9 @@ def factor(p: Poly, tol: float | None = None) -> FactoredPoly:
     divisor pairs, or a term trial division cannot factor, raise
     RootsUnavailableError.  The linear or quadratic leftover then goes
     through the quadratic formula over the radical field, and degree >= 3
-    leftovers raise RootsUnavailableError.  Radical coefficients have no
-    lane and go straight to that tail.  Numeric backend: polished
-    companion-style root finding with cluster merging at tolerance tol.
+    leftovers raise RootsUnavailableError.  A lane with a radical key skips
+    the rational-root search and goes straight to that tail.  Numeric backend:
+    polished companion-style root finding with cluster merging at tolerance tol.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")

@@ -82,6 +82,23 @@ def casorati_rows(fs: list[Poly], form: str = "delta") -> list[list[Poly]]:
     return rows
 
 
+def det_cofactor(rows: list[list]):
+    """Cofactor expansion over the first row, for entries of one ring:
+    Polys or lanes.  Its sums and products come in the order of
+    ``casorati._det_minors``, so numeric results are bit-identical."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = type(rows[0][0])()
+    for j, top in enumerate(rows[0]):
+        if not top:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = top * det_cofactor(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
 def rand_fraction(rng: random.Random, top: int = 9) -> Fraction:
     return Fraction(rng.randint(-top, top), rng.randint(1, top))
 

@@ -15,29 +15,26 @@ from diffrad import (
     linearly_independent,
 )
 from diffrad import casorati as casorati_mod
-from diffrad.casorati import _det_bareiss, _det_cofactor, determinant
+from diffrad.casorati import MINORS_MAX, _det_bareiss, _det_minors, determinant
+from diffrad.errors import ExactDivisionError
 from diffrad.poly import _Lane, _to_lane
 from diffrad.theorems import gen_chain_poly
-from helpers import I, S2, casorati_rows, mul_terms, rand_radical_poly, rand_rational_poly
+from helpers import (
+    I,
+    S2,
+    casorati_rows,
+    det_cofactor,
+    mul_terms,
+    rand_radical_poly,
+    rand_rational_poly,
+)
 
 Z = Poly.z()
 
 
 def cofactor_oracle(fs, form="delta"):
     """Independent cofactor expansion over the first row."""
-    rows = casorati_rows(fs, form)
-
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = Poly()
-        for j in range(len(mat)):
-            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            term = mat[0][j] * det(minor)
-            total = total - term if j % 2 else total + term
-        return total
-
-    return det(rows)
+    return det_cofactor(casorati_rows(fs, form))
 
 
 def test_single_entry():
@@ -173,7 +170,7 @@ def test_bareiss_matches_cofactor():
         m = rng.randint(2, 5)
         fs = [rand_rational_poly(rng, 4) for _ in range(m)]
         rows = casorati_rows(fs, "delta")
-        assert _det_bareiss(rows) == _det_cofactor(rows)
+        assert _det_bareiss(rows) == _det_minors(rows)
     # degenerate rows exercise the zero-column path
     rows = [[Poly.zero(), Poly.constant(1)], [Poly.zero(), Z]]
     assert _det_bareiss(rows) == Poly.zero()
@@ -199,7 +196,7 @@ def leibniz_oracle(rows):
 
 
 def test_radical_determinants_match_leibniz():
-    """1x1 to 5x5 by cofactors on lanes over Q(i, sqrt 2, sqrt 3, sqrt 5);
+    """1x1 to 5x5 by minors on lanes over Q(i, sqrt 2, sqrt 3, sqrt 5);
     entries of degrees 0 to 8, some zero."""
     rng = random.Random(71)
     for n, count, top in ((1, 10, 8), (2, 10, 8), (3, 8, 6), (4, 4, 4), (5, 2, 2)):
@@ -209,24 +206,24 @@ def test_radical_determinants_match_leibniz():
                 for _ in range(n)
             ]
             assert determinant(rows) == leibniz_oracle(rows)
-    # a repeated row over the radical field: Bareiss (7x7) meets a zero
+    # a repeated row over the radical field: Bareiss (8x8) meets a zero
     # pivot column
-    rows = [[rand_radical_poly(rng, 1) for _ in range(7)] for _ in range(6)]
+    rows = [[rand_radical_poly(rng, 1) for _ in range(8)] for _ in range(7)]
     assert determinant(rows[:1] + rows) == Poly()
 
 
 @pytest.mark.parametrize(
     "ring, n, route",
     [
-        ("Q", 4, "cofactor"), ("Q", 5, "bareiss"),
-        ("radical", 6, "cofactor"), ("radical", 7, "bareiss"),
-        ("numeric", 4, "cofactor"), ("numeric", 5, "bareiss"),
+        ("Q", 7, "minors"), ("Q", 8, "bareiss"),
+        ("radical", 7, "minors"), ("radical", 8, "bareiss"),
+        ("numeric", 7, "minors"), ("numeric", 8, "bareiss"),
     ],
 )
-def test_route_by_ring_and_size(monkeypatch, ring, n, route):
-    """Cofactors through 4x4 over Q and numerically, through 6x6 when a
-    lane carries a radical key; Bareiss above."""
-    calls = {"cofactor": 0, "bareiss": 0}
+def test_route_by_size(monkeypatch, ring, n, route):
+    """One size rule for every ring: minors through MINORS_MAX = 7 rows,
+    Bareiss above."""
+    calls = {"minors": 0, "bareiss": 0}
 
     def counting(name, fn):
         def wrapped(rows):
@@ -234,7 +231,7 @@ def test_route_by_ring_and_size(monkeypatch, ring, n, route):
             return fn(rows)
         return wrapped
 
-    monkeypatch.setattr(casorati_mod, "_det_cofactor", counting("cofactor", _det_cofactor))
+    monkeypatch.setattr(casorati_mod, "_det_minors", counting("minors", _det_minors))
     monkeypatch.setattr(casorati_mod, "_det_bareiss", counting("bareiss", _det_bareiss))
     # the identity grid plus z on the antidiagonal; sqrt(2) in one corner
     # makes it radical
@@ -247,10 +244,7 @@ def test_route_by_ring_and_size(monkeypatch, ring, n, route):
     if ring == "numeric":
         rows = [[p.embed(64) for p in row] for row in rows]
     determinant(rows)
-    if route == "cofactor":
-        assert calls["bareiss"] == 0 and calls["cofactor"] > 0
-    else:
-        assert calls == {"cofactor": 0, "bareiss": 1}
+    assert calls == {"minors": int(route == "minors"), "bareiss": int(route == "bareiss")}
 
 
 def test_bareiss_and_cofactors_agree_on_lanes():
@@ -260,6 +254,57 @@ def test_bareiss_and_cofactors_agree_on_lanes():
         lanes = [[_to_lane(p) for p in row] for row in rows]
         den = math.prod(x.den for row in lanes for x in row)
         lanes = [[_Lane(x.over(den).terms) for x in row] for row in lanes]
-        by_bareiss, by_cofactors = _det_bareiss(lanes), _det_cofactor(lanes)
-        assert (by_bareiss - by_cofactors).to_poly() == Poly()
+        by_bareiss, by_minors = _det_bareiss(lanes), _det_minors(lanes)
+        assert (by_bareiss - by_minors).to_poly() == Poly()
         assert _Lane(by_bareiss.terms, by_bareiss.den * den**n).to_poly() == determinant(rows)
+
+
+def bits(p):
+    return [(c._re, c._im, c.prec) for c in p.coeffs]
+
+
+def test_numeric_minors_are_bit_identical_to_cofactors():
+    """Through 4x4 the minors make the cofactor expansion's sums and
+    products in its order, so numeric results keep every bit."""
+    rng = random.Random(79)
+    for n in (1, 2, 3, 4):
+        for prec in (64, 256, 4096):
+            for _ in range(6):
+                fs = [rand_rational_poly(rng, 6).embed(prec) for _ in range(n)]
+                rows = casorati_rows(fs, "delta")
+                assert bits(determinant(rows)) == bits(det_cofactor(rows))
+                rows = [[rand_radical_poly(rng, rng.randint(0, 3)).embed(prec) for _ in range(n)] for _ in range(n)]
+                assert bits(determinant(rows)) == bits(det_cofactor(rows))
+
+
+def numeric_tuples(rng, n):
+    """An independent tuple of n exact polynomials of degrees 0 to n + 1,
+    and a dependent one whose last entry combines the others."""
+    fs = [rand_rational_poly(rng, n + 1) for _ in range(n)]
+    while not casoratian(fs):
+        fs = [rand_rational_poly(rng, n + 1) for _ in range(n)]
+    combo = sum((f * Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for f in fs[1:]), Poly())
+    return fs, fs[:-1] + [combo + fs[0] * Fraction(2, 3)]
+
+
+@pytest.mark.parametrize("prec", [256, 4096])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_numeric_casoratians_through_seven_rows(prec, n):
+    """Numeric 5x5 to 7x7 Casoratians answer by minors, with the exact
+    backend's verdict on independent and dependent tuples."""
+    rng = random.Random(89 + n)
+    for _ in range(2):
+        for fs in numeric_tuples(rng, n):
+            want = linearly_independent(fs)
+            numeric = [f.embed(prec) for f in fs]
+            assert linearly_independent(numeric) is want
+            # and the value: numeric minus exact is rounding noise
+            assert (casoratian(numeric) - casoratian(fs).embed(prec)).negligible()
+
+
+def test_numeric_eight_rows_still_reach_bareiss():
+    """Above MINORS_MAX numeric rows go to Bareiss, whose exact divisions
+    meet rounding noise, as before."""
+    fs = [Poly([Fraction(1, k + 2), Fraction(-2, 7), 1]) * Z**k + Fraction(1, 3) for k in range(MINORS_MAX + 1)]
+    with pytest.raises(ExactDivisionError):
+        casoratian([f.embed(256) for f in fs])

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import time
@@ -209,6 +210,21 @@ def test_overflowing_residual_sup_is_valid_json(capsys):
     doc = json.loads(out, parse_constant=refuse)
     assert code == 1 and not doc["equation_holds"]
     assert doc["residual_sup"] == sys.float_info.max
+
+
+def test_underflowing_residual_sup_is_not_zero(capsys):
+    """At 4096 bits the residual is below the smallest float; it reports as
+    that float, not as an exact 0, and at 256 bits as before."""
+    argv = ("fermat", "z^2", "-(1/2)*i*(sqrt(2)*z^2 + 2*z - sqrt(2))",
+            "-(1/2)*(sqrt(2)*z^2 - 2*z - sqrt(2))", "--n", "2", "--backend", "numeric")
+    code, out, _ = run(capsys, *argv, "--precision", "4096", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["equation_holds"]
+    assert doc["residual_sup"] == math.ulp(0.0)
+    code, out, _ = run(capsys, *argv, "--precision", "4096")
+    assert code == 0 and "residual sup 4.94e-324" in out
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "residual sup 3.64e-82" in out
 
 
 def test_exit_code_is_the_report_verdict(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -333,6 +334,14 @@ def test_negligible_boundary_is_strict():
     assert at.coeff_sup() == float(tol)
     assert not at.negligible() and not at.negligible(tol)
     assert Poly([Numeric.from_rational(tol * Fraction(99, 100), 64)]).negligible()
+
+
+def test_coeff_sup_of_an_underflowing_coefficient_is_the_least_float():
+    tiny = Numeric.from_rational(Fraction(1, 2**1500), 4096)
+    assert tiny.magnitude() == 0.0
+    assert Poly([tiny]).coeff_sup() == math.ulp(0.0)
+    assert Poly([Numeric.from_rational(1, 4096), tiny]).coeff_sup() == 1.0
+    assert Poly([Numeric.from_rational(0, 4096)]).coeff_sup() == 0.0
 
 
 def test_candidate_cap_trips_before_any_divisor_is_listed(monkeypatch):
