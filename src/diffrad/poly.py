@@ -733,12 +733,17 @@ def _root_bound_exp(ints: list[int]) -> int:
 
 
 def _pack(cs: list[int], width: int) -> int:
-    """cs evaluated at 2^(8*width): Kronecker substitution."""
+    """cs evaluated at 2^(8*width): Kronecker substitution.  Up to 16 digits
+    fold in by shift-and-add; longer lists join their packed halves with one
+    shift, so the cost is not quadratic in the length."""
     bits = 8 * width
-    out = 0
-    for c in reversed(cs):
-        out = (out << bits) + c
-    return out
+    if len(cs) <= 16:
+        out = 0
+        for c in reversed(cs):
+            out = (out << bits) + c
+        return out
+    h = len(cs) // 2
+    return (_pack(cs[h:], width) << (bits * h)) + _pack(cs[:h], width)
 
 
 def _unpack(x: int, width: int) -> list[int]:
@@ -980,47 +985,26 @@ def _divisors(factors: dict[int, int]) -> Iterator[int]:
             yield d * p**k
 
 
-def _factor_numeric(p: Poly, tol: float | None) -> FactoredPoly:
-    import mpmath
+def factor(p: Poly) -> FactoredPoly:
+    """Factor an exact polynomial into (lead, root multiset).
 
-    widest = max(p.coeffs, key=attrgetter("prec"))
-    prec = widest.prec
-    with mpmath.mp.workprec(prec + 32):
-        coeffs = [c.to_mpc() for c in reversed(p.coeffs)]
-        found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
-    numeric_roots = [Numeric.from_mpc(r, prec) for r in found]
-    clusters: list[list[Numeric]] = []
-    for r in numeric_roots:
-        for cluster in clusters:
-            if (cluster[0] - r).negligible(tol):
-                cluster.append(r)
-                break
-        else:
-            clusters.append([r])
-    roots = [(cluster[0], len(cluster)) for cluster in clusters]
-    return FactoredPoly(p.lead, roots)
-
-
-def factor(p: Poly, tol: float | None = None) -> FactoredPoly:
-    """Factor into (lead, root multiset).
-
-    Exact backend: the zero root is split off first, whatever the
-    coefficients; other rational roots are found on the integer lane, where
-    each candidate s/d divides the primitive integer polynomial by d*z - s
-    exactly or not at all.  The candidates come from the prime factors of
-    the constant and leading terms (``prime_factors``), and one above
-    Fujiwara's root bound is skipped undivided; more than MAX_CANDIDATES
-    divisor pairs, or a term trial division cannot factor, raise
-    RootsUnavailableError.  The linear or quadratic leftover then goes
-    through the quadratic formula over the radical field, and degree >= 3
-    leftovers raise RootsUnavailableError.  A lane with a radical key skips
-    the rational-root search and goes straight to that tail.  Numeric backend:
-    polished companion-style root finding with cluster merging at tolerance tol.
+    The zero root is split off first, whatever the coefficients; other
+    rational roots are found on the integer lane, where each candidate s/d
+    divides the primitive integer polynomial by d*z - s exactly or not at
+    all.  The candidates come from the prime factors of the constant and
+    leading terms (``prime_factors``), and one above Fujiwara's root bound is
+    skipped undivided; more than MAX_CANDIDATES divisor pairs, or a term
+    trial division cannot factor, raise RootsUnavailableError.  The linear
+    or quadratic leftover then goes through the quadratic formula over the
+    radical field, and degree >= 3 leftovers raise RootsUnavailableError.  A
+    lane with a radical key skips the rational-root search and goes straight
+    to that tail.  Numeric input raises BackendMismatchError, as in
+    ``poly_gcd``: numeric roots come from exact ones or in closed form.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
+    if p.backend == "numeric":
+        raise BackendMismatchError("factoring requires the exact backend")
     if p.degree == 0:
         return FactoredPoly(p.lead)
-    if p.backend == "numeric":
-        return _factor_numeric(p, tol)
     return _factor_exact(p)

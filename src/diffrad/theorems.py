@@ -19,7 +19,9 @@ from typing import Sequence
 
 from . import casorati, diffcalc, shiftcalc
 from .errors import RootsUnavailableError, SamplingBudgetError
-from .poly import FactoredPoly, Poly, factor, poly_gcd
+# poly_gcd is not called here; perfbench's self-test checks that its tracer
+# patches this binding too, so the name stays
+from .poly import FactoredPoly, Poly, factor, poly_gcd, product  # noqa: F401
 from .scalar import Exact, Scalar, as_scalar
 
 
@@ -136,34 +138,23 @@ def _shifting_prime_hypothesis(
     return Hypothesis("pairwise_shifting_prime", ok, text)
 
 
-def _relatively_prime_hypothesis(
-    fs: Sequence[FactoredPoly], expanded: Sequence[Poly], tol
-) -> Hypothesis:
-    """Pairwise coprimality: Euclidean gcd exactly; numerically, two roots
-    are shared when their difference is negligible, by default at the
-    precision of that pair.
-
-    ``expanded[i]`` is ``fs[i].expand()``, made once by the caller.
+def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly], tol) -> Hypothesis:
+    """Pairwise coprimality from the roots: each root r of f_i is paired with
+    the first root s of f_j for which r - s is negligible, by default at the
+    precision of that pair (for exact roots, r = s).  The witness is the
+    monic product of (z - r)^min(m, n) over the paired roots, which for exact
+    input is gcd(f_i, f_j).
     """
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
-            if fs[i].backend == "exact":
-                g = poly_gcd(expanded[i], expanded[j])
-                if g.degree >= 1:
-                    return Hypothesis(
-                        "relatively_prime",
-                        False,
-                        f"inputs {i} and {j} share the factor {g.expr_text()}",
-                    )
-            else:
-                for r, _ in fs[i].roots:
-                    for s, _ in fs[j].roots:
-                        if (r - s).negligible(tol):
-                            return Hypothesis(
-                                "relatively_prime",
-                                False,
-                                f"inputs {i} and {j} share the root {r.text()}",
-                            )
+            shared = []
+            for r, m in fs[i].roots:
+                n = next((n for s, n in fs[j].roots if (r - s).negligible(tol)), 0)
+                shared += [Poly.linear(r)] * min(m, n)
+            if shared:
+                g = product(shared).expr_text()
+                text = f"inputs {i} and {j} share the factor {g}"
+                return Hypothesis("relatively_prime", False, text)
     return Hypothesis("relatively_prime", True, "")
 
 
@@ -171,10 +162,9 @@ def mason_classical(
     a: FactoredPoly, b: FactoredPoly, c: FactoredPoly, tol=None
 ) -> MasonReport:
     """Classical degree inequality for relatively prime a + b = c."""
-    expanded = [f.expand() for f in (a, b, c)]
-    equation = _sum_equation_holds(expanded[:2], expanded[2], tol)
+    equation = _sum_equation_holds([a.expand(), b.expand()], c.expand(), tol)
     hyps = [
-        _relatively_prime_hypothesis([a, b, c], expanded, tol),
+        _relatively_prime_hypothesis([a, b, c], tol),
         Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1),
     ]
     return MasonReport(
@@ -390,12 +380,25 @@ def unit_cubic_resolvent_roots(prec: int = 256) -> list:
 
 
 def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
-    """Two cubics and a quadratic summing (in falling cubes) to 1.
+    """Two cubics and a quadratic summing (in falling cubes) to 1, from
+    their roots in closed form.
 
     s must be a root of UNIT_CUBIC_RESOLVENT and t any nonzero scalar; the
     returned factored polynomials feed fermat_multi_check(..., n=3,
-    rhs_one=True) on the numeric backend.
+    rhs_one=True) on the numeric backend.  With b = -t / (2 s):
+
+    - p3 = s (z - b - 1)(z - b + 1), so its roots are b +- 1;
+    - p1(b + w) = w^3 - 3 w - s^3 / 6 (lead 1) and p2 = -p1 - s^3 / 3
+      (lead -1), so their roots are b + w where w^3 - 3 w = 2 c, with
+      c = s^3 / 12 for p1 and c = -s^3 / 12 for p2.
+
+    That cubic is solved as w_k = u omega^k + (u omega^k)^-1, k = 0, 1, 2,
+    with omega = -1/2 + (sqrt(3)/2) i and u^3 = c + sqrt(c^2 - 1), so u != 0.
+    The three w_k are distinct, as s^3 = +-12 is not a root of
+    u^3 - 144 u + 108.  Everything is computed at 64 bits above s.prec.
     """
+    import mpmath
+
     from .scalar import Numeric
 
     if not isinstance(s, Numeric):
@@ -404,14 +407,18 @@ def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
         t = Numeric.from_rational(Fraction(t), s.prec)
     if not t:
         raise ValueError("t must be nonzero")
-    one = as_scalar(1, s)
-    a2 = -(t * 3) / (s * 2)
-    a1 = (s * s * 4 - t * t) * 3 / (s * s * 4)
-    a0 = (t * t * t * 3 - s * s * t * 36 - (s ** 6) * 4) / ((s ** 3) * 24)
-    p1 = Poly([a0, -a1, -a2, one])
-    p2 = Poly([-((a0 * 3 + s ** 3) / 3), a1, a2, -one])
-    p3 = Poly([(t * t - s * s * 4) / (s * 4), t, s])
-    return [factor(p) for p in (p1, p2, p3)]
+    with mpmath.mp.workprec(s.prec + 64):
+        s3, b = s.to_mpc() ** 3, -t.to_mpc() / (2 * s.to_mpc())
+        omega = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
+        roots = []
+        for c in (s3 / 12, -s3 / 12):
+            us = [mpmath.cbrt(c + mpmath.sqrt(c * c - 1)) * omega**k for k in range(3)]
+            roots.append([b + u + 1 / u for u in us])
+        roots.append([b + 1, b - 1])
+    return [
+        FactoredPoly(as_scalar(lead, s), [(Numeric.from_mpc(r, s.prec), 1) for r in rs])
+        for lead, rs in zip((1, -1, s), roots)
+    ]
 
 
 # -- random instance generation ---------------------------------------------

@@ -17,7 +17,7 @@ from diffrad.cli import load_fixtures, run_fixture
 from diffrad.theorems import UNIT_CUBIC_RESOLVENT
 
 sympy = pytest.importorskip("sympy")
-S, T, Z = sympy.symbols("s t z")
+S, T, Z, W, U, C = sympy.symbols("s t z w u c")
 M = sympy.Poly(UNIT_CUBIC_RESOLVENT, S)
 
 
@@ -52,6 +52,25 @@ def test_identity_holds_modulo_the_resolvent():
     assert num.rem(M.set_domain("QQ[t,z]")).is_zero
     # not vacuous: the residual itself is a nonzero function of s
     assert not num.is_zero
+
+
+def test_triad_roots_in_closed_form():
+    # the identities unit_cubic_triad builds its roots from, in Q(s, t)
+    p1, p2, p3 = _triad()
+    b = -T / (2 * S)
+    assert sympy.simplify(p1.subs(Z, b + W) - (W**3 - 3 * W - S**3 / 6)) == 0
+    assert sympy.simplify(p2 - (-p1 - S**3 / 3)) == 0
+    assert sympy.simplify(p3 - S * (Z - b - 1) * (Z - b + 1)) == 0
+    # w = u + 1/u solves w^3 - 3w = 2c when u^3 + u^-3 = 2c, which holds
+    # for u^3 = c + sqrt(c^2 - 1) (and for its reciprocal c - sqrt(c^2 - 1))
+    w = U + 1 / U
+    assert sympy.simplify(w**3 - 3 * w - (U**3 + U**-3)) == 0
+    root = sympy.sqrt(C**2 - 1)
+    assert sympy.simplify((C + root) * (C - root)) == 1
+    # the cubic in w has a double root only at c = +-1, i.e. s^3 = +-12,
+    # where the resolvent is 108, not 0
+    assert sympy.expand(sympy.discriminant(W**3 - 3 * W - 2 * C, W)) == 108 - 108 * C**2
+    assert [M.as_expr().subs(S**3, v) for v in (12, -12)] == [108, 108]
 
 
 def test_triad_coefficients_are_the_production_ones():

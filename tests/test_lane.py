@@ -141,6 +141,29 @@ def test_signed_digits_round_trip_at_the_edges():
             assert poly_module._unpack(packed, width) == digits
 
 
+def _pack_by_loop(cs, width):
+    """The one-digit-at-a-time shift-and-add that _pack does below 17 digits."""
+    out = 0
+    for c in reversed(cs):
+        out = (out << (8 * width)) + c
+    return out
+
+
+def test_halving_pack_matches_the_loop():
+    rng = random.Random(11)
+    for n in (1, 2, 15, 16, 17, 31, 32, 33, 64, 100, 257, 1000, 1001):
+        for width in (1, 3, 9):
+            half = 1 << (8 * width - 1)
+            digits = [rng.randrange(-half, half) for _ in range(n)]
+            digits[rng.randrange(n)] = -half
+            want = _pack_by_loop(digits, width)
+            assert poly_module._pack(digits, width) == want
+            assert want == sum(d << (8 * width * k) for k, d in enumerate(digits))
+    # wide digits, all negative: 1001 coefficients of 8800 bits
+    digits = [-rng.getrandbits(8799) for _ in range(1001)]
+    assert poly_module._pack(digits, 1101) == _pack_by_loop(digits, 1101)
+
+
 @requires_sympy
 def test_tree_product_matches_sequential_product():
     rng = random.Random(3)

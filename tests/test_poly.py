@@ -250,6 +250,12 @@ def test_backend_mismatch():
         poly_gcd(numeric * Poly([0, 1]).embed(128), numeric)
 
 
+@pytest.mark.parametrize("p", [(Z - 1) * (Z - 2), Z**3 - 2, Poly([3])])
+def test_factor_refuses_numeric_input(p):
+    with pytest.raises(BackendMismatchError):
+        factor(p.embed(128))
+
+
 def test_json_encoding():
     p = Z**2 * Fraction(1, 2)
     assert p.to_json_dict() == {"coeffs": ["0", "0", "1/2"]}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -20,12 +21,15 @@ from diffrad import (
     mason_classical,
     mason_delta,
     mason_delta_ext,
+    poly_gcd,
     rad_delta,
     rad_delta_q,
     unit_cubic_resolvent_roots,
     unit_cubic_triad,
 )
 from helpers import (
+    I,
+    S2,
     falling_square_triple,
     sharp_quadratic_triple,
     sharp_quintic_tuple,
@@ -341,6 +345,100 @@ def test_resolvent_smallest_real_root_text_matches_oracle(prec):
     assert unit_cubic_resolvent_roots(prec)[0].text() == (
         Numeric.from_mpc(oracle, prec).text()
     )
+
+
+TRIAD_TS = (1, Fraction(-3, 7), 5)
+
+
+def _triad_oracle(s, t, prec):
+    """Roots of p1, p2, p3 by a general polyroots run on the coefficients
+    the paper writes as rational functions of s and t."""
+    with mpmath.mp.workprec(prec + 64):
+        s, t = s.to_mpc(), mpmath.mpf(t.numerator) / t.denominator
+        a2 = -3 * t / (2 * s)
+        a1 = 3 * (4 * s**2 - t**2) / (4 * s**2)
+        a0 = (3 * t**3 - 36 * s**2 * t - 4 * s**6) / (24 * s**3)
+        coeffs = (
+            [1, -a2, -a1, a0],
+            [-1, a2, a1, -(3 * a0 + s**3) / 3],
+            [s, t, (t**2 - 4 * s**2) / (4 * s)],
+        )
+        return [mpmath.polyroots(c, maxsteps=200, extraprec=prec) for c in coeffs]
+
+
+@pytest.mark.parametrize("prec", RESOLVENT_PRECS)
+def test_triad_roots_match_polyroots_oracle(prec):
+    for s in unit_cubic_resolvent_roots(prec):
+        for t in TRIAD_TS:
+            fs = unit_cubic_triad(s, t)
+            assert [f.lead for f in fs] == [1, -1, s]
+            with mpmath.mp.workprec(prec + 64):
+                tol = mpmath.mpf(2) ** -(prec - 8)
+                for f, oracle in zip(fs, _triad_oracle(s, Fraction(t), prec)):
+                    assert f.degree == len(oracle) and len(f.roots) == len(oracle)
+                    for root, _ in f.roots:
+                        r = root.to_mpc()
+                        assert root.prec == prec
+                        assert min(abs(r - o) for o in oracle) <= tol * abs(r)
+                    # the roots are distinct, so the matching is one to one
+                    nearest = {
+                        min(oracle, key=lambda o: abs(r.to_mpc() - o))
+                        for r, _ in f.roots
+                    }
+                    assert len(nearest) == len(oracle)
+
+
+def test_triad_quadratic_roots_are_two_apart():
+    # p3's roots are b +- 1, so f3 against itself has dispersion {+-2}
+    s = unit_cubic_resolvent_roots(256)[0]
+    (r, _), (q, _) = unit_cubic_triad(s, 5)[2].roots
+    assert abs(complex(r - q)) == pytest.approx(2, abs=1e-60)
+
+
+def _gcd_witness(fs):
+    """The witness of the relatively-prime hypothesis through poly_gcd."""
+    expanded = [f.expand() for f in fs]
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = poly_gcd(expanded[i], expanded[j])
+            if g.degree >= 1:
+                return f"inputs {i} and {j} share the factor {g.expr_text()}"
+    return ""
+
+
+def test_relatively_prime_witness_matches_gcd():
+    rng = random.Random(7)
+    pool = [Exact.from_rational(0), Exact.from_rational(1), Exact.from_rational(-2),
+            S2, I, I + 1, S2 - I, S2 * I + Fraction(1, 2)]
+    leads = [1, -1, 2, Fraction(1, 3), S2, I]
+    failing = 0
+    for _ in range(300):
+        fs = [
+            FactoredPoly(
+                rng.choice(leads),
+                [(rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))],
+            )
+            for _ in range(rng.randint(2, 4))
+        ]
+        want = _gcd_witness(fs)
+        got = theorems._relatively_prime_hypothesis(fs, None)
+        assert (got.ok, got.witness) == (not want, want)
+        failing += not got.ok
+    assert 50 < failing < 250
+
+
+def test_relatively_prime_numeric_witness_is_the_shared_factor():
+    def numeric(*roots):
+        return FactoredPoly(
+            Numeric.from_rational(1, 256),
+            [(Numeric.from_rational(r, 256), m) for r, m in roots],
+        )
+
+    hyp = theorems._relatively_prime_hypothesis(
+        [numeric((0, 1), (1, 2), (3, 1)), numeric((1, 3), (2, 1), (3, 1))], None
+    )
+    shared = ((Z - 1) ** 2 * (Z - 3)).embed(256).expr_text()
+    assert not hyp.ok and hyp.witness == f"inputs 0 and 1 share the factor {shared}"
 
 
 def test_unit_cubic_triad_validation():
