@@ -125,14 +125,14 @@ def casoratian(fs: Sequence[Poly], form: Form = "delta") -> Poly:
     return determinant(rows)
 
 
-def linearly_independent(fs: Sequence[Poly], tol=None) -> bool:
+def linearly_independent(fs: Sequence[Poly]) -> bool:
     """True iff the Casoratian is not negligible (see ``Poly.negligible``).
 
     A numeric Casoratian, of up to 7 polynomials, counts as zero (rounding
-    noise) when every coefficient is below ``tol``, by default 2^(-prec/2)
-    at its widest coefficient, which has the inputs' widest precision.
+    noise) when every coefficient is below the tolerance of its widest
+    coefficient, which it inherits from the inputs' widest coefficients.
     """
-    return not casoratian(fs).negligible(tol)
+    return not casoratian(fs).negligible()
 
 
 def casoratian_replace(fs: Sequence[Poly], index: int, fsum: Poly) -> Poly:

@@ -32,25 +32,26 @@ class Options:
         self.precision = precision
         self.tolerance = tolerance
 
+    def convert(self, x):
+        """x, an exact scalar or Poly, in this backend: numeric values carry
+        the precision and tolerance into all that is computed from them."""
+        if self.backend != "numeric":
+            return x
+        to_numeric = x.embed if isinstance(x, Poly) else x.to_numeric
+        return to_numeric(self.precision, self.tolerance)
+
     def poly(self, src: str) -> Poly:
-        p = parse_poly(src)
-        return p.embed(self.precision) if self.backend == "numeric" else p
+        return self.convert(parse_poly(src))
 
     def factored(self, src: str) -> FactoredPoly:
         f = parse_factored(src)
-        if self.backend == "numeric":
-            f = FactoredPoly(
-                f.lead.to_numeric(self.precision),
-                [(r.to_numeric(self.precision), m) for r, m in f.roots],
-            )
-        return f
+        return FactoredPoly(self.convert(f.lead), [(self.convert(r), m) for r, m in f.roots])
 
     def scalar(self, src: str):
         p = parse_poly(src)
         if p.degree >= 1:
             raise ParseError("expected a scalar expression", 0)
-        value = p.coeff(0)
-        return value.to_numeric(self.precision) if self.backend == "numeric" else value
+        return self.convert(p.coeff(0))
 
 
 def _poly_result(p: Poly) -> dict:
@@ -81,13 +82,13 @@ def cmd_newton(inputs, opts, options: Options) -> dict:
 def cmd_height(inputs, opts, options: Options) -> dict:
     p = options.poly(inputs[0])
     at = options.scalar(opts.get("at", "0"))
-    n = shiftcalc.shifting_zero_height(p, at, options.tolerance)
+    n = shiftcalc.shifting_zero_height(p, at)
     return {"at": at.text(), "height": n}
 
 
 def cmd_chains(inputs, opts, options: Options) -> dict:
     f = options.factored(inputs[0])
-    return shiftcalc.chain_decomposition(f, options.tolerance).to_json_dict()
+    return shiftcalc.chain_decomposition(f).to_json_dict()
 
 
 def cmd_rad(inputs, opts, options: Options) -> dict:
@@ -96,26 +97,24 @@ def cmd_rad(inputs, opts, options: Options) -> dict:
 
 def cmd_rad_delta(inputs, opts, options: Options) -> dict:
     f = options.factored(inputs[0])
-    return _poly_result(shiftcalc.rad_delta(f, options.tolerance))
+    return _poly_result(shiftcalc.rad_delta(f))
 
 
 def cmd_rad_kappa(inputs, opts, options: Options) -> dict:
     f = options.factored(inputs[0])
-    return _poly_result(
-        shiftcalc.rad_kappa(f, opts.get("kappa", 1), options.tolerance)
-    )
+    return _poly_result(shiftcalc.rad_kappa(f, opts.get("kappa", 1)))
 
 
 def cmd_rad_q(inputs, opts, options: Options) -> dict:
     f = options.factored(inputs[0])
-    return _poly_result(shiftcalc.rad_delta_q(f, opts.get("q", 1), options.tolerance))
+    return _poly_result(shiftcalc.rad_delta_q(f, opts.get("q", 1)))
 
 
 def cmd_gcd_tower(inputs, opts, options: Options) -> dict:
     n = opts.get("n", 1)
     try:
         f = options.factored(inputs[0])
-        return _poly_result(shiftcalc.gcd_tower(f, n, options.tolerance))
+        return _poly_result(shiftcalc.gcd_tower(f, n))
     except RootsUnavailableError:
         return _poly_result(shiftcalc.gcd_tower(options.poly(inputs[0]), n))
 
@@ -123,7 +122,7 @@ def cmd_gcd_tower(inputs, opts, options: Options) -> dict:
 def cmd_shifting_prime(inputs, opts, options: Options) -> dict:
     f = options.factored(inputs[0])
     g = options.factored(inputs[1])
-    divisors = shiftcalc.common_shifting_divisors(f, g, options.tolerance)
+    divisors = shiftcalc.common_shifting_divisors(f, g)
     return {
         "shifting_prime": not divisors,
         "divisors": [d.text() for d in divisors],
@@ -132,40 +131,36 @@ def cmd_shifting_prime(inputs, opts, options: Options) -> dict:
 
 def cmd_casoratian(inputs, opts, options: Options) -> dict:
     fs = [options.poly(src) for src in inputs]
-    det = casorati.casoratian(fs, opts.get("form", "delta"))
-    independent = not det.negligible(options.tolerance)
-    return {**_poly_result(det), "independent": independent}
+    # printed without the rounding noise that its own negligible() calls zero
+    det = casorati.casoratian(fs, opts.get("form", "delta")).chop()
+    return {**_poly_result(det), "independent": bool(det)}
 
 
 def cmd_mason(inputs, opts, options: Options):
     fs = [options.factored(src) for src in inputs]
     if opts.get("classical"):
-        report = theorems.mason_classical(*fs, tol=options.tolerance)
-    else:
-        report = theorems.mason_delta(*fs, tol=options.tolerance)
-    return report
+        return theorems.mason_classical(*fs)
+    return theorems.mason_delta(*fs)
 
 
 def cmd_mason_ext(inputs, opts, options: Options):
     fs = [options.factored(src) for src in inputs]
-    return theorems.mason_delta_ext(fs, tol=options.tolerance)
+    return theorems.mason_delta_ext(fs)
 
 
 def cmd_fermat(inputs, opts, options: Options):
     fs = [options.factored(src) for src in inputs]
-    return theorems.fermat_check(*fs, n=opts["n"], tol=options.tolerance)
+    return theorems.fermat_check(*fs, n=opts["n"])
 
 
 def cmd_fermat_multi(inputs, opts, options: Options):
     if opts.get("builder") == "unit_cubic_triad":
-        roots = theorems.unit_cubic_resolvent_roots(options.precision)
+        roots = theorems.unit_cubic_resolvent_roots(options.precision, options.tolerance)
         s = roots[opts.get("root_index", 0)]
         fs = theorems.unit_cubic_triad(s, Fraction(opts.get("t", 1)))
     else:
         fs = [options.factored(src) for src in inputs]
-    return theorems.fermat_multi_check(
-        fs, n=opts["n"], rhs_one=bool(opts.get("rhs_one")), tol=options.tolerance
-    )
+    return theorems.fermat_multi_check(fs, n=opts["n"], rhs_one=bool(opts.get("rhs_one")))
 
 
 HANDLERS = {
@@ -293,6 +288,7 @@ TOLERANCE_DIGITS = 20000  # 10^20000 > 2^MAX_PRECISION
 def _precision(text: str) -> int:
     """Bits of numeric precision, from Numeric.MIN_PREC to MAX_PRECISION:
     the cost of numeric arithmetic grows with the precision without bound."""
+    text = text.strip()  # an argument that starts with "-" comes with a space
     value = int(text)
     if not Numeric.MIN_PREC <= value <= MAX_PRECISION:
         raise argparse.ArgumentTypeError(
@@ -306,6 +302,7 @@ def _tolerance(text: str) -> Fraction:
     0, below 0, inf or nan would make every numeric zero test false or
     overflow the arithmetic.  At most TOLERANCE_DIGITS digits and a decimal
     exponent of at most that size keep the Fraction's size bounded."""
+    text = text.strip()  # an argument that starts with "-" comes with a space
     try:
         value = Decimal(text)
         ok = value.is_finite() and value > 0
@@ -433,9 +430,22 @@ def _human_lines(command: str, result: dict) -> str:
     return json.dumps(result, sort_keys=True)
 
 
+def _expressions(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """argv with a space before each argument that starts with "-" but names
+    or abbreviates no subcommand option: argparse reads "-z^2" or "-1/2" as
+    an unknown option, and the expression grammar ignores the space."""
+    subcommands = parser._subparsers._group_actions[0].choices.values()
+    names = {name for sub in subcommands for name in sub._option_string_actions}
+    return [
+        f" {a}" if a[:1] == "-" and not any(n.startswith(a.split("=")[0]) for n in names)
+        else a
+        for a in argv
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     top = build_arg_parser()
-    args = top.parse_args(argv)
+    args = top.parse_args(_expressions(sys.argv[1:] if argv is None else argv, top))
 
     if args.command == "verify-paper":
         return cmd_verify_paper(args.filter, args.json)

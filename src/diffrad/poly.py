@@ -267,11 +267,11 @@ class Poly:
         inv = self.lead.inverse()
         return Poly([c * inv for c in self._coeffs])
 
-    def embed(self, prec: int) -> Poly:
-        """Exact polynomial to the numeric backend at the given precision."""
+    def embed(self, prec: int, tol=None) -> Poly:
+        """Exact polynomial to the numeric backend (``Exact.to_numeric``)."""
         return Poly(
             [
-                c.to_numeric(prec) if isinstance(c, Exact) else c
+                c.to_numeric(prec, tol) if isinstance(c, Exact) else c
                 for c in self._coeffs
             ]
         )
@@ -286,15 +286,19 @@ class Poly:
             sup = max(sup, mag if mag or not c else math.ulp(0.0))
         return min(sup, sys.float_info.max)
 
-    def negligible(self, tol=None) -> bool:
-        """Zero within tolerance: every coefficient is negligible by the
-        scalar rule (``Scalar.negligible``) at one tolerance, by default
-        2^(-prec/2) at the widest coefficient.  So the zero polynomial is
-        negligible, a nonzero exact one never, and a numeric one when its
-        coefficient sup is below ``tol``."""
-        if tol is None and self.backend == "numeric":
-            tol = max(self._coeffs, key=attrgetter("prec")).default_tolerance()
-        return all(c.negligible(tol) for c in self._coeffs)
+    def chop(self) -> Poly:
+        """Without rounding noise: each numeric coefficient that is negligible
+        (``Scalar.negligible``) at the tolerance of the widest coefficient,
+        the first of the widest precision, becomes 0."""
+        if self.backend != "numeric":
+            return self
+        tol = max(self._coeffs, key=attrgetter("prec")).tolerance()
+        return Poly([c - c if c.negligible(tol) else c for c in self._coeffs])
+
+    def negligible(self) -> bool:
+        """Zero within tolerance: ``chop`` leaves nothing, which a nonzero
+        exact polynomial never is."""
+        return not self.chop()
 
     # -- text & JSON -------------------------------------------------------
 

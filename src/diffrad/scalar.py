@@ -17,21 +17,22 @@ product, negation, quotient, inverse, hash and text.
   over Q, which keeps the representation canonical under any mixing.
 
 * :class:`Numeric` — an arbitrary-precision complex number built on raw
-  mpmath mantissa/exponent tuples.  Precision is carried per value (>= 64
-  bits) and binary operations run at the larger operand precision, so no
-  ambient global precision state is consulted.
+  mpmath mantissa/exponent tuples.  Precision (>= 64 bits) and zero
+  tolerance are set per value at conversion (``Exact.to_numeric``) and
+  inherited: a binary operation takes both from the wider operand, the left
+  one on a tie, so no global state is consulted and no function takes either.
 
 Mixing the two backends in one arithmetic operation raises
 :class:`BackendMismatchError` (from ``as_scalar``, the one place that does);
 conversion is explicit via :meth:`Exact.to_numeric`.  Comparing scalars of
 the two backends with ``==`` is False, not an error.
 
-Zero within tolerance has one rule, ``negligible(tol=None)``: an exact
-scalar is negligible when it is zero, a numeric one when its magnitude is
-below ``tol``, by default 2^(-prec/2) at its own precision.
-``Numeric.negligible`` is the library's one comparison of a magnitude with a
-tolerance, and it is exact: no float is involved, so no precision or
-tolerance underflows.  ``Numeric.as_integer`` and ``Poly.negligible`` call it.
+Zero within tolerance has one rule, ``negligible()``: an exact scalar is
+negligible when it is zero, a numeric one when its magnitude is below its
+``tolerance()``.  ``Numeric.negligible`` is the library's one comparison of
+a magnitude with a tolerance, and it is exact: no float is involved, so no
+precision or tolerance underflows.  Its ``tol`` override serves only
+``integer_offset``'s guard band and ``Poly.negligible``'s widest coefficient.
 """
 
 from __future__ import annotations
@@ -372,7 +373,8 @@ class Exact(Scalar):
 
     # -- conversions -------------------------------------------------------
 
-    def to_numeric(self, prec: int) -> Numeric:
+    def to_numeric(self, prec: int, tol=None) -> Numeric:
+        """This value at `prec` bits and zero tolerance `tol` (``Numeric``)."""
         re = fzero
         im = fzero
         work = prec + 16
@@ -384,7 +386,7 @@ class Exact(Scalar):
                 im = mpf_add(im, part, work, RND)
             else:
                 re = mpf_add(re, part, work, RND)
-        return Numeric(re, im, prec)
+        return Numeric(re, im, prec, tol)
 
     def __complex__(self) -> complex:
         return complex(self.to_numeric(64))
@@ -415,38 +417,40 @@ class Exact(Scalar):
 
 
 class Numeric(Scalar):
-    """Arbitrary-precision complex scalar with per-value precision.
+    """Arbitrary-precision complex scalar with per-value precision and tolerance.
 
     Operations run at the larger operand precision plus GUARD_BITS, so chains
     of arithmetic stay accurate to the nominal precision even for operands
     well above unit magnitude; the nominal precision itself never shrinks.
     """
 
-    __slots__ = ("_re", "_im", "prec")
+    __slots__ = ("_re", "_im", "prec", "tol")
 
     backend = "numeric"
 
     MIN_PREC = 64
     GUARD_BITS = 32
 
-    def __init__(self, re, im, prec: int):
+    def __init__(self, re, im, prec: int, tol=None):
         if prec < self.MIN_PREC:
             raise ValueError(f"precision must be >= {self.MIN_PREC} bits")
         object.__setattr__(self, "_re", re)
         object.__setattr__(self, "_im", im)
         object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "tol", tol)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rational(cls, value: RationalLike, prec: int) -> Numeric:
+    def from_rational(cls, value: RationalLike, prec: int, tol=None) -> Numeric:
         fr = Fraction(value)
-        return cls(from_rational(fr.numerator, fr.denominator, prec, RND), fzero, prec)
+        re = from_rational(fr.numerator, fr.denominator, prec, RND)
+        return cls(re, fzero, prec, tol)
 
     @classmethod
-    def from_mpc(cls, value, prec: int) -> Numeric:
+    def from_mpc(cls, value, prec: int, tol=None) -> Numeric:
         re, im = value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, fzero)
-        return cls(re, im, prec)
+        return cls(re, im, prec, tol)
 
     # -- inspection --------------------------------------------------------
 
@@ -456,16 +460,16 @@ class Numeric(Scalar):
     def magnitude(self) -> float:
         return libmp.to_float(libmp.mpc_abs((self._re, self._im), 53))
 
-    def default_tolerance(self) -> Fraction:
-        return Fraction(1, 2 ** (self.prec // 2))
+    def tolerance(self) -> Fraction:
+        """The zero tolerance: ``tol`` read exactly, or 2^(-prec/2)."""
+        return Fraction(1, 2 ** (self.prec // 2)) if self.tol is None else Fraction(self.tol)
 
     def negligible(self, tol=None) -> bool:
-        """Zero within tolerance: magnitude below tol, by default
-        2^(-prec/2) at this scalar's own precision.  Exact: with tol = p/q,
-        (q re)^2 + (q im)^2 < p |p| on exact products, whose sum is rounded
-        down at a precision that holds both squares and p^2, so cannot
-        cross p^2."""
-        tol = Fraction(self.default_tolerance() if tol is None else tol)
+        """Zero within tolerance: magnitude below ``tolerance()``, or below
+        `tol` when given.  Exact: with tol = p/q, (q re)^2 + (q im)^2 < p |p|
+        on exact products, whose sum is rounded down at a precision that
+        holds both squares and p^2, so cannot cross p^2."""
+        tol = self.tolerance() if tol is None else Fraction(tol)
         q = from_int(tol.denominator)
         re, im = mpf_mul(self._re, q), mpf_mul(self._im, q)
         re2, im2 = mpf_mul(re, re), mpf_mul(im, im)
@@ -475,10 +479,10 @@ class Numeric(Scalar):
         return mpf_cmp(total, from_int(bound)) < 0
 
     def as_integer(self, tol=None) -> int | None:
-        """Nearest integer n when self - n is negligible at tol."""
+        """Nearest integer n when self - n is ``negligible(tol)``."""
         n = to_int(self._re, RND)
-        offset = Numeric(mpf_sub(self._re, from_int(n)), self._im, self.prec)  # exact
-        return n if offset.negligible(tol) else None
+        offset = Numeric(mpf_sub(self._re, from_int(n)), self._im, self.prec, self.tol)
+        return n if offset.negligible(tol) else None  # the offset is exact
 
     # -- arithmetic --------------------------------------------------------
 
@@ -486,11 +490,11 @@ class Numeric(Scalar):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        prec = max(self.prec, rhs.prec)
+        wide = rhs if rhs.prec > self.prec else self
         re, im = fn(
-            (self._re, self._im), (rhs._re, rhs._im), prec + self.GUARD_BITS, RND
+            (self._re, self._im), (rhs._re, rhs._im), wide.prec + self.GUARD_BITS, RND
         )
-        return Numeric(re, im, prec)
+        return Numeric(re, im, wide.prec, wide.tol)
 
     def __add__(self, other):
         return self._binary(other, libmp.mpc_add)
@@ -515,10 +519,10 @@ class Numeric(Scalar):
 
     def __neg__(self) -> Numeric:
         re, im = libmp.mpc_neg((self._re, self._im))
-        return Numeric(re, im, self.prec)
+        return Numeric(re, im, self.prec, self.tol)
 
     def inverse(self) -> Numeric:
-        return Numeric.from_rational(1, self.prec) / self
+        return Numeric.from_rational(1, self.prec, self.tol) / self
 
     def _value(self):
         return self._re, self._im
@@ -551,9 +555,10 @@ class Numeric(Scalar):
 
 
 def as_scalar(value, like: Scalar) -> Scalar:
-    """value in the backend of `like`: an int or Fraction is converted, a
-    scalar of that backend passes through, and a scalar of the other backend
-    raises BackendMismatchError."""
+    """value in the backend of `like`: an int or Fraction is converted (a
+    numeric one at like's precision and tolerance), a scalar of that backend
+    passes through, and a scalar of the other backend raises
+    BackendMismatchError."""
     if isinstance(value, Scalar):
         if value.backend != like.backend:
             raise BackendMismatchError(
@@ -563,5 +568,5 @@ def as_scalar(value, like: Scalar) -> Scalar:
         return value
     if isinstance(like, Exact):
         return Exact.from_rational(value)
-    return Numeric.from_rational(value, like.prec)
+    return Numeric.from_rational(value, like.prec, like.tol)
 

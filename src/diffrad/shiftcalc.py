@@ -31,21 +31,18 @@ from .scalar import _ONE_KEY, Exact, Scalar, as_scalar
 AMBIGUITY_GUARD = 8
 
 
-def integer_offset(a: Scalar, b: Scalar, tol=None) -> int | None:
+def integer_offset(a: Scalar, b: Scalar) -> int | None:
     """Integer k with a - b = k, or None.
 
-    Numeric backend: distances inside [tol, AMBIGUITY_GUARD*tol) of the
-    nearest integer are refused with AmbiguousShiftError, naming the pair.
+    Numeric backend: with tol the tolerance a - b inherits, distances inside
+    [tol, AMBIGUITY_GUARD*tol) of the nearest integer are refused with
+    AmbiguousShiftError, naming the pair.
     """
     diff = a - b
-    if isinstance(diff, Exact):
-        return diff.as_integer()
-    if tol is None:
-        tol = diff.default_tolerance()
-    k = diff.as_integer(tol)
-    if k is not None:
+    k = diff.as_integer()
+    if k is not None or isinstance(diff, Exact):
         return k
-    tol = Fraction(tol)
+    tol = diff.tolerance()
     if diff.as_integer(tol * AMBIGUITY_GUARD) is not None:
         shown = to_str(from_rational(tol.numerator, tol.denominator, 53, round_nearest), 6)
         raise AmbiguousShiftError(
@@ -80,7 +77,7 @@ class ShiftClass:
         return n
 
 
-def shift_classes(f: FactoredPoly, tol=None) -> list[ShiftClass]:
+def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
     """Partition the distinct roots by integer difference.
 
     Exact roots are grouped in one pass: a - b is an integer exactly when a
@@ -88,7 +85,7 @@ def shift_classes(f: FactoredPoly, tol=None) -> list[ShiftClass]:
     modulo 1, so each root goes to the bucket keyed by those two, and the
     member with the least rational part is the representative.  Numeric
     roots keep the scan that compares each root with each representative
-    through ``integer_offset``: "within tol of an integer" is not an
+    through ``integer_offset``: "within tolerance of an integer" is not an
     equivalence relation and has no hash key, and the scan is what raises
     ``AmbiguousShiftError`` in the guard band.
 
@@ -98,7 +95,7 @@ def shift_classes(f: FactoredPoly, tol=None) -> list[ShiftClass]:
     if f.backend == "exact":
         classes = _bucket_classes(f.roots)
     else:
-        classes = _scan_classes(f.roots, tol)
+        classes = _scan_classes(f.roots)
     classes.sort(key=lambda c: c[0].text())
     return [ShiftClass(rep, members) for rep, members in classes]
 
@@ -118,13 +115,13 @@ def _bucket_classes(roots) -> list[tuple[Scalar, dict[int, int]]]:
     return classes
 
 
-def _scan_classes(roots, tol) -> list[tuple[Scalar, dict[int, int]]]:
+def _scan_classes(roots) -> list[tuple[Scalar, dict[int, int]]]:
     """Numeric classes, and the test oracle for exact ones: each root is
     compared with each representative, O(roots x classes)."""
     classes: list[tuple[Scalar, dict[int, int]]] = []
     for root, mult in roots:
         for idx, (rep, members) in enumerate(classes):
-            k = integer_offset(root, rep, tol)
+            k = integer_offset(root, rep)
             if k is None:
                 continue
             if k < 0:  # new minimal member becomes the representative
@@ -166,7 +163,7 @@ class ChainDecomposition:
         }
 
 
-def chain_decomposition(f: FactoredPoly, tol=None) -> ChainDecomposition:
+def chain_decomposition(f: FactoredPoly) -> ChainDecomposition:
     """Greedy partition of the root multiset into maximal consecutive runs.
 
     Within each shift class the smallest remaining offset starts a chain that
@@ -178,7 +175,7 @@ def chain_decomposition(f: FactoredPoly, tol=None) -> ChainDecomposition:
     directly, so the chains serve the ``chains`` command.
     """
     chains: list[tuple[Scalar, int]] = []
-    for cls in shift_classes(f, tol):
+    for cls in shift_classes(f):
         remaining = dict(cls.members)
         while any(m > 0 for m in remaining.values()):
             start = min(o for o, m in remaining.items() if m > 0)
@@ -192,7 +189,7 @@ def chain_decomposition(f: FactoredPoly, tol=None) -> ChainDecomposition:
     return ChainDecomposition(f.lead, tuple(chains))
 
 
-def shifting_zero_height(p: Poly, z0, tol=None) -> int:
+def shifting_zero_height(p: Poly, z0) -> int:
     """Height of z0 as a shifting zero of p (0 when p(z0) != 0).
 
     Computed as the length of the run of consecutive zeros p(z0), p(z0+1),
@@ -203,20 +200,20 @@ def shifting_zero_height(p: Poly, z0, tol=None) -> int:
         raise ValueError("height is undefined for the zero polynomial")
     z0 = as_scalar(z0, p.lead)
     n = 0
-    while p(z0 + as_scalar(n, z0)).negligible(tol):
+    while p(z0 + as_scalar(n, z0)).negligible():
         n += 1
         _check_run(p, z0, n)
     return n
 
 
-def shifting_zero_height_via_delta(p: Poly, z0, tol=None) -> int:
+def shifting_zero_height_via_delta(p: Poly, z0) -> int:
     """Height from the definition: least n with delta^n p(z0) nonzero."""
     if not p:
         raise ValueError("height is undefined for the zero polynomial")
     z0 = as_scalar(z0, p.lead)
     n = 0
     cur = p
-    while cur(z0).negligible(tol):
+    while cur(z0).negligible():
         cur = diffcalc.delta(cur)
         n += 1
         _check_run(p, z0, n)
@@ -231,27 +228,27 @@ def _check_run(p: Poly, z0: Scalar, n: int) -> None:
         )
 
 
-def factor_at(p: Poly, z0, tol=None) -> tuple[int, Poly]:
+def factor_at(p: Poly, z0) -> tuple[int, Poly]:
     """Write p = (z - z0)(z - z0 - 1)...(z - z0 - n + 1) * g with n the height.
 
     The cofactor g satisfies g(z0 + n) != 0.  Raises ValueError when z0 is
     not a zero of p.
     """
     z0 = as_scalar(z0, p.lead)
-    n = shifting_zero_height(p, z0, tol)
+    n = shifting_zero_height(p, z0)
     if n == 0:
         raise ValueError(f"{z0.text()} is not a zero")
     g = p.divexact(diffcalc.falling_factorial_linear(z0, n))
-    if g(z0 + as_scalar(n, z0)).negligible(tol):  # pragma: no cover
+    if g(z0 + as_scalar(n, z0)).negligible():  # pragma: no cover
         raise ArithmeticError("cofactor vanishes at z0 + n")
     return n, g
 
 
-def _radical(f: FactoredPoly, order, tol) -> Poly:
+def _radical(f: FactoredPoly, order) -> Poly:
     """Monic prod (z - w)^order(m, o) over w = representative + o, where m is
     w's class's ``members``; starts from the 1 of f's backend."""
     factors = [Poly.constant(as_scalar(1, f.lead))]
-    for cls in shift_classes(f, tol):
+    for cls in shift_classes(f):
         rep, m = cls.representative, cls.members
         for o in sorted(m):
             factors += [Poly.linear(rep + as_scalar(o, rep))] * order(m, o)
@@ -264,26 +261,26 @@ def _least_order(m: dict[int, int], lo: int, hi: int) -> int:
     return min(m.get(o, 0) for o in range(lo, min(hi, lo + len(m)) + 1))
 
 
-def rad_delta(f: FactoredPoly, tol=None) -> Poly:
+def rad_delta(f: FactoredPoly) -> Poly:
     """Difference radical, prod of z - start over all chains: the order rule
     m(o) - min(m(o), m(o-1)), rad_kappa at kappa = -1."""
-    return _radical(f, lambda m, o: m[o] - min(m[o], m.get(o - 1, 0)), tol)
+    return _radical(f, lambda m, o: m[o] - min(m[o], m.get(o - 1, 0)))
 
 
-def rad_kappa(f: FactoredPoly, kappa: int, tol=None) -> Poly:
+def rad_kappa(f: FactoredPoly, kappa: int) -> Poly:
     """Kappa-difference radical, m(o) - min(m(o), m(o+kappa)): orders at
     w + kappa are read in w's class, as no other root differs from w by kappa."""
     if kappa == 0:
         raise ValueError("kappa must be a nonzero integer")
-    return _radical(f, lambda m, o: m[o] - min(m[o], m.get(o + kappa, 0)), tol)
+    return _radical(f, lambda m, o: m[o] - min(m[o], m.get(o + kappa, 0)))
 
 
-def rad_delta_q(f: FactoredPoly, q: int, tol=None) -> Poly:
+def rad_delta_q(f: FactoredPoly, q: int) -> Poly:
     """Truncated difference radical, chains clamped to length at most q: the
     order rule m(o) - min(m(o-q), ..., m(o))."""
     if q < 1:
         raise ValueError("truncation level q must be >= 1")
-    return _radical(f, lambda m, o: m[o] - _least_order(m, o - q, o), tol)
+    return _radical(f, lambda m, o: m[o] - _least_order(m, o - q, o))
 
 
 def gcd_tower_euclid(p: Poly, n: int) -> Poly:
@@ -302,22 +299,22 @@ def gcd_tower_euclid(p: Poly, n: int) -> Poly:
     return g
 
 
-def gcd_tower_closed(f: FactoredPoly, n: int, tol=None) -> Poly:
+def gcd_tower_closed(f: FactoredPoly, n: int) -> Poly:
     """Closed form prod (z - start)^(falling max(length - n, 0)), chains
     shortened by n: the order rule min(m(o), ..., m(o+n))."""
     if n < 1:
         raise ValueError("tower height n must be >= 1")
-    return _radical(f, lambda m, o: _least_order(m, o, o + n), tol)
+    return _radical(f, lambda m, o: _least_order(m, o, o + n))
 
 
-def gcd_tower(p: Poly | FactoredPoly, n: int, tol=None) -> Poly:
+def gcd_tower(p: Poly | FactoredPoly, n: int) -> Poly:
     """gcd(p, delta p, ..., delta^n p), monic.
 
     Factored input computes the chain closed form and cross-checks it against
     the Euclidean route; plain exact polynomials go through Euclid alone.
     """
     if isinstance(p, FactoredPoly):
-        closed = gcd_tower_closed(p, n, tol)
+        closed = gcd_tower_closed(p, n)
         if p.backend == "exact":
             euclid = gcd_tower_euclid(p.expand(), n)
             if closed != euclid:  # pragma: no cover - identity guard
@@ -330,9 +327,7 @@ def gcd_tower(p: Poly | FactoredPoly, n: int, tol=None) -> Poly:
     return gcd_tower_euclid(p, n)
 
 
-def common_shifting_divisors(
-    f: FactoredPoly, g: FactoredPoly, tol=None
-) -> list[Scalar]:
+def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Scalar]:
     """Base points z0 of the common shifting divisors of f and g.
 
     z0 is reported when some zero chain of one polynomial continues into a
@@ -345,14 +340,14 @@ def common_shifting_divisors(
     """
     if f.backend != g.backend:
         raise BackendMismatchError("factored polynomials mix backends")
-    return _common_divisors(shift_classes(f, tol), shift_classes(g, tol), tol)
+    return _common_divisors(shift_classes(f), shift_classes(g))
 
 
-def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass], tol) -> list[Scalar]:
+def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> list[Scalar]:
     found: list[Scalar] = []
     for cf in cfs:
         for cg in cgs:
-            k = integer_offset(cg.representative, cf.representative, tol)
+            k = integer_offset(cg.representative, cf.representative)
             if k is None:
                 continue
             # Base points count from the lower representative; a numeric tie
@@ -375,21 +370,21 @@ def _chain_hits(a: ShiftClass, b: ShiftClass, k: int) -> set[int]:
     }
 
 
-def is_shifting_prime(f: FactoredPoly, g: FactoredPoly, tol=None) -> bool:
+def is_shifting_prime(f: FactoredPoly, g: FactoredPoly) -> bool:
     """True when f and g have no common shifting divisor."""
-    return not common_shifting_divisors(f, g, tol)
+    return not common_shifting_divisors(f, g)
 
 
 def pairwise_shifting_prime(
-    fs: list[FactoredPoly], tol=None
+    fs: list[FactoredPoly],
 ) -> tuple[bool, tuple[int, int, Scalar] | None]:
     """All-pairs check, grouping each input once; on failure returns
     (i, j, divisor base) as witness."""
     if len({f.backend for f in fs}) > 1:
         raise BackendMismatchError("factored polynomials mix backends")
-    classes = [shift_classes(f, tol) for f in fs]
+    classes = [shift_classes(f) for f in fs]
     for i, j in combinations(range(len(fs)), 2):
-        divisors = _common_divisors(classes[i], classes[j], tol)
+        divisors = _common_divisors(classes[i], classes[j])
         if divisors:
             return False, (i, j, divisors[0])
     return True, None

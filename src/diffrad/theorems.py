@@ -22,7 +22,7 @@ from .errors import RootsUnavailableError, SamplingBudgetError
 # poly_gcd is not called here; perfbench's self-test checks that its tracer
 # patches this binding too, so the name stays
 from .poly import FactoredPoly, Poly, factor, poly_gcd, product  # noqa: F401
-from .scalar import Exact, Scalar, as_scalar
+from .scalar import Exact, Numeric, Scalar, as_scalar
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,12 @@ def _max_degree(fs: Sequence[FactoredPoly]) -> int:
     return max(f.degree for f in fs)
 
 
-def _identity_report(residual: Poly, tol) -> tuple[bool, float]:
-    """(holds, coefficient sup); holds when the residual is negligible."""
-    return residual.negligible(tol), residual.coeff_sup()
+def _sum_equation_holds(parts: Sequence[Poly], total: Poly) -> bool:
+    return (sum(parts, Poly()) - total).negligible()
 
 
-def _sum_equation_holds(parts: Sequence[Poly], total: Poly, tol) -> bool:
-    return (sum(parts, Poly()) - total).negligible(tol)
-
-
-def _shifting_prime_hypothesis(
-    fs: Sequence[FactoredPoly], tol=None
-) -> Hypothesis:
-    ok, witness = shiftcalc.pairwise_shifting_prime(list(fs), tol)
+def _shifting_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
+    ok, witness = shiftcalc.pairwise_shifting_prime(list(fs))
     text = ""
     if not ok:
         i, j, z0 = witness
@@ -138,10 +131,10 @@ def _shifting_prime_hypothesis(
     return Hypothesis("pairwise_shifting_prime", ok, text)
 
 
-def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly], tol) -> Hypothesis:
+def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
     """Pairwise coprimality from the roots: each root r of f_i is paired with
-    the first root s of f_j for which r - s is negligible, by default at the
-    precision of that pair (for exact roots, r = s).  The witness is the
+    the first root s of f_j for which r - s is negligible, at the tolerance
+    r - s inherits from the pair (for exact roots, r = s).  The witness is the
     monic product of (z - r)^min(m, n) over the paired roots, which for exact
     input is gcd(f_i, f_j).
     """
@@ -149,7 +142,7 @@ def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly], tol) -> Hypothesis:
         for j in range(i + 1, len(fs)):
             shared = []
             for r, m in fs[i].roots:
-                n = next((n for s, n in fs[j].roots if (r - s).negligible(tol)), 0)
+                n = next((n for s, n in fs[j].roots if (r - s).negligible()), 0)
                 shared += [Poly.linear(r)] * min(m, n)
             if shared:
                 g = product(shared).expr_text()
@@ -158,13 +151,11 @@ def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly], tol) -> Hypothesis:
     return Hypothesis("relatively_prime", True, "")
 
 
-def mason_classical(
-    a: FactoredPoly, b: FactoredPoly, c: FactoredPoly, tol=None
-) -> MasonReport:
+def mason_classical(a: FactoredPoly, b: FactoredPoly, c: FactoredPoly) -> MasonReport:
     """Classical degree inequality for relatively prime a + b = c."""
-    equation = _sum_equation_holds([a.expand(), b.expand()], c.expand(), tol)
+    equation = _sum_equation_holds([a.expand(), b.expand()], c.expand())
     hyps = [
-        _relatively_prime_hypothesis([a, b, c], tol),
+        _relatively_prime_hypothesis([a, b, c]),
         Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1),
     ]
     return MasonReport(
@@ -176,18 +167,16 @@ def mason_classical(
     )
 
 
-def mason_delta(
-    a: FactoredPoly, b: FactoredPoly, c: FactoredPoly, tol=None
-) -> MasonReport:
+def mason_delta(a: FactoredPoly, b: FactoredPoly, c: FactoredPoly) -> MasonReport:
     """Difference-radical analogue for shifting-prime a + b = c."""
-    equation = _sum_equation_holds([a.expand(), b.expand()], c.expand(), tol)
+    equation = _sum_equation_holds([a.expand(), b.expand()], c.expand())
     hyps = [
-        _shifting_prime_hypothesis([a, b, c], tol),
+        _shifting_prime_hypothesis([a, b, c]),
         Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1),
     ]
     product = a.times(b).times(c)
-    rhs = shiftcalc.rad_delta(product, tol).degree - 1
-    rhs_kappa = shiftcalc.rad_kappa(product, 1, tol).degree - 1
+    rhs = shiftcalc.rad_delta(product).degree - 1
+    rhs_kappa = shiftcalc.rad_kappa(product, 1).degree - 1
     if rhs != rhs_kappa:  # pragma: no cover - degree identity guard
         raise ArithmeticError("radical degree routes disagree")
     return MasonReport(
@@ -200,7 +189,7 @@ def mason_delta(
     )
 
 
-def mason_delta_ext(fs: Sequence[FactoredPoly], tol=None) -> MasonReport:
+def mason_delta_ext(fs: Sequence[FactoredPoly]) -> MasonReport:
     """Extended inequality for f_1 + ... + f_m = f_{m+1}, m >= 2.
 
     The strong side uses the truncated radical at level m-1; the weaker
@@ -210,11 +199,11 @@ def mason_delta_ext(fs: Sequence[FactoredPoly], tol=None) -> MasonReport:
         raise ValueError("need at least three polynomials (m >= 2)")
     m = len(fs) - 1
     parts = [f.expand() for f in fs[:-1]]
-    equation = _sum_equation_holds(parts, fs[-1].expand(), tol)
+    equation = _sum_equation_holds(parts, fs[-1].expand())
     min_deg = min(f.degree for f in fs)
-    indep = casorati.linearly_independent(parts, tol)
+    indep = casorati.linearly_independent(parts)
     hyps = [
-        _shifting_prime_hypothesis(fs, tol),
+        _shifting_prime_hypothesis(fs),
         Hypothesis(
             "min_degree",
             min_deg >= m - 1,
@@ -226,8 +215,8 @@ def mason_delta_ext(fs: Sequence[FactoredPoly], tol=None) -> MasonReport:
     product = reduce(FactoredPoly.times, fs)
     lhs = _max_degree(fs)
     penalty = m * (m - 1) // 2
-    rhs = shiftcalc.rad_delta_q(product, m - 1, tol).degree - penalty
-    rhs_weak = (m - 1) * shiftcalc.rad_delta(product, tol).degree - penalty
+    rhs = shiftcalc.rad_delta_q(product, m - 1).degree - penalty
+    rhs_weak = (m - 1) * shiftcalc.rad_delta(product).degree - penalty
     if rhs > rhs_weak:  # pragma: no cover - truncation bound guard
         raise ArithmeticError("truncated radical exceeded its bound")
     return MasonReport(
@@ -241,7 +230,7 @@ def mason_delta_ext(fs: Sequence[FactoredPoly], tol=None) -> MasonReport:
 
 
 def fermat_check(
-    a: FactoredPoly, b: FactoredPoly, c: FactoredPoly, n: int, tol=None
+    a: FactoredPoly, b: FactoredPoly, c: FactoredPoly, n: int
 ) -> FermatReport:
     """Check a^(falling n) + b^(falling n) = c^(falling n) and the n-bound.
 
@@ -253,16 +242,16 @@ def fermat_check(
         raise ValueError("exponent n must be >= 1")
     powers = [diffcalc.falling_power(f.expand(), n) for f in (a, b, c)]
     residual = powers[0] + powers[1] - powers[2]
-    equation, sup = _identity_report(residual, tol)
+    equation, sup = residual.negligible(), residual.coeff_sup()
 
     classes = [
-        shiftcalc.shift_classes(diffcalc.falling_power_factored(f, n), tol)
+        shiftcalc.shift_classes(diffcalc.falling_power_factored(f, n))
         for f in (a, b, c)
     ]
     hyps = [Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1)]
     labels = ["a", "b", "c"]
     for i, j in combinations(range(3), 2):
-        divisors = shiftcalc._common_divisors(classes[i], classes[j], tol)
+        divisors = shiftcalc._common_divisors(classes[i], classes[j])
         hyps.append(
             Hypothesis(
                 f"shifting_prime_{labels[i]}{labels[j]}",
@@ -287,10 +276,7 @@ def fermat_check(
 
 
 def fermat_multi_check(
-    fs: Sequence[FactoredPoly],
-    n: int,
-    rhs_one: bool = False,
-    tol=None,
+    fs: Sequence[FactoredPoly], n: int, rhs_one: bool = False
 ) -> FermatReport:
     """Check sum of falling n-th powers against f_{m+1}^(falling n) or 1.
 
@@ -308,7 +294,7 @@ def fermat_multi_check(
     left = powers if rhs_one else powers[:-1]
     one = Poly.constant(as_scalar(1, fs[0].lead))
     residual = sum(left, Poly()) - (one if rhs_one else powers[-1])
-    equation, sup = _identity_report(residual, tol)
+    equation, sup = residual.negligible(), residual.coeff_sup()
 
     power_factored = [diffcalc.falling_power_factored(f, n) for f in fs]
     hyps = [
@@ -317,10 +303,10 @@ def fermat_multi_check(
             min(f.degree for f in fs) >= 1,
             "",
         ),
-        _shifting_prime_hypothesis(power_factored, tol),
+        _shifting_prime_hypothesis(power_factored),
     ]
     hyps.append(
-        Hypothesis("linear_independence", casorati.linearly_independent(left, tol))
+        Hypothesis("linear_independence", casorati.linearly_independent(left))
     )
 
     maxdeg = _max_degree(fs)
@@ -347,9 +333,10 @@ def fermat_multi_check(
 UNIT_CUBIC_RESOLVENT = (1, 0, 0, 0, 0, 0, -144, 0, 0, 108)
 
 
-def unit_cubic_resolvent_roots(prec: int = 256) -> list:
+def unit_cubic_resolvent_roots(prec: int = 256, tol=None) -> list:
     """All nine roots of the resolvent s^9 - 144 s^3 + 108, as numeric
-    scalars at `prec` bits, in closed form.
+    scalars at `prec` bits with zero tolerance `tol` (None for 2^(-prec/2)),
+    in closed form.
 
     In u = s^3 the resolvent is the cubic u^3 - 144 u + 108, which has three
     real roots; Viete's trigonometric form gives them as
@@ -364,8 +351,6 @@ def unit_cubic_resolvent_roots(prec: int = 256) -> list:
     """
     import mpmath
 
-    from .scalar import Numeric
-
     with mpmath.mp.workprec(prec + 64):
         m = 2 * mpmath.sqrt(48)
         theta = mpmath.acos(-324 / (144 * m)) / 3
@@ -376,7 +361,7 @@ def unit_cubic_resolvent_roots(prec: int = 256) -> list:
         parts = [(r, mpmath.mpf(0)) for r in reals]
         for r in reals:
             parts += [(-r / 2, r * half_sqrt3), (-r / 2, -r * half_sqrt3)]
-    return [Numeric(re._mpf_, im._mpf_, prec) for re, im in parts]
+    return [Numeric(re._mpf_, im._mpf_, prec, tol) for re, im in parts]
 
 
 def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
@@ -395,16 +380,15 @@ def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
     That cubic is solved as w_k = u omega^k + (u omega^k)^-1, k = 0, 1, 2,
     with omega = -1/2 + (sqrt(3)/2) i and u^3 = c + sqrt(c^2 - 1), so u != 0.
     The three w_k are distinct, as s^3 = +-12 is not a root of
-    u^3 - 144 u + 108.  Everything is computed at 64 bits above s.prec.
+    u^3 - 144 u + 108.  Everything is computed at 64 bits above s.prec, and
+    the roots and leads take s's precision and tolerance.
     """
     import mpmath
-
-    from .scalar import Numeric
 
     if not isinstance(s, Numeric):
         raise ValueError("s must be a numeric scalar (a resolvent root)")
     if not isinstance(t, Numeric):
-        t = Numeric.from_rational(Fraction(t), s.prec)
+        t = Numeric.from_rational(Fraction(t), s.prec, s.tol)
     if not t:
         raise ValueError("t must be nonzero")
     with mpmath.mp.workprec(s.prec + 64):
@@ -416,7 +400,9 @@ def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
             roots.append([b + u + 1 / u for u in us])
         roots.append([b + 1, b - 1])
     return [
-        FactoredPoly(as_scalar(lead, s), [(Numeric.from_mpc(r, s.prec), 1) for r in rs])
+        FactoredPoly(
+            as_scalar(lead, s), [(Numeric.from_mpc(r, s.prec, s.tol), 1) for r in rs]
+        )
         for lead, rs in zip((1, -1, s), roots)
     ]
 

@@ -219,12 +219,12 @@ def test_criterion_09_unit_equations():
 
 @criterion(10, "unit equation for falling cubes, numeric")
 def test_criterion_10_unit_cubes_numeric():
-    roots = unit_cubic_resolvent_roots(256)
+    roots = unit_cubic_resolvent_roots(256, 1e-25)
     assert len(roots) == 9
     residuals = []
     for index, s in enumerate(roots):
         fs = unit_cubic_triad(s)
-        report = fermat_multi_check(fs, 3, rhs_one=True, tol=1e-25)
+        report = fermat_multi_check(fs, 3, rhs_one=True)
         residuals.append((index, report.residual_sup))
         assert report.equation_holds, (index, report.residual_sup)
         assert report.residual_sup < 1e-25, (index, report.residual_sup)

@@ -99,7 +99,7 @@ def test_numeric_dependent_tuple_is_dependent():
     assert not linearly_independent(fs)
     assert linearly_independent(fs[:2])
     # a tolerance above the pair's own Casoratian calls it dependent too
-    assert not linearly_independent(fs[:2], tol=1e6)
+    assert not linearly_independent([p.embed(128, 1e6) for p in (f, g)])
 
 
 def test_mixed_precision_casoratian_keeps_the_widest_precision():

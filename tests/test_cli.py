@@ -294,14 +294,67 @@ def test_rad_delta_takes_radical_square_roots(capsys):
 
 
 def test_casoratian_numeric_noise_is_dependent(capsys):
-    # 3/7*z + 1/7 = 3/7 * (z + 1/3): the determinant is rounding noise
+    # 3/7*z + 1/7 = 3/7 * (z + 1/3): the determinant is rounding noise, which
+    # is dropped, so it prints as the exact backend's 0
     code, out, _ = run(
         capsys, "casoratian", "z + 1/3", "3/7*z + 1/7",
         "--backend", "numeric", "--precision", "128", "--json",
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["degree"] == 0 and doc["independent"] is False
+    assert doc["degree"] is None and doc["text"] == "0" and doc["independent"] is False
+
+
+def test_casoratian_prints_no_rounding_noise(capsys):
+    # the numeric determinant of this independent 5-tuple used to print two
+    # terms of about 1e-83 above the exact backend's degree 2
+    fs = ("6/5 - z^2", "-1/4 - 6/5*z - z^2", "-z + 2/3*z^2",
+          "2/3 + 2/3*z - 4/5*z^2 + 1/4*z^3 + z^4 + 2*z^5",
+          "3/5 + 3/2*z + 6*z^2 - 7*z^3 + 3/5*z^4 - 1/2*z^5")
+    code, out, _ = run(capsys, "casoratian", *fs, "--backend", "numeric")
+    assert code == 0
+    assert out.strip() == "11799.36*z^2 - 954.36*z - 59968.512  (independent: True)"
+    code, out, _ = run(capsys, "casoratian", *fs, "--json")
+    assert code == 0 and json.loads(out)["degree"] == 2
+
+
+def test_tolerance_set_at_conversion_reaches_every_verdict(capsys):
+    # each input's verdict differs between --tolerance 1e6 and 1e-30; the
+    # outputs were recorded when every checker took the tolerance as an
+    # argument, and only the Casoratian's printed noise has changed since
+    rows = json.loads((Path(__file__).parent / "data" / "tolerance_verdicts.json").read_text())
+    assert {row["argv"][0] for row in rows} == {
+        "height", "chains", "shifting-prime", "casoratian",
+        "mason", "mason-ext", "fermat", "fermat-multi",
+    }
+    for row in rows:
+        argv = [*row["argv"], "--backend", "numeric", "--tolerance", row["tolerance"], "--json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err.strip()) == (row["code"], row["stderr"]), argv
+        if row["argv"][0] == "casoratian":
+            got, want = json.loads(out), json.loads(row["stdout"])
+            assert got["independent"] == want["independent"], argv
+            assert got["degree"] == (2 if want["independent"] else None), argv
+        else:
+            assert out.strip() == row["stdout"], argv
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["delta", "-z^2"], "-2*z - 1"),
+    (["newton", "z^2", "--at", "-1/2"], "base -1/2; coeffs: 1/4, 0, 1/1"),
+    (["newton", "-z", "--at=-1"], "base -1/1; coeffs: 1/1, -1/1"),
+])
+def test_expression_may_start_with_a_minus(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, out.strip(), err) == (0, want, "")
+
+
+@pytest.mark.parametrize("tol", [["--tolerance", "-1"], ["--tol", "-1"]])
+def test_negative_tolerance_is_still_a_usage_error(capsys, tol):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["height", "z*(z - 1)", "--backend", "numeric", *tol])
+    assert excinfo.value.code == 2
+    assert "--tolerance: must be positive and finite" in capsys.readouterr().err
 
 
 def test_casoratian_command_computes_one_determinant(capsys, monkeypatch):

@@ -85,9 +85,9 @@ def test_triad_coefficients_are_the_production_ones():
 
 
 def test_numeric_report_agrees_at_the_fixture_root():
-    roots = unit_cubic_resolvent_roots(256)
+    roots = unit_cubic_resolvent_roots(256, 1e-25)
     fs = unit_cubic_triad(roots[0])
-    report = fermat_multi_check(fs, 3, rhs_one=True, tol=1e-25)
+    report = fermat_multi_check(fs, 3, rhs_one=True)
     assert report.equation_holds and all(h.ok for h in report.hypotheses)
     (case,) = load_fixtures("sec5.unit-equation-cubic-triad")
     ok, result = run_fixture(case)

@@ -450,3 +450,62 @@ def test_radical_gcd_matches_sympy_extension():
         want = sympy.gcd(sympy_expr(a), sympy_expr(b), X, extension=extension)
         want = sympy.Poly(want, X, extension=extension).monic().as_expr()
         assert sympy.simplify(sympy_expr(poly_gcd(a, b)) - sympy.expand(want)) == 0
+
+
+def sympy_factor_roots(p: Poly, extension) -> list | None:
+    """(root, multiplicity) pairs of p from sympy's factorization over the
+    extension, or None when a factor of degree >= 2 is left."""
+    _, factors = sympy.factor_list(sympy_expr(p), X, extension=extension)
+    if any(sympy.degree(f, X) > 1 for f, _ in factors):
+        return None
+    return [(-f.coeff(X, 0) / f.coeff(X, 1), m) for f, m in factors]
+
+
+@requires_sympy
+def test_factor_over_the_radical_field_matches_sympy():
+    """factor over K = Q(i, sqrt 2, sqrt 3) against sympy's factor_list.
+
+    Seeded inputs: rational roots times a quadratic over Q whose roots lie in
+    K; products of two linear factors over a two-generator subfield (which
+    split there, so over K too, where sympy is far slower); quadratics over Q
+    whose roots need a third generator; and random quadratics over K, which
+    factor must refuse exactly when sympy finds them irreducible over K.
+    """
+    rng = random.Random(139)
+    field = [sympy.I, sympy.sqrt(2), sympy.sqrt(3)]
+    subfields = (((I, S2), field[:2]), ((S2, S3), field[1:]), ((I, S3), field[::2]))
+    z = Poly.z()
+    quadratics = [z**2 - 2, z**2 + 1, z**2 - 3, z**2 + 2 * z - 1, z**2 - 2 * z + 4, z**2 + 6]
+    cases = []
+    for k in range(4):
+        p = rng.choice(quadratics) * (rand_fraction(rng, 5) or 1)
+        for _ in range(k % 3):
+            p = p * (z - rand_fraction(rng, 5))
+        cases.append((p, field))
+    for k in range(6):
+        (g1, g2), extension = subfields[k % 3]
+
+        def elem():
+            return rand_fraction(rng, 5) + g1 * rng.randint(-2, 2) + g2 * rng.randint(-2, 2)
+
+        cases.append(((z - elem()) * (z - elem()) * z ** (k % 2) * (elem() or 1), extension))
+        if k < 3:  # coefficients in Q(g1), roots +-a*g2
+            a = rand_fraction(rng, 5) + g1 * rng.randint(1, 2)
+            cases.append((z**2 - a * a * g2 * g2, extension))
+    for _ in range(3):  # one generator per coefficient keeps sympy fast over K
+        b, c = (rng.randint(-2, 2) + rng.choice((I, S2, S3)) * rng.choice((-1, 1)) for _ in "bc")
+        cases.append((z**2 + z * b + c, field))
+    refused = 0
+    for p, extension in cases:
+        want = sympy_factor_roots(p, extension)
+        try:
+            got = factor(p)
+        except RootsUnavailableError:
+            assert want is None, p
+            refused += 1
+            continue
+        assert want is not None and got.expand() == p
+        assert sorted(m for _, m in got.roots) == sorted(m for _, m in want), p
+        for r, m in got.roots:
+            assert [n for w, n in want if sympy.simplify(sympy_expr(Poly([r])) - w) == 0] == [m], p
+    assert refused == 3

@@ -323,22 +323,23 @@ def test_factored_numeric_roots_with_equal_text_stay_distinct():
 
 
 def test_negligible():
-    assert Poly().negligible() and Poly().negligible(tol=0)
-    assert not (Z * Fraction(1, 10**40)).negligible(tol=1)  # exact: never
+    assert Poly().negligible()
+    assert not (Z * Fraction(1, 10**40)).negligible()  # exact: never
     tiny = Fraction(1, 2**40)
-    # the default tolerance is 2^(-prec/2) at the widest coefficient
+    # the tolerance is the widest coefficient's, by default 2^(-prec/2)
     low, high = Numeric.from_rational(tiny, 64), Numeric.from_rational(tiny, 256)
     assert Poly([low]).negligible()
     assert not Poly([low, high]).negligible()
     assert not Poly([high, low]).negligible()
-    assert Poly([low, high]).negligible(tol=2**-39)
+    assert Poly([low, Numeric.from_rational(tiny, 256, 2**-39)]).negligible()
 
 
 def test_negligible_boundary_is_strict():
     tol = Fraction(1, 2**32)  # the default at 64 bits
     at = Poly([Numeric.from_rational(tol, 64)])
     assert at.coeff_sup() == float(tol)
-    assert not at.negligible() and not at.negligible(tol)
+    assert not at.negligible()
+    assert not Poly([Numeric.from_rational(tol, 64, tol)]).negligible()
     assert Poly([Numeric.from_rational(tol * Fraction(99, 100), 64)]).negligible()
 
 

@@ -254,6 +254,35 @@ def test_numeric_precision_never_downgrades():
     assert (hi - lo).prec == 256
 
 
+def test_tolerance_goes_with_the_wider_operand_and_the_left_on_a_tie():
+    t = Fraction(1, 10**6)
+    a64 = Numeric.from_rational(3, 64, t)
+    b64 = Numeric.from_rational(5, 64)
+    c256 = Numeric.from_rational(7, 256)
+    assert a64.tolerance() == t and b64.tolerance() == Fraction(1, 2**32)
+    # the wider precision wins on either side
+    for x in (a64 + c256, c256 * a64, a64 / c256, c256 - a64):
+        assert (x.prec, x.tol) == (256, None)
+    # on a tie the left operand's tolerance wins
+    assert (a64 * b64).tol == t and (a64 - b64).tol == t
+    assert (b64 * a64).tol is None and (b64 / a64).tol is None
+
+
+def test_derived_values_keep_the_tolerance():
+    t = Fraction(1, 10**6)
+    x = Numeric.from_rational(3, 64, t)
+    assert as_scalar(2, x).tol == t
+    for y in (-x, x.inverse(), x + 1, 1 - x, 2 / x, x**-2, x**0):
+        assert (y.prec, y.tol) == (64, t)
+    # as_integer reads the value's own tolerance, or an override
+    near = x + Numeric.from_rational(Fraction(1, 10**7), 64)
+    assert near.as_integer() == 3 and near.as_integer(Fraction(1, 10**8)) is None
+    assert Numeric.from_rational(3 + Fraction(1, 10**7), 64).as_integer() is None
+    # conversions set it
+    assert Exact.from_rational(1).to_numeric(128, t).tolerance() == t
+    assert {c.tol for c in Poly([1, 2, S2]).embed(128, t).coeffs} == {t}
+
+
 def test_exact_pow_and_negative_pow():
     x = S2 + 1
     assert x**0 == Exact.from_rational(1)

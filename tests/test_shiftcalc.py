@@ -44,10 +44,8 @@ MULTI = FactoredPoly(1, [(0, 2), (1, 3)])  # z^2 (z-1)^3
 NINE = FactoredPoly(1, [(-1, 1), (0, 2), (1, 3), (2, 2), (4, 1)])
 
 
-def chains_as_multiset(f, tol=None):
-    return sorted(
-        ((start.text(), n) for start, n in chain_decomposition(f, tol).chains)
-    )
+def chains_as_multiset(f):
+    return sorted(((start.text(), n) for start, n in chain_decomposition(f).chains))
 
 
 def test_heights():
@@ -248,14 +246,14 @@ def test_gcd_tower_routes_agree():
             assert gcd_tower_closed(f, n) == gcd_tower_euclid(p, n)
 
 
-def chain_route(f: FactoredPoly, q: int, n: int, tol=None) -> tuple[Poly, Poly, Poly]:
+def chain_route(f: FactoredPoly, q: int, n: int) -> tuple[Poly, Poly, Poly]:
     """rad_delta, rad_delta_q and gcd_tower_closed from the chains: the oracle.
 
     Monic products of z - start, of falling factorials of length min(len, q),
     and of falling factorials of length len - n over the chains longer than n.
     """
     one = Poly.constant(as_scalar(1, f.lead))
-    chains = chain_decomposition(f, tol).chains
+    chains = chain_decomposition(f).chains
     return (
         product([one] + [Poly.linear(start) for start, _ in chains]),
         product([one] + [falling_factorial_linear(s, min(k, q)) for s, k in chains]),
@@ -409,9 +407,9 @@ def brute_common_shifting_divisors(f: FactoredPoly, g: FactoredPoly):
 # -- shift classes ------------------------------------------------------------
 
 
-def scanned_classes(f, tol=None):
+def scanned_classes(f):
     """The pairwise tolerance scan, sorted as shift_classes sorts: the oracle."""
-    classes = sorted(shiftcalc._scan_classes(f.roots, tol), key=lambda c: c[0].text())
+    classes = sorted(shiftcalc._scan_classes(f.roots), key=lambda c: c[0].text())
     return [(rep.text(), members) for rep, members in classes]
 
 
@@ -443,9 +441,9 @@ def test_exact_classes_make_no_pairwise_comparison(monkeypatch):
     calls = []
     original = shiftcalc.integer_offset
 
-    def counting(a, b, tol=None):
+    def counting(a, b):
         calls.append((a, b))
-        return original(a, b, tol)
+        return original(a, b)
 
     monkeypatch.setattr(shiftcalc, "integer_offset", counting)
     exact = FactoredPoly(
@@ -521,9 +519,9 @@ def test_pairwise_groups_each_input_once(monkeypatch):
     calls = []
     original = shiftcalc.shift_classes
 
-    def counting(f, tol=None):
+    def counting(f):
         calls.append(f)
-        return original(f, tol)
+        return original(f)
 
     monkeypatch.setattr(shiftcalc, "shift_classes", counting)
     # residues j/5 differ, so the four inputs are pairwise shifting prime
@@ -634,8 +632,8 @@ def test_rad_delta_scaling_invariance():
 # -- numeric backend ----------------------------------------------------------
 
 
-def nroot(x, prec=128):
-    return Exact.from_rational(Fraction(x)).to_numeric(prec)
+def nroot(x, prec=128, tol=None):
+    return Exact.from_rational(Fraction(x)).to_numeric(prec, tol)
 
 
 def test_numeric_chains():
@@ -667,14 +665,14 @@ def test_numeric_divisor_base_on_a_tie_is_the_smaller_text():
 
 
 def test_height_run_longer_than_degree_is_ambiguous():
-    quadratic = Poly([Fraction(-1, 1000), 0, 1]).embed(128)
     for height in (shifting_zero_height, shifting_zero_height_via_delta):
         # at tol 5 the run ends at p(3) = 8.999, so only the degree bound raises
         for tol in (5, 1e6):
+            quadratic = Poly([Fraction(-1, 1000), 0, 1]).embed(128, tol)
             with pytest.raises(AmbiguousShiftError, match=r"^3 zeros in a row from 0\.0 "):
-                height(quadratic, 0, tol=tol)
+                height(quadratic, 0)
     with pytest.raises(AmbiguousShiftError):
-        shifting_zero_height_via_delta(Poly([Fraction(1, 1000)]).embed(128), 0, tol=1)
+        shifting_zero_height_via_delta(Poly([Fraction(1, 1000)]).embed(128, 1), 0)
     # a run as long as the degree is still a height, exactly and numerically
     cubic = falling_power(Z, 3)
     for p in (cubic, cubic.embed(128)):
@@ -682,22 +680,27 @@ def test_height_run_longer_than_degree_is_ambiguous():
 
 
 def test_numeric_ambiguous_classification():
-    tol = 1e-10
-    eps = Numeric.from_rational(Fraction(3, 10**10), 128)  # 3e-10: gray zone
-    f = FactoredPoly(
-        nroot(1), [(nroot(0), 1), (nroot(1) + eps, 1)]
-    )
+    def pair(tol):
+        eps = Numeric.from_rational(Fraction(3, 10**10), 128)  # 3e-10: gray zone at 1e-10
+        return FactoredPoly(
+            nroot(1, tol=tol), [(nroot(0, tol=tol), 1), (nroot(1, tol=tol) + eps, 1)]
+        )
+
     with pytest.raises(AmbiguousShiftError):
-        chain_decomposition(f, tol=tol)
+        chain_decomposition(pair(1e-10))
     # far outside the guard band the same pair is two clean classes
-    assert len(chain_decomposition(f, tol=1e-30).chains) == 2
+    assert len(chain_decomposition(pair(1e-30)).chains) == 2
 
 
 def test_ambiguity_message_prints_tolerances_below_the_smallest_float():
     tol = Fraction(1, 10**400)  # float(tol) == 0.0
-    one = Numeric.from_rational(1, 4096)
-    near = one + Numeric.from_rational(3 * tol, 4096)  # inside the guard band
-    assert shiftcalc.integer_offset(near, one, tol / 100) is None
-    assert shiftcalc.integer_offset(near, one, tol * 10) == 0
+
+    def offset(at):
+        one = Numeric.from_rational(1, 4096, at)
+        near = one + Numeric.from_rational(3 * tol, 4096)  # inside tol's guard band
+        return shiftcalc.integer_offset(near, one)
+
+    assert offset(tol / 100) is None
+    assert offset(tol * 10) == 0
     with pytest.raises(AmbiguousShiftError, match=r"at tolerance 1\.0e-400$"):
-        shiftcalc.integer_offset(near, one, tol)
+        offset(tol)

@@ -208,9 +208,9 @@ def test_fermat_checks_group_each_falling_power_once(monkeypatch):
     calls = []
     original = shiftcalc.shift_classes
 
-    def counting(f, tol=None):
+    def counting(f):
         calls.append(f)
-        return original(f, tol)
+        return original(f)
 
     monkeypatch.setattr(shiftcalc, "shift_classes", counting)
     a, b, c = falling_square_triple()
@@ -275,10 +275,10 @@ def test_fermat_multi_nonunit_bound():
 
 
 def test_fermat_multi_unit_cubics_numeric():
-    roots = unit_cubic_resolvent_roots(256)
+    roots = unit_cubic_resolvent_roots(256, 1e-25)
     assert len(roots) == 9
     fs = unit_cubic_triad(roots[0])
-    report = fermat_multi_check(fs, 3, rhs_one=True, tol=1e-25)
+    report = fermat_multi_check(fs, 3, rhs_one=True)
     assert report.equation_holds
     assert report.residual_sup < 1e-25
     assert report.within_bound  # 3 <= 5
@@ -421,7 +421,7 @@ def test_relatively_prime_witness_matches_gcd():
             for _ in range(rng.randint(2, 4))
         ]
         want = _gcd_witness(fs)
-        got = theorems._relatively_prime_hypothesis(fs, None)
+        got = theorems._relatively_prime_hypothesis(fs)
         assert (got.ok, got.witness) == (not want, want)
         failing += not got.ok
     assert 50 < failing < 250
@@ -435,10 +435,18 @@ def test_relatively_prime_numeric_witness_is_the_shared_factor():
         )
 
     hyp = theorems._relatively_prime_hypothesis(
-        [numeric((0, 1), (1, 2), (3, 1)), numeric((1, 3), (2, 1), (3, 1))], None
+        [numeric((0, 1), (1, 2), (3, 1)), numeric((1, 3), (2, 1), (3, 1))]
     )
     shared = ((Z - 1) ** 2 * (Z - 3)).embed(256).expr_text()
     assert not hyp.ok and hyp.witness == f"inputs 0 and 1 share the factor {shared}"
+
+
+def test_unit_cubic_builder_passes_its_tolerance_on():
+    s = unit_cubic_resolvent_roots(128, 1e-25)[4]
+    assert (s.prec, s.tol) == (128, 1e-25)
+    for t in (1, Fraction(-3, 7)):
+        values = [x for f in unit_cubic_triad(s, t) for x in (f.lead, *(r for r, _ in f.roots))]
+        assert {(x.prec, x.tol) for x in values} == {(128, 1e-25)}
 
 
 def test_unit_cubic_triad_validation():
@@ -462,17 +470,18 @@ def test_gen_mason_deterministic():
 def test_numeric_relatively_prime_tolerance_is_per_pair():
     # a and b hold 64-bit roots 2^-40 apart, inside their own default 2^-32;
     # the 256-bit c does not tighten that pair to 2^-128
-    def numeric(prec, *roots):
+    def numeric(prec, *roots, tol=None):
         return FactoredPoly(
-            Numeric.from_rational(1, prec),
-            [(Numeric.from_rational(r, prec), 1) for r in roots],
+            Numeric.from_rational(1, prec, tol),
+            [(Numeric.from_rational(r, prec, tol), 1) for r in roots],
         )
 
     a = numeric(64, 0)
     b = numeric(64, Fraction(1, 2**40))
     c = numeric(256, 5)
     assert not hyp_map(mason_classical(a, b, c))["relatively_prime"]
-    assert hyp_map(mason_classical(a, b, c, tol=1e-20))["relatively_prime"]
+    tight = [numeric(64, 0, tol=1e-20), numeric(64, Fraction(1, 2**40), tol=1e-20)]
+    assert hyp_map(mason_classical(*tight, numeric(256, 5, tol=1e-20)))["relatively_prime"]
     # a 64-bit root against a 256-bit one is compared at 2^-128
     d = numeric(256, Fraction(1, 2**40))
     assert hyp_map(mason_classical(a, d, c))["relatively_prime"]
