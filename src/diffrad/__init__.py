@@ -7,7 +7,6 @@ inequalities and falling-power functional equations.
 """
 
 from .errors import (
-    AmbiguousShiftError,
     BackendMismatchError,
     DiffradError,
     ExactDivisionError,
@@ -72,6 +71,7 @@ from .theorems import (
     mason_classical,
     mason_delta,
     mason_delta_ext,
+    unit_cubic_certificate,
     unit_cubic_resolvent_roots,
     unit_cubic_triad,
 )

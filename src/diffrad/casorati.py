@@ -6,9 +6,9 @@ rows are a unitriangular recombination of the rows of k-th forward
 differences, so both layouts have one determinant.  Production computes it
 from the difference rows only, whose degrees drop row by row while every
 shift row keeps the full degree; that identity is why the shift layout
-lives on only as a test oracle.  One size rule serves every ring: minors,
-with no division, through MINORS_MAX = 7 rows, Bareiss above, so numeric
-input answers through 7 polynomials.
+lives on only as a test oracle.  One size rule serves every ring of
+lanes: minors, with no division, through MINORS_MAX = 7 rows, Bareiss above.
+Numeric input raises BackendMismatchError (``poly._to_lane``).
 """
 
 from __future__ import annotations
@@ -76,18 +76,14 @@ def _det_bareiss(rows: list[list]) -> Poly:
 
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square grid of polynomials, given as a list of rows:
-    by minors through MINORS_MAX rows, by Bareiss above, where numeric rows
-    usually raise ExactDivisionError on rounding noise.
+    by minors through MINORS_MAX rows, by Bareiss above.
 
-    Exact rows are converted to lanes once, each row scaled to integer
-    lanes by the lcm of its denominators, and the product of those scales
-    divides the result once at the end.
+    The rows are converted to lanes once, each row scaled to integer lanes
+    by the lcm of its denominators, and the product of those scales divides
+    the result once at the end.
     """
-    rows = [list(row) for row in rows]
     det = _det_minors if len(rows) <= MINORS_MAX else _det_bareiss
     lanes = [[_to_lane(p) for p in row] for row in rows]
-    if any(None in row for row in lanes):
-        return det(rows)
     den = 1
     for row in lanes:
         d = math.lcm(*(x.den for x in row))
@@ -126,13 +122,8 @@ def casoratian(fs: Sequence[Poly], form: Form = "delta") -> Poly:
 
 
 def linearly_independent(fs: Sequence[Poly]) -> bool:
-    """True iff the Casoratian is not negligible (see ``Poly.negligible``).
-
-    A numeric Casoratian, of up to 7 polynomials, counts as zero (rounding
-    noise) when every coefficient is below the tolerance of its widest
-    coefficient, which it inherits from the inputs' widest coefficients.
-    """
-    return not casoratian(fs).negligible()
+    """True iff the Casoratian is not zero."""
+    return bool(casoratian(fs))
 
 
 def casoratian_replace(fs: Sequence[Poly], index: int, fsum: Poly) -> Poly:

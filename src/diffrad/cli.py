@@ -1,7 +1,8 @@
 """Command-line interface and bundled verification-suite runner.
 
-Every subcommand reads polynomials through the expression grammar, prints a
-human-readable line by default, and emits one JSON document with --json.
+Every subcommand reads polynomials through the expression grammar, computes
+exactly, prints a human-readable line by default, and emits one JSON document
+with --json; ``--backend numeric`` converts the printed values only.
 Exit codes: 0 success, 1 a checker reported an unsatisfied claim or
 counterexample, 2 usage or parse error, 3 verification-suite mismatch.
 """
@@ -18,8 +19,10 @@ from pathlib import Path
 from . import casorati, diffcalc, shiftcalc, theorems
 from .errors import DiffradError, ParseError, RootsUnavailableError
 from .parser import parse_factored, parse_poly
-from .poly import FactoredPoly, Poly, classical_rad
+from .diffcalc import NewtonExpansion
+from .poly import Poly, classical_rad
 from .scalar import Numeric
+from .shiftcalc import ChainDecomposition
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures"
 
@@ -27,34 +30,27 @@ FIXTURE_ROOT = Path(__file__).parent / "fixtures"
 class Options:
     """Resolved global options shared by CLI calls and fixture runs."""
 
-    def __init__(self, backend="exact", precision=256, tolerance=None):
+    def __init__(self, backend="exact", precision=256):
         self.backend = backend
         self.precision = precision
-        self.tolerance = tolerance
 
-    def convert(self, x):
-        """x, an exact scalar or Poly, in this backend: numeric values carry
-        the precision and tolerance into all that is computed from them."""
+    def shown(self, x):
+        """x, an exact scalar or Poly, as it is printed: converted to numeric
+        at this precision on the numeric backend, as it is otherwise."""
         if self.backend != "numeric":
             return x
-        to_numeric = x.embed if isinstance(x, Poly) else x.to_numeric
-        return to_numeric(self.precision, self.tolerance)
-
-    def poly(self, src: str) -> Poly:
-        return self.convert(parse_poly(src))
-
-    def factored(self, src: str) -> FactoredPoly:
-        f = parse_factored(src)
-        return FactoredPoly(self.convert(f.lead), [(self.convert(r), m) for r, m in f.roots])
-
-    def scalar(self, src: str):
-        p = parse_poly(src)
-        if p.degree >= 1:
-            raise ParseError("expected a scalar expression", 0)
-        return self.convert(p.coeff(0))
+        return x.embed(self.precision) if isinstance(x, Poly) else x.to_numeric(self.precision)
 
 
-def _poly_result(p: Poly) -> dict:
+def _scalar(src: str):
+    p = parse_poly(src)
+    if p.degree >= 1:
+        raise ParseError("expected a scalar expression", 0)
+    return p.coeff(0)
+
+
+def _poly_result(p: Poly, options: Options) -> dict:
+    p = options.shown(p)
     deg = p.degree
     return {
         "text": p.expr_text(),
@@ -65,102 +61,104 @@ def _poly_result(p: Poly) -> dict:
 
 # -- command handlers -------------------------------------------------------
 # Each handler: (inputs, opts: dict, options: Options) -> result dict; the
-# handlers of REPORT_COMMANDS return the checker's report instead.
+# handlers of REPORT_COMMANDS return the checker's report instead.  Inputs
+# parse exactly and results are computed exactly; ``options.shown`` converts
+# the printed values.  Reports print no values, and their witnesses stay in
+# exact text.
 
 
 def cmd_delta(inputs, opts, options: Options) -> dict:
-    p = options.poly(inputs[0])
-    return _poly_result(diffcalc.delta_k(p, opts.get("k", 1)))
+    p = parse_poly(inputs[0])
+    return _poly_result(diffcalc.delta_k(p, opts.get("k", 1)), options)
 
 
 def cmd_newton(inputs, opts, options: Options) -> dict:
-    p = options.poly(inputs[0])
-    at = options.scalar(opts.get("at", "0"))
-    return diffcalc.to_newton(p, at).to_json_dict()
+    e = diffcalc.to_newton(parse_poly(inputs[0]), _scalar(opts.get("at", "0")))
+    shown = NewtonExpansion(options.shown(e.base), tuple(map(options.shown, e.coeffs)))
+    return shown.to_json_dict()
 
 
 def cmd_height(inputs, opts, options: Options) -> dict:
-    p = options.poly(inputs[0])
-    at = options.scalar(opts.get("at", "0"))
-    n = shiftcalc.shifting_zero_height(p, at)
-    return {"at": at.text(), "height": n}
+    at = _scalar(opts.get("at", "0"))
+    n = shiftcalc.shifting_zero_height(parse_poly(inputs[0]), at)
+    return {"at": options.shown(at).text(), "height": n}
 
 
 def cmd_chains(inputs, opts, options: Options) -> dict:
-    f = options.factored(inputs[0])
-    return shiftcalc.chain_decomposition(f).to_json_dict()
+    d = shiftcalc.chain_decomposition(parse_factored(inputs[0]))
+    chains = tuple((options.shown(start), n) for start, n in d.chains)
+    return ChainDecomposition(options.shown(d.lead), chains).to_json_dict()
 
 
 def cmd_rad(inputs, opts, options: Options) -> dict:
-    return _poly_result(classical_rad(options.factored(inputs[0])))
+    return _poly_result(classical_rad(parse_factored(inputs[0])), options)
 
 
 def cmd_rad_delta(inputs, opts, options: Options) -> dict:
-    f = options.factored(inputs[0])
-    return _poly_result(shiftcalc.rad_delta(f))
+    f = parse_factored(inputs[0])
+    return _poly_result(shiftcalc.rad_delta(f), options)
 
 
 def cmd_rad_kappa(inputs, opts, options: Options) -> dict:
-    f = options.factored(inputs[0])
-    return _poly_result(shiftcalc.rad_kappa(f, opts.get("kappa", 1)))
+    f = parse_factored(inputs[0])
+    return _poly_result(shiftcalc.rad_kappa(f, opts.get("kappa", 1)), options)
 
 
 def cmd_rad_q(inputs, opts, options: Options) -> dict:
-    f = options.factored(inputs[0])
-    return _poly_result(shiftcalc.rad_delta_q(f, opts.get("q", 1)))
+    f = parse_factored(inputs[0])
+    return _poly_result(shiftcalc.rad_delta_q(f, opts.get("q", 1)), options)
 
 
 def cmd_gcd_tower(inputs, opts, options: Options) -> dict:
     n = opts.get("n", 1)
     try:
-        f = options.factored(inputs[0])
-        return _poly_result(shiftcalc.gcd_tower(f, n))
+        tower = shiftcalc.gcd_tower(parse_factored(inputs[0]), n)
     except RootsUnavailableError:
-        return _poly_result(shiftcalc.gcd_tower(options.poly(inputs[0]), n))
+        tower = shiftcalc.gcd_tower(parse_poly(inputs[0]), n)
+    return _poly_result(tower, options)
 
 
 def cmd_shifting_prime(inputs, opts, options: Options) -> dict:
-    f = options.factored(inputs[0])
-    g = options.factored(inputs[1])
+    f = parse_factored(inputs[0])
+    g = parse_factored(inputs[1])
     divisors = shiftcalc.common_shifting_divisors(f, g)
     return {
         "shifting_prime": not divisors,
-        "divisors": [d.text() for d in divisors],
+        "divisors": [options.shown(d).text() for d in divisors],
     }
 
 
 def cmd_casoratian(inputs, opts, options: Options) -> dict:
-    fs = [options.poly(src) for src in inputs]
-    # printed without the rounding noise that its own negligible() calls zero
-    det = casorati.casoratian(fs, opts.get("form", "delta")).chop()
-    return {**_poly_result(det), "independent": bool(det)}
+    fs = [parse_poly(src) for src in inputs]
+    det = casorati.casoratian(fs, opts.get("form", "delta"))
+    return {**_poly_result(det, options), "independent": bool(det)}
 
 
 def cmd_mason(inputs, opts, options: Options):
-    fs = [options.factored(src) for src in inputs]
+    fs = [parse_factored(src) for src in inputs]
     if opts.get("classical"):
         return theorems.mason_classical(*fs)
     return theorems.mason_delta(*fs)
 
 
 def cmd_mason_ext(inputs, opts, options: Options):
-    fs = [options.factored(src) for src in inputs]
+    fs = [parse_factored(src) for src in inputs]
     return theorems.mason_delta_ext(fs)
 
 
 def cmd_fermat(inputs, opts, options: Options):
-    fs = [options.factored(src) for src in inputs]
+    fs = [parse_factored(src) for src in inputs]
     return theorems.fermat_check(*fs, n=opts["n"])
 
 
 def cmd_fermat_multi(inputs, opts, options: Options):
-    if opts.get("builder") == "unit_cubic_triad":
-        roots = theorems.unit_cubic_resolvent_roots(options.precision, options.tolerance)
-        s = roots[opts.get("root_index", 0)]
-        fs = theorems.unit_cubic_triad(s, Fraction(opts.get("t", 1)))
-    else:
-        fs = [options.factored(src) for src in inputs]
-    return theorems.fermat_multi_check(fs, n=opts["n"], rhs_one=bool(opts.get("rhs_one")))
+    rhs_one = bool(opts.get("rhs_one"))
+    if opts.get("builder") == "unit_cubic_triad":  # Example 5.7, all roots s and t
+        if (opts["n"], rhs_one) != (3, True):
+            raise ValueError("the unit cubic triad is certified for n = 3 with rhs_one")
+        return theorems.unit_cubic_certificate()
+    fs = [parse_factored(src) for src in inputs]
+    return theorems.fermat_multi_check(fs, n=opts["n"], rhs_one=rhs_one)
 
 
 HANDLERS = {
@@ -231,11 +229,7 @@ def load_fixtures(filter_text: str | None = None) -> list[dict]:
 
 
 def run_fixture(case: dict) -> tuple[bool, dict]:
-    options = Options(
-        backend=case.get("backend", "exact"),
-        precision=case.get("precision", 256),
-        tolerance=case.get("tolerance"),
-    )
+    options = Options(case.get("backend", "exact"), case.get("precision", 256))
     _, result = run_command(
         case["command"], case.get("inputs", []), case.get("args", {}), options
     )
@@ -298,10 +292,10 @@ def _precision(text: str) -> int:
 
 
 def _tolerance(text: str) -> Fraction:
-    """A positive finite decimal, read exactly as a Fraction: a tolerance of
-    0, below 0, inf or nan would make every numeric zero test false or
-    overflow the arithmetic.  At most TOLERANCE_DIGITS digits and a decimal
-    exponent of at most that size keep the Fraction's size bounded."""
+    """A positive finite decimal, read exactly as a Fraction, of at most
+    TOLERANCE_DIGITS digits and a decimal exponent of at most that size.  It
+    is validated and read by nothing: numeric output is converted exact
+    output, with no zero test to tune."""
     text = text.strip()  # an argument that starts with "-" comes with a space
     try:
         value = Decimal(text)
@@ -322,17 +316,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--backend", choices=("exact", "numeric"), default="exact",
-        help="scalar backend (default: exact)",
+        help="how values are printed: exactly, or converted to numeric; every "
+        "result is computed exactly (default: exact)",
     )
     common.add_argument(
         "--precision", type=_precision, default=256,
-        help=f"bits of precision for the numeric backend, {Numeric.MIN_PREC} to "
+        help=f"bits of precision of numeric output, {Numeric.MIN_PREC} to "
         f"{MAX_PRECISION} (default: 256)",
     )
     common.add_argument(
         "--tolerance", type=_tolerance, default=None,
-        help="numeric comparison tolerance, a positive finite decimal read "
-        "exactly (default: 2^(-precision/2))",
+        help="accepted as a positive finite decimal for compatibility; it no "
+        "longer changes any result",
     )
     common.add_argument("--json", action="store_true", help="emit JSON output")
 
@@ -450,11 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify-paper":
         return cmd_verify_paper(args.filter, args.json)
 
-    options = Options(
-        backend=args.backend,
-        precision=args.precision,
-        tolerance=args.tolerance,
-    )
+    options = Options(args.backend, args.precision)
     opts = {
         key: value
         for key, value in vars(args).items()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import FactoredPoly, Poly, _Lane, _to_lane, product
-from .scalar import Exact, Scalar, as_scalar
+from .scalar import Scalar, as_scalar
 
 
 def binomial(n: int, k: int) -> int:
@@ -29,18 +29,17 @@ def shift(p: Poly, k) -> Poly:
     part to itself: with one part sum c_i z^i / den,
     v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z and
     d = deg p, so an integer shift by u followed by rescaling w^j to v^j z^j
-    gives the result without fractions.  Every other input, a radical step
-    or numeric coefficients, runs the same loop on its own scalars with the
-    step k itself.
+    gives the result without fractions.  A radical step runs the same loop
+    on the Exact coefficients with the step k itself.
     """
     if not p:
         return p
+    lane = _to_lane(p)
     step = p.scalar(k)
     if not step:
         return p
-    h = step.as_fraction() if isinstance(step, Exact) else None
-    lane = _to_lane(p) if h is not None else None
-    if lane is None:
+    h = step.as_fraction()
+    if h is None:
         return Poly(_taylor(list(p.coeffs), step))
     u, v = h.numerator, h.denominator
     d = p.degree

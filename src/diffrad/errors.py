@@ -8,7 +8,8 @@ class DiffradError(Exception):
 
 
 class BackendMismatchError(DiffradError):
-    """Raised when exact and numeric values are mixed in one operation."""
+    """Raised when exact and numeric values are mixed in one operation, or
+    when an exact kernel is given numeric values, which are output only."""
 
 
 class ExactDivisionError(DiffradError):
@@ -28,16 +29,6 @@ class RootsUnavailableError(DiffradError):
     Callers holding root data should construct the factored form directly
     instead of going through ``factor``.
     """
-
-
-class AmbiguousShiftError(DiffradError):
-    """Raised by numeric-backend root classification when the distance of a
-    root difference to the nearest integer falls inside the tolerance guard
-    band, so neither "integer" nor "non-integer" is a safe verdict."""
-
-    def __init__(self, message: str, pair=None):
-        super().__init__(message)
-        self.pair = pair
 
 
 class SamplingBudgetError(DiffradError):

@@ -1,9 +1,12 @@
-"""Dense univariate polynomials over exact or numeric scalars.
+"""Dense univariate polynomials over exact scalars, printed exactly or numerically.
 
 A :class:`Poly` stores coefficients ascending in the power of z, trimmed so
 the leading coefficient is nonzero; the zero polynomial has no coefficients
 and degree ``NEG_INF`` (a genuine minus-infinity marker, so degree identities
-like deg(p*q) = deg(p) + deg(q) never hit -1 arithmetic).
+like deg(p*q) = deg(p) + deg(q) never hit -1 arithmetic).  Every kernel
+(products, division, gcd, factoring, shifts, determinants) runs on the exact
+lane (``_Lane``); ``embed`` converts a result to numeric coefficients for
+output, and a kernel given numeric coefficients raises BackendMismatchError.
 
 A :class:`FactoredPoly` is a leading coefficient plus a multiset of
 (root, multiplicity) pairs; it is the primary ingestion form for anything
@@ -15,8 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import reduce
-from operator import attrgetter, mul
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -168,29 +169,17 @@ class Poly:
     def __mul__(self, other) -> Poly:
         """Product with a scalar or a polynomial.
 
-        Two exact polynomials multiply once on the lane (see ``_Lane``):
+        Two polynomials multiply once on the lane (see ``_Lane``):
         ``_mul_ints`` on each pair of radical keys, merged by ``_key_mul``.
-        Numeric coefficients multiply term by term in their own arithmetic.
         """
         if isinstance(other, (int, Fraction, Scalar)):
             scale = other if isinstance(other, Scalar) else Fraction(other)
             return Poly([c * scale for c in self._coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_backend(other)
         if not self or not other:
             return Poly()
-        a, b = _to_lane(self), _to_lane(other)
-        if a is not None and b is not None:
-            return (a * b).to_poly()
-        zero = self._coeffs[0] - self._coeffs[0]
-        out = [zero] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return (_to_lane(self) * _to_lane(other)).to_poly()
 
     __rmul__ = __mul__
 
@@ -202,31 +191,12 @@ class Poly:
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """(q, r) with self = q * other + r and deg r < deg other.
 
-        Exact operands divide once on the lane (``_Lane.__divmod__``);
-        numeric ones run term by term with the inverse of the divisor's lead.
+        The operands divide once on the lane (``_Lane.__divmod__``).
         """
         if not isinstance(other, Poly):
             return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        self._check_backend(other)
-        if self.degree < other.degree:
-            return Poly(), self
-        a, b = _to_lane(self), _to_lane(other)
-        if a is not None and b is not None:
-            q, r = divmod(a, b)
-            return q.to_poly(), r.to_poly()
-        lead_inv = other.lead.inverse()
-        rem = list(self._coeffs)
-        dq = len(self._coeffs) - len(other._coeffs)
-        quot = [None] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other._coeffs) - 1] * lead_inv
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other._coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(quot), Poly(rem[: len(other._coeffs) - 1])
+        q, r = divmod(_to_lane(self), _to_lane(other))
+        return q.to_poly(), r.to_poly()
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -267,38 +237,20 @@ class Poly:
         inv = self.lead.inverse()
         return Poly([c * inv for c in self._coeffs])
 
-    def embed(self, prec: int, tol=None) -> Poly:
-        """Exact polynomial to the numeric backend (``Exact.to_numeric``)."""
-        return Poly(
-            [
-                c.to_numeric(prec, tol) if isinstance(c, Exact) else c
-                for c in self._coeffs
-            ]
-        )
+    def embed(self, prec: int) -> Poly:
+        """This exact polynomial with numeric coefficients at `prec` bits
+        (``Exact.to_numeric``), for output."""
+        return Poly([c.to_numeric(prec) for c in self._coeffs])
 
     def coeff_sup(self) -> float:
-        """Sup of coefficient magnitudes (numeric measure of smallness), for
-        reports only: capped at the largest finite float (valid JSON), at least
-        math.ulp(0.0) when nonzero (never a false 0); ``negligible`` decides."""
+        """Sup of coefficient magnitudes, for reports only: capped at the
+        largest finite float (valid JSON), at least math.ulp(0.0) when nonzero
+        (never a false 0); ``bool`` decides."""
         sup = 0.0
         for c in self._coeffs:
-            mag = c.magnitude() if isinstance(c, Numeric) else abs(complex(c))
+            mag = abs(complex(c))
             sup = max(sup, mag if mag or not c else math.ulp(0.0))
         return min(sup, sys.float_info.max)
-
-    def chop(self) -> Poly:
-        """Without rounding noise: each numeric coefficient that is negligible
-        (``Scalar.negligible``) at the tolerance of the widest coefficient,
-        the first of the widest precision, becomes 0."""
-        if self.backend != "numeric":
-            return self
-        tol = max(self._coeffs, key=attrgetter("prec")).tolerance()
-        return Poly([c - c if c.negligible(tol) else c for c in self._coeffs])
-
-    def negligible(self) -> bool:
-        """Zero within tolerance: ``chop`` leaves nothing, which a nonzero
-        exact polynomial never is."""
-        return not self.chop()
 
     # -- text & JSON -------------------------------------------------------
 
@@ -472,17 +424,13 @@ def classical_rad(f: FactoredPoly) -> Poly:
 def product(polys: Iterable[Poly]) -> Poly:
     """Product of the factors; the constant 1 when there are none.
 
-    Exact factors multiply on the lane as a balanced tree, so that the large
+    The factors multiply on the lane as a balanced tree, so that the large
     operands meet last, where ``_mul_ints`` switches to Kronecker
-    multiplication.  Numeric factors are folded left to right with ``*``,
-    which keeps their rounding that of repeated multiplication.
+    multiplication.
     """
-    factors = list(polys)
-    if not factors:
+    lanes = [_to_lane(f) for f in polys]
+    if not lanes:
         return Poly.constant(1)
-    lanes = [_to_lane(f) for f in factors]
-    if None in lanes:
-        return reduce(mul, factors)
     while len(lanes) > 1:
         paired = [a * b for a, b in zip(lanes[::2], lanes[1::2])]
         lanes = paired + lanes[len(paired) * 2 :]
@@ -497,12 +445,10 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     up, run the Euclidean algorithm on lanes: each divisor is brought to a
     rational lead and to primitive ints (``_Lane.rational_lead``), the
     remainder comes from ``_Lane.__mod__``, and the result is made monic
-    once at the end.  Numeric inputs are refused.
+    once at the end.
     """
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
-    if (p and p.backend == "numeric") or (q and q.backend == "numeric"):
-        raise BackendMismatchError("polynomial gcd requires the exact backend")
     a, b = _to_lane(p), _to_lane(q)
     if a.terms.keys() | b.terms.keys() <= {_ONE_KEY}:
         ints = [_primitive(x.terms.get(_ONE_KEY, [])) for x in (a, b)]
@@ -523,7 +469,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # one-key case, so rational and radical inputs run the same integer code.  A
 # kernel makes its lanes once at entry (_to_lane) and turns the result back
 # into Exact coefficients once at exit (_Lane.to_poly); Poly itself keeps one
-# representation, and numeric polynomials have no lane.
+# representation.  A numeric polynomial has no lane: _to_lane refuses it.
 
 # Operands this short or shorter multiply term by term: against 16 to 256
 # coefficients of up to 64 bits, Kronecker multiplication wins from about
@@ -696,13 +642,17 @@ class _Lane:
         return _Lane({key: [c // g for c in ints] for key, ints in q.terms.items()}, q.den // g)
 
 
-def _to_lane(p: Poly) -> _Lane | None:
-    """p on the lane, or None when p has a numeric coefficient."""
+def _to_lane(p: Poly) -> _Lane:
+    """p on the lane; a numeric coefficient raises BackendMismatchError, the
+    exact kernels' one guard: numeric values are converted results."""
     cs = p.coeffs
     parts: dict[Key, list] = {}  # Fractions, and int 0 where a key is absent
     for k, c in enumerate(cs):
         if not isinstance(c, Exact):
-            return None
+            raise BackendMismatchError(
+                "exact kernels take exact polynomials; numeric values are "
+                "converted results (Poly.embed), not inputs"
+            )
         for key, f in c._terms.items():
             part = parts.get(key)
             if part is None:
@@ -902,7 +852,23 @@ def _inner_sqrt(d: Exact) -> Exact | None:
         return None
 
 
-def _factor_exact(p: Poly) -> FactoredPoly:
+def factor(p: Poly) -> FactoredPoly:
+    """Factor an exact polynomial into (lead, root multiset).
+
+    The zero root is split off first, whatever the coefficients; other
+    rational roots are found on the integer lane, where each candidate s/d
+    divides the primitive integer polynomial by d*z - s exactly or not at
+    all.  The candidates come from the prime factors of the constant and
+    leading terms (``prime_factors``), and one above Fujiwara's root bound is
+    skipped undivided; more than MAX_CANDIDATES divisor pairs, or a term
+    trial division cannot factor, raise RootsUnavailableError.  The linear
+    or quadratic leftover then goes through the quadratic formula over the
+    radical field, and degree >= 3 leftovers raise RootsUnavailableError.  A
+    lane with a radical key skips the rational-root search and goes straight
+    to that tail.  Numeric input raises BackendMismatchError (``_to_lane``).
+    """
+    if not p:
+        raise ValueError("cannot factor the zero polynomial")
     lead = p.lead
     roots: list[tuple[Scalar, int]] = []
     rem = p.monic()
@@ -987,28 +953,3 @@ def _divisors(factors: dict[int, int]) -> Iterator[int]:
     for d in _divisors(dict(rest)):
         for k in range(e + 1):
             yield d * p**k
-
-
-def factor(p: Poly) -> FactoredPoly:
-    """Factor an exact polynomial into (lead, root multiset).
-
-    The zero root is split off first, whatever the coefficients; other
-    rational roots are found on the integer lane, where each candidate s/d
-    divides the primitive integer polynomial by d*z - s exactly or not at
-    all.  The candidates come from the prime factors of the constant and
-    leading terms (``prime_factors``), and one above Fujiwara's root bound is
-    skipped undivided; more than MAX_CANDIDATES divisor pairs, or a term
-    trial division cannot factor, raise RootsUnavailableError.  The linear
-    or quadratic leftover then goes through the quadratic formula over the
-    radical field, and degree >= 3 leftovers raise RootsUnavailableError.  A
-    lane with a radical key skips the rational-root search and goes straight
-    to that tail.  Numeric input raises BackendMismatchError, as in
-    ``poly_gcd``: numeric roots come from exact ones or in closed form.
-    """
-    if not p:
-        raise ValueError("cannot factor the zero polynomial")
-    if p.backend == "numeric":
-        raise BackendMismatchError("factoring requires the exact backend")
-    if p.degree == 0:
-        return FactoredPoly(p.lead)
-    return _factor_exact(p)

@@ -17,22 +17,16 @@ product, negation, quotient, inverse, hash and text.
   over Q, which keeps the representation canonical under any mixing.
 
 * :class:`Numeric` — an arbitrary-precision complex number built on raw
-  mpmath mantissa/exponent tuples.  Precision (>= 64 bits) and zero
-  tolerance are set per value at conversion (``Exact.to_numeric``) and
-  inherited: a binary operation takes both from the wider operand, the left
-  one on a tie, so no global state is consulted and no function takes either.
+  mpmath mantissa/exponent tuples, the output format of exact values
+  (``Exact.to_numeric``).  Its precision (>= 64 bits) is set per value at
+  conversion; a binary operation takes the wider operand's, so no global
+  state is consulted.  No kernel computes with it and it has no zero
+  tolerance: every result is computed exactly and converted for printing.
 
 Mixing the two backends in one arithmetic operation raises
 :class:`BackendMismatchError` (from ``as_scalar``, the one place that does);
 conversion is explicit via :meth:`Exact.to_numeric`.  Comparing scalars of
 the two backends with ``==`` is False, not an error.
-
-Zero within tolerance has one rule, ``negligible()``: an exact scalar is
-negligible when it is zero, a numeric one when its magnitude is below its
-``tolerance()``.  ``Numeric.negligible`` is the library's one comparison of
-a magnitude with a tolerance, and it is exact: no float is involved, so no
-precision or tolerance underflows.  Its ``tol`` override serves only
-``integer_offset``'s guard band and ``Poly.negligible``'s widest coefficient.
 """
 
 from __future__ import annotations
@@ -48,13 +42,9 @@ from mpmath.libmp import (
     from_rational,
     fzero,
     mpf_add,
-    mpf_cmp,
     mpf_mul,
     mpf_sqrt,
-    mpf_sub,
-    round_floor,
     round_nearest,
-    to_int,
     to_str,
 )
 
@@ -192,8 +182,8 @@ class Scalar:
     """The operator surface Exact and Numeric share.
 
     A subclass supplies ``__add__``, ``__mul__``, ``__neg__``,
-    ``__truediv__``, ``inverse``, ``__hash__``, ``text``, ``negligible`` and
-    ``_value`` (the state ``==`` compares).
+    ``__truediv__``, ``inverse``, ``__hash__``, ``text`` and ``_value`` (the
+    state ``==`` compares).
     """
 
     __slots__ = ()
@@ -296,10 +286,6 @@ class Exact(Scalar):
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def negligible(self, tol=None) -> bool:
-        """Zero within tolerance: an exact scalar only when it is zero."""
-        return not self._terms
-
     @property
     def is_rational(self) -> bool:
         return all(key == _ONE_KEY for key in self._terms)
@@ -373,20 +359,22 @@ class Exact(Scalar):
 
     # -- conversions -------------------------------------------------------
 
-    def to_numeric(self, prec: int, tol=None) -> Numeric:
-        """This value at `prec` bits and zero tolerance `tol` (``Numeric``)."""
+    def to_numeric(self, prec: int) -> Numeric:
+        """This value at `prec` bits (``Numeric``), summed in canonical term
+        order, so equal values convert to the same bits."""
         re = fzero
         im = fzero
         work = prec + 16
-        for (has_i, primes), coeff in self._terms.items():
+        for key, coeff in sorted(self._terms.items(), key=lambda kc: _key_sort(kc[0])):
+            has_i, primes = key
             part = from_rational(coeff.numerator, coeff.denominator, work, RND)
-            for p in primes:
+            for p in sorted(primes):
                 part = mpf_mul(part, mpf_sqrt(from_int(p), work, RND), work, RND)
             if has_i:
                 im = mpf_add(im, part, work, RND)
             else:
                 re = mpf_add(re, part, work, RND)
-        return Numeric(re, im, prec, tol)
+        return Numeric(re, im, prec)
 
     def __complex__(self) -> complex:
         return complex(self.to_numeric(64))
@@ -417,72 +405,44 @@ class Exact(Scalar):
 
 
 class Numeric(Scalar):
-    """Arbitrary-precision complex scalar with per-value precision and tolerance.
+    """Arbitrary-precision complex scalar with per-value precision.
 
     Operations run at the larger operand precision plus GUARD_BITS, so chains
     of arithmetic stay accurate to the nominal precision even for operands
     well above unit magnitude; the nominal precision itself never shrinks.
     """
 
-    __slots__ = ("_re", "_im", "prec", "tol")
+    __slots__ = ("_re", "_im", "prec")
 
     backend = "numeric"
 
     MIN_PREC = 64
     GUARD_BITS = 32
 
-    def __init__(self, re, im, prec: int, tol=None):
+    def __init__(self, re, im, prec: int):
         if prec < self.MIN_PREC:
             raise ValueError(f"precision must be >= {self.MIN_PREC} bits")
         object.__setattr__(self, "_re", re)
         object.__setattr__(self, "_im", im)
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "tol", tol)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rational(cls, value: RationalLike, prec: int, tol=None) -> Numeric:
+    def from_rational(cls, value: RationalLike, prec: int) -> Numeric:
         fr = Fraction(value)
         re = from_rational(fr.numerator, fr.denominator, prec, RND)
-        return cls(re, fzero, prec, tol)
+        return cls(re, fzero, prec)
 
     @classmethod
-    def from_mpc(cls, value, prec: int, tol=None) -> Numeric:
+    def from_mpc(cls, value, prec: int) -> Numeric:
         re, im = value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, fzero)
-        return cls(re, im, prec, tol)
+        return cls(re, im, prec)
 
     # -- inspection --------------------------------------------------------
 
     def __bool__(self) -> bool:
         return self._re != fzero or self._im != fzero
-
-    def magnitude(self) -> float:
-        return libmp.to_float(libmp.mpc_abs((self._re, self._im), 53))
-
-    def tolerance(self) -> Fraction:
-        """The zero tolerance: ``tol`` read exactly, or 2^(-prec/2)."""
-        return Fraction(1, 2 ** (self.prec // 2)) if self.tol is None else Fraction(self.tol)
-
-    def negligible(self, tol=None) -> bool:
-        """Zero within tolerance: magnitude below ``tolerance()``, or below
-        `tol` when given.  Exact: with tol = p/q, (q re)^2 + (q im)^2 < p |p|
-        on exact products, whose sum is rounded down at a precision that
-        holds both squares and p^2, so cannot cross p^2."""
-        tol = self.tolerance() if tol is None else Fraction(tol)
-        q = from_int(tol.denominator)
-        re, im = mpf_mul(self._re, q), mpf_mul(self._im, q)
-        re2, im2 = mpf_mul(re, re), mpf_mul(im, im)
-        bound = tol.numerator * abs(tol.numerator)  # p^2, or <= 0 when tol <= 0
-        work = max(re2[3], im2[3], bound.bit_length())  # [3]: mantissa bits
-        total = mpf_add(re2, im2, work, round_floor)
-        return mpf_cmp(total, from_int(bound)) < 0
-
-    def as_integer(self, tol=None) -> int | None:
-        """Nearest integer n when self - n is ``negligible(tol)``."""
-        n = to_int(self._re, RND)
-        offset = Numeric(mpf_sub(self._re, from_int(n)), self._im, self.prec, self.tol)
-        return n if offset.negligible(tol) else None  # the offset is exact
 
     # -- arithmetic --------------------------------------------------------
 
@@ -494,7 +454,7 @@ class Numeric(Scalar):
         re, im = fn(
             (self._re, self._im), (rhs._re, rhs._im), wide.prec + self.GUARD_BITS, RND
         )
-        return Numeric(re, im, wide.prec, wide.tol)
+        return Numeric(re, im, wide.prec)
 
     def __add__(self, other):
         return self._binary(other, libmp.mpc_add)
@@ -519,10 +479,10 @@ class Numeric(Scalar):
 
     def __neg__(self) -> Numeric:
         re, im = libmp.mpc_neg((self._re, self._im))
-        return Numeric(re, im, self.prec, self.tol)
+        return Numeric(re, im, self.prec)
 
     def inverse(self) -> Numeric:
-        return Numeric.from_rational(1, self.prec, self.tol) / self
+        return Numeric.from_rational(1, self.prec) / self
 
     def _value(self):
         return self._re, self._im
@@ -556,7 +516,7 @@ class Numeric(Scalar):
 
 def as_scalar(value, like: Scalar) -> Scalar:
     """value in the backend of `like`: an int or Fraction is converted (a
-    numeric one at like's precision and tolerance), a scalar of that backend
+    numeric one at like's precision), a scalar of that backend
     passes through, and a scalar of the other backend raises
     BackendMismatchError."""
     if isinstance(value, Scalar):
@@ -568,5 +528,5 @@ def as_scalar(value, like: Scalar) -> Scalar:
         return value
     if isinstance(like, Exact):
         return Exact.from_rational(value)
-    return Numeric.from_rational(value, like.prec, like.tol)
+    return Numeric.from_rational(value, like.prec)
 

@@ -13,6 +13,9 @@ m >= l), so every radical is prod (z - r - o)^d with an order rule d on m:
 rad_kappa m(o) - min(m(o), m(o+kappa)); rad_delta the same at kappa = -1;
 rad_delta_q m(o) - min(m(o-q), ..., m(o)); the gcd tower gcd(P, dP, ...,
 d^n P) min(m(o), ..., m(o+n)).
+
+Every quantity here is computed exactly; numeric roots or polynomials raise
+BackendMismatchError (``shift_classes``, the height functions and the lane).
 """
 
 from __future__ import annotations
@@ -21,36 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from mpmath.libmp import from_rational, round_nearest, to_str
-
 from . import diffcalc
-from .errors import AmbiguousShiftError, BackendMismatchError
+from .errors import BackendMismatchError
 from .poly import FactoredPoly, Poly, poly_gcd, product
 from .scalar import _ONE_KEY, Exact, Scalar, as_scalar
 
-AMBIGUITY_GUARD = 8
 
-
-def integer_offset(a: Scalar, b: Scalar) -> int | None:
-    """Integer k with a - b = k, or None.
-
-    Numeric backend: with tol the tolerance a - b inherits, distances inside
-    [tol, AMBIGUITY_GUARD*tol) of the nearest integer are refused with
-    AmbiguousShiftError, naming the pair.
-    """
-    diff = a - b
-    k = diff.as_integer()
-    if k is not None or isinstance(diff, Exact):
-        return k
-    tol = diff.tolerance()
-    if diff.as_integer(tol * AMBIGUITY_GUARD) is not None:
-        shown = to_str(from_rational(tol.numerator, tol.denominator, 53, round_nearest), 6)
-        raise AmbiguousShiftError(
-            f"cannot classify root difference {diff.text()} as integer or not "
-            f"at tolerance {shown}",
-            pair=(a, b),
-        )
-    return None
+def integer_offset(a: Exact, b: Exact) -> int | None:
+    """Integer k with a - b = k, or None."""
+    return (a - b).as_integer()
 
 
 @dataclass(frozen=True)
@@ -61,12 +43,10 @@ class ShiftClass:
     are nonnegative and map to positive multiplicities: ``members`` is the
     order function m of the module docstring, the radicals and the gcd tower
     are order rules on it, and the chains are its level sets.
-    ``shift_classes`` is the one place that groups roots.  Exact classes
-    come from one keyed pass over the roots, numeric ones from a tolerance
-    scan (see ``shift_classes``).
+    ``shift_classes`` is the one place that groups roots, in one keyed pass.
     """
 
-    representative: Scalar
+    representative: Exact
     members: dict[int, int]
 
     def run_length(self, start: int) -> int:
@@ -84,26 +64,15 @@ def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
     and b have the same non-rational terms and rational parts congruent
     modulo 1, so each root goes to the bucket keyed by those two, and the
     member with the least rational part is the representative.  Numeric
-    roots keep the scan that compares each root with each representative
-    through ``integer_offset``: "within tolerance of an integer" is not an
-    equivalence relation and has no hash key, and the scan is what raises
-    ``AmbiguousShiftError`` in the guard band.
+    roots raise BackendMismatchError.
 
     Classes come back sorted by the canonical text of their representatives,
-    the scan order used everywhere chains are emitted.
+    the order used everywhere chains are emitted.
     """
-    if f.backend == "exact":
-        classes = _bucket_classes(f.roots)
-    else:
-        classes = _scan_classes(f.roots)
-    classes.sort(key=lambda c: c[0].text())
-    return [ShiftClass(rep, members) for rep, members in classes]
-
-
-def _bucket_classes(roots) -> list[tuple[Scalar, dict[int, int]]]:
-    """Exact classes keyed by (non-rational terms, rational part mod 1)."""
+    if f.backend != "exact":
+        raise BackendMismatchError("shift classes need exact roots")
     buckets: dict[tuple, list[tuple[Fraction, Exact, int]]] = {}
-    for root, mult in roots:
+    for root, mult in f.roots:
         terms = root.terms
         q = terms.pop(_ONE_KEY, Fraction(0))
         key = (frozenset(terms.items()), q % 1)
@@ -111,28 +80,8 @@ def _bucket_classes(roots) -> list[tuple[Scalar, dict[int, int]]]:
     classes = []
     for bucket in buckets.values():
         q_rep, rep, _ = min(bucket, key=lambda m: m[0])
-        classes.append((rep, {int(q - q_rep): mult for q, _, mult in bucket}))
-    return classes
-
-
-def _scan_classes(roots) -> list[tuple[Scalar, dict[int, int]]]:
-    """Numeric classes, and the test oracle for exact ones: each root is
-    compared with each representative, O(roots x classes)."""
-    classes: list[tuple[Scalar, dict[int, int]]] = []
-    for root, mult in roots:
-        for idx, (rep, members) in enumerate(classes):
-            k = integer_offset(root, rep)
-            if k is None:
-                continue
-            if k < 0:  # new minimal member becomes the representative
-                members = {o - k: m for o, m in members.items()}
-                members[0] = members.get(0, 0) + mult
-                classes[idx] = (root, members)
-            else:
-                members[k] = members.get(k, 0) + mult
-            break
-        else:
-            classes.append((root, {0: mult}))
+        classes.append(ShiftClass(rep, {int(q - q_rep): mult for q, _, mult in bucket}))
+    classes.sort(key=lambda c: c.representative.text())
     return classes
 
 
@@ -183,9 +132,7 @@ def chain_decomposition(f: FactoredPoly) -> ChainDecomposition:
             while remaining.get(start + length, 0) > 0:
                 remaining[start + length] -= 1
                 length += 1
-            chains.append(
-                (cls.representative + as_scalar(start, cls.representative), length)
-            )
+            chains.append((cls.representative + start, length))
     return ChainDecomposition(f.lead, tuple(chains))
 
 
@@ -196,36 +143,33 @@ def shifting_zero_height(p: Poly, z0) -> int:
     ...; the equivalent definition through vanishing forward differences is
     available as shifting_zero_height_via_delta.
     """
-    if not p:
-        raise ValueError("height is undefined for the zero polynomial")
-    z0 = as_scalar(z0, p.lead)
+    z0 = _height_point(p, z0)
     n = 0
-    while p(z0 + as_scalar(n, z0)).negligible():
+    while not p(z0 + n):
         n += 1
-        _check_run(p, z0, n)
     return n
 
 
 def shifting_zero_height_via_delta(p: Poly, z0) -> int:
     """Height from the definition: least n with delta^n p(z0) nonzero."""
-    if not p:
-        raise ValueError("height is undefined for the zero polynomial")
-    z0 = as_scalar(z0, p.lead)
+    z0 = _height_point(p, z0)
     n = 0
     cur = p
-    while cur(z0).negligible():
+    while not cur(z0):
         cur = diffcalc.delta(cur)
         n += 1
-        _check_run(p, z0, n)
     return n
 
 
-def _check_run(p: Poly, z0: Scalar, n: int) -> None:
-    """A nonzero p has at most deg p zeros: a longer run is tolerance noise."""
-    if n > p.degree:
-        raise AmbiguousShiftError(
-            f"{n} zeros in a row from {z0.text()} exceed degree {p.degree}"
-        )
+def _height_point(p: Poly, z0) -> Exact:
+    """z0 as an exact scalar, after the checks both height functions make:
+    p is nonzero and exact (a nonzero p has at most deg p zeros, so each
+    run ends)."""
+    if not p:
+        raise ValueError("height is undefined for the zero polynomial")
+    if p.backend != "exact":
+        raise BackendMismatchError("shifting-zero heights need an exact polynomial")
+    return as_scalar(z0, p.lead)
 
 
 def factor_at(p: Poly, z0) -> tuple[int, Poly]:
@@ -239,19 +183,19 @@ def factor_at(p: Poly, z0) -> tuple[int, Poly]:
     if n == 0:
         raise ValueError(f"{z0.text()} is not a zero")
     g = p.divexact(diffcalc.falling_factorial_linear(z0, n))
-    if g(z0 + as_scalar(n, z0)).negligible():  # pragma: no cover
+    if not g(z0 + n):  # pragma: no cover
         raise ArithmeticError("cofactor vanishes at z0 + n")
     return n, g
 
 
 def _radical(f: FactoredPoly, order) -> Poly:
     """Monic prod (z - w)^order(m, o) over w = representative + o, where m is
-    w's class's ``members``; starts from the 1 of f's backend."""
-    factors = [Poly.constant(as_scalar(1, f.lead))]
+    w's class's ``members``."""
+    factors = [Poly.constant(1)]
     for cls in shift_classes(f):
         rep, m = cls.representative, cls.members
         for o in sorted(m):
-            factors += [Poly.linear(rep + as_scalar(o, rep))] * order(m, o)
+            factors += [Poly.linear(rep + o)] * order(m, o)
     return product(factors)
 
 
@@ -311,19 +255,13 @@ def gcd_tower(p: Poly | FactoredPoly, n: int) -> Poly:
     """gcd(p, delta p, ..., delta^n p), monic.
 
     Factored input computes the chain closed form and cross-checks it against
-    the Euclidean route; plain exact polynomials go through Euclid alone.
+    the Euclidean route; plain polynomials go through Euclid alone.
     """
     if isinstance(p, FactoredPoly):
         closed = gcd_tower_closed(p, n)
-        if p.backend == "exact":
-            euclid = gcd_tower_euclid(p.expand(), n)
-            if closed != euclid:  # pragma: no cover - identity guard
-                raise ArithmeticError("gcd tower routes disagree")
+        if closed != gcd_tower_euclid(p.expand(), n):  # pragma: no cover - identity guard
+            raise ArithmeticError("gcd tower routes disagree")
         return closed
-    if p and p.backend == "numeric":
-        raise BackendMismatchError(
-            "numeric gcd tower needs factored input for the closed form"
-        )
     return gcd_tower_euclid(p, n)
 
 
@@ -338,8 +276,6 @@ def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Scalar]:
     an integer, and heights are their ``ShiftClass.run_length``.  Sorted by
     canonical text; an empty list means f and g are shifting prime.
     """
-    if f.backend != g.backend:
-        raise BackendMismatchError("factored polynomials mix backends")
     return _common_divisors(shift_classes(f), shift_classes(g))
 
 
@@ -350,13 +286,11 @@ def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> list[Scala
             k = integer_offset(cg.representative, cf.representative)
             if k is None:
                 continue
-            # Base points count from the lower representative; a numeric tie
-            # goes to the smaller text, the root a merged scan meets first.
-            tie = k == 0 and cg.representative.text() < cf.representative.text()
-            lo, hi, k = (cg, cf, -k) if k < 0 or tie else (cf, cg, k)
+            # base points count from the lower representative
+            lo, hi, k = (cg, cf, -k) if k < 0 else (cf, cg, k)
             base = lo.representative
             offsets = _chain_hits(lo, hi, k) | {o + k for o in _chain_hits(hi, lo, -k)}
-            found.extend(base + as_scalar(o, base) for o in offsets)
+            found.extend(base + o for o in offsets)
     found.sort(key=lambda s: s.text())
     return found
 
@@ -380,8 +314,6 @@ def pairwise_shifting_prime(
 ) -> tuple[bool, tuple[int, int, Scalar] | None]:
     """All-pairs check, grouping each input once; on failure returns
     (i, j, divisor base) as witness."""
-    if len({f.backend for f in fs}) > 1:
-        raise BackendMismatchError("factored polynomials mix backends")
     classes = [shift_classes(f) for f in fs]
     for i, j in combinations(range(len(fs)), 2):
         divisors = _common_divisors(classes[i], classes[j])

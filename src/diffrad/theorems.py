@@ -5,7 +5,8 @@ the relevant degree inequality, and returns a structured report; hypothesis
 failures never abort, they only flag the report, so callers can explain why
 a statement does not apply.  A negative slack with all hypotheses satisfied
 would contradict the underlying theorem and is surfaced loudly through the
-``counterexample`` flag.
+``counterexample`` flag.  Every checker computes exactly; Example 5.7, whose
+resolvent roots are irrational, is decided over Q by ``unit_cubic_certificate``.
 """
 
 from __future__ import annotations
@@ -14,15 +15,23 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Sequence
 
 from . import casorati, diffcalc, shiftcalc
 from .errors import RootsUnavailableError, SamplingBudgetError
-# poly_gcd is not called here; perfbench's self-test checks that its tracer
-# patches this binding too, so the name stays
-from .poly import FactoredPoly, Poly, factor, poly_gcd, product  # noqa: F401
-from .scalar import Exact, Numeric, Scalar, as_scalar
+from .poly import (
+    FactoredPoly,
+    Poly,
+    _gcd_ints,
+    _primitive,
+    _root_bound_exp,
+    _to_lane,
+    factor,
+    poly_gcd,
+    product,
+)
+from .scalar import _ONE_KEY, Exact, Numeric, Scalar, as_scalar
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,11 @@ class MasonReport:
 
 @dataclass(frozen=True)
 class FermatReport:
-    identity_residual: Poly
+    """A falling-power equation's verdict.  ``identity_residual`` is the left
+    side minus the right, a Poly, or for ``unit_cubic_certificate`` its
+    coefficients of u^0, u^1, ... modulo the resolvent cubic."""
+
+    identity_residual: Poly | tuple[Poly, ...]
     equation_holds: bool
     residual_sup: float
     n: int
@@ -119,7 +132,7 @@ def _max_degree(fs: Sequence[FactoredPoly]) -> int:
 
 
 def _sum_equation_holds(parts: Sequence[Poly], total: Poly) -> bool:
-    return (sum(parts, Poly()) - total).negligible()
+    return not sum(parts, Poly()) - total
 
 
 def _shifting_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
@@ -132,18 +145,15 @@ def _shifting_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
 
 
 def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
-    """Pairwise coprimality from the roots: each root r of f_i is paired with
-    the first root s of f_j for which r - s is negligible, at the tolerance
-    r - s inherits from the pair (for exact roots, r = s).  The witness is the
-    monic product of (z - r)^min(m, n) over the paired roots, which for exact
-    input is gcd(f_i, f_j).
+    """Pairwise coprimality from the roots: the witness is the monic product
+    of (z - r)^min(m, n) over the roots r that f_i and f_j share, with orders
+    m and n, which is gcd(f_i, f_j).
     """
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             shared = []
             for r, m in fs[i].roots:
-                n = next((n for s, n in fs[j].roots if (r - s).negligible()), 0)
-                shared += [Poly.linear(r)] * min(m, n)
+                shared += [Poly.linear(r)] * min(m, fs[j].ord_at(r))
             if shared:
                 g = product(shared).expr_text()
                 text = f"inputs {i} and {j} share the factor {g}"
@@ -242,7 +252,7 @@ def fermat_check(
         raise ValueError("exponent n must be >= 1")
     powers = [diffcalc.falling_power(f.expand(), n) for f in (a, b, c)]
     residual = powers[0] + powers[1] - powers[2]
-    equation, sup = residual.negligible(), residual.coeff_sup()
+    equation, sup = not residual, residual.coeff_sup()
 
     classes = [
         shiftcalc.shift_classes(diffcalc.falling_power_factored(f, n))
@@ -294,7 +304,7 @@ def fermat_multi_check(
     left = powers if rhs_one else powers[:-1]
     one = Poly.constant(as_scalar(1, fs[0].lead))
     residual = sum(left, Poly()) - (one if rhs_one else powers[-1])
-    equation, sup = residual.negligible(), residual.coeff_sup()
+    equation, sup = not residual, residual.coeff_sup()
 
     power_factored = [diffcalc.falling_power_factored(f, n) for f in fs]
     hyps = [
@@ -326,17 +336,148 @@ def fermat_multi_check(
     )
 
 
-# -- constructed instances ----------------------------------------------------
+# -- Example 5.7 ----------------------------------------------------------------
 
 # Resolvent whose roots s parameterize degree-3 solutions of the three-term
 # unit equation f1^(falling 3) + f2^(falling 3) + f3^(falling 3) = 1.
 UNIT_CUBIC_RESOLVENT = (1, 0, 0, 0, 0, 0, -144, 0, 0, 108)
 
 
-def unit_cubic_resolvent_roots(prec: int = 256, tol=None) -> list:
+def unit_cubic_certificate() -> FermatReport:
+    """Example 5.7 decided exactly over Q: the unit equation in falling cubes,
+    with the hypotheses and bound ``fermat_multi_check`` reports for n = 3
+    and right side 1, for the triad ``unit_cubic_triad(s, t)`` at every one
+    of the nine roots s of the resolvent and every nonzero t at once, with
+    ``residual_sup`` 0.0 when the identity holds.
+
+    Write x = z - b with b = -t / (2 s), h = x^3 - 3 x and u = s^3.  Then the
+    triad of ``unit_cubic_triad`` is p1 = h - u/6, p2 = -(h + u/6) and
+    p3 = s (x^2 - 1).  The translation commutes with falling powers, keeps
+    root differences and maps independent polynomials to independent ones,
+    so t and b drop out, and s enters the falling cubes only as the cube u
+    of p3's lead.  u is a root of the cubic c whose coefficients are the
+    resolvent's at s^0, s^3, s^6 and s^9, so every step below is arithmetic
+    in Q[x][u] / c(u) and holds at the three roots u, and the nine s, alike:
+
+    - identity: the sum of the falling cubes, reduced modulo c, is 1;
+    - shifting primality: over all roots u, the roots of p_i are those of
+      W_i over Q (``_resultant``); gcd(W_i(x), W_j(x + k)) = 1 for every
+      integer k up to the sum of their Fujiwara root bounds (``_integer_shift``;
+      Man & Wright, ISSAC 1994), so no root of p_i differs from one of p_j by
+      an integer, nor do the roots of their falling cubes;
+    - independence: the Casoratian of the falling cubes at an integer x, the
+      3x3 determinant of their values at x, x + 1 and x + 2, is a polynomial
+      in u; reduced modulo c and coprime to it, it is nonzero at every root u.
+
+    A step that finds no certificate reports its hypothesis as failed.
+    """
+    c = _resolvent_cubic()
+    h = Poly([0, -3, 0, 1])
+    sixth = Poly.constant(Fraction(1, 6))
+    # (power of s in the lead, coefficients of u^0, u^1, ...) of p1, p2, p3
+    triad = [(0, [h, -sixth]), (0, [-h, -sixth]), (1, [Poly([-1, 0, 1])])]
+    cubes = []
+    for e, p in triad:
+        cube = [Poly()] * e + [Poly.constant(1)]  # the lead's cube, u^e
+        for j in range(3):
+            cube = _mul_mod(cube, [diffcalc.shift(a, -j) for a in p], c)
+        cubes.append(cube)
+    residual = [sum(parts, Poly()) for parts in zip_longest(*cubes, fillvalue=Poly())]
+    residual[0] = residual[0] - 1
+
+    shared = ""
+    roots = [_resultant(p, c) for _, p in triad]
+    for i, j in combinations(range(3), 2):
+        k = _integer_shift(roots[i], roots[j])
+        if k is not None:
+            shared = f"roots of inputs {i} and {j} differ by the integer {k}"
+            break
+
+    independent = False
+    degree = sum(max(a.degree for a in cube) for cube in cubes) - 3  # of the Casoratian
+    for x in range(c.degree * degree + 1):  # a root u loses at most `degree` points
+        rows = [[Poly([a(x + r) for a in cube]) for cube in cubes] for r in range(3)]
+        minor = casorati.determinant(rows) % c
+        if minor and poly_gcd(minor, c).degree == 0:
+            independent = True
+            break
+
+    m = len(triad)
+    bound = Fraction(m * m - m - 1)
+    return FermatReport(
+        identity_residual=tuple(residual),
+        equation_holds=not any(residual),
+        residual_sup=max(r.coeff_sup() for r in residual),
+        n=3,
+        m=m,
+        bound=bound,
+        within_bound=3 <= bound,
+        hypotheses=(
+            # s != 0 at every root, as c(0) != 0, so p3 keeps its degree
+            Hypothesis(
+                "nonconstant", min(max(a.degree for a in p) for _, p in triad) >= 1 and bool(c(0))
+            ),
+            Hypothesis("pairwise_shifting_prime", not shared, shared),
+            Hypothesis("linear_independence", independent),
+        ),
+    )
+
+
+def _resolvent_cubic() -> Poly:
+    """UNIT_CUBIC_RESOLVENT as the cubic c(u) in u = s^3."""
+    coeffs = UNIT_CUBIC_RESOLVENT[::-1]  # ascending in s
+    if any(a for k, a in enumerate(coeffs) if k % 3):
+        raise ValueError("the resolvent is not a polynomial in s^3")
+    return Poly(coeffs[::3])
+
+
+def _mul_mod(a: list[Poly], b: list[Poly], c: Poly) -> list[Poly]:
+    """a * b modulo c(u), for polynomials in u given by their Poly
+    coefficients of u^0, u^1, ..."""
+    out = [Poly()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    *low, top = c.coeffs
+    while len(out) > len(low):  # u^n = -u^(n-d) (c_0 + ... + c_(d-1) u^(d-1)) / c_d
+        t = out.pop()
+        k = len(out) - len(low)
+        for j, cj in enumerate(low):
+            out[k + j] = out[k + j] - t * (cj / top)
+    return out
+
+
+def _resultant(p: list[Poly], c: Poly) -> Poly:
+    """A polynomial over Q whose roots are the x with p(x, u) = 0 at some
+    root u of c, for p free of u (p itself) or linear in it (Res_u(c, p))."""
+    if len(p) == 1:
+        return p[0]
+    a, b = p
+    d = c.degree
+    return sum(((-a) ** k * b ** (d - k) * ck for k, ck in enumerate(c.coeffs)), Poly())
+
+
+def _integer_shift(w: Poly, v: Poly) -> int | None:
+    """An integer k with gcd(w(x), v(x + k)) != 1, that is, a root of v minus
+    a root of w, or None.  w and v are rational, and every root lies within
+    2^_root_bound_exp, so |k| is at most the sum of the two bounds.  The scan
+    runs on the primitive ints of the lanes: the integer Taylor shift and
+    the heuristic gcd, with ``poly_gcd`` where the heuristic gives up."""
+    a, b = (_primitive(_to_lane(p).terms[_ONE_KEY]) for p in (w, v))
+    bound = 2 ** _root_bound_exp(a) + 2 ** _root_bound_exp(b)
+    for k in range(-bound, bound + 1):
+        g = _gcd_ints(a, _primitive(diffcalc._taylor(list(b), k)))
+        if g is None:
+            g = poly_gcd(w, diffcalc.shift(v, k)).coeffs
+        if len(g) > 1:
+            return k
+    return None
+
+
+def unit_cubic_resolvent_roots(prec: int = 256) -> list:
     """All nine roots of the resolvent s^9 - 144 s^3 + 108, as numeric
-    scalars at `prec` bits with zero tolerance `tol` (None for 2^(-prec/2)),
-    in closed form.
+    scalars at `prec` bits, in closed form: the numeric oracle's inputs,
+    since ``unit_cubic_certificate`` decides the example exactly.
 
     In u = s^3 the resolvent is the cubic u^3 - 144 u + 108, which has three
     real roots; Viete's trigonometric form gives them as
@@ -361,16 +502,16 @@ def unit_cubic_resolvent_roots(prec: int = 256, tol=None) -> list:
         parts = [(r, mpmath.mpf(0)) for r in reals]
         for r in reals:
             parts += [(-r / 2, r * half_sqrt3), (-r / 2, -r * half_sqrt3)]
-    return [Numeric(re._mpf_, im._mpf_, prec, tol) for re, im in parts]
+    return [Numeric(re._mpf_, im._mpf_, prec) for re, im in parts]
 
 
 def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
     """Two cubics and a quadratic summing (in falling cubes) to 1, from
-    their roots in closed form.
+    their roots in closed form, as numeric factored polynomials: the inputs
+    of the numeric oracle for ``unit_cubic_certificate``.
 
-    s must be a root of UNIT_CUBIC_RESOLVENT and t any nonzero scalar; the
-    returned factored polynomials feed fermat_multi_check(..., n=3,
-    rhs_one=True) on the numeric backend.  With b = -t / (2 s):
+    s must be a root of UNIT_CUBIC_RESOLVENT and t any nonzero scalar.  With
+    b = -t / (2 s):
 
     - p3 = s (z - b - 1)(z - b + 1), so its roots are b +- 1;
     - p1(b + w) = w^3 - 3 w - s^3 / 6 (lead 1) and p2 = -p1 - s^3 / 3
@@ -381,14 +522,14 @@ def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
     with omega = -1/2 + (sqrt(3)/2) i and u^3 = c + sqrt(c^2 - 1), so u != 0.
     The three w_k are distinct, as s^3 = +-12 is not a root of
     u^3 - 144 u + 108.  Everything is computed at 64 bits above s.prec, and
-    the roots and leads take s's precision and tolerance.
+    the roots and leads take s's precision.
     """
     import mpmath
 
     if not isinstance(s, Numeric):
         raise ValueError("s must be a numeric scalar (a resolvent root)")
     if not isinstance(t, Numeric):
-        t = Numeric.from_rational(Fraction(t), s.prec, s.tol)
+        t = Numeric.from_rational(Fraction(t), s.prec)
     if not t:
         raise ValueError("t must be nonzero")
     with mpmath.mp.workprec(s.prec + 64):
@@ -400,9 +541,7 @@ def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
             roots.append([b + u + 1 / u for u in us])
         roots.append([b + 1, b - 1])
     return [
-        FactoredPoly(
-            as_scalar(lead, s), [(Numeric.from_mpc(r, s.prec, s.tol), 1) for r in rs]
-        )
+        FactoredPoly(as_scalar(lead, s), [(Numeric.from_mpc(r, s.prec), 1) for r in rs])
         for lead, rs in zip((1, -1, s), roots)
     ]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from diffrad import Exact, FactoredPoly, Poly, delta, factor, shift
+from diffrad import Exact, FactoredPoly, Poly, delta, factor, shift, shiftcalc, unit_cubic_triad
 from diffrad.casorati import FORMS
 
 GENERATOR_POOL = ("one", "i", 2, 3, 5, 6)
@@ -97,6 +97,28 @@ def det_cofactor(rows: list[list]):
         term = top * det_cofactor(minor)
         total = total - term if j % 2 else total + term
     return total
+
+
+def scan_classes(roots) -> list[tuple[Exact, dict[int, int]]]:
+    """Shift classes by comparing each root with each representative through
+    ``shiftcalc.integer_offset``, O(roots x classes): the oracle for the
+    keyed pass of ``shift_classes``, unsorted."""
+    classes: list[tuple[Exact, dict[int, int]]] = []
+    for root, mult in roots:
+        for idx, (rep, members) in enumerate(classes):
+            k = shiftcalc.integer_offset(root, rep)
+            if k is None:
+                continue
+            if k < 0:  # new minimal member becomes the representative
+                members = {o - k: m for o, m in members.items()}
+                members[0] = members.get(0, 0) + mult
+                classes[idx] = (root, members)
+            else:
+                members[k] = members.get(k, 0) + mult
+            break
+        else:
+            classes.append((root, {0: mult}))
+    return classes
 
 
 def rand_fraction(rng: random.Random, top: int = 9) -> Fraction:
@@ -197,3 +219,38 @@ def rand_grid_factored(
     ]
     lead = rng.choice((1, -1, 2, Fraction(1, 2)))
     return FactoredPoly(lead, roots)
+
+
+def unit_cubic_oracle(s, t, prec: int) -> tuple:
+    """Example 5.7 checked numerically with mpmath, the oracle for the exact
+    ``unit_cubic_certificate``: for the triad ``unit_cubic_triad(s, t)``,
+    with s a resolvent root at `prec` bits, returns
+
+    - the largest |f1^(3) + f2^(3) + f3^(3) - 1| at the sample points
+      z = b + x, x in (-1/2, 0, 1/3, 1), where b = -t / (2 s);
+    - the least distance from a root difference across two members to the
+      nearest integer;
+    - |det| of the falling cubes' values at z = b + 2, b + 3, b + 4.
+    """
+    import mpmath
+
+    fs = unit_cubic_triad(s, t)
+    t = Fraction(t)
+    with mpmath.mp.workprec(prec + 64):
+        b = -(mpmath.mpf(t.numerator) / t.denominator) / (2 * s.to_mpc())
+        members = [(f.lead.to_mpc(), [r.to_mpc() for r, _ in f.roots]) for f in fs]
+
+        def cube(i, z):
+            lead, roots = members[i]
+            return mpmath.fprod(lead * mpmath.fprod(z - j - r for r in roots) for j in range(3))
+
+        xs = [mpmath.mpf(x.numerator) / x.denominator for x in map(Fraction, ("-1/2", "0", "1/3", "1"))]
+        residual = max(abs(sum(cube(i, b + x) for i in range(3)) - 1) for x in xs)
+        gap = min(
+            abs(d - mpmath.nint(d.real))
+            for i in range(3)
+            for j in range(i + 1, 3)
+            for d in (r - q for r in members[i][1] for q in members[j][1])
+        )
+        det = mpmath.det(mpmath.matrix([[cube(i, b + x) for i in range(3)] for x in (2, 3, 4)]))
+        return residual, gap, abs(det)

@@ -34,8 +34,8 @@ from diffrad import (
     shifting_zero_height,
     to_newton,
     from_newton,
+    unit_cubic_certificate,
     unit_cubic_resolvent_roots,
-    unit_cubic_triad,
 )
 from helpers import (
     casorati_rows,
@@ -43,6 +43,7 @@ from helpers import (
     rand_rational_poly,
     sharp_quadratic_triple,
     sharp_quintic_tuple,
+    unit_cubic_oracle,
     unit_linear_triad,
     unit_quadratic_triad,
 )
@@ -219,19 +220,21 @@ def test_criterion_09_unit_equations():
 
 @criterion(10, "unit equation for falling cubes, numeric")
 def test_criterion_10_unit_cubes_numeric():
-    roots = unit_cubic_resolvent_roots(256, 1e-25)
+    """Decided exactly for all nine resolvent roots and every t by the
+    certificate; the numeric oracle checks each root at t = 1."""
+    report = unit_cubic_certificate()
+    assert report.equation_holds and report.residual_sup == 0.0
+    assert report.within_bound and all(h.ok for h in report.hypotheses)
+    roots = unit_cubic_resolvent_roots(256)
     assert len(roots) == 9
     residuals = []
     for index, s in enumerate(roots):
-        fs = unit_cubic_triad(s)
-        report = fermat_multi_check(fs, 3, rhs_one=True)
-        residuals.append((index, report.residual_sup))
-        assert report.equation_holds, (index, report.residual_sup)
-        assert report.residual_sup < 1e-25, (index, report.residual_sup)
-        assert all(h.ok for h in report.hypotheses), index
-    worst = max(r for _, r in residuals)
-    print(f"  (9/9 resolvent roots satisfy the construction; "
-          f"worst residual sup {worst:.3g})")
+        residual, gap, det = unit_cubic_oracle(s, 1, 256)
+        residuals.append(residual)
+        assert residual <= 2.0**-240, (index, residual)
+        assert gap > 1e-3 and det > 1, (index, gap, det)
+    print(f"  (certified exactly; 9/9 resolvent roots agree numerically, "
+          f"worst residual {float(max(residuals)):.3g})")
 
 
 @criterion(11, "negative control: falling cubes fail")

@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 
 from diffrad import (
+    BackendMismatchError,
     FactoredPoly,
     Poly,
     casoratian,
@@ -16,7 +17,7 @@ from diffrad import (
 )
 from diffrad import casorati as casorati_mod
 from diffrad.casorati import MINORS_MAX, _det_bareiss, _det_minors, determinant
-from diffrad.errors import ExactDivisionError
+from diffrad.cli import Options, run_command
 from diffrad.poly import _Lane, _to_lane
 from diffrad.theorems import gen_chain_poly
 from helpers import (
@@ -25,6 +26,7 @@ from helpers import (
     casorati_rows,
     det_cofactor,
     mul_terms,
+    rand_nonzero_poly,
     rand_radical_poly,
     rand_rational_poly,
 )
@@ -90,26 +92,30 @@ def test_linear_independence():
 
 
 def test_numeric_dependent_tuple_is_dependent():
+    """A dependent tuple is dependent exactly: its Casoratian is the zero
+    polynomial, which numeric output prints as 0.  Numeric input is
+    refused."""
     f = Poly([Fraction(1, 3), 1, Fraction(1, 5)])
     g = Poly([Fraction(2, 7), Fraction(1, 11), 1])
-    fs = [p.embed(128) for p in (f, g, f * Fraction(1, 3) + g * Fraction(5, 7))]
-    det = casoratian(fs)
-    # the determinant is rounding noise, not the zero polynomial
-    assert det and det.coeff_sup() < 1e-40
-    assert not linearly_independent(fs)
+    fs = [f, g, f * Fraction(1, 3) + g * Fraction(5, 7)]
+    assert casoratian(fs) == Poly() and not linearly_independent(fs)
     assert linearly_independent(fs[:2])
-    # a tolerance above the pair's own Casoratian calls it dependent too
-    assert not linearly_independent([p.embed(128, 1e6) for p in (f, g)])
+    _, result = run_command("casoratian", [p.expr_text() for p in fs], {}, Options("numeric", 128))
+    assert result["text"] == "0" and not result["independent"]
+    with pytest.raises(BackendMismatchError):
+        linearly_independent([p.embed(128) for p in fs])
 
 
 def test_mixed_precision_casoratian_keeps_the_widest_precision():
-    # the tolerance read off the determinant equals the one read off the inputs
+    """Numeric input, of any precisions, is refused; the exact Casoratian
+    converts at the one precision it is printed at."""
     rng = random.Random(83)
     for _ in range(20):
-        fs = [rand_rational_poly(rng, 4).embed(prec) for prec in (64, 256, 128)]
+        fs = [rand_nonzero_poly(rng, 4) for _ in range(3)]
+        with pytest.raises(BackendMismatchError):
+            casoratian([f.embed(prec) for f, prec in zip(fs, (64, 256, 128))])
         det = casoratian(fs)
-        if det:
-            assert max(c.prec for c in det.coeffs) == 256
+        assert {c.prec for c in det.embed(256).coeffs} <= {256}
 
 
 def test_alternating_and_multilinear():
@@ -242,7 +248,10 @@ def test_route_by_size(monkeypatch, ring, n, route):
     if ring == "radical":
         rows[0][0] = rows[0][0] + S2
     if ring == "numeric":
-        rows = [[p.embed(64) for p in row] for row in rows]
+        # refused before any route runs: the exact determinant is converted
+        with pytest.raises(BackendMismatchError):
+            determinant([[p.embed(64) for p in row] for row in rows])
+        assert calls == {"minors": 0, "bareiss": 0}
     determinant(rows)
     assert calls == {"minors": int(route == "minors"), "bareiss": int(route == "bareiss")}
 
@@ -264,17 +273,20 @@ def bits(p):
 
 
 def test_numeric_minors_are_bit_identical_to_cofactors():
-    """Through 4x4 the minors make the cofactor expansion's sums and
-    products in its order, so numeric results keep every bit."""
+    """Numeric determinants are exact ones converted, so every route gives
+    the same bits: minors and cofactors here, through 4x4.  Numeric rows are
+    refused."""
     rng = random.Random(79)
     for n in (1, 2, 3, 4):
         for prec in (64, 256, 4096):
             for _ in range(6):
-                fs = [rand_rational_poly(rng, 6).embed(prec) for _ in range(n)]
+                fs = [rand_rational_poly(rng, 6) for _ in range(n)]
                 rows = casorati_rows(fs, "delta")
-                assert bits(determinant(rows)) == bits(det_cofactor(rows))
-                rows = [[rand_radical_poly(rng, rng.randint(0, 3)).embed(prec) for _ in range(n)] for _ in range(n)]
-                assert bits(determinant(rows)) == bits(det_cofactor(rows))
+                assert bits(determinant(rows).embed(prec)) == bits(det_cofactor(rows).embed(prec))
+                rows = [[rand_radical_poly(rng, rng.randint(0, 3)) for _ in range(n)] for _ in range(n)]
+                assert bits(determinant(rows).embed(prec)) == bits(det_cofactor(rows).embed(prec))
+                with pytest.raises(BackendMismatchError):
+                    determinant([[p.embed(prec) for p in row] for row in rows])
 
 
 def numeric_tuples(rng, n):
@@ -287,24 +299,28 @@ def numeric_tuples(rng, n):
     return fs, fs[:-1] + [combo + fs[0] * Fraction(2, 3)]
 
 
+def numeric_casoratian(fs, prec):
+    """The casoratian command's result for fs on the numeric backend."""
+    return run_command("casoratian", [f.expr_text() for f in fs], {}, Options("numeric", prec))[1]
+
+
 @pytest.mark.parametrize("prec", [256, 4096])
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_numeric_casoratians_through_seven_rows(prec, n):
-    """Numeric 5x5 to 7x7 Casoratians answer by minors, with the exact
-    backend's verdict on independent and dependent tuples."""
+    """Numeric 5x5 to 7x7 Casoratians print the exact backend's verdict on
+    independent and dependent tuples, and its determinant converted."""
     rng = random.Random(89 + n)
     for _ in range(2):
         for fs in numeric_tuples(rng, n):
-            want = linearly_independent(fs)
-            numeric = [f.embed(prec) for f in fs]
-            assert linearly_independent(numeric) is want
-            # and the value: numeric minus exact is rounding noise
-            assert (casoratian(numeric) - casoratian(fs).embed(prec)).negligible()
+            result = numeric_casoratian(fs, prec)
+            assert result["independent"] is linearly_independent(fs)
+            assert result["poly"] == casoratian(fs).embed(prec).to_json_dict()
 
 
 def test_numeric_eight_rows_still_reach_bareiss():
-    """Above MINORS_MAX numeric rows go to Bareiss, whose exact divisions
-    meet rounding noise, as before."""
+    """Above MINORS_MAX rows the exact determinant runs Bareiss, and the
+    numeric backend prints it converted: eight rows answer."""
     fs = [Poly([Fraction(1, k + 2), Fraction(-2, 7), 1]) * Z**k + Fraction(1, 3) for k in range(MINORS_MAX + 1)]
-    with pytest.raises(ExactDivisionError):
-        casoratian([f.embed(256) for f in fs])
+    result = numeric_casoratian(fs, 256)
+    assert result["independent"] is True
+    assert result["poly"] == casoratian(fs).embed(256).to_json_dict()

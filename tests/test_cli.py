@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -10,7 +11,8 @@ import pytest
 
 from diffrad import casorati, diffcalc, factor, parser, theorems
 from diffrad import FermatReport, Hypothesis, MasonReport, Poly
-from diffrad.cli import load_fixtures, main, run_fixture
+from diffrad.cli import HANDLERS, REPORT_COMMANDS, load_fixtures, main, run_fixture
+from diffrad.parser import parse_poly
 
 
 def run(capsys, *argv):
@@ -105,13 +107,15 @@ def test_height_command(capsys):
 
 
 def test_height_with_loose_tolerance_exits_1(capsys):
-    # a tolerance of 1e6 calls every value zero; the run stops at the degree
-    for expr in ("z", "z^2 - 1/1000"):
-        code, out, err = run(
-            capsys, "height", expr, "--backend", "numeric", "--tolerance", "1e6"
-        )
-        assert code == 1 and out == ""
-        assert "from 0.0 " in err
+    """Heights are exact: even a tolerance of 1e6 changes no height and no
+    exit code."""
+    for expr, height in (("z", 1), ("z^2 - 1/1000", 0)):
+        outs = [
+            run(capsys, "height", expr, "--backend", "numeric", *tol, "--json")
+            for tol in ((), ("--tolerance", "1e6"))
+        ]
+        assert outs[0] == outs[1] == (0, outs[0][1], "")
+        assert json.loads(outs[0][1]) == {"at": "0.0", "height": height}
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
@@ -127,12 +131,13 @@ def test_tolerance_must_be_positive_and_finite(capsys, tol):
 
 
 def test_valid_tolerance_reaches_the_zero_tests(capsys):
+    """A valid tolerance is accepted and reaches no zero test: the output is
+    the one without it."""
+    argv = ("height", "z*(z - 1)", "--at", "0", "--backend", "numeric", "--json")
+    want = run(capsys, *argv)
     for tol in ("1e-10", "0.5"):
-        code, out, _ = run(
-            capsys, "height", "z*(z - 1)", "--at", "0", "--backend", "numeric",
-            "--tolerance", tol, "--json",
-        )
-        assert code == 0 and json.loads(out)["height"] == 2
+        assert run(capsys, *argv, "--tolerance", tol) == want
+    assert want[0] == 0 and json.loads(want[1])["height"] == 2
 
 
 def test_tolerance_below_the_smallest_float_is_read_exactly(capsys):
@@ -213,18 +218,19 @@ def test_overflowing_residual_sup_is_valid_json(capsys):
 
 
 def test_underflowing_residual_sup_is_not_zero(capsys):
-    """At 4096 bits the residual is below the smallest float; it reports as
-    that float, not as an exact 0, and at 256 bits as before."""
+    """An exact residual below the smallest float reports as that float, not
+    as 0, on both backends; an identity reports 0.0 at every precision."""
+    for backend in ("exact", "numeric"):
+        argv = ("fermat", "z", "((1/2)^100)^11", "z", "--n", "1", "--backend", backend)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1 and json.loads(out)["residual_sup"] == math.ulp(0.0)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and "residual sup 4.94e-324" in out
     argv = ("fermat", "z^2", "-(1/2)*i*(sqrt(2)*z^2 + 2*z - sqrt(2))",
             "-(1/2)*(sqrt(2)*z^2 - 2*z - sqrt(2))", "--n", "2", "--backend", "numeric")
-    code, out, _ = run(capsys, *argv, "--precision", "4096", "--json")
-    doc = json.loads(out)
-    assert code == 0 and doc["equation_holds"]
-    assert doc["residual_sup"] == math.ulp(0.0)
-    code, out, _ = run(capsys, *argv, "--precision", "4096")
-    assert code == 0 and "residual sup 4.94e-324" in out
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and "residual sup 3.64e-82" in out
+    for prec in ("256", "4096"):
+        code, out, _ = run(capsys, *argv, "--precision", prec, "--json")
+        assert code == 0 and json.loads(out)["residual_sup"] == 0.0
 
 
 def test_exit_code_is_the_report_verdict(capsys, monkeypatch):
@@ -318,25 +324,92 @@ def test_casoratian_prints_no_rounding_noise(capsys):
     assert code == 0 and json.loads(out)["degree"] == 2
 
 
-def test_tolerance_set_at_conversion_reaches_every_verdict(capsys):
-    # each input's verdict differs between --tolerance 1e6 and 1e-30; the
-    # outputs were recorded when every checker took the tolerance as an
-    # argument, and only the Casoratian's printed noise has changed since
-    rows = json.loads((Path(__file__).parent / "data" / "tolerance_verdicts.json").read_text())
-    assert {row["argv"][0] for row in rows} == {
-        "height", "chains", "shifting-prime", "casoratian",
-        "mason", "mason-ext", "fermat", "fermat-multi",
-    }
-    for row in rows:
-        argv = [*row["argv"], "--backend", "numeric", "--tolerance", row["tolerance"], "--json"]
-        code, out, err = run(capsys, *argv)
-        assert (code, err.strip()) == (row["code"], row["stderr"]), argv
-        if row["argv"][0] == "casoratian":
-            got, want = json.loads(out), json.loads(row["stdout"])
-            assert got["independent"] == want["independent"], argv
-            assert got["degree"] == (2 if want["independent"] else None), argv
-        else:
-            assert out.strip() == row["stdout"], argv
+def _scalar_shown(text: str, prec: int) -> str:
+    return parse_poly(text).coeff(0).to_numeric(prec).text()
+
+
+def _converted(command: str, doc: dict, prec: int) -> dict:
+    """The exact JSON of `command` with each printed value read back through
+    the parser and converted to `prec` bits: what numeric output must be."""
+    if "text" in doc:
+        p = parse_poly(doc["text"])
+        assert doc["poly"]["coeffs"] == [c.text() for c in p.coeffs]
+        shown = p.embed(prec)
+        return {**doc, "text": shown.expr_text(), "poly": shown.to_json_dict()}
+    if command == "newton":
+        return {"base": _scalar_shown(doc["base"], prec),
+                "coeffs": [_scalar_shown(c, prec) for c in doc["coeffs"]]}
+    if command == "height":
+        return {**doc, "at": _scalar_shown(doc["at"], prec)}
+    if command == "chains":
+        return {"lead": _scalar_shown(doc["lead"], prec),
+                "chains": [[_scalar_shown(c, prec), n] for c, n in doc["chains"]]}
+    if command == "shifting-prime":
+        return {**doc, "divisors": [_scalar_shown(d, prec) for d in doc["divisors"]]}
+    assert command in REPORT_COMMANDS  # reports print no values
+    return doc
+
+
+def _seeded_calls(rng) -> list[list[str]]:
+    """Three seeded calls of each of the 15 commands, radical values included."""
+    def scalar():
+        value = f"({Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))})"
+        return value + rng.choice(("", "", "*sqrt(2)", "*i"))
+
+    def poly(degree):
+        return " + ".join(f"{scalar()}*z^{k}" for k in range(degree)) + f" + z^{degree}"
+
+    def roots_text(f):
+        return f"roots({f.lead.text()}; " + ", ".join(f"{r.text()}:{m}" for r, m in f.roots) + ")"
+
+    def factored(count):
+        base = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        radical = rng.choice(("", "", " + sqrt(2)", " + i"))
+        roots = [f"{base + rng.randint(0, 2)}{radical}:{rng.randint(1, 2)}" for _ in range(count)]
+        return f"roots({rng.choice(('1', '-2', '1/3'))}; " + ", ".join(roots) + ")"
+
+    calls = []
+    for _ in range(3):
+        seed = rng.randint(0, 10**6)
+        calls += [
+            ["delta", poly(4), "--k", str(rng.randint(0, 3))],
+            ["newton", poly(3), "--at", scalar()],
+            ["height", factored(3), "--at", rng.choice(("0", "1", "1/2"))],
+            ["chains", factored(4)],
+            ["rad", factored(3)],
+            ["rad-delta", factored(4)],
+            ["rad-kappa", factored(4), "--kappa", str(rng.choice((-1, 1, 2)))],
+            ["rad-q", factored(4), "--q", str(rng.randint(1, 3))],
+            ["gcd-tower", rng.choice((factored(4), "z^3 + 2*z + 5")), "--n", "1"],
+            ["shifting-prime", factored(3), factored(3)],
+            ["casoratian", *[poly(rng.randint(1, 4)) for _ in range(rng.randint(2, 4))]],
+            ["mason", *map(roots_text, theorems.gen_mason_instance(2, seed)),
+             *rng.choice(((), ("--classical",)))],
+            ["mason-ext", *map(roots_text, theorems.gen_mason_instance(3, seed))],
+            ["fermat", factored(2), factored(2), factored(2), "--n", str(rng.randint(1, 3))],
+            ["fermat-multi", factored(2), factored(2), factored(2), "--n", "2", "--rhs-one"],
+        ]
+    return calls
+
+
+def test_numeric_output_is_the_converted_exact_output(capsys):
+    """For every command, on seeded inputs, at 64, 256 and 4096 bits: the
+    numeric backend's JSON is the exact JSON with each printed value
+    converted, and the exit code is the same."""
+    calls = _seeded_calls(random.Random(2024))
+    assert {argv[0] for argv in calls} == set(HANDLERS)
+    answered = 0
+    for argv in calls:
+        code, out, err = run(capsys, *argv, "--json")
+        for prec in (64, 256, 4096):
+            got = run(capsys, *argv, "--json", "--backend", "numeric", "--precision", str(prec))
+            assert got[0] == code, argv
+            if code in (0, 1):
+                assert json.loads(got[1]) == _converted(argv[0], json.loads(out), prec), argv
+                answered += 1
+            else:
+                assert got[1:] == (out, err), argv
+    assert answered >= 3 * 40
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -557,8 +630,4 @@ def test_fixture_results_match_golden():
     for case in load_fixtures():
         ok, result = run_fixture(case)
         got[case["name"]] = {"pass": ok, "result": result}
-    got = json.loads(json.dumps(got))
-    # the numeric triad's residual is rounding noise, bounded by its fixture
-    for doc in (golden, got):
-        del doc["sec5.unit-equation-cubic-triad"]["result"]["residual_sup"]
-    assert got == golden
+    assert json.loads(json.dumps(got)) == golden

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diffrad import diffcalc
 from diffrad import (
+    BackendMismatchError,
     Exact,
     NewtonExpansion,
     Poly,
@@ -245,12 +246,14 @@ def test_shift_matches_horner_on_radical_and_numeric_input():
         for step in (rational, rand_exact(rng)):
             assert shift(p, step) == horner_shift(p, step)
             for prec in (64, 128, 256):
-                q, nstep = p.embed(prec), step.to_numeric(prec)
-                # the same multiply-adds in the same order: equal bit for bit
-                assert shift(q, nstep) == horner_shift(q, nstep)
+                # numeric input is refused: a numeric shift is a converted one
+                with pytest.raises(BackendMismatchError):
+                    shift(p.embed(prec), step.to_numeric(prec))
+                assert shift(p, step).embed(prec) == horner_shift(p, step).embed(prec)
         k = rng.randint(-5, 5)
-        q = p.embed(128)
-        assert shift(q, k) == horner_shift(q, as_scalar(Fraction(k), q.lead))
+        assert shift(p, k) == horner_shift(p, as_scalar(Fraction(k), p.lead))
+        with pytest.raises(BackendMismatchError):
+            shift(p.embed(128), k)
 
 
 def test_shift_of_radical_input_multiplies_no_polynomials(monkeypatch):
@@ -268,5 +271,6 @@ def test_shift_of_radical_input_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(Poly, "__rmul__", counting)
     assert shift(p, Exact.sqrt_int(3)) == want
     assert shift(p, 2).degree == p.degree
-    assert shift(p.embed(128), 2).degree == p.degree
+    with pytest.raises(BackendMismatchError):
+        shift(p.embed(128), 2)
     assert calls == []

@@ -1,20 +1,22 @@
-"""An exact oracle for Example 5.7, the paper's one numeric fixture.
+"""A symbolic oracle for Example 5.7, which ``unit_cubic_certificate`` decides.
 
 The unit equation f1^(3) + f2^(3) + f3^(3) = 1 is built from a root s of the
 resolvent m(s) = s^9 - 144 s^3 + 108 and any nonzero t (``unit_cubic_triad``).
 Read the triad's coefficients as rational functions of s and t: the identity
 then holds at every root s and every t exactly when the residual reduces to 0
 modulo m, and m is irreducible over Q, so no root is special.  sympy checks
-both with t symbolic; the numeric report at the fixture's root must agree.
+both with t symbolic, and the translation x = z - b the certificate works in;
+the certificate's report is the fixture's.
 
 sympy is only a test oracle here: the module is skipped when it is missing.
 """
 
 import pytest
 
-from diffrad import fermat_multi_check, unit_cubic_resolvent_roots, unit_cubic_triad
+from diffrad import unit_cubic_certificate, unit_cubic_resolvent_roots, unit_cubic_triad
 from diffrad.cli import load_fixtures, run_fixture
 from diffrad.theorems import UNIT_CUBIC_RESOLVENT
+from helpers import unit_cubic_oracle
 
 sympy = pytest.importorskip("sympy")
 S, T, Z, W, U, C = sympy.symbols("s t z w u c")
@@ -74,21 +76,28 @@ def test_triad_roots_in_closed_form():
 
 
 def test_triad_coefficients_are_the_production_ones():
+    """The numeric triad, lead times its linear factors, takes the values of
+    the coefficient formulas at sample points (numeric polynomials are not
+    expanded: that is an exact kernel)."""
     s = unit_cubic_resolvent_roots(256)[0]
     at = {S: sympy.Float(s.text(), 70), T: 1}
     for got, want in zip(unit_cubic_triad(s), _triad()):
-        coeffs = sympy.Poly(sympy.expand(want.subs(at)), Z).all_coeffs()[::-1]
-        produced = [complex(c) for c in got.expand().coeffs]
-        assert len(produced) == len(coeffs)
-        for a, b in zip(produced, coeffs):
-            assert abs(a - complex(b)) <= 1e-12 * max(1, abs(a))
+        want = want.subs(at)
+        for z in (0, 1, -2, sympy.Rational(1, 3)):
+            value = complex(got.lead)
+            for r, m in got.roots:
+                value *= (complex(z) - complex(r)) ** m
+            expected = complex(want.subs(Z, z))
+            assert abs(value - expected) <= 1e-12 * max(1, abs(expected))
 
 
 def test_numeric_report_agrees_at_the_fixture_root():
-    roots = unit_cubic_resolvent_roots(256, 1e-25)
-    fs = unit_cubic_triad(roots[0])
-    report = fermat_multi_check(fs, 3, rhs_one=True)
+    """The fixture runs the certificate, and the numeric oracle agrees at
+    the smallest real root and t = 1."""
+    report = unit_cubic_certificate()
     assert report.equation_holds and all(h.ok for h in report.hypotheses)
     (case,) = load_fixtures("sec5.unit-equation-cubic-triad")
     ok, result = run_fixture(case)
-    assert ok and result["equation_holds"] and result["hypotheses_ok"]
+    assert ok and result == report.to_json_dict()
+    residual, gap, det = unit_cubic_oracle(unit_cubic_resolvent_roots(256)[0], 1, 256)
+    assert residual < 1e-25 and gap > 1e-3 and det > 1

@@ -15,6 +15,7 @@ from operator import mul
 import pytest
 
 from diffrad import (
+    BackendMismatchError,
     Exact,
     FactoredPoly,
     Poly,
@@ -420,11 +421,19 @@ def test_norm_conjugate_gives_an_integer_norm():
 
 
 def test_numeric_products_and_division_are_the_term_loops():
-    """The numeric backend keeps its term-by-term loops bit for bit."""
+    """Numeric polynomials are output only: products and division refuse
+    them, and the lane's exact results, converted, are the term loops'."""
     for rng, a, b in radical_pairs(127, 40):
-        na, nb = a.embed(rng.choice((64, 128))), b.embed(128)
-        assert na * nb == mul_terms(na, nb)
-        assert divmod(na, nb) == divmod_terms(na, nb)
+        prec = rng.choice((64, 128))
+        na, nb = a.embed(prec), b.embed(128)
+        with pytest.raises(BackendMismatchError):
+            na * nb
+        with pytest.raises(BackendMismatchError):
+            divmod(na, nb)
+        assert (a * b).embed(prec) == mul_terms(a, b).embed(prec)
+        assert [x.embed(prec) for x in divmod(a, b)] == [
+            x.embed(prec) for x in divmod_terms(a, b)
+        ]
 
 
 def sympy_expr(p: Poly):

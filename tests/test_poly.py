@@ -323,32 +323,28 @@ def test_factored_numeric_roots_with_equal_text_stay_distinct():
 
 
 def test_negligible():
-    assert Poly().negligible()
-    assert not (Z * Fraction(1, 10**40)).negligible()  # exact: never
-    tiny = Fraction(1, 2**40)
-    # the tolerance is the widest coefficient's, by default 2^(-prec/2)
-    low, high = Numeric.from_rational(tiny, 64), Numeric.from_rational(tiny, 256)
-    assert Poly([low]).negligible()
-    assert not Poly([low, high]).negligible()
-    assert not Poly([high, low]).negligible()
-    assert Poly([low, Numeric.from_rational(tiny, 256, 2**-39)]).negligible()
+    """A polynomial's zero test is ``not p``, exact, with no tolerance; a
+    numeric coefficient is printed as it is, never chopped."""
+    assert not Poly() and Z * Fraction(1, 10**40)
+    assert not hasattr(Poly, "negligible") and not hasattr(Poly, "chop")
+    assert Poly([Numeric.from_rational(Fraction(1, 2**40), 64)])
 
 
 def test_negligible_boundary_is_strict():
-    tol = Fraction(1, 2**32)  # the default at 64 bits
-    at = Poly([Numeric.from_rational(tol, 64)])
-    assert at.coeff_sup() == float(tol)
-    assert not at.negligible()
-    assert not Poly([Numeric.from_rational(tol, 64, tol)]).negligible()
-    assert Poly([Numeric.from_rational(tol * Fraction(99, 100), 64)]).negligible()
+    """coeff_sup reports the widest coefficient; it decides nothing."""
+    tol = Fraction(1, 2**32)
+    at = Poly([tol, -3 * tol])
+    assert at.coeff_sup() == float(3 * tol) and at
+    assert at.embed(64).coeff_sup() == float(3 * tol)
 
 
 def test_coeff_sup_of_an_underflowing_coefficient_is_the_least_float():
-    tiny = Numeric.from_rational(Fraction(1, 2**1500), 4096)
-    assert tiny.magnitude() == 0.0
-    assert Poly([tiny]).coeff_sup() == math.ulp(0.0)
-    assert Poly([Numeric.from_rational(1, 4096), tiny]).coeff_sup() == 1.0
-    assert Poly([Numeric.from_rational(0, 4096)]).coeff_sup() == 0.0
+    tiny = Fraction(1, 2**1500)
+    assert complex(Exact.from_rational(tiny)) == 0
+    for p in (Poly([tiny]), Poly([tiny]).embed(4096)):
+        assert p.coeff_sup() == math.ulp(0.0)
+    assert Poly([1, tiny]).coeff_sup() == 1.0
+    assert Poly([0]).coeff_sup() == 0.0
 
 
 def test_candidate_cap_trips_before_any_divisor_is_listed(monkeypatch):

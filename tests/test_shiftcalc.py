@@ -5,12 +5,10 @@ from fractions import Fraction
 import pytest
 
 from diffrad import (
-    AmbiguousShiftError,
     BackendMismatchError,
     Exact,
     ExactDivisionError,
     FactoredPoly,
-    Numeric,
     Poly,
     chain_decomposition,
     classical_rad,
@@ -31,11 +29,12 @@ from diffrad import (
     shifting_zero_height_via_delta,
 )
 from diffrad import shiftcalc
+from diffrad.cli import Options, run_command
 from diffrad.diffcalc import falling_factorial_linear
 from diffrad.poly import product
 from diffrad.scalar import as_scalar
 from diffrad.theorems import gen_chain_poly
-from helpers import I, S2, S3, rand_fraction, rand_grid_factored
+from helpers import I, S2, S3, rand_fraction, rand_grid_factored, scan_classes
 
 Z = Poly.z()
 
@@ -294,6 +293,8 @@ def test_order_rules_match_the_chain_route():
 
 
 def test_order_rules_match_the_chain_route_numerically():
+    """Numeric roots are refused; the order rules' exact radicals, converted
+    for output, are the chain route's bit for bit."""
     rng = random.Random(31)
     for _ in range(60):
         exact = overlapping_chain_poly(rng)
@@ -301,10 +302,12 @@ def test_order_rules_match_the_chain_route_numerically():
             exact.lead.to_numeric(128), [(r.to_numeric(128), k) for r, k in exact.roots]
         )
         q, n = rng.randint(1, 5), rng.randint(1, 5)
-        got = (rad_delta(f), rad_delta_q(f, q), gcd_tower_closed(f, n))
-        for a, b in zip(got, chain_route(f, q, n)):
-            assert a.degree == b.degree
-            assert all((x - y).magnitude() < 1e-25 for x, y in zip(a.coeffs, b.coeffs))
+        for radical in (rad_delta, lambda g: rad_delta_q(g, q), lambda g: gcd_tower_closed(g, n)):
+            with pytest.raises(BackendMismatchError):
+                radical(f)
+        got = (rad_delta(exact), rad_delta_q(exact, q), gcd_tower_closed(exact, n))
+        for a, b in zip(got, chain_route(exact, q, n)):
+            assert a.embed(128) == b.embed(128)
 
 
 def test_radicals_group_once_and_build_no_chains_or_powers(monkeypatch):
@@ -332,17 +335,24 @@ def test_radicals_group_once_and_build_no_chains_or_powers(monkeypatch):
 
 
 def test_numeric_constant_radicals_keep_the_backend():
+    """Constant radicals are exact 1s, printed as 1.0 on the numeric
+    backend; numeric factored input is refused."""
     no_roots = FactoredPoly(nroot(5))
     third = FactoredPoly(nroot(1), [(nroot(Fraction(1, 3)), 1)])
-    for out in (
-        rad_delta(no_roots),
-        rad_kappa(no_roots, 1),
-        rad_delta_q(no_roots, 2),
-        gcd_tower_closed(third, 1),
-        gcd_tower(third, 1),
+    for radical in (
+        lambda: rad_delta(no_roots),
+        lambda: rad_kappa(no_roots, 1),
+        lambda: rad_delta_q(no_roots, 2),
+        lambda: gcd_tower_closed(third, 1),
+        lambda: gcd_tower(third, 1),
     ):
-        assert out.degree == 0
-        assert isinstance(out.lead, Numeric) and out.lead.text() == "1.0"
+        with pytest.raises(BackendMismatchError):
+            radical()
+    numeric = Options("numeric", 128)
+    for command, src in [("rad-delta", "5"), ("rad-kappa", "5"), ("rad-q", "5"),
+                         ("gcd-tower", "z - 1/3")]:
+        _, result = run_command(command, [src], {}, numeric)
+        assert result["text"] == "1.0" and result["degree"] == 0
 
 
 def test_huge_tower_height_and_truncation_level_return_at_once(monkeypatch):
@@ -408,8 +418,8 @@ def brute_common_shifting_divisors(f: FactoredPoly, g: FactoredPoly):
 
 
 def scanned_classes(f):
-    """The pairwise tolerance scan, sorted as shift_classes sorts: the oracle."""
-    classes = sorted(shiftcalc._scan_classes(f.roots), key=lambda c: c[0].text())
+    """The pairwise scan, sorted as shift_classes sorts: the oracle."""
+    classes = sorted(scan_classes(f.roots), key=lambda c: c[0].text())
     return [(rep.text(), members) for rep, members in classes]
 
 
@@ -451,9 +461,9 @@ def test_exact_classes_make_no_pairwise_comparison(monkeypatch):
     )
     assert len(shift_classes(exact)) == 4
     assert calls == []
-    # the counter does see the numeric scan
-    numeric = FactoredPoly(nroot(1), [(nroot(k), 1) for k in range(3)])
-    assert len(shift_classes(numeric)) == 1
+    # the counter does see the scan oracle
+    three = FactoredPoly(1, [(k, 1) for k in range(3)])
+    assert len(scan_classes(three.roots)) == 1
     assert len(calls) == 2
 
 
@@ -632,75 +642,70 @@ def test_rad_delta_scaling_invariance():
 # -- numeric backend ----------------------------------------------------------
 
 
-def nroot(x, prec=128, tol=None):
-    return Exact.from_rational(Fraction(x)).to_numeric(prec, tol)
+def nroot(x, prec=128):
+    return Exact.from_rational(Fraction(x)).to_numeric(prec)
 
 
 def test_numeric_chains():
+    """Chains are computed exactly and printed converted; numeric roots are
+    refused."""
     f = FactoredPoly(nroot(1), [(nroot(0), 2), (nroot(1), 1), (nroot(2), 1)])
-    assert chains_as_multiset(f) == sorted(
-        [(nroot(0).text(), 3), (nroot(0).text(), 1)]
-    )
-    assert rad_delta(f).degree == 2
+    with pytest.raises(BackendMismatchError):
+        chain_decomposition(f)
+    _, result = run_command("chains", ["roots(1; 0:2, 1:1, 2:1)"], {}, Options("numeric", 128))
+    zero = nroot(0).text()
+    assert result == {"lead": nroot(1).text(), "chains": [[zero, 3], [zero, 1]]}
 
 
 def test_numeric_common_shifting_divisors():
+    """Divisor base points are exact, printed converted."""
     f = FactoredPoly(nroot(1), [(nroot(0), 1), (nroot(1), 1), (nroot(2), 1)])
-    g = FactoredPoly(nroot(1), [(nroot(2), 1), (nroot(3), 1), (nroot(4), 1)])
-    assert len(common_shifting_divisors(f, g)) == 3
-    lone = FactoredPoly(nroot(1), [(nroot(Fraction(5, 2)), 1)])
-    assert is_shifting_prime(f, lone)
+    with pytest.raises(BackendMismatchError):
+        common_shifting_divisors(f, f)
+    numeric = Options("numeric", 128)
+    _, result = run_command("shifting-prime", ["ff(z, 3)", "ff(z - 2, 3)"], {}, numeric)
+    assert result == {"shifting_prime": False, "divisors": [nroot(k).text() for k in range(3)]}
+    _, result = run_command("shifting-prime", ["ff(z, 3)", "z - 5/2"], {}, numeric)
+    assert result == {"shifting_prime": True, "divisors": []}
 
 
 def test_numeric_divisor_base_on_a_tie_is_the_smaller_text():
-    # roots 1e-60 apart sit at the same offset; the base point is the one
-    # whose text sorts first, whichever input it belongs to
-    eps = Numeric.from_rational(Fraction(1, 10**60), 128)
-    g = FactoredPoly(nroot(1), [(nroot(0), 1), (nroot(1), 1)])
-    for near in (nroot(0) + eps, nroot(0) - eps):
-        f = FactoredPoly(nroot(1), [(near, 1)])
-        want = [min(near.text(), nroot(0).text())]
-        assert [d.text() for d in common_shifting_divisors(f, g)] == want
-        assert [d.text() for d in common_shifting_divisors(g, f)] == want
+    """Exact roots never tie: a root 1e-60 from 0 is in a class of its own,
+    so it shares no divisor with a chain through 0."""
+    eps = Fraction(1, 10**60)
+    g = FactoredPoly(1, [(0, 1), (1, 1)])
+    for near in (eps, -eps):
+        f = FactoredPoly(1, [(near, 1)])
+        assert common_shifting_divisors(f, g) == common_shifting_divisors(g, f) == []
+    assert [d.text() for d in common_shifting_divisors(FactoredPoly(1, [(-1, 1)]), g)] == ["-1/1"]
 
 
 def test_height_run_longer_than_degree_is_ambiguous():
-    for height in (shifting_zero_height, shifting_zero_height_via_delta):
-        # at tol 5 the run ends at p(3) = 8.999, so only the degree bound raises
-        for tol in (5, 1e6):
-            quadratic = Poly([Fraction(-1, 1000), 0, 1]).embed(128, tol)
-            with pytest.raises(AmbiguousShiftError, match=r"^3 zeros in a row from 0\.0 "):
-                height(quadratic, 0)
-    with pytest.raises(AmbiguousShiftError):
-        shifting_zero_height_via_delta(Poly([Fraction(1, 1000)]).embed(128, 1), 0)
-    # a run as long as the degree is still a height, exactly and numerically
+    """Heights are exact: a run of zeros ends within the degree, and a
+    numeric polynomial is refused by both height functions."""
+    quadratic = Poly([Fraction(-1, 1000), 0, 1])
     cubic = falling_power(Z, 3)
-    for p in (cubic, cubic.embed(128)):
-        assert shifting_zero_height(p, 0) == shifting_zero_height_via_delta(p, 0) == 3
+    for height in (shifting_zero_height, shifting_zero_height_via_delta):
+        assert height(quadratic, 0) == 0 and height(cubic, 0) == 3
+        for p in (quadratic, cubic):
+            with pytest.raises(BackendMismatchError):
+                height(p.embed(128), 0)
 
 
 def test_numeric_ambiguous_classification():
-    def pair(tol):
-        eps = Numeric.from_rational(Fraction(3, 10**10), 128)  # 3e-10: gray zone at 1e-10
-        return FactoredPoly(
-            nroot(1, tol=tol), [(nroot(0, tol=tol), 1), (nroot(1, tol=tol) + eps, 1)]
-        )
-
-    with pytest.raises(AmbiguousShiftError):
-        chain_decomposition(pair(1e-10))
-    # far outside the guard band the same pair is two clean classes
-    assert len(chain_decomposition(pair(1e-30)).chains) == 2
+    """Root differences are decided exactly: 3e-10 off an integer is not an
+    integer, at any distance; numeric roots are refused."""
+    eps = Fraction(3, 10**10)
+    pair = FactoredPoly(1, [(0, 1), (1 + eps, 1)])
+    assert len(chain_decomposition(pair).chains) == 2
+    with pytest.raises(BackendMismatchError):
+        chain_decomposition(FactoredPoly(nroot(1), [(nroot(0), 1), (nroot(1 + eps), 1)]))
 
 
 def test_ambiguity_message_prints_tolerances_below_the_smallest_float():
+    """integer_offset is exact at any distance, below the smallest float too."""
     tol = Fraction(1, 10**400)  # float(tol) == 0.0
-
-    def offset(at):
-        one = Numeric.from_rational(1, 4096, at)
-        near = one + Numeric.from_rational(3 * tol, 4096)  # inside tol's guard band
-        return shiftcalc.integer_offset(near, one)
-
-    assert offset(tol / 100) is None
-    assert offset(tol * 10) == 0
-    with pytest.raises(AmbiguousShiftError, match=r"at tolerance 1\.0e-400$"):
-        offset(tol)
+    one = Exact.from_rational(1)
+    assert shiftcalc.integer_offset(one + 3 * tol, one) is None
+    assert shiftcalc.integer_offset(one + 7, one) == 7
+    assert shiftcalc.integer_offset(one - 7 + S2, one + S2) == -7

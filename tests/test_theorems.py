@@ -6,6 +6,7 @@ import pytest
 
 from diffrad import shiftcalc, theorems
 from diffrad import (
+    BackendMismatchError,
     Exact,
     FactoredPoly,
     Hypothesis,
@@ -27,12 +28,15 @@ from diffrad import (
     unit_cubic_resolvent_roots,
     unit_cubic_triad,
 )
+from diffrad.cli import Options, run_command
+from diffrad.theorems import unit_cubic_certificate
 from helpers import (
     I,
     S2,
     falling_square_triple,
     sharp_quadratic_triple,
     sharp_quintic_tuple,
+    unit_cubic_oracle,
     unit_linear_triad,
     unit_quadratic_triad,
 )
@@ -275,17 +279,73 @@ def test_fermat_multi_nonunit_bound():
 
 
 def test_fermat_multi_unit_cubics_numeric():
-    roots = unit_cubic_resolvent_roots(256, 1e-25)
-    assert len(roots) == 9
-    fs = unit_cubic_triad(roots[0])
-    report = fermat_multi_check(fs, 3, rhs_one=True)
-    assert report.equation_holds
-    assert report.residual_sup < 1e-25
-    assert report.within_bound  # 3 <= 5
+    """Example 5.7 is decided by the exact certificate, at all nine roots
+    at once; the numeric oracle agrees at each root."""
+    report = unit_cubic_certificate()
+    assert report.equation_holds and report.residual_sup == 0.0
+    assert not any(report.identity_residual)
+    assert report.within_bound and report.bound == 5  # 3 <= 5
     assert all(h.ok for h in report.hypotheses)
+    roots = unit_cubic_resolvent_roots(256)
+    assert len(roots) == 9
+    for s in roots:
+        residual, gap, det = unit_cubic_oracle(s, 1, 256)
+        assert residual <= mpmath.mpf(2) ** -240 and gap > 1e-3 and det > 1
 
 
 RESOLVENT_PRECS = [64, 128, 256, 512]
+TRIAD_TS = (1, Fraction(-3, 7), 5)
+
+
+@pytest.mark.parametrize("prec", RESOLVENT_PRECS)
+def test_certificate_agrees_with_the_numeric_oracle(prec):
+    """9 roots x 3 values of t: the falling cubes sum to 1 within
+    2^-(prec - 16) at sample points, root differences across the members
+    stay away from the integers, and the 3x3 value determinant is nonzero."""
+    assert unit_cubic_certificate().ok
+    for s in unit_cubic_resolvent_roots(prec):
+        for t in TRIAD_TS:
+            residual, gap, det = unit_cubic_oracle(s, t, prec)
+            assert residual <= mpmath.mpf(2) ** -(prec - 16)
+            assert gap > 1e-3 and det > 1
+
+
+@pytest.mark.parametrize(
+    "resolvent",
+    [
+        (1, 0, 0, 0, 0, 0, -144, 0, 0, 109),
+        (1, 0, 0, 0, 0, 0, -143, 0, 0, 108),
+        (2, 0, 0, 0, 0, 0, -288, 0, 0, 216),  # the same roots: still certified
+    ],
+)
+def test_certificate_reads_the_resolvent(monkeypatch, resolvent):
+    monkeypatch.setattr(theorems, "UNIT_CUBIC_RESOLVENT", resolvent)
+    report = unit_cubic_certificate()
+    same_roots = resolvent[0] == 2
+    assert report.equation_holds is same_roots and report.ok is same_roots
+    assert (report.residual_sup > 0) is not same_roots
+
+
+def test_certificate_reports_each_failed_step(monkeypatch):
+    monkeypatch.setattr(theorems, "UNIT_CUBIC_RESOLVENT", (1, 0, 0, 0, 0, 0, -144, 1, 0, 108))
+    with pytest.raises(ValueError, match="not a polynomial in s\\^3"):
+        unit_cubic_certificate()
+    monkeypatch.undo()
+    monkeypatch.setattr(theorems, "_integer_shift", lambda w, v: -2)
+    monkeypatch.setattr(theorems.casorati, "determinant", lambda rows: Poly())
+    report = unit_cubic_certificate()
+    assert report.equation_holds and not report.ok
+    assert hyp_map(report) == {
+        "nonconstant": True, "pairwise_shifting_prime": False, "linear_independence": False,
+    }
+    assert report.hypotheses[1].witness == "roots of inputs 0 and 1 differ by the integer -2"
+
+
+def test_certificate_scan_finds_an_integer_shift():
+    # roots 1/2 and 5/2 of w and v differ by 2; no root of z^2 + 1 differs
+    # from one of z^2 - 2 by an integer
+    assert theorems._integer_shift(Poly([Fraction(-1, 2), 1]), Poly([Fraction(-5, 2), 1])) == 2
+    assert theorems._integer_shift(Z**2 + 1, Z**2 - 2) is None
 
 
 def _resolvent_oracle(prec):
@@ -345,9 +405,6 @@ def test_resolvent_smallest_real_root_text_matches_oracle(prec):
     assert unit_cubic_resolvent_roots(prec)[0].text() == (
         Numeric.from_mpc(oracle, prec).text()
     )
-
-
-TRIAD_TS = (1, Fraction(-3, 7), 5)
 
 
 def _triad_oracle(s, t, prec):
@@ -428,25 +485,32 @@ def test_relatively_prime_witness_matches_gcd():
 
 
 def test_relatively_prime_numeric_witness_is_the_shared_factor():
+    """The witness is exact text on both backends; numeric roots are refused."""
     def numeric(*roots):
         return FactoredPoly(
             Numeric.from_rational(1, 256),
             [(Numeric.from_rational(r, 256), m) for r, m in roots],
         )
 
-    hyp = theorems._relatively_prime_hypothesis(
-        [numeric((0, 1), (1, 2), (3, 1)), numeric((1, 3), (2, 1), (3, 1))]
-    )
-    shared = ((Z - 1) ** 2 * (Z - 3)).embed(256).expr_text()
-    assert not hyp.ok and hyp.witness == f"inputs 0 and 1 share the factor {shared}"
+    with pytest.raises(BackendMismatchError):
+        theorems._relatively_prime_hypothesis(
+            [numeric((0, 1), (1, 2), (3, 1)), numeric((1, 3), (2, 1), (3, 1))]
+        )
+    srcs = ["roots(1; 0:1, 1:2, 3:1)", "roots(1; 1:3, 2:1, 3:1)", "z"]
+    shared = ((Z - 1) ** 2 * (Z - 3)).expr_text()
+    for backend in ("exact", "numeric"):
+        _, result = run_command("mason", srcs, {"classical": True}, Options(backend, 256))
+        hyp = result["hypotheses"][0]
+        assert not hyp["ok"] and hyp["witness"] == f"inputs 0 and 1 share the factor {shared}"
 
 
 def test_unit_cubic_builder_passes_its_tolerance_on():
-    s = unit_cubic_resolvent_roots(128, 1e-25)[4]
-    assert (s.prec, s.tol) == (128, 1e-25)
+    """The numeric oracle's builder passes its precision on."""
+    s = unit_cubic_resolvent_roots(128)[4]
+    assert s.prec == 128
     for t in (1, Fraction(-3, 7)):
         values = [x for f in unit_cubic_triad(s, t) for x in (f.lead, *(r for r, _ in f.roots))]
-        assert {(x.prec, x.tol) for x in values} == {(128, 1e-25)}
+        assert {x.prec for x in values} == {128}
 
 
 def test_unit_cubic_triad_validation():
@@ -468,23 +532,16 @@ def test_gen_mason_deterministic():
 
 
 def test_numeric_relatively_prime_tolerance_is_per_pair():
-    # a and b hold 64-bit roots 2^-40 apart, inside their own default 2^-32;
-    # the 256-bit c does not tighten that pair to 2^-128
-    def numeric(prec, *roots, tol=None):
-        return FactoredPoly(
-            Numeric.from_rational(1, prec, tol),
-            [(Numeric.from_rational(r, prec, tol), 1) for r in roots],
-        )
-
-    a = numeric(64, 0)
-    b = numeric(64, Fraction(1, 2**40))
-    c = numeric(256, 5)
-    assert not hyp_map(mason_classical(a, b, c))["relatively_prime"]
-    tight = [numeric(64, 0, tol=1e-20), numeric(64, Fraction(1, 2**40), tol=1e-20)]
-    assert hyp_map(mason_classical(*tight, numeric(256, 5, tol=1e-20)))["relatively_prime"]
-    # a 64-bit root against a 256-bit one is compared at 2^-128
-    d = numeric(256, Fraction(1, 2**40))
-    assert hyp_map(mason_classical(a, d, c))["relatively_prime"]
+    """Roots 2^-40 apart are distinct, exactly; numeric checkers are refused."""
+    a = FactoredPoly(1, [(0, 1)])
+    b = FactoredPoly(1, [(Fraction(1, 2**40), 1)])
+    c = FactoredPoly(1, [(5, 1)])
+    assert hyp_map(mason_classical(a, b, c))["relatively_prime"]
+    assert not hyp_map(mason_classical(a, a, c))["relatively_prime"]
+    numeric = [FactoredPoly(f.lead.to_numeric(64), [(r.to_numeric(64), m) for r, m in f.roots])
+               for f in (a, b, c)]
+    with pytest.raises(BackendMismatchError):
+        mason_classical(*numeric)
 
 
 def test_gen_mason_budget_error(monkeypatch):
