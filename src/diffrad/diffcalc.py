@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import FactoredPoly, Poly, _Lane, _to_lane, product
+from .poly import FactoredPoly, Poly, _Lane, _to_lane, linear_product, product
 from .scalar import Scalar, as_scalar
 
 
@@ -61,8 +61,11 @@ def _taylor(cs: list, u) -> list:
 
 
 def delta(p: Poly) -> Poly:
-    """Forward difference p(z+1) - p(z)."""
-    return shift(p, 1) - p
+    """Forward difference p(z+1) - p(z), on the lane: per radical key, the
+    ints shifted by 1 (``_taylor``) minus the ints, over the same den."""
+    lane = _to_lane(p)
+    terms = {k: [a - b for a, b in zip(_taylor(cs[:], 1), cs)] for k, cs in lane.terms.items()}
+    return _Lane(terms, lane.den).to_poly()
 
 
 def delta_k(p: Poly, k: int) -> Poly:
@@ -104,10 +107,7 @@ def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
 
 def falling_factorial_linear(root: Scalar, n: int) -> Poly:
     """(z - root) (z - root - 1) ... (z - root - n + 1) as a Poly."""
-    return product(
-        [Poly.constant(as_scalar(1, root))]
-        + [Poly.linear(root + as_scalar(j, root)) for j in range(n)]
-    )
+    return linear_product(as_scalar(1, root), [(root + j, 1) for j in range(n)])
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ A :class:`Poly` stores coefficients ascending in the power of z, trimmed so
 the leading coefficient is nonzero; the zero polynomial has no coefficients
 and degree ``NEG_INF`` (a genuine minus-infinity marker, so degree identities
 like deg(p*q) = deg(p) + deg(q) never hit -1 arithmetic).  Every kernel
-(products, division, gcd, factoring, shifts, determinants) runs on the exact
-lane (``_Lane``); ``embed`` converts a result to numeric coefficients for
-output, and a kernel given numeric coefficients raises BackendMismatchError.
+(products, division, gcd, factoring, shifts, determinants, evaluation at a
+rational point) runs on the exact lane (``_Lane``), and products of linear
+factors z - r enter it straight from the roots' ints (``linear_product``);
+``embed`` converts a result to numeric coefficients for output, and a kernel
+given numeric coefficients raises BackendMismatchError.
 
 A :class:`FactoredPoly` is a leading coefficient plus a multiset of
 (root, multiplicity) pairs; it is the primary ingestion form for anything
@@ -225,11 +227,24 @@ class Poly:
     # -- evaluation & maps -------------------------------------------------
 
     def __call__(self, x) -> Scalar:
+        """p(x) by Horner's rule, on the lane for an exact p at a rational
+        point u/v: per radical key, v^d p(u/v) = sum c_k u^k v^(d-k) on the
+        ints, divided once by v^d den at d = deg p."""
         x = self.scalar(x)
-        acc = as_scalar(0, x)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        h = x.as_fraction() if self and isinstance(x, Exact) else None
+        if h is None:
+            acc = as_scalar(0, x)
+            for c in reversed(self._coeffs):
+                acc = acc * x + c
+            return acc
+        lane, (u, v), d = _to_lane(self), h.as_integer_ratio(), len(self._coeffs) - 1
+        out = {}
+        for key, ints in lane.terms.items():
+            acc, vk = 0, v ** (d + 1 - len(ints))
+            for c in reversed(ints):
+                acc, vk = acc * u + c * vk, vk * v
+            out[key] = Fraction(acc, v**d * lane.den)
+        return Exact(out)
 
     def monic(self) -> Poly:
         if not self:
@@ -379,10 +394,8 @@ class FactoredPoly:
         return 0
 
     def expand(self) -> Poly:
-        return product(
-            [Poly.constant(self._lead)]
-            + [Poly.linear(root) for root, mult in self._roots for _ in range(mult)]
-        )
+        """lead * prod (z - r)^m, by ``linear_product``."""
+        return linear_product(self._lead, self._roots)
 
     def scale(self, factor) -> FactoredPoly:
         return FactoredPoly(self._lead * factor, self._roots)
@@ -415,20 +428,38 @@ class FactoredPoly:
 
 def classical_rad(f: FactoredPoly) -> Poly:
     """Monic product of z - r over the distinct roots of f."""
-    return product(
-        [Poly.constant(as_scalar(1, f.lead))]
-        + [Poly.linear(r) for r in f.distinct_roots()]
-    )
+    return linear_product(as_scalar(1, f.lead), [(r, 1) for r in f.distinct_roots()])
 
 
 def product(polys: Iterable[Poly]) -> Poly:
-    """Product of the factors; the constant 1 when there are none.
+    """Product of the factors, multiplied on the lane as ``_lane_product``
+    multiplies; the constant 1 when there are none."""
+    return _lane_product([_to_lane(f) for f in polys])
 
-    The factors multiply on the lane as a balanced tree, so that the large
-    operands meet last, where ``_mul_ints`` switches to Kronecker
-    multiplication.
+
+def linear_product(lead, roots: Iterable[tuple[Scalar, int]]) -> Poly:
+    """lead * prod (z - r)^m over the (root, multiplicity) pairs.
+
+    Each factor enters the lane straight from its root's terms: over den,
+    the lcm of r's denominators, z - r holds -r * den on each key of r and
+    den at z^1 on the rational key.  The factors multiply as in ``product``,
+    and the result becomes a Poly once.  A numeric lead or root raises
+    BackendMismatchError, as ``_to_lane`` does.
     """
-    lanes = [_to_lane(f) for f in polys]
+    lanes = [_to_lane(Poly.constant(lead))]
+    for r, m in roots:
+        if not isinstance(r, Exact):
+            raise BackendMismatchError("linear_product takes exact roots")
+        den = math.lcm(*(f.denominator for f in r._terms.values()))
+        terms = {key: [-f.numerator * (den // f.denominator)] for key, f in r._terms.items()}
+        terms.setdefault(_ONE_KEY, [0]).append(den)
+        lanes += [_Lane(terms, den)] * m
+    return _lane_product(lanes)
+
+
+def _lane_product(lanes: list[_Lane]) -> Poly:
+    """The lanes' product as a Poly, multiplied as a balanced tree so that the
+    large operands meet last, where ``_mul_ints`` switches to Kronecker."""
     if not lanes:
         return Poly.constant(1)
     while len(lanes) > 1:
@@ -469,7 +500,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # one-key case, so rational and radical inputs run the same integer code.  A
 # kernel makes its lanes once at entry (_to_lane) and turns the result back
 # into Exact coefficients once at exit (_Lane.to_poly); Poly itself keeps one
-# representation.  A numeric polynomial has no lane: _to_lane refuses it.
+# representation.  Linear factors z - r enter the lane straight from the
+# root's terms (linear_product), with no Poly in between.  A numeric
+# polynomial has no lane: _to_lane refuses it.
 
 # Operands this short or shorter multiply term by term: against 16 to 256
 # coefficients of up to 64 bits, Kronecker multiplication wins from about

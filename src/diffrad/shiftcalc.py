@@ -21,12 +21,11 @@ BackendMismatchError (``shift_classes``, the height functions and the lane).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import diffcalc
 from .errors import BackendMismatchError
-from .poly import FactoredPoly, Poly, poly_gcd, product
+from .poly import FactoredPoly, Poly, linear_product, poly_gcd
 from .scalar import _ONE_KEY, Exact, Scalar, as_scalar
 
 
@@ -60,10 +59,11 @@ class ShiftClass:
 def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
     """Partition the distinct roots by integer difference.
 
-    Exact roots are grouped in one pass: a - b is an integer exactly when a
-    and b have the same non-rational terms and rational parts congruent
-    modulo 1, so each root goes to the bucket keyed by those two, and the
-    member with the least rational part is the representative.  Numeric
+    Exact roots are grouped in one pass on ints: a - b is an integer exactly
+    when a and b have the same non-rational terms and their rational parts
+    n/d (in lowest terms) have the same d and the same n mod d, so each root
+    goes to the bucket keyed by those three.  The member with the least n is
+    the representative, and a member's offset is (n - n_rep) // d.  Numeric
     roots raise BackendMismatchError.
 
     Classes come back sorted by the canonical text of their representatives,
@@ -71,16 +71,15 @@ def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
     """
     if f.backend != "exact":
         raise BackendMismatchError("shift classes need exact roots")
-    buckets: dict[tuple, list[tuple[Fraction, Exact, int]]] = {}
+    buckets: dict[tuple, list[tuple[int, Exact, int]]] = {}
     for root, mult in f.roots:
-        terms = root.terms
-        q = terms.pop(_ONE_KEY, Fraction(0))
-        key = (frozenset(terms.items()), q % 1)
-        buckets.setdefault(key, []).append((q, root, mult))
+        n, d = root._terms.get(_ONE_KEY, 0).as_integer_ratio()
+        rest = frozenset(kc for kc in root._terms.items() if kc[0] != _ONE_KEY)
+        buckets.setdefault((rest, n % d, d), []).append((n, root, mult))
     classes = []
-    for bucket in buckets.values():
-        q_rep, rep, _ = min(bucket, key=lambda m: m[0])
-        classes.append(ShiftClass(rep, {int(q - q_rep): mult for q, _, mult in bucket}))
+    for (_, _, d), bucket in buckets.items():
+        n_rep, rep, _ = min(bucket, key=lambda m: m[0])
+        classes.append(ShiftClass(rep, {(n - n_rep) // d: mult for n, _, mult in bucket}))
     classes.sort(key=lambda c: c.representative.text())
     return classes
 
@@ -97,12 +96,9 @@ class ChainDecomposition:
         return sum(n for _, n in self.chains)
 
     def expand(self) -> Poly:
-        return product(
-            [Poly.constant(self.lead)]
-            + [
-                diffcalc.falling_factorial_linear(start, length)
-                for start, length in self.chains
-            ]
+        """lead times every chain's linear factors, as one ``linear_product``."""
+        return linear_product(
+            self.lead, [(start + j, 1) for start, length in self.chains for j in range(length)]
         )
 
     def to_json_dict(self) -> dict:
@@ -191,12 +187,11 @@ def factor_at(p: Poly, z0) -> tuple[int, Poly]:
 def _radical(f: FactoredPoly, order) -> Poly:
     """Monic prod (z - w)^order(m, o) over w = representative + o, where m is
     w's class's ``members``."""
-    factors = [Poly.constant(1)]
+    roots = []
     for cls in shift_classes(f):
         rep, m = cls.representative, cls.members
-        for o in sorted(m):
-            factors += [Poly.linear(rep + o)] * order(m, o)
-    return product(factors)
+        roots += [(rep + o, order(m, o)) for o in sorted(m)]
+    return linear_product(1, roots)
 
 
 def _least_order(m: dict[int, int], lo: int, hi: int) -> int:

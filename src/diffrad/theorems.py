@@ -28,8 +28,8 @@ from .poly import (
     _root_bound_exp,
     _to_lane,
     factor,
+    linear_product,
     poly_gcd,
-    product,
 )
 from .scalar import _ONE_KEY, Exact, Numeric, Scalar, as_scalar
 
@@ -151,11 +151,9 @@ def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
     """
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
-            shared = []
-            for r, m in fs[i].roots:
-                shared += [Poly.linear(r)] * min(m, fs[j].ord_at(r))
-            if shared:
-                g = product(shared).expr_text()
+            shared = [(r, min(m, fs[j].ord_at(r))) for r, m in fs[i].roots]
+            if any(m for _, m in shared):
+                g = linear_product(1, shared).expr_text()
                 text = f"inputs {i} and {j} share the factor {g}"
                 return Hypothesis("relatively_prime", False, text)
     return Hypothesis("relatively_prime", True, "")

@@ -168,6 +168,15 @@ def mul_terms(a: Poly, b: Poly) -> Poly:
     return Poly(out)
 
 
+def horner_terms(p: Poly, x) -> Exact:
+    """p(x) by Horner's rule in scalar arithmetic: the oracle for the lane
+    evaluation of ``Poly.__call__``."""
+    acc = Exact()
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def divmod_terms(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Long division term by term with the inverse of b's lead in scalar
     arithmetic: the oracle for the lane."""

@@ -24,8 +24,15 @@ from diffrad import (
     shift,
     to_newton,
 )
+from diffrad.poly import product
 from diffrad.scalar import as_scalar
-from helpers import rand_exact, rand_fraction, rand_nonzero_poly, rand_rational_poly
+from helpers import (
+    rand_exact,
+    rand_fraction,
+    rand_nonzero_poly,
+    rand_radical_poly,
+    rand_rational_poly,
+)
 
 Z = Poly.z()
 
@@ -73,6 +80,28 @@ def test_delta_degree_drop():
             assert delta(p).degree == p.degree - 1
         else:
             assert not delta(p)
+
+
+def test_lane_delta_matches_shift_minus_p():
+    """delta on the lane equals the shift route p(z+1) - p(z) on rational and
+    radical input, the zero and constant polynomials included; numeric input
+    is refused."""
+    rng = random.Random(1807)
+    cases = [Poly(), Poly.constant(7), Poly([rand_exact(rng)]), Z, Z**9 * Exact.sqrt_int(5)]
+    for _ in range(60):
+        cases += [rand_rational_poly(rng, 7), rand_radical_poly(rng, rng.randint(0, 7))]
+    for p in cases:
+        assert delta(p) == shift(p, 1) - p, p
+    with pytest.raises(BackendMismatchError):
+        delta((Z**2).embed(64))
+
+
+def test_falling_factorial_linear_matches_linear_polys():
+    rng = random.Random(1811)
+    for _ in range(30):
+        root, n = rand_exact(rng), rng.randint(0, 6)
+        want = product([Poly.constant(1)] + [Poly.linear(root + j) for j in range(n)])
+        assert diffcalc.falling_factorial_linear(root, n) == want
 
 
 def test_falling_and_raising_powers():

@@ -23,7 +23,14 @@ from diffrad import (
     factor,
     poly_gcd,
 )
-from helpers import rand_exact, rand_grid_factored, rand_nonzero_poly
+from diffrad.poly import linear_product, product
+from helpers import (
+    horner_terms,
+    rand_exact,
+    rand_grid_factored,
+    rand_nonzero_poly,
+    rand_radical_poly,
+)
 
 Z = Poly.z()
 S2 = Exact.sqrt_int(2)
@@ -200,6 +207,55 @@ def test_eval():
     assert p(0) == p.coeff(0)
     f22 = Z**2 * (Z - 1) ** 3
     assert not f22(1)
+
+
+def test_eval_on_the_lane_matches_horner():
+    """At integer and rational points the lane evaluation equals Horner's rule
+    on the scalars, for rational and radical polynomials; radical points run
+    that rule itself."""
+    rng = random.Random(18)
+    points = [0, 3, -2, Fraction(-3, 7), Fraction(5, 4), S2, I + Fraction(1, 3), S2 * S3 - 1]
+    for _ in range(40):
+        polys = [rand_nonzero_poly(rng, 6), rand_radical_poly(rng, rng.randint(0, 6))]
+        for p in polys + [Poly(), Poly([rand_exact(rng)])]:
+            for x in points:
+                x = Exact.from_rational(x) if not isinstance(x, Exact) else x
+                assert p(x) == horner_terms(p, x), (p, x)
+    assert Poly([Fraction(1, 3), 0, 0, Fraction(2, 5)])(Fraction(-3, 2)) == Exact.from_rational(
+        Fraction(1, 3) + Fraction(2, 5) * Fraction(-27, 8)
+    )
+
+
+def test_linear_product_matches_the_product_of_linear_polys():
+    """linear_product(lead, roots) is lead * prod (z - r)^m built from
+    Poly.linear: grid-rational and radical roots, multiplicities, a zero root,
+    no roots and a radical lead."""
+    rng = random.Random(1818)
+
+    def oracle(lead, roots):
+        return product([Poly.constant(lead)] + [Poly.linear(r) for r, m in roots for _ in range(m)])
+
+    cases = [(Exact.from_rational(1), []), (S2 + I, []), (Exact.from_rational(-3), [(Exact(), 2)])]
+    for _ in range(60):
+        f = rand_grid_factored(rng, max_degree=6)
+        cases.append((f.lead, f.roots))
+        roots = [(rand_exact(rng), rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
+        roots.append((Exact(), rng.randint(0, 2)))
+        cases.append((rand_exact(rng) or Exact.from_rational(1), roots))
+    for lead, roots in cases:
+        got = linear_product(lead, roots)
+        assert got == oracle(lead, roots), (lead, roots)
+        assert got.degree == sum(m for _, m in roots) and got.lead == lead
+    assert linear_product(1, []) == Poly.constant(1)
+    f = FactoredPoly(S3, [(S2, 3), (S2 + 1, 2), (I, 1), (Fraction(1, 3), 4)])
+    assert f.expand() == oracle(f.lead, f.roots)
+
+
+def test_linear_product_refuses_numeric_roots():
+    with pytest.raises(BackendMismatchError):
+        linear_product(1, [(Exact.from_rational(1), 1), (Numeric.from_rational(2, 64), 1)])
+    with pytest.raises(BackendMismatchError):
+        linear_product(Numeric.from_rational(1, 64), [])
 
 
 def test_degree_multiplicativity_bulk():

@@ -100,6 +100,9 @@ def test_chain_decomposition_reconstructs():
         dec = chain_decomposition(f)
         assert dec.degree == f.degree
         assert dec.expand() == f.expand()
+        # one linear_product over the chain roots, against linear Polys
+        linear = [Poly.linear(s + j) for s, n in dec.chains for j in range(n)]
+        assert dec.expand() == product([Poly.constant(dec.lead)] + linear)
 
 
 def test_chain_multiset_independent_of_scan_order():
@@ -465,6 +468,34 @@ def test_exact_classes_make_no_pairwise_comparison(monkeypatch):
     three = FactoredPoly(1, [(k, 1) for k in range(3)])
     assert len(scan_classes(three.roots)) == 1
     assert len(calls) == 2
+
+
+def test_int_keyed_classes_split_residues_by_denominator():
+    """Roots whose rational parts n/d share n mod d but not d, or share the
+    rational part but not the radical part, fall into different classes;
+    negative rationals keep nonnegative offsets from the least member."""
+    thirds = [Fraction(1, 3), Fraction(-5, 3), Fraction(7, 3), Fraction(-2, 3)]
+    others = [Fraction(1, 2), Fraction(1, 4), Fraction(-3, 2), Fraction(9, 4), Fraction(1, 6)]
+    radicals = [Exact(), S2, S3, I * S2]
+    rng = random.Random(1803)
+    for _ in range(100):
+        roots = [
+            (rng.choice(radicals) + rng.choice(thirds + others), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 10))
+        ]
+        f = FactoredPoly(rng.choice((1, -2, S2)), roots)
+        classes = shift_classes(f)
+        assert [(c.representative.text(), c.members) for c in classes] == scanned_classes(f)
+    f = FactoredPoly(1, [(q, 1) for q in thirds + others] + [(S2 + Fraction(1, 3), 2)])
+    got = {c.representative.text(): c.members for c in shift_classes(f)}
+    # 1/2, 1/4 and 1/6 all have n mod d = 1
+    assert got == {
+        "-5/3": {0: 1, 1: 1, 2: 1, 4: 1},
+        "-3/2": {0: 1, 2: 1},
+        "1/4": {0: 1, 2: 1},
+        "1/6": {0: 1},
+        "1/3 + 1/1*sqrt(2)": {0: 2},
+    }
 
 
 def test_common_shifting_divisors_examples():
