@@ -8,7 +8,6 @@ from the difference rows only, whose degrees drop row by row while every
 shift row keeps the full degree; that identity is why the shift layout
 lives on only as a test oracle.  One size rule serves every ring of
 lanes: minors, with no division, through MINORS_MAX = 7 rows, Bareiss above.
-Numeric input raises BackendMismatchError (``poly._to_lane``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 from typing import Literal, Sequence
 
 from . import diffcalc
-from .poly import Poly, _Lane, _to_lane
+from .poly import Poly, _Lane
 
 Form = Literal["delta", "shift"]
 FORMS = ("delta", "shift")
@@ -78,19 +77,19 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square grid of polynomials, given as a list of rows:
     by minors through MINORS_MAX rows, by Bareiss above.
 
-    The rows are converted to lanes once, each row scaled to integer lanes
-    by the lcm of its denominators, and the product of those scales divides
+    The entries' lanes are read once, each row scaled to integer lanes by
+    the lcm of its denominators, and the product of those scales divides
     the result once at the end.
     """
     det = _det_minors if len(rows) <= MINORS_MAX else _det_bareiss
-    lanes = [[_to_lane(p) for p in row] for row in rows]
+    lanes = [[p._lane for p in row] for row in rows]
     den = 1
     for row in lanes:
         d = math.lcm(*(x.den for x in row))
         row[:] = [_Lane(x.over(d).terms) for x in row]
         den *= d
     out = det(lanes)
-    return _Lane(out.terms, out.den * den).to_poly()
+    return Poly._wrap(_Lane(out.terms, out.den * den))
 
 
 # Minors cost n 2^(n-1) - n products, Bareiss about n^3 products and exact

@@ -20,7 +20,7 @@ from . import casorati, diffcalc, shiftcalc, theorems
 from .errors import DiffradError, ParseError, RootsUnavailableError
 from .parser import parse_factored, parse_poly
 from .diffcalc import NewtonExpansion
-from .poly import Poly, classical_rad
+from .poly import Poly, classical_rad, coeffs_json, coeffs_text
 from .scalar import Numeric
 from .shiftcalc import ChainDecomposition
 
@@ -50,13 +50,9 @@ def _scalar(src: str):
 
 
 def _poly_result(p: Poly, options: Options) -> dict:
-    p = options.shown(p)
-    deg = p.degree
-    return {
-        "text": p.expr_text(),
-        "poly": p.to_json_dict(),
-        "degree": deg if isinstance(deg, int) else None,
-    }
+    cs = options.shown(p).coeffs  # a Poly builds coeffs per read: read once
+    degree = len(cs) - 1 if cs else None
+    return {"text": coeffs_text(cs), "poly": coeffs_json(cs), "degree": degree}
 
 
 # -- command handlers -------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import FactoredPoly, Poly, _Lane, _to_lane, linear_product, product
+from .poly import FactoredPoly, Poly, _Lane, offset_product, product
 from .scalar import Scalar, as_scalar
 
 
@@ -22,32 +22,33 @@ def binomial(n: int, k: int) -> int:
 
 
 def shift(p: Poly, k) -> Poly:
-    """p(z + k) by one Taylor-shift loop, for an integer or scalar step k.
+    """p(z + k) on the lane, for an integer or scalar step k.
 
-    An exact p with a rational step k = u/v runs the loop on the ints of
-    each radical key of its lane, since a rational shift maps every key's
-    part to itself: with one part sum c_i z^i / den,
+    A rational step k = u/v maps every key's part to itself, so each runs one
+    Taylor-shift loop on its ints: with the part sum c_i z^i / den,
     v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z and
-    d = deg p, so an integer shift by u followed by rescaling w^j to v^j z^j
-    gives the result without fractions.  A radical step runs the same loop
-    on the Exact coefficients with the step k itself.
+    d = deg p, an integer shift by u, then w^j rescaled to v^j z^j.  A
+    radical step runs Horner's rule on lanes with the factor z + k.
     """
     if not p:
         return p
-    lane = _to_lane(p)
     step = p.scalar(k)
     if not step:
         return p
+    lane, d = p._lane, p.degree
     h = step.as_fraction()
     if h is None:
-        return Poly(_taylor(list(p.coeffs), step))
+        z_k, acc = Poly([step, 1])._lane, _Lane()
+        for j in range(d, -1, -1):
+            top = {key: [ints[j]] for key, ints in lane.terms.items() if j < len(ints)}
+            acc = acc * z_k + _Lane(top, lane.den)
+        return Poly._wrap(acc)
     u, v = h.numerator, h.denominator
-    d = p.degree
     terms = {}
     for key, cs in lane.terms.items():
         cs = _taylor([c * v ** (d - i) for i, c in enumerate(cs)], u)
         terms[key] = [c * v**j for j, c in enumerate(cs)]
-    return _Lane(terms, lane.den * v**d).to_poly()
+    return Poly._wrap(_Lane(terms, lane.den * v**d))
 
 
 def _taylor(cs: list, u) -> list:
@@ -63,9 +64,9 @@ def _taylor(cs: list, u) -> list:
 def delta(p: Poly) -> Poly:
     """Forward difference p(z+1) - p(z), on the lane: per radical key, the
     ints shifted by 1 (``_taylor``) minus the ints, over the same den."""
-    lane = _to_lane(p)
+    lane = p._lane
     terms = {k: [a - b for a, b in zip(_taylor(cs[:], 1), cs)] for k, cs in lane.terms.items()}
-    return _Lane(terms, lane.den).to_poly()
+    return Poly._wrap(_Lane(terms, lane.den))
 
 
 def delta_k(p: Poly, k: int) -> Poly:
@@ -106,8 +107,8 @@ def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
 
 
 def falling_factorial_linear(root: Scalar, n: int) -> Poly:
-    """(z - root) (z - root - 1) ... (z - root - n + 1) as a Poly."""
-    return linear_product(as_scalar(1, root), [(root + j, 1) for j in range(n)])
+    """(z - root) (z - root - 1) ... (z - root - n + 1), one ``offset_product``."""
+    return offset_product([(root, [(j, 1) for j in range(n)])])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ class DiffradError(Exception):
 
 class BackendMismatchError(DiffradError):
     """Raised when exact and numeric values are mixed in one operation, or
-    when an exact kernel is given numeric values, which are output only."""
+    when a polynomial is given numeric values, which are output only."""
 
 
 class ExactDivisionError(DiffradError):

@@ -48,6 +48,7 @@ anything is built:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -117,24 +118,21 @@ def _check_degree(degree: int | float, offset: int) -> None:
         raise ParseError(f"degree above {MAX_DEGREE}", offset)
 
 
-def _scalar_bits(c: Exact) -> int:
-    return max(
-        (
-            max(f.numerator.bit_length(), f.denominator.bit_length())
-            + sum((p.bit_length() + 1) // 2 for p in primes)
-            for (_, primes), f in c.terms.items()
-        ),
-        default=1,
-    )
-
-
 def _bits(value: Value) -> int:
-    """Estimated bits of the largest coefficient of a value, at least 1."""
+    """Estimated bits of the largest coefficient of a value, at least 1, read
+    off the lane: a term n/d * sqrt(prod primes), n/d in lowest terms, counts
+    the longer of n and d plus half of each radicand."""
     if isinstance(value, FactoredPoly):
-        return _scalar_bits(value.lead) + sum(
-            m * _scalar_bits(r) for r, m in value.roots
-        )
-    return max(map(_scalar_bits, value.coeffs), default=1)
+        return _bits(Poly([value.lead])) + sum(m * _bits(Poly([r])) for r, m in value.roots)
+    den = value._lane.den
+    bits = (
+        max((c // g).bit_length(), (den // g).bit_length())
+        + sum((p.bit_length() + 1) // 2 for p in primes)
+        for (_, primes), ints in value._lane.terms.items()
+        for c in ints
+        if c and (g := math.gcd(c, den))
+    )
+    return max(bits, default=1)
 
 
 def _check_bits(bits: int, offset: int) -> None:
@@ -308,7 +306,7 @@ class _Parser:
         if not lead:
             raise ParseError("leading coefficient must be nonzero", offset)
         pairs: list[tuple[Exact, int]] = []
-        degree, bits = 0, _scalar_bits(lead)
+        degree, bits = 0, _bits(Poly([lead]))
         if self.peek().kind == ";":
             self.advance()
             if self.peek().kind != ")":
@@ -321,7 +319,7 @@ class _Parser:
                         raise ParseError("multiplicity must be >= 1", offset)
                     degree += mult
                     _check_degree(degree, offset)
-                    bits += mult * _scalar_bits(root)
+                    bits += mult * _bits(Poly([root]))
                     _check_bits(bits, offset)
                     pairs.append((root, mult))
                     if self.peek().kind != ",":

@@ -1,14 +1,14 @@
 """Dense univariate polynomials over exact scalars, printed exactly or numerically.
 
-A :class:`Poly` stores coefficients ascending in the power of z, trimmed so
-the leading coefficient is nonzero; the zero polynomial has no coefficients
-and degree ``NEG_INF`` (a genuine minus-infinity marker, so degree identities
-like deg(p*q) = deg(p) + deg(q) never hit -1 arithmetic).  Every kernel
-(products, division, gcd, factoring, shifts, determinants, evaluation at a
-rational point) runs on the exact lane (``_Lane``), and products of linear
-factors z - r enter it straight from the roots' ints (``linear_product``);
-``embed`` converts a result to numeric coefficients for output, and a kernel
-given numeric coefficients raises BackendMismatchError.
+A :class:`Poly` holds one canonical lane (``_Lane``), its only state, and
+every kernel reads and wraps lanes; ``coeffs`` is an on-demand view as Exact
+scalars.  The zero polynomial has no coefficients and degree ``NEG_INF`` (a
+genuine minus-infinity marker, so degree identities like
+deg(p*q) = deg(p) + deg(q) never hit -1 arithmetic).  Products of linear
+factors z - r - o enter the lane straight from the roots' ints
+(``offset_product``).  Numeric values are output only: ``embed`` converts to
+a :class:`NumericPoly`, and ``Poly`` refuses a numeric coefficient with
+BackendMismatchError.
 
 A :class:`FactoredPoly` is a leading coefficient plus a multiset of
 (root, multiplicity) pairs; it is the primary ingestion form for anything
@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BackendMismatchError,
@@ -35,6 +36,7 @@ from .scalar import (
     Scalar,
     _key_mul,
     _key_sort,
+    _vec_mul,
     as_scalar,
     int_text,
     norm_conjugate,
@@ -43,28 +45,52 @@ from .scalar import (
 )
 
 NEG_INF = float("-inf")
+_ZERO = Exact()
 
 
-def _as_coeff_list(values: Iterable) -> list[Scalar]:
-    out: list[Scalar] = []
-    for v in values:
-        if isinstance(v, Scalar):
-            out.append(v)
-        else:
-            out.append(Exact.from_rational(v))
+def coeffs_json(cs: Sequence[Scalar]) -> dict:
+    return {"coeffs": [c.text() for c in cs]}
+
+
+def coeffs_text(cs: Sequence[Scalar]) -> str:
+    """The polynomial with coefficients `cs`, from z^0 up, in the expression
+    grammar; reparsing yields an equal Poly."""
+    pieces = [_term_text(c, k) for k, c in reversed(list(enumerate(cs))) if c]
+    out = pieces[0] if pieces else "0"
+    for piece in pieces[1:]:
+        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
     return out
 
 
-class Poly:
-    """Immutable dense univariate polynomial."""
+class _Printed:
+    """Text and JSON of a polynomial, read from its ``coeffs``."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return coeffs_json(self.coeffs)
+
+    def expr_text(self) -> str:
+        return coeffs_text(self.coeffs)
+
+    def __str__(self) -> str:
+        return self.expr_text()
+
+
+class Poly(_Printed):
+    """Immutable dense univariate polynomial over Q(i, sqrt(p), ...)."""
+
+    __slots__ = ("_lane",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = _as_coeff_list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "_lane", _lane_of(coeffs))
+
+    @classmethod
+    def _wrap(cls, lane: _Lane) -> Poly:
+        """The Poly holding `lane` in canonical form."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_lane", lane.canonical())
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly values are immutable")
@@ -81,58 +107,47 @@ class Poly:
 
     @classmethod
     def z(cls) -> Poly:
-        """The exact-backend monomial z."""
+        """The monomial z."""
         return cls([0, 1])
 
     @classmethod
     def linear(cls, root: Scalar) -> Poly:
-        """Monic z - root in the root's backend."""
-        return cls([-root, as_scalar(1, root)])
+        """Monic z - root."""
+        return cls([-root, 1])
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        return self._coeffs
+    def coeffs(self) -> tuple[Exact, ...]:
+        """The coefficients from z^0 up, as Exact scalars read off the lane."""
+        return tuple(map(self.coeff, range(len(self._lane))))
 
     @property
     def degree(self) -> int | float:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
-
-    @property
-    def backend(self) -> str | None:
-        """Backend name, or None for the (backend-neutral) zero polynomial."""
-        return self._coeffs[-1].backend if self._coeffs else None
+        return len(self._lane) - 1 if self._lane else NEG_INF
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._lane)
 
     @property
-    def lead(self) -> Scalar:
-        if not self._coeffs:
+    def lead(self) -> Exact:
+        if not self._lane:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self.coeff(len(self._lane) - 1)
 
-    def coeff(self, k: int) -> Scalar:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return self.scalar(0)
+    def coeff(self, k: int) -> Exact:
+        terms, den = self._lane.terms, self._lane.den
+        return Exact({key: Fraction(v[k], den) for key, v in terms.items() if len(v) > k >= 0})
 
-    def scalar(self, x) -> Scalar:
-        """x in this polynomial's backend (``as_scalar``).  The zero
-        polynomial has no backend: it takes a scalar as it is, and an int or
-        Fraction as exact."""
-        if self._coeffs:
-            return as_scalar(x, self._coeffs[-1])
-        return x if isinstance(x, Scalar) else Exact.from_rational(x)
-
-    def _check_backend(self, other: Poly) -> None:
-        if self and other and self.backend != other.backend:
-            raise BackendMismatchError("polynomials use different scalar backends")
+    @staticmethod
+    def scalar(x) -> Exact:
+        """x as an exact scalar; a numeric x raises BackendMismatchError."""
+        return as_scalar(x, _ZERO)
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction, Scalar)):
@@ -141,64 +156,41 @@ class Poly:
 
     def __add__(self, other) -> Poly:
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        self._check_backend(rhs)
-        if not self._coeffs:
-            return rhs
-        if not rhs._coeffs:
-            return self
-        n = max(len(self._coeffs), len(rhs._coeffs))
-        return Poly([self.coeff(k) + rhs.coeff(k) for k in range(n)])
+        return NotImplemented if rhs is None else Poly._wrap(self._lane + rhs._lane)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self._coeffs])
+        return Poly._wrap(-self._lane)
 
     def __sub__(self, other) -> Poly:
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return NotImplemented if rhs is None else Poly._wrap(self._lane - rhs._lane)
 
     def __rsub__(self, other) -> Poly:
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        return NotImplemented if rhs is None else Poly._wrap(rhs._lane - self._lane)
 
     def __mul__(self, other) -> Poly:
-        """Product with a scalar or a polynomial.
-
-        Two polynomials multiply once on the lane (see ``_Lane``):
-        ``_mul_ints`` on each pair of radical keys, merged by ``_key_mul``.
-        """
-        if isinstance(other, (int, Fraction, Scalar)):
-            scale = other if isinstance(other, Scalar) else Fraction(other)
-            return Poly([c * scale for c in self._coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not self or not other:
-            return Poly()
-        return (_to_lane(self) * _to_lane(other)).to_poly()
+        """Product with a scalar or a polynomial, on the lane: ``_mul_ints``
+        on each pair of radical keys, merged by ``_key_mul``."""
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else Poly._wrap(self._lane * rhs._lane)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        return power(self, exponent, Poly.constant(self.scalar(1)))
+        return power(self, exponent, Poly([1]))
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        """(q, r) with self = q * other + r and deg r < deg other.
-
-        The operands divide once on the lane (``_Lane.__divmod__``).
-        """
+        """(q, r) with self = q * other + r and deg r < deg other, from one
+        division on the lane (``_Lane.__divmod__``)."""
         if not isinstance(other, Poly):
             return NotImplemented
-        q, r = divmod(_to_lane(self), _to_lane(other))
-        return q.to_poly(), r.to_poly()
+        q, r = divmod(self._lane, other._lane)
+        return Poly._wrap(q), Poly._wrap(r)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -208,93 +200,73 @@ class Poly:
 
     def divexact(self, other: Poly) -> Poly:
         """Exact quotient; raises ExactDivisionError if a remainder is left."""
-        q, r = divmod(self, other)
-        if r:
-            raise ExactDivisionError(
-                f"inexact division: remainder of degree {r.degree}", remainder=r
-            )
-        return q
+        return Poly._wrap(self._lane.divexact(other._lane))
 
     def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
+        """Equal lanes: canonical form makes the lane unique."""
+        rhs = None if isinstance(other, Numeric) else self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._coeffs == rhs._coeffs
+        return self._lane.den == rhs._lane.den and self._lane.terms == rhs._lane.terms
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        lane = self._lane
+        return hash((lane.den, frozenset((k, tuple(v)) for k, v in lane.terms.items())))
 
     # -- evaluation & maps -------------------------------------------------
 
-    def __call__(self, x) -> Scalar:
-        """p(x) by Horner's rule, on the lane for an exact p at a rational
-        point u/v: per radical key, v^d p(u/v) = sum c_k u^k v^(d-k) on the
-        ints, divided once by v^d den at d = deg p."""
+    def __call__(self, x) -> Exact:
+        """p(x) by Horner's rule on the ints, with x = X / v over the lcm v of
+        its denominators: v^d p(x) = sum c_k X^k v^(d-k) at d = deg p, over
+        v^d den.  A radical X multiplies through ``_vec_mul`` (``_key_mul``)."""
         x = self.scalar(x)
-        h = x.as_fraction() if self and isinstance(x, Exact) else None
-        if h is None:
-            acc = as_scalar(0, x)
-            for c in reversed(self._coeffs):
-                acc = acc * x + c
-            return acc
-        lane, (u, v), d = _to_lane(self), h.as_integer_ratio(), len(self._coeffs) - 1
-        out = {}
-        for key, ints in lane.terms.items():
-            acc, vk = 0, v ** (d + 1 - len(ints))
-            for c in reversed(ints):
-                acc, vk = acc * u + c * vk, vk * v
-            out[key] = Fraction(acc, v**d * lane.den)
-        return Exact(out)
+        lane, d = self._lane, len(self._lane) - 1
+        v = math.lcm(*(f.denominator for f in x._terms.values()))
+        xs = {key: f.numerator * (v // f.denominator) for key, f in x._terms.items()}
+        u = xs.get(_ONE_KEY, 0) if xs.keys() <= {_ONE_KEY} else None  # x = u / v
+        out, vk = {}, 1  # vk = v^(d-k)
+        for k in range(d, -1, -1):
+            out = _vec_mul(out, xs) if u is None else {key: c * u for key, c in out.items()}
+            for key, ints in lane.terms.items():
+                if k < len(ints):
+                    out[key] = out.get(key, 0) + ints[k] * vk
+            vk *= v
+        return Exact({key: Fraction(c, v**d * lane.den) for key, c in out.items()})
 
     def monic(self) -> Poly:
+        """The ints times the lead's conjugates over its norm (``lead_conjugate``)."""
         if not self:
             return self
-        inv = self.lead.inverse()
-        return Poly([c * inv for c in self._coeffs])
+        conj, n = self._lane.lead_conjugate()
+        return Poly._wrap(_Lane((_Lane(self._lane.terms) * conj).terms, n))
 
-    def embed(self, prec: int) -> Poly:
-        """This exact polynomial with numeric coefficients at `prec` bits
-        (``Exact.to_numeric``), for output."""
-        return Poly([c.to_numeric(prec) for c in self._coeffs])
+    def embed(self, prec: int) -> NumericPoly:
+        """The coefficients at `prec` bits (``Exact.to_numeric``), for output."""
+        cs = [c.to_numeric(prec) for c in self.coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        return NumericPoly(tuple(cs))
 
     def coeff_sup(self) -> float:
         """Sup of coefficient magnitudes, for reports only: capped at the
         largest finite float (valid JSON), at least math.ulp(0.0) when nonzero
         (never a false 0); ``bool`` decides."""
         sup = 0.0
-        for c in self._coeffs:
+        for c in self.coeffs:
             mag = abs(complex(c))
             sup = max(sup, mag if mag or not c else math.ulp(0.0))
         return min(sup, sys.float_info.max)
 
-    # -- text & JSON -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [c.text() for c in self._coeffs]}
-
-    def expr_text(self) -> str:
-        """Render in the expression grammar; reparsing yields an equal Poly."""
-        if not self._coeffs:
-            return "0"
-        pieces: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if not c:
-                continue
-            pieces.append(_term_text(c, k))
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
-
-    def __str__(self) -> str:
-        return self.expr_text()
-
     def __repr__(self) -> str:
         return f"Poly({self.expr_text()!r})"
+
+
+@dataclass(frozen=True)
+class NumericPoly(_Printed):
+    """A polynomial's coefficients converted to numeric scalars, from z^0
+    up (``Poly.embed``): an output value, with no arithmetic."""
+
+    coeffs: tuple[Numeric, ...]
 
 
 def _scalar_expr(c: Scalar) -> tuple[str, bool]:
@@ -432,40 +404,44 @@ def classical_rad(f: FactoredPoly) -> Poly:
 
 
 def product(polys: Iterable[Poly]) -> Poly:
-    """Product of the factors, multiplied on the lane as ``_lane_product``
-    multiplies; the constant 1 when there are none."""
-    return _lane_product([_to_lane(f) for f in polys])
+    """Product of the factors by ``_lane_product``; 1 when there are none."""
+    return Poly._wrap(_lane_product([f._lane for f in polys]))
 
 
 def linear_product(lead, roots: Iterable[tuple[Scalar, int]]) -> Poly:
-    """lead * prod (z - r)^m over the (root, multiplicity) pairs.
+    """lead * prod (z - r)^m over (root, multiplicity) pairs, offsets 0."""
+    return offset_product([(r, [(0, m)]) for r, m in roots], lead)
 
-    Each factor enters the lane straight from its root's terms: over den,
-    the lcm of r's denominators, z - r holds -r * den on each key of r and
-    den at z^1 on the rational key.  The factors multiply as in ``product``,
-    and the result becomes a Poly once.  A numeric lead or root raises
-    BackendMismatchError, as ``_to_lane`` does.
-    """
-    lanes = [_to_lane(Poly.constant(lead))]
-    for r, m in roots:
+
+def offset_product(classes: Iterable[tuple[Scalar, Iterable[tuple[int, int]]]], lead=1) -> Poly:
+    """lead * prod (z - r - o)^d over classes (r, [(o, d), ...]) of a root r,
+    integer offsets o and orders d >= 0, multiplied by ``_lane_product``.
+    No sum r + o is formed: over den, the lcm of r's denominators, z - r - o
+    holds -n den/q on each key of r with coefficient n/q, less o den on the
+    rational key, and den at z^1.  A numeric lead or root raises
+    BackendMismatchError."""
+    lanes = [_lane_of([lead])]
+    for r, orders in classes:
         if not isinstance(r, Exact):
-            raise BackendMismatchError("linear_product takes exact roots")
+            raise BackendMismatchError("products of linear factors take exact roots")
         den = math.lcm(*(f.denominator for f in r._terms.values()))
-        terms = {key: [-f.numerator * (den // f.denominator)] for key, f in r._terms.items()}
-        terms.setdefault(_ONE_KEY, [0]).append(den)
-        lanes += [_Lane(terms, den)] * m
-    return _lane_product(lanes)
+        ints = {key: -f.numerator * (den // f.denominator) for key, f in r._terms.items()}
+        c0 = ints.pop(_ONE_KEY, 0)
+        rest = {key: [c] for key, c in ints.items()}
+        for o, d in orders:
+            lanes += [_Lane({**rest, _ONE_KEY: [c0 - o * den, den]}, den)] * d
+    return Poly._wrap(_lane_product(lanes))
 
 
-def _lane_product(lanes: list[_Lane]) -> Poly:
-    """The lanes' product as a Poly, multiplied as a balanced tree so that the
-    large operands meet last, where ``_mul_ints`` switches to Kronecker."""
+def _lane_product(lanes: list[_Lane]) -> _Lane:
+    """The lanes' product, multiplied as a balanced tree so that the large
+    operands meet last, where ``_mul_ints`` switches to Kronecker."""
     if not lanes:
-        return Poly.constant(1)
+        return _Lane({_ONE_KEY: [1]})
     while len(lanes) > 1:
         paired = [a * b for a, b in zip(lanes[::2], lanes[1::2])]
         lanes = paired + lanes[len(paired) * 2 :]
-    return lanes[0].to_poly()
+    return lanes[0]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -480,29 +456,28 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     """
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = _to_lane(p), _to_lane(q)
+    a, b = p._lane, q._lane
     if a.terms.keys() | b.terms.keys() <= {_ONE_KEY}:
         ints = [_primitive(x.terms.get(_ONE_KEY, [])) for x in (a, b)]
         g = _gcd_ints(*ints)
         if g is not None:
-            return _Lane({_ONE_KEY: g}, g[-1]).to_poly()
+            return Poly._wrap(_Lane({_ONE_KEY: g}, g[-1]))
     a, b = a.rational_lead(), b.rational_lead()
     while b:
         a, b = b, (a % b).rational_lead()
-    return _Lane(a.terms, a.terms[_ONE_KEY][-1]).to_poly()
+    return Poly._wrap(_Lane(a.terms, a.terms[_ONE_KEY][-1]))
 
 
 # -- the lane ----------------------------------------------------------------------
 #
-# Inside a kernel, an exact polynomial over Q(i, sqrt(p), ...) is split by
-# radical key into integer coefficient lists over one common denominator:
+# An exact polynomial over Q(i, sqrt(p), ...) is split by radical key into
+# integer coefficient lists over one common denominator:
 # p = sum(key * ints(z) for key, ints in terms.items()) / den.  Q[z] is the
-# one-key case, so rational and radical inputs run the same integer code.  A
-# kernel makes its lanes once at entry (_to_lane) and turns the result back
-# into Exact coefficients once at exit (_Lane.to_poly); Poly itself keeps one
-# representation.  Linear factors z - r enter the lane straight from the
-# root's terms (linear_product), with no Poly in between.  A numeric
-# polynomial has no lane: _to_lane refuses it.
+# one-key case, so rational and radical inputs run the same integer code.
+# Poly itself keeps one representation, this one, in canonical form
+# (_Lane.canonical): every kernel reads its operands' lanes and wraps the
+# lane it computes (Poly._wrap), and never changes a list it did not make,
+# as a Poly shares its lists.  A numeric coefficient has no lane.
 
 # Operands this short or shorter multiply term by term: against 16 to 256
 # coefficients of up to 64 bits, Kronecker multiplication wins from about
@@ -520,8 +495,8 @@ class _Lane:
     in a nonzero entry, and a key with no terms has no list; the constructor
     trims the lists it is given in place and keeps them.
 
-    Supports +, -, *, divmod, %, divexact and bool, so the determinant
-    routines run on lanes as on Polys.
+    Supports +, -, *, divmod, %, divexact, bool and len (the number of
+    coefficients), so the determinant routines run on lanes as on Polys.
     """
 
     __slots__ = ("terms", "den")
@@ -539,25 +514,26 @@ class _Lane:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def __len__(self) -> int:
+        return max(map(len, self.terms.values()), default=0)
+
     @property
     def degree(self) -> int:
-        return max(map(len, self.terms.values())) - 1
+        return len(self) - 1
 
     def lead(self) -> dict[Key, int]:
         """The leading coefficient, times den, as {key: int}."""
         d = self.degree
         return {key: ints[d] for key, ints in self.terms.items() if len(ints) > d}
 
-    def to_poly(self) -> Poly:
-        """The Poly with these Exact coefficients."""
-        cells: list[dict[Key, Fraction]] = [
-            {} for _ in range(max(map(len, self.terms.values()), default=0))
-        ]
-        for key, ints in self.terms.items():
-            for k, c in enumerate(ints):
-                if c:
-                    cells[k][key] = Fraction(c, self.den)
-        return Poly(map(Exact, cells))
+    def canonical(self) -> _Lane:
+        """The form a Poly holds, den > 0 coprime to the ints' content (den 1
+        for zero): self when it has that form, else a new lane."""
+        g = math.gcd(self.den, *(c for ints in self.terms.values() for c in ints))
+        g = -g if self.den < 0 else g
+        if g == 1:
+            return self
+        return _Lane({k: [c // g for c in ints] for k, ints in self.terms.items()}, self.den // g)
 
     def over(self, den: int) -> _Lane:
         """The same polynomial over den, a multiple of self.den."""
@@ -664,38 +640,38 @@ class _Lane:
         return divmod(self, other)[1]
 
     def divexact(self, other: _Lane) -> _Lane:
-        """Exact quotient with den reduced against the content; raises
-        ExactDivisionError if a remainder is left."""
+        """Exact quotient in canonical form; raises ExactDivisionError, with
+        the remainder as a Poly, if one is left."""
         q, r = divmod(self, other)
         if r:
             raise ExactDivisionError(
-                f"inexact division: remainder of degree {r.degree}", remainder=r.to_poly()
+                f"inexact division: remainder of degree {r.degree}", remainder=Poly._wrap(r)
             )
-        g = math.gcd(q.den, *(c for ints in q.terms.values() for c in ints))
-        return _Lane({key: [c // g for c in ints] for key, ints in q.terms.items()}, q.den // g)
+        return q.canonical()
 
 
-def _to_lane(p: Poly) -> _Lane:
-    """p on the lane; a numeric coefficient raises BackendMismatchError, the
-    exact kernels' one guard: numeric values are converted results."""
-    cs = p.coeffs
-    parts: dict[Key, list] = {}  # Fractions, and int 0 where a key is absent
+def _lane_of(coeffs: Iterable) -> _Lane:
+    """The lane of coefficients from z^0 up (ints, Fractions or Exact
+    scalars), canonical as built: over den, the lcm of the reduced
+    denominators, some int is coprime to each prime power of den.  A numeric
+    coefficient raises BackendMismatchError: it is output (``Poly.embed``)."""
+    cs = list(coeffs)
+    parts: dict[Key, list] = {}  # ints and Fractions, 0 where a key is absent
     for k, c in enumerate(cs):
-        if not isinstance(c, Exact):
-            raise BackendMismatchError(
-                "exact kernels take exact polynomials; numeric values are "
-                "converted results (Poly.embed), not inputs"
-            )
-        for key, f in c._terms.items():
+        if isinstance(c, Exact):
+            items = c._terms.items()
+        elif isinstance(c, Scalar):
+            raise BackendMismatchError("numeric values are output (Poly.embed), not coefficients")
+        else:
+            items = [(_ONE_KEY, c if isinstance(c, int) else Fraction(c))]
+        for key, f in items:
             part = parts.get(key)
             if part is None:
                 part = parts[key] = [0] * len(cs)
             part[k] = f
     den = math.lcm(*[f.denominator for part in parts.values() for f in part])
-    return _Lane(
-        {key: [f.numerator * (den // f.denominator) for f in part] for key, part in parts.items()},
-        den,
-    )
+    ints = {k: [f.numerator * (den // f.denominator) for f in part] for k, part in parts.items()}
+    return _Lane(ints, den)
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -898,18 +874,17 @@ def factor(p: Poly) -> FactoredPoly:
     or quadratic leftover then goes through the quadratic formula over the
     radical field, and degree >= 3 leftovers raise RootsUnavailableError.  A
     lane with a radical key skips the rational-root search and goes straight
-    to that tail.  Numeric input raises BackendMismatchError (``_to_lane``).
+    to that tail.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     lead = p.lead
     roots: list[tuple[Scalar, int]] = []
-    rem = p.monic()
-    k = next(i for i, c in enumerate(rem.coeffs) if c)
+    lane = p.monic()._lane
+    k = min(next(i for i, c in enumerate(ints) if c) for ints in lane.terms.values())
     if k:
         roots.append((Exact.from_rational(0), k))
-        rem = Poly(rem.coeffs[k:])
-    lane = _to_lane(rem)
+        lane = _Lane({key: ints[k:] for key, ints in lane.terms.items()}, lane.den)
     if lane.terms.keys() == {_ONE_KEY}:
         # Rational roots on the integer lane.  By Gauss's lemma the primitive
         # d*z - s divides the primitive ints over Z exactly when s/d is a
@@ -941,7 +916,8 @@ def factor(p: Poly) -> FactoredPoly:
                             ints, m = q, m + 1
                         if m:
                             roots.append((Exact.from_rational(Fraction(t, d)), m))
-        rem = _Lane({_ONE_KEY: ints}, ints[-1]).to_poly()
+        lane = _Lane({_ONE_KEY: ints}, ints[-1])
+    rem = Poly._wrap(lane)
 
     if rem.degree == 1:
         roots.append((-rem.coeff(0), 1))

@@ -22,6 +22,8 @@ product, negation, quotient, inverse, hash and text.
   conversion; a binary operation takes the wider operand's, so no global
   state is consulted.  No kernel computes with it and it has no zero
   tolerance: every result is computed exactly and converted for printing.
+  Conversion rounds on ints, as mpmath would; mpmath itself is imported for
+  numeric arithmetic and text only (``_libmp``), not with diffrad.
 
 Mixing the two backends in one arithmetic operation raises
 :class:`BackendMismatchError` (from ``as_scalar``, the one place that does);
@@ -36,21 +38,18 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from mpmath import libmp
-from mpmath.libmp import (
-    from_int,
-    from_rational,
-    fzero,
-    mpf_add,
-    mpf_mul,
-    mpf_sqrt,
-    round_nearest,
-    to_str,
-)
-
 from .errors import BackendMismatchError, RootsUnavailableError
 
-RND = round_nearest
+RND = "n"  # mpmath's round_nearest: ties to even
+FZERO = (0, 0, 0, 0)  # mpmath's raw zero
+
+
+def _libmp():
+    """mpmath's raw arithmetic, imported on first use, as numeric values are
+    output only and the import costs about a fifth of a CLI call."""
+    from mpmath import libmp
+    return libmp
+
 
 # Radical key: (imaginary-unit flag, frozen set of prime radicands).
 Key = tuple[bool, frozenset[int]]
@@ -168,6 +167,36 @@ def int_text(n: int) -> str:
         k = abs(n).bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
         high, low = divmod(abs(n), 10**k)
         return ("-" if n < 0 else "") + int_text(high) + int_text(low).zfill(k)
+
+
+def _nearest(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """man * 2^exp rounded to `bits` bits, ties to even.  Callers append a
+    sticky low bit, set when the exact value lies above, so no near tie
+    reads as an exact one."""
+    drop = abs(man).bit_length() - bits
+    if drop <= 0:
+        return man, exp
+    q, r = divmod(abs(man), 1 << drop)
+    half = 1 << (drop - 1)
+    q += r > half or (r == half and q & 1)
+    return (q if man > 0 else -q), exp + drop
+
+
+def _truncated_float(man: int, exp: int) -> float:
+    """man * 2^exp as a float, truncated to 53 bits toward zero, or inf."""
+    drop = max(abs(man).bit_length() - 53, 0)
+    try:
+        return math.ldexp(abs(man) >> drop, exp + drop) * (1 if man >= 0 else -1)
+    except OverflowError:
+        return math.copysign(math.inf, man)
+
+
+def _mpf(man: int, exp: int) -> tuple:
+    """man * 2^exp as mpmath's raw mpf: (sign, odd mantissa, exponent, bits)."""
+    if not man:
+        return FZERO
+    zeros = (man & -man).bit_length() - 1
+    return (int(man < 0), abs(man) >> zeros, exp + zeros, (abs(man) >> zeros).bit_length())
 
 
 def _key_sort(key: Key) -> tuple[int, bool]:
@@ -359,25 +388,33 @@ class Exact(Scalar):
 
     # -- conversions -------------------------------------------------------
 
-    def to_numeric(self, prec: int) -> Numeric:
-        """This value at `prec` bits (``Numeric``), summed in canonical term
-        order, so equal values convert to the same bits."""
-        re = fzero
-        im = fzero
-        work = prec + 16
-        for key, coeff in sorted(self._terms.items(), key=lambda kc: _key_sort(kc[0])):
-            has_i, primes = key
-            part = from_rational(coeff.numerator, coeff.denominator, work, RND)
+    def _parts(self, bits: int) -> list[tuple[int, int]]:
+        """The real and imaginary parts as (man, exp): each rational and sqrt(p)
+        at `bits` bits, each product and sum in canonical term order rounded
+        there (``_nearest``), as mpmath's from_rational, mpf_* functions do."""
+        parts = [(0, 0), (0, 0)]
+        for (has_i, primes), f in sorted(self._terms.items(), key=lambda kc: _key_sort(kc[0])):
+            k = bits + 2 + f.denominator.bit_length() - abs(f.numerator).bit_length()
+            q, r = divmod(abs(f) * Fraction(2) ** k, 1)  # q has at least bits + 2 bits
+            man, exp = _nearest((2 * q + bool(r)) * (1 if f > 0 else -1), -k - 1, bits)
             for p in sorted(primes):
-                part = mpf_mul(part, mpf_sqrt(from_int(p), work, RND), work, RND)
-            if has_i:
-                im = mpf_add(im, part, work, RND)
-            else:
-                re = mpf_add(re, part, work, RND)
-        return Numeric(re, im, prec)
+                s = math.isqrt(p << 2 * bits + 4)  # sqrt(p) 2^(bits + 2), rounded down
+                root, e = _nearest(2 * s + (s * s != p << 2 * bits + 4), -bits - 3, bits)
+                man, exp = _nearest(man * root, exp + e, bits)
+            m0, e0 = parts[has_i]
+            e1 = min(e0, exp)
+            parts[has_i] = _nearest((m0 << (e0 - e1)) + (man << (exp - e1)), e1, bits)
+        return parts
+
+    def to_numeric(self, prec: int) -> Numeric:
+        """This value at `prec` bits (``Numeric``), its parts from ``_parts``
+        at prec + 16 bits, so equal values convert to the same bits."""
+        return Numeric(*(_mpf(m, e) for m, e in self._parts(prec + 16)), prec)
 
     def __complex__(self) -> complex:
-        return complex(self.to_numeric(64))
+        """complex(self.to_numeric(64)) bit for bit, with no mpmath: the parts
+        at 80 bits truncated as mpmath's to_float does (``_truncated_float``)."""
+        return complex(*(_truncated_float(m, e) for m, e in self._parts(80)))
 
     # -- text --------------------------------------------------------------
 
@@ -431,18 +468,18 @@ class Numeric(Scalar):
     @classmethod
     def from_rational(cls, value: RationalLike, prec: int) -> Numeric:
         fr = Fraction(value)
-        re = from_rational(fr.numerator, fr.denominator, prec, RND)
-        return cls(re, fzero, prec)
+        re = _libmp().from_rational(fr.numerator, fr.denominator, prec, RND)
+        return cls(re, FZERO, prec)
 
     @classmethod
     def from_mpc(cls, value, prec: int) -> Numeric:
-        re, im = value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, fzero)
+        re, im = value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, FZERO)
         return cls(re, im, prec)
 
     # -- inspection --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return self._re != fzero or self._im != fzero
+        return self._re != FZERO or self._im != FZERO
 
     # -- arithmetic --------------------------------------------------------
 
@@ -457,15 +494,15 @@ class Numeric(Scalar):
         return Numeric(re, im, wide.prec)
 
     def __add__(self, other):
-        return self._binary(other, libmp.mpc_add)
+        return self._binary(other, _libmp().mpc_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, libmp.mpc_sub)
+        return self._binary(other, _libmp().mpc_sub)
 
     def __mul__(self, other):
-        return self._binary(other, libmp.mpc_mul)
+        return self._binary(other, _libmp().mpc_mul)
 
     __rmul__ = __mul__
 
@@ -475,10 +512,10 @@ class Numeric(Scalar):
             return NotImplemented
         if not rhs:
             raise ZeroDivisionError("numeric scalar division by zero")
-        return self._binary(rhs, libmp.mpc_div)
+        return self._binary(rhs, _libmp().mpc_div)
 
     def __neg__(self) -> Numeric:
-        re, im = libmp.mpc_neg((self._re, self._im))
+        re, im = _libmp().mpc_neg((self._re, self._im))
         return Numeric(re, im, self.prec)
 
     def inverse(self) -> Numeric:
@@ -493,7 +530,7 @@ class Numeric(Scalar):
     # -- conversions -------------------------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(libmp.to_float(self._re), libmp.to_float(self._im))
+        return complex(*map(_libmp().to_float, (self._re, self._im)))
 
     def to_mpc(self):
         import mpmath
@@ -504,9 +541,9 @@ class Numeric(Scalar):
 
     def text(self) -> str:
         dps = max(int(self.prec / 3.33) + 2, 20)
-        re = to_str(self._re, dps)
-        im = to_str(self._im, dps)
-        if self._im == fzero:
+        re = _libmp().to_str(self._re, dps)
+        im = _libmp().to_str(self._im, dps)
+        if self._im == FZERO:
             return re
         return f"({re} {'+' if not im.startswith('-') else '-'} {im.lstrip('-')}j)"
 

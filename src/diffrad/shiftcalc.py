@@ -14,8 +14,8 @@ rad_kappa m(o) - min(m(o), m(o+kappa)); rad_delta the same at kappa = -1;
 rad_delta_q m(o) - min(m(o-q), ..., m(o)); the gcd tower gcd(P, dP, ...,
 d^n P) min(m(o), ..., m(o+n)).
 
-Every quantity here is computed exactly; numeric roots or polynomials raise
-BackendMismatchError (``shift_classes``, the height functions and the lane).
+Every quantity here is computed exactly; numeric roots raise
+BackendMismatchError (``shift_classes`` and ``offset_product``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from itertools import combinations
 
 from . import diffcalc
 from .errors import BackendMismatchError
-from .poly import FactoredPoly, Poly, linear_product, poly_gcd
-from .scalar import _ONE_KEY, Exact, Scalar, as_scalar
+from .poly import FactoredPoly, Poly, offset_product, poly_gcd
+from .scalar import _ONE_KEY, Exact, Scalar
 
 
 def integer_offset(a: Exact, b: Exact) -> int | None:
@@ -96,10 +96,8 @@ class ChainDecomposition:
         return sum(n for _, n in self.chains)
 
     def expand(self) -> Poly:
-        """lead times every chain's linear factors, as one ``linear_product``."""
-        return linear_product(
-            self.lead, [(start + j, 1) for start, length in self.chains for j in range(length)]
-        )
+        """lead times every chain's linear factors, as one ``offset_product``."""
+        return offset_product([(s, [(j, 1) for j in range(n)]) for s, n in self.chains], self.lead)
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,14 +156,11 @@ def shifting_zero_height_via_delta(p: Poly, z0) -> int:
 
 
 def _height_point(p: Poly, z0) -> Exact:
-    """z0 as an exact scalar, after the checks both height functions make:
-    p is nonzero and exact (a nonzero p has at most deg p zeros, so each
-    run ends)."""
+    """z0 as an exact scalar, once p is known to be nonzero (a nonzero p has
+    at most deg p zeros, so each run ends)."""
     if not p:
         raise ValueError("height is undefined for the zero polynomial")
-    if p.backend != "exact":
-        raise BackendMismatchError("shifting-zero heights need an exact polynomial")
-    return as_scalar(z0, p.lead)
+    return p.scalar(z0)
 
 
 def factor_at(p: Poly, z0) -> tuple[int, Poly]:
@@ -174,7 +169,7 @@ def factor_at(p: Poly, z0) -> tuple[int, Poly]:
     The cofactor g satisfies g(z0 + n) != 0.  Raises ValueError when z0 is
     not a zero of p.
     """
-    z0 = as_scalar(z0, p.lead)
+    z0 = p.scalar(z0)
     n = shifting_zero_height(p, z0)
     if n == 0:
         raise ValueError(f"{z0.text()} is not a zero")
@@ -185,13 +180,12 @@ def factor_at(p: Poly, z0) -> tuple[int, Poly]:
 
 
 def _radical(f: FactoredPoly, order) -> Poly:
-    """Monic prod (z - w)^order(m, o) over w = representative + o, where m is
-    w's class's ``members``."""
-    roots = []
-    for cls in shift_classes(f):
-        rep, m = cls.representative, cls.members
-        roots += [(rep + o, order(m, o)) for o in sorted(m)]
-    return linear_product(1, roots)
+    """Monic prod (z - rep - o)^order(m, o) over each class's offsets o, rep
+    its representative and m its ``members``: one ``offset_product``."""
+    return offset_product(
+        (cls.representative, [(o, order(cls.members, o)) for o in cls.members])
+        for cls in shift_classes(f)
+    )
 
 
 def _least_order(m: dict[int, int], lo: int, hi: int) -> int:

@@ -26,7 +26,6 @@ from .poly import (
     _gcd_ints,
     _primitive,
     _root_bound_exp,
-    _to_lane,
     factor,
     linear_product,
     poly_gcd,
@@ -461,12 +460,12 @@ def _integer_shift(w: Poly, v: Poly) -> int | None:
     2^_root_bound_exp, so |k| is at most the sum of the two bounds.  The scan
     runs on the primitive ints of the lanes: the integer Taylor shift and
     the heuristic gcd, with ``poly_gcd`` where the heuristic gives up."""
-    a, b = (_primitive(_to_lane(p).terms[_ONE_KEY]) for p in (w, v))
+    a, b = (_primitive(p._lane.terms[_ONE_KEY]) for p in (w, v))
     bound = 2 ** _root_bound_exp(a) + 2 ** _root_bound_exp(b)
     for k in range(-bound, bound + 1):
         g = _gcd_ints(a, _primitive(diffcalc._taylor(list(b), k)))
         if g is None:
-            g = poly_gcd(w, diffcalc.shift(v, k)).coeffs
+            g = poly_gcd(w, diffcalc.shift(v, k))._lane.terms[_ONE_KEY]
         if len(g) > 1:
             return k
     return None

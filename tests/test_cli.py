@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -631,3 +632,45 @@ def test_fixture_results_match_golden():
         ok, result = run_fixture(case)
         got[case["name"]] = {"pass": ok, "result": result}
     assert json.loads(json.dumps(got)) == golden
+
+
+def test_import_and_verify_paper_leave_mpmath_unimported():
+    """mpmath is imported on the first numeric operation: neither
+    ``import diffrad`` nor verify-paper, whose fixtures are all exact,
+    imports it; a numeric conversion does not either, and printing one does."""
+    import subprocess
+
+    import diffrad
+
+    code = (
+        "import contextlib, io, sys\n"
+        "import diffrad\n"
+        "from diffrad import Exact, cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify-paper', '--json']) == 0\n"
+        "x = Exact.sqrt_int(2).to_numeric(64)\n"
+        "print('mpmath' in sys.modules, complex(Exact.sqrt_int(2)) != 0)\n"
+        "x.text()\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(diffrad.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True", "True"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_printed_polynomial_reads_its_coefficients_once(monkeypatch, backend):
+    """An exact Poly builds its coeffs view per read, so a printed result
+    reads it once for its text, JSON and degree."""
+    from diffrad import cli
+
+    p = parse_poly("3*z^2 - sqrt(2)*z + 1/7")
+    shown = cli.Options(backend, 64).shown(p)
+    expected = {"text": shown.expr_text(), "poly": shown.to_json_dict(), "degree": 2}
+    reads = []
+    view = Poly.coeffs
+    monkeypatch.setattr(Poly, "coeffs", property(lambda q: reads.append(q) or view.fget(q)))
+    assert cli._poly_result(p, cli.Options(backend, 64)) == expected
+    assert len(reads) == 1

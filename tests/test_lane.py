@@ -36,6 +36,7 @@ from helpers import (
     I,
     divmod_terms,
     gcd_terms,
+    horner_terms,
     mul_terms,
     rand_exact,
     rand_fraction,
@@ -356,12 +357,12 @@ def test_keys_that_cancel_leave_rational_coefficients():
         p = (z + g) * (z - g)
         assert p == z**2 - g * g
         assert all(c.is_rational for c in p.coeffs)
-        assert poly_module._to_lane(p).terms.keys() == {ONE_KEY}
+        assert p._lane.terms.keys() == {ONE_KEY}
         assert product([z + g, z - g, z + 1]) == p * (z + 1)
     # the i*sqrt(2) parts cancel in the middle coefficient
     p = (z * S2 + I) * (z * S2 - I) - Poly([0, 0, 2])
     assert p == Poly([1])
-    lane = poly_module._to_lane((z + S2) ** 3)
+    lane = ((z + S2) ** 3)._lane
     assert {key: len(ints) for key, ints in lane.terms.items()} == {ONE_KEY: 4, (False, frozenset({2})): 3}
 
 
@@ -421,15 +422,15 @@ def test_norm_conjugate_gives_an_integer_norm():
 
 
 def test_numeric_products_and_division_are_the_term_loops():
-    """Numeric polynomials are output only: products and division refuse
-    them, and the lane's exact results, converted, are the term loops'."""
+    """Numeric polynomials are output only: a Poly refuses numeric
+    coefficients, and the lane's exact results, converted, are the term
+    loops'."""
     for rng, a, b in radical_pairs(127, 40):
         prec = rng.choice((64, 128))
-        na, nb = a.embed(prec), b.embed(128)
         with pytest.raises(BackendMismatchError):
-            na * nb
+            Poly(a.embed(prec).coeffs)
         with pytest.raises(BackendMismatchError):
-            divmod(na, nb)
+            a * b.embed(128).coeffs[-1]
         assert (a * b).embed(prec) == mul_terms(a, b).embed(prec)
         assert [x.embed(prec) for x in divmod(a, b)] == [
             x.embed(prec) for x in divmod_terms(a, b)
@@ -518,3 +519,63 @@ def test_factor_over_the_radical_field_matches_sympy():
         for r, m in got.roots:
             assert [n for w, n in want if sympy.simplify(sympy_expr(Poly([r])) - w) == 0] == [m], p
     assert refused == 3
+
+
+def test_canonical_form_makes_equal_polynomials_equal():
+    """A Poly holds its lane with den > 0 coprime to the content of the ints,
+    so one polynomial reached over other dens or contents is == and hashes
+    equal, also through the kernels."""
+    rng = random.Random(131)
+    for _ in range(100):
+        p = rand_radical_poly(rng, rng.randint(0, 5))
+        lane = p._lane
+        assert lane.den > 0 and math.gcd(lane.den, *(c for v in lane.terms.values() for c in v)) == 1
+        for f in (3, -7, 12):
+            ints = {key: [f * c for c in v] for key, v in lane.terms.items()}
+            scaled = Poly._wrap(poly_module._Lane(ints, f * lane.den))
+            assert scaled == p and hash(scaled) == hash(p)
+            assert (scaled._lane.den, scaled._lane.terms) == (lane.den, lane.terms)
+        q = rand_radical_poly(rng, rng.randint(0, 3))
+        k = rand_fraction(rng)
+        for same in ((p * q).divexact(q), p + q - q, shift(shift(p, k), -k), p * Fraction(3, 7) * Fraction(7, 3)):
+            assert same == p and hash(same) == hash(p)
+    assert Poly._wrap(poly_module._Lane({}, -5)) == Poly() and Poly()._lane.den == 1
+
+
+def test_coeffs_round_trip_through_the_lane():
+    """Poly(coeffs).coeffs gives the coefficients back, trimmed: the lane
+    loses nothing, and coeff(k) reads the same view, 0 outside it."""
+    rng = random.Random(137)
+    for _ in range(200):
+        d = rng.randint(0, 8)
+        cs = [rand_exact(rng) if rng.random() < 0.75 else Exact() for _ in range(d)]
+        cs.append(rand_exact(rng) or Exact.from_rational(1))
+        p = Poly(cs + [0, Exact()])
+        assert p.coeffs == tuple(cs) and Poly(p.coeffs) == p and p.degree == d
+        assert [p.coeff(k) for k in range(-1, d + 2)] == [Exact(), *cs, Exact()]
+        assert p.lead == cs[-1] and all(isinstance(c, Exact) for c in p.coeffs)
+        q = rand_radical_poly(rng, d)
+        assert Poly(q.coeffs) == q and Poly(q.coeffs).coeffs == q.coeffs
+
+
+def test_eval_at_radical_points_runs_on_the_lane(monkeypatch):
+    """A degree-9 polynomial at sqrt(2) + 1/3, and at other integer, rational
+    and radical points, equals Horner's rule on the scalars, and the lane
+    evaluation multiplies no Exact scalars."""
+    rng = random.Random(139)
+    points = [Exact.from_rational(x) for x in (0, 4, Fraction(-7, 3))]
+    points += [S2 + Fraction(1, 3), I * S3 - Fraction(2, 5), S6 * Fraction(1, 7) + I]
+    polys = [rand_radical_poly(rng, 9) for _ in range(6)]
+    polys += [Poly([rand_fraction(rng) for _ in range(10)]) for _ in range(6)]
+    want = [[horner_terms(p, x) for x in points] for p in polys]
+    calls = []
+    original = Exact.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Exact, "__mul__", counting)
+    monkeypatch.setattr(Exact, "__rmul__", counting)
+    assert [[p(x) for x in points] for p in polys] == want
+    assert calls == []

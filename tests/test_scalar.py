@@ -211,12 +211,13 @@ def test_negligible_takes_tolerances_below_the_smallest_float():
     assert Fraction(x.text()) == Fraction(1, 10**401)
 
 
-def test_zero_polynomial_evaluates_in_the_point_backend():
-    assert Poly()(NUMERIC_TWO) == Numeric.from_rational(0, 64)
-    assert isinstance(Poly()(NUMERIC_TWO), Numeric)
+def test_polynomials_evaluate_at_exact_points_only():
+    """Every Poly is exact, the zero polynomial too: it evaluates at exact
+    points, and a numeric point is refused."""
     assert isinstance(Poly()(3), Exact) and Poly()(3) == 0
-    with pytest.raises(BackendMismatchError):
-        Poly([1, 1])(NUMERIC_TWO)
+    for p in (Poly(), Poly([1, 1])):
+        with pytest.raises(BackendMismatchError):
+            p(NUMERIC_TWO)
 
 
 def test_embedding_homomorphism():
@@ -316,3 +317,42 @@ def test_int_text_past_the_int_to_str_limit():
         assert texts == [str(n) for n in values]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def mpmath_parts(x: Exact, prec: int):
+    """x's real and imaginary parts with mpmath's own correctly rounded
+    from_rational, mpf_sqrt, mpf_mul and mpf_add at prec + 16 bits, in
+    canonical term order: the oracle for the int conversion."""
+    from mpmath import libmp
+
+    parts = [libmp.fzero, libmp.fzero]
+    work = prec + 16
+    for (has_i, primes), f in sorted(x.terms.items(), key=lambda kc: scalar._key_sort(kc[0])):
+        part = libmp.from_rational(f.numerator, f.denominator, work, "n")
+        for p in sorted(primes):
+            part = libmp.mpf_mul(part, libmp.mpf_sqrt(libmp.from_int(p), work, "n"), work, "n")
+        parts[has_i] = libmp.mpf_add(parts[has_i], part, work, "n")
+    return tuple(parts)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 4096])
+def test_conversion_on_ints_matches_mpmath_bit_for_bit(prec):
+    """to_numeric and complex() round on ints, with no mpmath; mpmath's own
+    arithmetic gives the same bits, at wide and tiny magnitudes and where
+    the terms nearly cancel."""
+    from mpmath import libmp
+
+    rng = random.Random(prec)
+    for trial in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = (rng.random() < 0.4, frozenset(rng.sample([2, 3, 5, 7, 999983], rng.randint(0, 2))))
+            scale = Fraction(2) ** rng.randint(-1100, 1100) if rng.random() < 0.3 else 1
+            terms[key] = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) * scale
+        x = Exact(terms)
+        if trial % 3 == 0 and x and abs(complex(x).real) < 1e280:
+            x = x - Fraction(int(complex(x).real * 2**50), 2**50)  # near cancellation
+        got, want = x.to_numeric(prec), mpmath_parts(x, prec)
+        assert (got._re, got._im) == want, x
+        if prec == 64:
+            assert complex(x) == complex(libmp.to_float(want[0]), libmp.to_float(want[1])), x

@@ -31,10 +31,10 @@ from diffrad import (
 from diffrad import shiftcalc
 from diffrad.cli import Options, run_command
 from diffrad.diffcalc import falling_factorial_linear
-from diffrad.poly import product
+from diffrad.poly import linear_product, product
 from diffrad.scalar import as_scalar
 from diffrad.theorems import gen_chain_poly
-from helpers import I, S2, S3, rand_fraction, rand_grid_factored, scan_classes
+from helpers import I, S2, S3, rand_exact, rand_fraction, rand_grid_factored, scan_classes
 
 Z = Poly.z()
 
@@ -713,14 +713,14 @@ def test_numeric_divisor_base_on_a_tie_is_the_smaller_text():
 
 def test_height_run_longer_than_degree_is_ambiguous():
     """Heights are exact: a run of zeros ends within the degree, and a
-    numeric polynomial is refused by both height functions."""
+    numeric point is refused by both height functions."""
     quadratic = Poly([Fraction(-1, 1000), 0, 1])
     cubic = falling_power(Z, 3)
     for height in (shifting_zero_height, shifting_zero_height_via_delta):
         assert height(quadratic, 0) == 0 and height(cubic, 0) == 3
         for p in (quadratic, cubic):
             with pytest.raises(BackendMismatchError):
-                height(p.embed(128), 0)
+                height(p, Exact.from_rational(0).to_numeric(128))
 
 
 def test_numeric_ambiguous_classification():
@@ -740,3 +740,25 @@ def test_ambiguity_message_prints_tolerances_below_the_smallest_float():
     assert shiftcalc.integer_offset(one + 3 * tol, one) is None
     assert shiftcalc.integer_offset(one + 7, one) == 7
     assert shiftcalc.integer_offset(one - 7 + S2, one + S2) == -7
+
+
+def test_radicals_from_representative_ints_match_the_root_sums():
+    """_radical builds each factor z - rep - o from the representative's ints
+    (offset_product); the oracle forms each root rep + o as an Exact sum and
+    multiplies with linear_product, for any order rule, zero orders too."""
+    rng = random.Random(151)
+    orders = [
+        lambda m, o: m[o],
+        lambda m, o: (3 * o + m[o]) % 3,
+        lambda m, o: m[o] - min(m[o], m.get(o - 1, 0)),
+    ]
+    for _ in range(60):
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            rep = rand_exact(rng)
+            roots += [(rep + o, rng.randint(1, 3)) for o in rng.sample(range(-2, 6), rng.randint(1, 4))]
+        f = FactoredPoly(rand_exact(rng) or 1, roots)
+        classes = shift_classes(f)
+        for order in orders:
+            pairs = [(c.representative + o, order(c.members, o)) for c in classes for o in c.members]
+            assert shiftcalc._radical(f, order) == linear_product(1, pairs)
