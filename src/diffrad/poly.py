@@ -18,6 +18,7 @@ that needs root data (chain decompositions, radicals, shifting-prime tests).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -415,33 +416,74 @@ def linear_product(lead, roots: Iterable[tuple[Scalar, int]]) -> Poly:
 
 def offset_product(classes: Iterable[tuple[Scalar, Iterable[tuple[int, int]]]], lead=1) -> Poly:
     """lead * prod (z - r - o)^d over classes (r, [(o, d), ...]) of a root r,
-    integer offsets o and orders d >= 0, multiplied by ``_lane_product``.
-    No sum r + o is formed: over den, the lcm of r's denominators, z - r - o
-    holds -n den/q on each key of r with coefficient n/q, less o den on the
-    rational key, and den at z^1.  A numeric lead or root raises
-    BackendMismatchError."""
+    integer offsets o and orders d >= 0.  No sum r + o is formed: over den,
+    the lcm of r's denominators, z - r - o holds -n den/q on each key of r
+    with coefficient n/q, less o den on the rational key, and den at z^1.
+
+    A rational r gives den z - (n + o den) for r = n/den, and those factors
+    multiply on plain int lists (``_linear_ints``).  A radical r gives one
+    lane per factor.  The lead's lane, the radical lanes and the lane of
+    the rational product meet in ``_lane_product``.  A numeric lead or root
+    raises BackendMismatchError."""
     lanes = [_lane_of([lead])]
+    linear: list[tuple[int, int]] = []  # (c, den) for the factor den z + c
     for r, orders in classes:
         if not isinstance(r, Exact):
             raise BackendMismatchError("products of linear factors take exact roots")
+        if r._terms.keys() <= {_ONE_KEY}:
+            n, den = r._terms.get(_ONE_KEY, 0).as_integer_ratio()
+            for o, d in orders:
+                linear += [(-n - o * den, den)] * d
+            continue
         den = math.lcm(*(f.denominator for f in r._terms.values()))
         ints = {key: -f.numerator * (den // f.denominator) for key, f in r._terms.items()}
         c0 = ints.pop(_ONE_KEY, 0)
         rest = {key: [c] for key, c in ints.items()}
         for o, d in orders:
             lanes += [_Lane({**rest, _ONE_KEY: [c0 - o * den, den]}, den)] * d
+    if linear:
+        lanes.append(_Lane({_ONE_KEY: _linear_ints(linear)}, math.prod(d for _, d in linear)))
     return Poly._wrap(_lane_product(lanes))
 
 
+def _linear_ints(factors: list[tuple[int, int]]) -> list[int]:
+    """The ints of prod (a z + c) over the pairs (c, a), a subproduct tree
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 10.1): each block of
+    SCHOOLBOOK_MAX factors folds into a running list, one multiply-add pass
+    per factor, and the blocks, SCHOOLBOOK_MAX + 1 coefficients long, meet
+    in a balanced tree of ``_mul_ints``, which multiplies by Kronecker
+    substitution from its first level up."""
+    blocks = []
+    for start in range(0, len(factors), SCHOOLBOOK_MAX):
+        acc = [1]
+        for c, a in factors[start : start + SCHOOLBOOK_MAX]:
+            acc.append(0)
+            for k in range(len(acc) - 1, 0, -1):
+                acc[k] = acc[k] * c + acc[k - 1] * a
+            acc[0] *= c
+        blocks.append(acc)
+    return _balanced(blocks, _ints_product)
+
+
+def _ints_product(a: list[int], b: list[int]) -> list[int]:
+    """a * b for integer coefficient lists, by ``_mul_ints``."""
+    acc = [0] * (len(a) + len(b) - 1)
+    _mul_ints(acc, a, b)
+    return acc
+
+
 def _lane_product(lanes: list[_Lane]) -> _Lane:
-    """The lanes' product, multiplied as a balanced tree so that the large
-    operands meet last, where ``_mul_ints`` switches to Kronecker."""
-    if not lanes:
-        return _Lane({_ONE_KEY: [1]})
-    while len(lanes) > 1:
-        paired = [a * b for a, b in zip(lanes[::2], lanes[1::2])]
-        lanes = paired + lanes[len(paired) * 2 :]
-    return lanes[0]
+    """The lanes' product as a balanced tree (1 when there are none)."""
+    return _balanced(lanes, operator.mul) if lanes else _Lane({_ONE_KEY: [1]})
+
+
+def _balanced(items: list, mul):
+    """items multiplied as a balanced tree, so that the large operands meet
+    last, where ``_mul_ints`` switches to Kronecker."""
+    while len(items) > 1:
+        paired = [mul(a, b) for a, b in zip(items[::2], items[1::2])]
+        items = paired + items[len(paired) * 2 :]
+    return items[0]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

@@ -66,22 +66,23 @@ def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
     the representative, and a member's offset is (n - n_rep) // d.  Numeric
     roots raise BackendMismatchError.
 
-    Classes come back sorted by the canonical text of their representatives,
-    the order used everywhere chains are emitted.
+    Classes come back in the order of their representatives in ``f.roots``,
+    which ``FactoredPoly`` keeps sorted by canonical text: the order used
+    everywhere chains are emitted.
     """
     if f.backend != "exact":
         raise BackendMismatchError("shift classes need exact roots")
-    buckets: dict[tuple, list[tuple[int, Exact, int]]] = {}
-    for root, mult in f.roots:
+    buckets: dict[tuple, list[tuple[int, int, Exact, int]]] = {}
+    for rank, (root, mult) in enumerate(f.roots):
         n, d = root._terms.get(_ONE_KEY, 0).as_integer_ratio()
         rest = frozenset(kc for kc in root._terms.items() if kc[0] != _ONE_KEY)
-        buckets.setdefault((rest, n % d, d), []).append((n, root, mult))
-    classes = []
+        buckets.setdefault((rest, n % d, d), []).append((n, rank, root, mult))
+    ranked = []
     for (_, _, d), bucket in buckets.items():
-        n_rep, rep, _ = min(bucket, key=lambda m: m[0])
-        classes.append(ShiftClass(rep, {(n - n_rep) // d: mult for n, _, mult in bucket}))
-    classes.sort(key=lambda c: c.representative.text())
-    return classes
+        n_rep, rank, rep, _ = min(bucket, key=lambda m: m[0])
+        ranked.append((rank, ShiftClass(rep, {(n - n_rep) // d: mult for n, _, _, mult in bucket})))
+    ranked.sort(key=lambda rc: rc[0])
+    return [cls for _, cls in ranked]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from diffrad import (
     factor,
     poly_gcd,
 )
-from diffrad.poly import NumericPoly, linear_product, product
+from diffrad.poly import NumericPoly, linear_product, offset_product, product
 from helpers import (
     horner_terms,
     rand_exact,
@@ -256,6 +256,52 @@ def test_linear_product_refuses_numeric_roots():
         linear_product(1, [(Exact.from_rational(1), 1), (Numeric.from_rational(2, 64), 1)])
     with pytest.raises(BackendMismatchError):
         linear_product(Numeric.from_rational(1, 64), [])
+
+
+OFFSET_LEADS = (1, -1, Fraction(-7, 3), Fraction(5, 4), S2 + Fraction(1, 2), -I * S3)
+OFFSET_DENOMINATORS = (1, 2, 3, 7, 12)
+
+
+def _offset_classes(rng, degree, radical):
+    """Classes (r, [(o, d), ...]) of `degree` linear factors in all: a zero
+    root, rational roots over mixed denominators, with `radical` some roots
+    in Q(i, sqrt 2, sqrt 3), offsets 0-4 and orders 0-3."""
+    classes, left = [], degree
+    while left:
+        if not classes:
+            r = Exact()
+        elif radical and rng.random() < 0.4:
+            r = rand_exact(rng)
+        else:
+            r = Exact.from_rational(Fraction(rng.randint(-60, 60), rng.choice(OFFSET_DENOMINATORS)))
+        orders = []
+        for o in sorted(rng.sample(range(5), rng.randint(1, 3))):
+            d = min(rng.randint(0, 3), left)
+            orders.append((o, d))
+            left -= d
+        classes.append((r, orders))
+    return classes
+
+
+@pytest.mark.parametrize("degree", [1, 8, 9, 16, 17, 64, 200])
+def test_offset_product_matches_the_product_of_linear_polys(degree):
+    """offset_product(classes, lead) is lead * prod (z - r - o)^d, the
+    Poly.linear factors multiplied one by one: equal and with equal hashes,
+    at degrees on both sides of the block length SCHOOLBOOK_MAX of the
+    rational factors and of the Kronecker switch in _mul_ints."""
+    rng = random.Random(2020 + degree)
+    for case in range(12 if degree <= 64 else 4):
+        lead = OFFSET_LEADS[case % len(OFFSET_LEADS)]
+        classes = _offset_classes(rng, degree, radical=case % 2 == 1)
+        want = Poly.constant(lead)
+        for r, orders in classes:
+            for o, d in orders:
+                for _ in range(d):
+                    want = want * Poly.linear(r + o)
+        got = offset_product(classes, lead)
+        assert got == want, (lead, classes)
+        assert hash(got) == hash(want)
+        assert got.degree == degree and got.lead == Poly.scalar(lead)
 
 
 def test_degree_multiplicativity_bulk():

@@ -498,6 +498,29 @@ def test_int_keyed_classes_split_residues_by_denominator():
     }
 
 
+def test_classes_come_in_representative_rank_order():
+    """shift_classes orders classes by the rank of the representative in
+    f.roots, which FactoredPoly sorts by text: the order of the text-sorted
+    scan.  In text order -2/3 comes before -4/5 and -4/5 before -5/3, so the
+    thirds' bucket meets -2/3 first while its representative -5/3 ranks
+    after the class of -4/5."""
+    f = FactoredPoly(1, [(Fraction(-2, 3), 1), (Fraction(-5, 3), 2), (Fraction(-4, 5), 1)])
+    assert [r.text() for r in f.distinct_roots()] == ["-2/3", "-4/5", "-5/3"]
+    got = [(c.representative.text(), c.members) for c in shift_classes(f)]
+    assert got == [("-4/5", {0: 1}), ("-5/3", {0: 2, 1: 1})] == scanned_classes(f)
+    rng = random.Random(2003)
+    rationals = [Fraction(n, d) for n in (-5, -2, 1, 4) for d in (1, 2, 3, 7, 12)]
+    radicals = [Exact(), Exact(), S2, I * S3, S2 - I]
+    for _ in range(150):
+        roots = [
+            (rng.choice(radicals) + rng.choice(rationals) + rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 14))
+        ]
+        f = FactoredPoly(rng.choice((1, -2, S2)), roots)
+        got = [(c.representative.text(), c.members) for c in shift_classes(f)]
+        assert got == scanned_classes(f)
+
+
 def test_common_shifting_divisors_examples():
     f = FactoredPoly(1, [(0, 1), (1, 1), (2, 1)])
     g = FactoredPoly(1, [(2, 1), (3, 1), (4, 1)])
