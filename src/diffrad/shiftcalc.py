@@ -29,11 +29,6 @@ from .poly import FactoredPoly, Poly, offset_product, poly_gcd
 from .scalar import _ONE_KEY, Exact, Scalar
 
 
-def integer_offset(a: Exact, b: Exact) -> int | None:
-    """Integer k with a - b = k, or None."""
-    return (a - b).as_integer()
-
-
 @dataclass(frozen=True)
 class ShiftClass:
     """Roots pairwise congruent modulo 1, as offsets from a representative.
@@ -56,13 +51,22 @@ class ShiftClass:
         return n
 
 
+def _residue_key(root: Exact) -> tuple[tuple, int]:
+    """(key, n) for root = n/d + rest, n/d in lowest terms and rest its
+    non-rational terms: two roots differ by an integer exactly when their
+    keys (rest, n mod d, d) agree, and then by (n - n') // d."""
+    n, d = root._terms.get(_ONE_KEY, 0).as_integer_ratio()
+    rest = frozenset(kc for kc in root._terms.items() if kc[0] != _ONE_KEY)
+    return (rest, n % d, d), n
+
+
 def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
     """Partition the distinct roots by integer difference.
 
-    Exact roots are grouped in one pass on ints: a - b is an integer exactly
-    when a and b have the same non-rational terms and their rational parts
-    n/d (in lowest terms) have the same d and the same n mod d, so each root
-    goes to the bucket keyed by those three.  The member with the least n is
+    Exact roots are grouped in one pass on ints: each root goes to the bucket
+    of its ``_residue_key``, as a - b is an integer exactly when a and b have
+    the same non-rational terms and their rational parts n/d (in lowest
+    terms) have the same d and the same n mod d.  The member with the least n is
     the representative, and a member's offset is (n - n_rep) // d.  Numeric
     roots raise BackendMismatchError.
 
@@ -74,9 +78,8 @@ def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
         raise BackendMismatchError("shift classes need exact roots")
     buckets: dict[tuple, list[tuple[int, int, Exact, int]]] = {}
     for rank, (root, mult) in enumerate(f.roots):
-        n, d = root._terms.get(_ONE_KEY, 0).as_integer_ratio()
-        rest = frozenset(kc for kc in root._terms.items() if kc[0] != _ONE_KEY)
-        buckets.setdefault((rest, n % d, d), []).append((n, rank, root, mult))
+        key, n = _residue_key(root)
+        buckets.setdefault(key, []).append((n, rank, root, mult))
     ranked = []
     for (_, _, d), bucket in buckets.items():
         n_rep, rank, rep, _ = min(bucket, key=lambda m: m[0])
@@ -263,24 +266,33 @@ def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Scalar]:
     1 <= m <= height of z0 in f, and symmetrically with f and g swapped.
     f and g are grouped separately by ``shift_classes``; a class of f and a
     class of g can share a divisor only when their representatives differ by
-    an integer, and heights are their ``ShiftClass.run_length``.  Sorted by
-    canonical text; an empty list means f and g are shifting prime.
+    an integer, that is when their ``_residue_key``s agree.  So g's classes
+    go in a dict by that key, each class of f finds its partner with one
+    lookup, and the offset between the representatives n_f/d and n_g/d is
+    (n_g - n_f) // d, all on ints.  Heights are ``ShiftClass.run_length``.
+    Sorted by canonical text; an empty list means f and g are shifting prime.
     """
     return _common_divisors(shift_classes(f), shift_classes(g))
 
 
 def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> list[Scalar]:
+    by_key: dict[tuple, tuple[int, ShiftClass]] = {}
+    for cg in cgs:
+        key, n = _residue_key(cg.representative)
+        by_key[key] = (n, cg)
     found: list[Scalar] = []
     for cf in cfs:
-        for cg in cgs:
-            k = integer_offset(cg.representative, cf.representative)
-            if k is None:
-                continue
-            # base points count from the lower representative
-            lo, hi, k = (cg, cf, -k) if k < 0 else (cf, cg, k)
-            base = lo.representative
-            offsets = _chain_hits(lo, hi, k) | {o + k for o in _chain_hits(hi, lo, -k)}
-            found.extend(base + o for o in offsets)
+        key, n = _residue_key(cf.representative)
+        partner = by_key.get(key)
+        if partner is None:
+            continue
+        n_g, cg = partner
+        k = (n_g - n) // key[2]
+        # base points count from the lower representative
+        lo, hi, k = (cg, cf, -k) if k < 0 else (cf, cg, k)
+        base = lo.representative
+        offsets = _chain_hits(lo, hi, k) | {o + k for o in _chain_hits(hi, lo, -k)}
+        found.extend(base + o for o in offsets)
     found.sort(key=lambda s: s.text())
     return found
 

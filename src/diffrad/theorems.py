@@ -593,6 +593,17 @@ def gen_mason_instance(
     Every returned tuple satisfies the hypotheses of the matching degree
     inequality (shifting primality, and for m >= 3 the minimum-degree and
     linear-independence conditions); deterministic for a fixed seed.
+
+    Each attempt draws its m parts, then runs the checks cheapest first:
+    the parts must be pairwise shifting prime, which reads only their roots;
+    only then are they expanded and summed, the sum must pass the degree
+    filter and split over the roots ``factor`` finds, each part must be
+    shifting prime with that right-hand side, and for m >= 3 the expanded
+    parts must be linearly independent.  All draws of an attempt come before
+    any check, and a tuple that passes the later checks has pairwise
+    shifting prime parts, so the order decides only how soon an attempt is
+    rejected: each seed gives the same tuple, or the same
+    ``SamplingBudgetError``, as with the checks in any other order.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -603,6 +614,8 @@ def gen_mason_instance(
             gen_factored_poly(rng, min_deg, max(max_degree, min_deg))
             for _ in range(m)
         ]
+        if not shiftcalc.pairwise_shifting_prime(parts)[0]:
+            continue
         expanded = [f.expand() for f in parts]
         total = sum(expanded, Poly())
         if not total or total.degree < min_deg:
@@ -611,13 +624,11 @@ def gen_mason_instance(
             rhs = factor(total)
         except RootsUnavailableError:
             continue
-        fs = parts + [rhs]
-        ok, _ = shiftcalc.pairwise_shifting_prime(fs)
-        if not ok:
+        if not all(shiftcalc.is_shifting_prime(f, rhs) for f in parts):
             continue
         if m >= 3 and not casorati.linearly_independent(expanded):
             continue
-        return fs
+        return parts + [rhs]
     raise SamplingBudgetError(
         f"no valid instance found in {max_attempts} attempts", max_attempts
     )

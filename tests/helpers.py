@@ -5,7 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from diffrad import Exact, FactoredPoly, Poly, delta, factor, shift, shiftcalc, unit_cubic_triad
+from diffrad import (
+    Exact,
+    ExactDivisionError,
+    FactoredPoly,
+    Poly,
+    delta,
+    factor,
+    shift,
+    unit_cubic_triad,
+)
 from diffrad.casorati import FORMS
 
 GENERATOR_POOL = ("one", "i", 2, 3, 5, 6)
@@ -99,14 +108,19 @@ def det_cofactor(rows: list[list]):
     return total
 
 
+def integer_offset(a: Exact, b: Exact) -> int | None:
+    """Integer k with a - b = k, or None: one exact subtraction."""
+    return (a - b).as_integer()
+
+
 def scan_classes(roots) -> list[tuple[Exact, dict[int, int]]]:
     """Shift classes by comparing each root with each representative through
-    ``shiftcalc.integer_offset``, O(roots x classes): the oracle for the
-    keyed pass of ``shift_classes``, unsorted."""
+    ``integer_offset``, O(roots x classes): the oracle for the keyed pass of
+    ``shift_classes``, unsorted."""
     classes: list[tuple[Exact, dict[int, int]]] = []
     for root, mult in roots:
         for idx, (rep, members) in enumerate(classes):
-            k = shiftcalc.integer_offset(root, rep)
+            k = integer_offset(root, rep)
             if k is None:
                 continue
             if k < 0:  # new minimal member becomes the representative
@@ -119,6 +133,40 @@ def scan_classes(roots) -> list[tuple[Exact, dict[int, int]]]:
         else:
             classes.append((root, {0: mult}))
     return classes
+
+
+def brute_common_shifting_divisors(f: FactoredPoly, g: FactoredPoly):
+    """Definition-based oracle: divisibility by falling factorials.
+
+    z0 is a common shifting divisor base iff for some m1, n1 >= 1 the falling
+    factorials (z - z0)^(falling m1) and (z - z0 - m1)^(falling n1) divide f
+    and g exactly (or with f and g swapped).
+    """
+    pf, pg = f.expand(), g.expand()
+    found = []
+
+    def divides(poly, start, length):
+        ff = Poly.constant(1)
+        for j in range(length):
+            ff = ff * Poly.linear(start + Exact.from_rational(j))
+        try:
+            poly.divexact(ff)
+            return True
+        except ExactDivisionError:
+            return False
+
+    for left, right, lp, rp in ((f, g, pf, pg), (g, f, pg, pf)):
+        for z0, _ in left.roots:
+            hit = False
+            for m1 in range(1, left.degree + 1):
+                if not divides(lp, z0, m1):
+                    break
+                if divides(rp, z0 + Exact.from_rational(m1), 1):
+                    hit = True
+                    break
+            if hit and all(z0 != seen for seen in found):
+                found.append(z0)
+    return sorted(d.text() for d in found)
 
 
 def rand_fraction(rng: random.Random, top: int = 9) -> Fraction:

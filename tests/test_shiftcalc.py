@@ -7,7 +7,6 @@ import pytest
 from diffrad import (
     BackendMismatchError,
     Exact,
-    ExactDivisionError,
     FactoredPoly,
     Poly,
     chain_decomposition,
@@ -32,9 +31,20 @@ from diffrad import shiftcalc
 from diffrad.cli import Options, run_command
 from diffrad.diffcalc import falling_factorial_linear
 from diffrad.poly import linear_product, product
-from diffrad.scalar import as_scalar
+from diffrad.scalar import Scalar, as_scalar
 from diffrad.theorems import gen_chain_poly
-from helpers import I, S2, S3, rand_exact, rand_fraction, rand_grid_factored, scan_classes
+import helpers
+from helpers import (
+    I,
+    S2,
+    S3,
+    brute_common_shifting_divisors,
+    integer_offset,
+    rand_exact,
+    rand_fraction,
+    rand_grid_factored,
+    scan_classes,
+)
 
 Z = Poly.z()
 
@@ -383,40 +393,6 @@ def test_huge_tower_height_and_truncation_level_return_at_once(monkeypatch):
     assert time.perf_counter() - start < 5
 
 
-def brute_common_shifting_divisors(f: FactoredPoly, g: FactoredPoly):
-    """Definition-based oracle: divisibility by falling factorials.
-
-    z0 is a common shifting divisor base iff for some m1, n1 >= 1 the falling
-    factorials (z - z0)^(falling m1) and (z - z0 - m1)^(falling n1) divide f
-    and g exactly (or with f and g swapped).
-    """
-    pf, pg = f.expand(), g.expand()
-    found = []
-
-    def divides(poly, start, length):
-        ff = Poly.constant(1)
-        for j in range(length):
-            ff = ff * Poly.linear(start + Exact.from_rational(j))
-        try:
-            poly.divexact(ff)
-            return True
-        except ExactDivisionError:
-            return False
-
-    for left, right, lp, rp in ((f, g, pf, pg), (g, f, pg, pf)):
-        for z0, _ in left.roots:
-            hit = False
-            for m1 in range(1, left.degree + 1):
-                if not divides(lp, z0, m1):
-                    break
-                if divides(rp, z0 + Exact.from_rational(m1), 1):
-                    hit = True
-                    break
-            if hit and all(z0 != seen for seen in found):
-                found.append(z0)
-    return sorted(d.text() for d in found)
-
-
 # -- shift classes ------------------------------------------------------------
 
 
@@ -452,13 +428,13 @@ def test_bucketed_classes_match_the_scan():
 
 def test_exact_classes_make_no_pairwise_comparison(monkeypatch):
     calls = []
-    original = shiftcalc.integer_offset
+    original = helpers.integer_offset
 
     def counting(a, b):
         calls.append((a, b))
         return original(a, b)
 
-    monkeypatch.setattr(shiftcalc, "integer_offset", counting)
+    monkeypatch.setattr(helpers, "integer_offset", counting)
     exact = FactoredPoly(
         1, [(Fraction(j, 3) + k + S2 * (j % 2), 1 + k % 2) for j in range(4) for k in range(5)]
     )
@@ -577,6 +553,62 @@ def test_common_shifting_divisors_against_brute_force_radical_roots():
         assert [d.text() for d in common_shifting_divisors(f, g)] == want
         hits += bool(want)
     assert hits >= 20  # the corpus exercises both verdicts
+
+
+def test_keyed_pairing_against_brute_force_on_shared_residues():
+    """Classes pair by the key (non-rational terms, n mod d, d) of their
+    representatives.  Roots whose rational parts share n mod d but not d
+    (1/2, 1/4, 1/6), or share the rational part but not the radical part,
+    never pair; the definition-based oracle agrees on every draw."""
+    rationals = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 6), Fraction(-3, 2), Fraction(5, 4)]
+    radicals = [Exact(), S2, S3, I * S2]
+    rng = random.Random(2111)
+    hits = misses = 0
+    for _ in range(120):
+        f, g = (
+            FactoredPoly(
+                rng.choice((1, -2, S2)),
+                [
+                    (rng.choice(radicals) + rng.choice(rationals) + rng.randint(0, 2), rng.randint(1, 2))
+                    for _ in range(rng.randint(1, 4))
+                ],
+            )
+            for _ in range(2)
+        )
+        want = brute_common_shifting_divisors(f, g)
+        assert [d.text() for d in common_shifting_divisors(f, g)] == want
+        assert pairwise_shifting_prime([f, g])[0] == (not want)
+        hits += bool(want)
+        misses += not want
+    assert hits >= 20 and misses >= 20
+    half_chain = FactoredPoly(1, [(Fraction(1, 2), 1), (Fraction(3, 2), 1)])
+    for other in (Fraction(9, 4), Fraction(13, 6), S2 + Fraction(5, 2), I * S2 + Fraction(5, 2)):
+        assert is_shifting_prime(half_chain, FactoredPoly(1, [(other, 1)]))
+    five_halves = FactoredPoly(1, [(Fraction(5, 2), 1)])
+    got = [d.text() for d in common_shifting_divisors(half_chain, five_halves)]
+    assert got == ["1/2", "3/2"] == brute_common_shifting_divisors(half_chain, five_halves)
+
+
+def test_keyed_pairing_makes_no_root_subtraction(monkeypatch):
+    """Pairing classes and their offsets come from the residue keys' ints:
+    no Exact subtraction (``integer_offset``, the scan oracle's comparison,
+    is one) runs in common_shifting_divisors or pairwise_shifting_prime."""
+    rng = random.Random(7)
+    fs = [
+        FactoredPoly(1, [(rng.choice((Exact(), S2)) + rng.choice(range(-3, 4)), 1) for _ in range(5)])
+        for _ in range(4)
+    ]
+    calls = []
+    for name in ("__sub__", "__rsub__"):
+        original = getattr(Scalar, name)
+        monkeypatch.setattr(
+            Scalar, name, lambda a, b, original=original: calls.append((a, b)) or original(a, b)
+        )
+    assert any(common_shifting_divisors(f, g) for f in fs for g in fs)
+    assert not pairwise_shifting_prime(fs)[0]
+    assert calls == []
+    # the counter does see the oracle's subtraction
+    assert integer_offset(S2 + 3, S2) == 3 and len(calls) == 1
 
 
 def test_pairwise_groups_each_input_once(monkeypatch):
@@ -760,9 +792,9 @@ def test_ambiguity_message_prints_tolerances_below_the_smallest_float():
     """integer_offset is exact at any distance, below the smallest float too."""
     tol = Fraction(1, 10**400)  # float(tol) == 0.0
     one = Exact.from_rational(1)
-    assert shiftcalc.integer_offset(one + 3 * tol, one) is None
-    assert shiftcalc.integer_offset(one + 7, one) == 7
-    assert shiftcalc.integer_offset(one - 7 + S2, one + S2) == -7
+    assert integer_offset(one + 3 * tol, one) is None
+    assert integer_offset(one + 7, one) == 7
+    assert integer_offset(one - 7 + S2, one + S2) == -7
 
 
 def test_radicals_from_representative_ints_match_the_root_sums():

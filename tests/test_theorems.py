@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -33,6 +36,7 @@ from diffrad.theorems import unit_cubic_certificate
 from helpers import (
     I,
     S2,
+    brute_common_shifting_divisors,
     falling_square_triple,
     sharp_quadratic_triple,
     sharp_quintic_tuple,
@@ -95,6 +99,9 @@ def test_mason_classical_expands_each_input_once(monkeypatch):
 
 @pytest.mark.parametrize("m, seed", [(2, 5), (3, 1), (3, 2), (3, 4)])
 def test_gen_mason_instance_expands_each_part_once(monkeypatch, m, seed):
+    """The parts' shifting primality is checked on their roots first: a part
+    is expanded at most once, and exactly when its attempt's parts pass that
+    check, decided here by the definition-based oracle."""
     parts, expanded = [], []
     generate, expand = theorems.gen_factored_poly, FactoredPoly.expand
 
@@ -109,9 +116,43 @@ def test_gen_mason_instance_expands_each_part_once(monkeypatch, m, seed):
 
     monkeypatch.setattr(theorems, "gen_factored_poly", generating)
     monkeypatch.setattr(FactoredPoly, "expand", counting)
-    gen_mason_instance(m, seed=seed)
-    assert len(expanded) == len(parts)
-    assert len({id(f) for f in expanded}) == len(parts)
+    fs = gen_mason_instance(m, seed=seed)
+    expanded_ids = [id(f) for f in expanded]
+    monkeypatch.undo()
+    attempts = [parts[i : i + m] for i in range(0, len(parts), m)]
+    passing = [
+        attempt
+        for attempt in attempts
+        if not any(brute_common_shifting_divisors(f, g) for f, g in combinations(attempt, 2))
+    ]
+    assert fs[:m] == passing[-1] == attempts[-1]
+    assert len(set(expanded_ids)) == len(expanded_ids)
+    assert expanded_ids == [id(f) for attempt in passing for f in attempt]
+
+
+MASON_SEEDS_DIGEST = "e7e49e2cee9ef7c42860341cc4c519eb25ce027dd21cf247066e762ded31290b"
+
+
+def mason_outcome(m: int, seed: int):
+    try:
+        return [f.to_json_dict() for f in gen_mason_instance(m, seed)]
+    except SamplingBudgetError as exc:
+        return {"attempts": exc.attempts}
+
+
+def test_gen_mason_instance_pins_each_seeds_instance():
+    """Each seed's instance, or its budget error, is pinned by digest: any
+    order of the rejection checks that keeps every draw gives these."""
+    outcomes = [[m, s, mason_outcome(m, s)] for m in (2, 3) for s in range(100)]
+    text = json.dumps(outcomes, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MASON_SEEDS_DIGEST
+    four = json.dumps(mason_outcome(4, 4), sort_keys=True)
+    assert hashlib.sha256(four.encode()).hexdigest() == (
+        "872bb115b3a59b41a18bfdc6c671db5aad2c30770ef651aa3a16985d645f8b17"
+    )
+    with pytest.raises(SamplingBudgetError) as excinfo:
+        gen_mason_instance(4, 1)
+    assert excinfo.value.attempts == 5000
 
 
 # -- three-term inequality, difference radical --------------------------------
@@ -545,13 +586,34 @@ def test_numeric_relatively_prime_tolerance_is_per_pair():
 
 
 def test_gen_mason_budget_error(monkeypatch):
-    # every attempt draws three copies of z^2, which are never independent
+    # every attempt draws three copies of z^2: they are pairwise shifting
+    # prime (their root 0 has height 1), so each attempt is summed and
+    # factored, and then rejected because the copies are never independent
     monkeypatch.setattr(theorems, "DEFAULT_GRID_NUMERATORS", (0,))
     monkeypatch.setattr(theorems, "DEFAULT_GRID_DENOMINATORS", (1,))
     monkeypatch.setattr(theorems, "DEFAULT_LEADS", (1,))
+    factored = []
+    monkeypatch.setattr(theorems, "factor", lambda p: factored.append(p) or factor(p))
     with pytest.raises(SamplingBudgetError) as excinfo:
         gen_mason_instance(3, seed=0, max_degree=2, max_attempts=25)
     assert excinfo.value.attempts == 25
+    assert factored == [Poly([0, 0, 3])] * 25
+
+
+def test_gen_mason_rejects_on_the_parts_roots_first(monkeypatch):
+    """Copies of z(z - 1) are not shifting prime (the zero 0 of height 2 runs
+    into the other copy's zero 1), so every attempt is rejected before any
+    part is expanded or anything is factored."""
+    monkeypatch.setattr(
+        theorems, "gen_factored_poly", lambda *_: FactoredPoly(1, [(0, 1), (1, 1)])
+    )
+    work, expand = [], FactoredPoly.expand
+    monkeypatch.setattr(theorems, "factor", lambda p: work.append(p) or factor(p))
+    monkeypatch.setattr(FactoredPoly, "expand", lambda f: work.append(f) or expand(f))
+    with pytest.raises(SamplingBudgetError) as excinfo:
+        gen_mason_instance(3, seed=0, max_attempts=25)
+    assert excinfo.value.attempts == 25
+    assert work == []
 
 
 def test_reports_are_deterministic():
