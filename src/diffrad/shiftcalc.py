@@ -14,18 +14,36 @@ rad_kappa m(o) - min(m(o), m(o+kappa)); rad_delta the same at kappa = -1;
 rad_delta_q m(o) - min(m(o-q), ..., m(o)); the gcd tower gcd(P, dP, ...,
 d^n P) min(m(o), ..., m(o+n)).
 
+``gcd_tower`` proves that closed form g equal to the gcd on every factored
+call instead of recomputing it (``_tower_certified``): one exact division
+of each nonzero d^k P by g, so that g divides the gcd; then the cofactors
+d^k P / g have no common root, as each non-rational root of P has a nonzero
+cofactor value there, and the gcd Gamma of the cofactors' integer values at
+one power of two is divisible by no b xi - a for a rational root a/b.
+Where Gamma leaves that open, g is compared with the Euclidean route
+(``gcd_tower_euclid``), which stays the route for plain polynomials.
+
 Every quantity here is computed exactly; numeric roots raise
 BackendMismatchError (``shift_classes`` and ``offset_product``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import diffcalc
-from .errors import BackendMismatchError
-from .poly import FactoredPoly, Poly, offset_product, poly_gcd
+from .errors import BackendMismatchError, ExactDivisionError
+from .poly import (
+    FactoredPoly,
+    Poly,
+    _divexact_ints,
+    _pack,
+    _primitive,
+    offset_product,
+    poly_gcd,
+)
 from .scalar import _ONE_KEY, Exact, Scalar
 
 
@@ -247,15 +265,80 @@ def gcd_tower_closed(f: FactoredPoly, n: int) -> Poly:
 def gcd_tower(p: Poly | FactoredPoly, n: int) -> Poly:
     """gcd(p, delta p, ..., delta^n p), monic.
 
-    Factored input computes the chain closed form and cross-checks it against
-    the Euclidean route; plain polynomials go through Euclid alone.
+    Factored input computes the chain closed form g and proves it equal to
+    G = gcd(P, delta P, ..., delta^n P), P = p.expand(), by ``_tower_certified``:
+    g divides every nonzero delta^k P, so g | G, and the cofactors
+    delta^k P / g have no common root, so G / g is a unit.  When the
+    certificate is inconclusive, g is compared with the Euclidean route
+    instead; either way a wrong closed form raises ArithmeticError.  Plain
+    polynomials go through Euclid alone.
     """
     if isinstance(p, FactoredPoly):
         closed = gcd_tower_closed(p, n)
-        if closed != gcd_tower_euclid(p.expand(), n):  # pragma: no cover - identity guard
+        verdict = _tower_certified(p, closed, n)
+        if verdict is None:
+            verdict = closed == gcd_tower_euclid(p.expand(), n)
+        if not verdict:
             raise ArithmeticError("gcd tower routes disagree")
         return closed
     return gcd_tower_euclid(p, n)
+
+
+def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool | None:
+    """Whether g = gcd(P, delta P, ..., delta^n P) for P = f.expand(): True
+    or False when proved, None when inconclusive.
+
+    (a) g divides each nonzero delta^k P, k <= n, by one exact division:
+    ``_divexact_ints`` of each key's primitive ints by g's when every root
+    of f is rational (so g is over Q), ``Poly.divexact`` otherwise.  A
+    remainder disproves g.  (b) The cofactors c_k = delta^k P / g have no
+    common root; one would be a root of c_0 = P / g, so a distinct root w
+    of f.  A non-rational w is ruled out by an exact c_k(w) != 0 for some k,
+    and disproves g when there is none.  A rational w = a/b in lowest terms
+    is ruled out by the integer Gamma, the gcd of the values at
+    xi = 2^(8 width) > |w| of the cofactors' primitive per-key ints
+    (``_pack``), as in GCDHEU (Char, Geddes & Gonnet 1989): were w a common
+    root, b z - a would divide each of those lists over Z (Gauss; the keys
+    are independent over Q), so b xi - a would divide Gamma.  Gamma also
+    holds every small prime modulo which all c_k vanish at xi, and a P of
+    high degree vanishes everywhere modulo many small primes, so Gamma is
+    tested root by root, not by its size: Gamma != 0 divisible by no
+    b xi - a proves (b), and otherwise the result is inconclusive.
+    """
+    rational = [r._terms.get(_ONE_KEY, 0) for r, _ in f.roots if r._terms.keys() <= {_ONE_KEY}]
+    radical = [r for r, _ in f.roots if not r._terms.keys() <= {_ONE_KEY}]
+    base = None if radical else _primitive(g._lane.terms[_ONE_KEY])
+    cur = f.expand()
+    cofactors: list[Poly] = []  # the c_k, evaluated at the radical roots
+    ints: list[list[int]] = []  # the primitive per-key ints of every c_k
+    for k in range(n + 1):
+        if k:
+            cur = diffcalc.delta(cur)
+            if not cur:  # delta^k P = 0 for every k > deg P
+                break
+        if base is not None:
+            for part in cur._lane.terms.values():
+                q = _divexact_ints(_primitive(part), base)
+                if q is None:
+                    return False
+                ints.append(q)
+            continue
+        try:
+            c = cur.divexact(g)
+        except ExactDivisionError:
+            return False
+        cofactors.append(c)
+        ints += map(_primitive, c._lane.terms.values())
+    if not all(any(c(w) for c in cofactors) for w in radical):
+        return False
+    # |w| <= |a| < 2^e, and xi = 2^(8 width) >= 2^(e + 65)
+    e = max((abs(w.numerator).bit_length() for w in rational), default=0)
+    width = e // 8 + 9
+    gamma = math.gcd(*(_pack(part, width) for part in ints))
+    xi = 1 << 8 * width
+    if gamma and all(gamma % (w.denominator * xi - w.numerator) for w in rational):
+        return True
+    return None
 
 
 def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Scalar]:

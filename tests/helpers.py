@@ -135,6 +135,28 @@ def scan_classes(roots) -> list[tuple[Exact, dict[int, int]]]:
     return classes
 
 
+def tower_roots(f: FactoredPoly, n: int) -> list:
+    """Roots of gcd(P, delta P, ..., delta^n P) with their orders, from the
+    roots alone: the order at w is min(m(w), m(w + 1), ..., m(w + n)), m the
+    multiplicity in f (``FactoredPoly.ord_at``).  The oracle for the gcd
+    tower."""
+    out = []
+    for w, _ in f.roots:
+        order = min(f.ord_at(w + Exact.from_rational(j)) for j in range(min(n, f.degree) + 1))
+        if order:
+            out.append((w, order))
+    return out
+
+
+def linear_factors(roots) -> Poly:
+    """Monic prod (z - w)^k over (w, k), one linear factor at a time."""
+    out = Poly.constant(1)
+    for w, k in roots:
+        for _ in range(k):
+            out = out * Poly.linear(w)
+    return out
+
+
 def brute_common_shifting_divisors(f: FactoredPoly, g: FactoredPoly):
     """Definition-based oracle: divisibility by falling factorials.
 

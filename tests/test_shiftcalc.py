@@ -393,6 +393,117 @@ def test_huge_tower_height_and_truncation_level_return_at_once(monkeypatch):
     assert time.perf_counter() - start < 5
 
 
+# a rational input with multiplicities, chains over denominators 1 and 3
+TOWER_RATIONAL = FactoredPoly(
+    Fraction(3, 2),
+    [(0, 2), (1, 3), (2, 2), (3, 1), (Fraction(1, 3), 2), (Fraction(4, 3), 2), (7, 1)],
+)
+# the same with one Q(sqrt 2) class whose orders give the tower a radical root
+TOWER_RADICAL = FactoredPoly(
+    1, [(0, 1), (Fraction(1, 2), 1), (S2, 2), (S2 + 1, 3), (S2 + 2, 2), (I - 1, 1)]
+)
+
+
+def counting_calls(monkeypatch, module, names) -> dict:
+    """Replace each named function of `module` by a wrapper counting its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("f", [TOWER_RATIONAL, TOWER_RADICAL], ids=["rational", "radical"])
+@pytest.mark.parametrize("step", [1, -1], ids=["too-high", "too-low"])
+def test_tower_guard_catches_a_wrong_closed_form(monkeypatch, f, step):
+    """An order rule one step off is refused: too high by a failed exact
+    division, too low through the value gcd and the Euclidean fallback on
+    rational roots, and by the evaluation at a radical root."""
+    assert gcd_tower(f, 1) == helpers.linear_factors(helpers.tower_roots(f, 1))
+    original = shiftcalc._least_order
+    monkeypatch.setattr(
+        shiftcalc, "_least_order", lambda m, lo, hi: max(original(m, lo, hi) + step, 0)
+    )
+    assert gcd_tower_closed(f, 1) != gcd_tower_euclid(f.expand(), 1)
+    calls = counting_calls(monkeypatch, shiftcalc, ["gcd_tower_euclid"])
+    with pytest.raises(ArithmeticError, match="gcd tower routes disagree"):
+        gcd_tower(f, 1)
+    fallback = step < 0 and f is TOWER_RATIONAL
+    assert calls["gcd_tower_euclid"] == (1 if fallback else 0)
+
+
+def test_factored_tower_runs_no_euclidean_gcd(monkeypatch):
+    """A factored rational input of degree 64 is certified: no gcd is taken."""
+    dens = [1, 2, 3, 5, 7, 11, 12]
+    roots, left, j = [], 64, 0
+    while left:  # chains of up to 3 roots, multiplicities 1 to 3
+        base = Fraction((-1) ** j * (7 * j % 41 + 1), dens[j % 7])
+        for k in range(j % 3 + 1):
+            m = min(1 + (j + k) % 3, left)
+            if m:
+                roots.append((base + k, m))
+                left -= m
+        j += 1
+    f = FactoredPoly(Fraction(-5, 4), roots)
+    assert f.degree == 64
+    want = {n: gcd_tower_euclid(f.expand(), n) for n in (1, 2, 3)}
+    calls = counting_calls(monkeypatch, shiftcalc, ["poly_gcd", "gcd_tower_euclid"])
+    for n in (1, 2, 3):
+        assert gcd_tower(f, n) == want[n]
+        assert want[n].degree > 0
+    assert calls == {"poly_gcd": 0, "gcd_tower_euclid": 0}
+
+
+def seeded_tower_input(rng: random.Random, kind: str) -> FactoredPoly:
+    """Chains of shifted roots with multiplicities 1 to 3: over denominators
+    1 to 12 ("rational"), also with a multiple root at 0 ("zero"), or with
+    classes in Q(sqrt 2) and Q(i) besides a rational one ("radical")."""
+    if kind == "radical":
+        bases = [rand_fraction(rng, 5) + S2 * rng.choice((1, -1)), rand_fraction(rng, 5) + I]
+        bases.append(Exact.from_rational(rand_fraction(rng, 12)))
+        count = 2
+    else:
+        bases = [Exact.from_rational(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+                 for _ in range(rng.randint(1, 4))]
+        count = 4
+    roots = [
+        (base + Exact.from_rational(o), rng.randint(1, 3))
+        for base in bases
+        for o in rng.sample(range(5), rng.randint(1, count))
+    ]
+    if kind == "zero":
+        roots.append((Exact(), rng.randint(2, 4)))
+    return FactoredPoly(rng.choice((1, -3, Fraction(2, 7))), roots)
+
+
+@pytest.mark.parametrize("kind", ["rational", "zero", "radical"])
+def test_certified_tower_against_euclid_and_the_roots(monkeypatch, kind):
+    rng = random.Random({"rational": 61, "zero": 62, "radical": 63}[kind])
+    verdicts = []
+    original = shiftcalc._tower_certified
+
+    def recording(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(shiftcalc, "_tower_certified", recording)
+    inputs = [seeded_tower_input(rng, kind) for _ in range(12 if kind == "radical" else 30)]
+    if kind == "zero":  # at n = 1 the cofactor P / g is 2 z^3, and -z^4
+        inputs += [FactoredPoly(2, [(0, 3)]), FactoredPoly(-1, [(-1, 3), (0, 4)])]
+    for f in inputs:
+        p = f.expand()
+        for n in range(1, f.degree + 2):
+            got = gcd_tower(f, n)
+            assert got == gcd_tower_euclid(p, n)
+            assert got == helpers.linear_factors(helpers.tower_roots(f, n))
+    assert len(verdicts) > 100 and all(verdicts)
+
+
 # -- shift classes ------------------------------------------------------------
 
 
