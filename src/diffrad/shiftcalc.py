@@ -30,8 +30,10 @@ BackendMismatchError (``shift_classes`` and ``offset_product``).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import diffcalc
 from .errors import BackendMismatchError, ExactDivisionError
@@ -47,19 +49,24 @@ from .poly import (
 from .scalar import _ONE_KEY, Exact, Scalar
 
 
-@dataclass(frozen=True)
-class ShiftClass:
+class ShiftClass(NamedTuple):
     """Roots pairwise congruent modulo 1, as offsets from a representative.
 
     The representative is the minimal member (offset 0); all stored offsets
     are nonnegative and map to positive multiplicities: ``members`` is the
     order function m of the module docstring, the radicals and the gcd tower
-    are order rules on it, and the chains are its level sets.
-    ``shift_classes`` is the one place that groups roots, in one keyed pass.
+    are order rules on it, and the chains are its level sets.  ``key`` and
+    ``n`` are the representative's residue key and numerator
+    (``_residue_key``): classes of two groupings hold roots an integer apart
+    exactly when their keys agree, and their representatives then differ by
+    the difference of their n over key[2].  ``shift_classes`` is the one
+    place that groups roots, in one keyed pass.
     """
 
-    representative: Exact
+    representative: Exact | None
     members: dict[int, int]
+    key: tuple
+    n: int
 
     def run_length(self, start: int) -> int:
         """Consecutive offsets present starting at `start` (its height)."""
@@ -67,6 +74,9 @@ class ShiftClass:
         while self.members.get(start + n, 0) > 0:
             n += 1
         return n
+
+
+_NO_REST: frozenset = frozenset()
 
 
 def _residue_key(root: Exact) -> tuple[tuple, int]:
@@ -78,30 +88,51 @@ def _residue_key(root: Exact) -> tuple[tuple, int]:
     return (rest, n % d, d), n
 
 
-def shift_classes(f: FactoredPoly) -> list[ShiftClass]:
+def _rational_key(n: int, d: int) -> tuple[tuple, int]:
+    """``_residue_key`` of the rational root n/d (d > 0), read off the ints."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return (_NO_REST, n % d, d), n
+
+
+def shift_classes(f: FactoredPoly | Iterable[tuple[int, int]]) -> list[ShiftClass]:
     """Partition the distinct roots by integer difference.
 
-    Exact roots are grouped in one pass on ints: each root goes to the bucket
-    of its ``_residue_key``, as a - b is an integer exactly when a and b have
-    the same non-rational terms and their rational parts n/d (in lowest
-    terms) have the same d and the same n mod d.  The member with the least n is
-    the representative, and a member's offset is (n - n_rep) // d.  Numeric
-    roots raise BackendMismatchError.
+    Roots are grouped in one pass on ints: each root goes to the bucket of
+    its residue key, as a - b is an integer exactly when a and b have the
+    same non-rational terms and their rational parts n/d (in lowest terms)
+    have the same d and the same n mod d.  The member with the least n is
+    the representative, and a member's offset is (n - n_rep) // d.
 
-    Classes come back in the order of their representatives in ``f.roots``,
-    which ``FactoredPoly`` keeps sorted by canonical text: the order used
-    everywhere chains are emitted.
+    The one pass serves two kinds of input.  A ``FactoredPoly`` feeds it
+    each exact root's ``_residue_key`` (numeric roots raise
+    BackendMismatchError), and its classes come back in the order of their
+    representatives in ``f.roots``, which ``FactoredPoly`` keeps sorted by
+    canonical text: the order used everywhere chains are emitted.  Rational
+    roots drawn as int pairs (n, d), d > 0, feed it each pair's
+    ``_rational_key``, repeats adding to the multiplicity; those classes
+    have no representative (None) and come in the order of the draws.  They
+    serve the shifting-primality verdict (``_first_shared_pair``), which
+    reads only keys and offsets, so ``theorems.gen_mason_instance`` rejects
+    its draws before it builds any ``Exact``.
     """
-    if f.backend != "exact":
-        raise BackendMismatchError("shift classes need exact roots")
-    buckets: dict[tuple, list[tuple[int, int, Exact, int]]] = {}
-    for rank, (root, mult) in enumerate(f.roots):
-        key, n = _residue_key(root)
+    if isinstance(f, FactoredPoly):
+        if f.backend != "exact":
+            raise BackendMismatchError("shift classes need exact roots")
+        keyed = [(_residue_key(root), root, mult) for root, mult in f.roots]
+    else:
+        keyed = [(_rational_key(n, d), None, 1) for n, d in f]
+    buckets: dict[tuple, list[tuple[int, int, Exact | None, int]]] = {}
+    for rank, ((key, n), root, mult) in enumerate(keyed):
         buckets.setdefault(key, []).append((n, rank, root, mult))
     ranked = []
-    for (_, _, d), bucket in buckets.items():
+    for key, bucket in buckets.items():
         n_rep, rank, rep, _ = min(bucket, key=lambda m: m[0])
-        ranked.append((rank, ShiftClass(rep, {(n - n_rep) // d: mult for n, _, _, mult in bucket})))
+        members: dict[int, int] = {}
+        for n, _, _, mult in bucket:
+            o = (n - n_rep) // key[2]
+            members[o] = members.get(o, 0) + mult
+        ranked.append((rank, ShiftClass(rep, members, key, n_rep)))
     ranked.sort(key=lambda rc: rc[0])
     return [cls for _, cls in ranked]
 
@@ -359,25 +390,30 @@ def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Scalar]:
 
 
 def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> list[Scalar]:
-    by_key: dict[tuple, tuple[int, ShiftClass]] = {}
-    for cg in cgs:
-        key, n = _residue_key(cg.representative)
-        by_key[key] = (n, cg)
-    found: list[Scalar] = []
-    for cf in cfs:
-        key, n = _residue_key(cf.representative)
-        partner = by_key.get(key)
-        if partner is None:
-            continue
-        n_g, cg = partner
-        k = (n_g - n) // key[2]
-        # base points count from the lower representative
-        lo, hi, k = (cg, cf, -k) if k < 0 else (cf, cg, k)
-        base = lo.representative
-        offsets = _chain_hits(lo, hi, k) | {o + k for o in _chain_hits(hi, lo, -k)}
-        found.extend(base + o for o in offsets)
+    found = [cls.representative + o for cls, o in _shared_offsets(cfs, cgs)]
     found.sort(key=lambda s: s.text())
     return found
+
+
+def _shared_offsets(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> Iterator[tuple[ShiftClass, int]]:
+    """(class, offset) per common shifting divisor of two groupings, its base
+    point the class's representative plus the offset; each class's key is
+    read once, from the class."""
+    by_key = {cg.key: cg for cg in cgs}
+    for cf in cfs:
+        cg = by_key.get(cf.key)
+        if cg is None:
+            continue
+        k = (cg.n - cf.n) // cf.key[2]
+        # base points count from the lower representative
+        lo, hi, k = (cg, cf, -k) if k < 0 else (cf, cg, k)
+        for o in _chain_hits(lo, hi, k) | {o + k for o in _chain_hits(hi, lo, -k)}:
+            yield lo, o
+
+
+def _shares_divisor(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> bool:
+    """The verdict of ``_common_divisors`` without building its base points."""
+    return next(_shared_offsets(cfs, cgs), None) is not None
 
 
 def _chain_hits(a: ShiftClass, b: ShiftClass, k: int) -> set[int]:
@@ -400,8 +436,17 @@ def pairwise_shifting_prime(
     """All-pairs check, grouping each input once; on failure returns
     (i, j, divisor base) as witness."""
     classes = [shift_classes(f) for f in fs]
-    for i, j in combinations(range(len(fs)), 2):
-        divisors = _common_divisors(classes[i], classes[j])
-        if divisors:
-            return False, (i, j, divisors[0])
-    return True, None
+    pair = _first_shared_pair(classes)
+    if pair is None:
+        return True, None
+    i, j = pair
+    return False, (i, j, _common_divisors(classes[i], classes[j])[0])
+
+
+def _first_shared_pair(classes: Sequence[list[ShiftClass]]) -> tuple[int, int] | None:
+    """The first pair (i, j) of groupings with a common shifting divisor,
+    None when they are pairwise shifting prime."""
+    for i, j in combinations(range(len(classes)), 2):
+        if _shares_divisor(classes[i], classes[j]):
+            return i, j
+    return None

@@ -580,9 +580,27 @@ def gen_factored_poly(
 ) -> FactoredPoly:
     """Random lead from DEFAULT_LEADS times min_degree to max_degree linear
     factors with grid-rational roots, repeats allowed."""
+    return _build_factored(*_draw_factored(rng, min_degree, max_degree))
+
+
+def _draw_factored(
+    rng: random.Random, min_degree: int, max_degree: int
+) -> tuple[list[tuple[int, int]], Fraction | int]:
+    """The draws of ``gen_factored_poly`` as ints: the degree, then a grid
+    numerator and denominator per root, then the lead."""
     degree = rng.randint(min_degree, max_degree)
-    roots = [(Exact.from_rational(_grid_rational(rng)), 1) for _ in range(degree)]
-    return FactoredPoly(_grid_lead(rng), roots)
+    roots = [
+        (rng.choice(DEFAULT_GRID_NUMERATORS), rng.choice(DEFAULT_GRID_DENOMINATORS))
+        for _ in range(degree)
+    ]
+    return roots, rng.choice(DEFAULT_LEADS)
+
+
+def _build_factored(roots: list[tuple[int, int]], lead: Fraction | int) -> FactoredPoly:
+    return FactoredPoly(
+        Exact.from_rational(lead),
+        [(Exact.from_rational(Fraction(n, d)), 1) for n, d in roots],
+    )
 
 
 def gen_mason_instance(
@@ -594,16 +612,21 @@ def gen_mason_instance(
     inequality (shifting primality, and for m >= 3 the minimum-degree and
     linear-independence conditions); deterministic for a fixed seed.
 
-    Each attempt draws its m parts, then runs the checks cheapest first:
-    the parts must be pairwise shifting prime, which reads only their roots;
-    only then are they expanded and summed, the sum must pass the degree
-    filter and split over the roots ``factor`` finds, each part must be
-    shifting prime with that right-hand side, and for m >= 3 the expanded
-    parts must be linearly independent.  All draws of an attempt come before
-    any check, and a tuple that passes the later checks has pairwise
-    shifting prime parts, so the order decides only how soon an attempt is
-    rejected: each seed gives the same tuple, or the same
-    ``SamplingBudgetError``, as with the checks in any other order.
+    Each attempt draws its m parts as ints, the draws ``gen_factored_poly``
+    makes (degree, a numerator and denominator per root, lead), and groups
+    each part's roots by ``shiftcalc.shift_classes`` on their residue keys.
+    The parts must be pairwise shifting prime, which reads only those keys
+    and offsets, so about nine attempts in ten are rejected before any
+    ``Exact`` or ``FactoredPoly`` is built.  Only a passing attempt builds
+    its parts, which are then expanded and summed; the sum must pass the
+    degree filter and split over the roots ``factor`` finds, the right-hand
+    side is grouped once and each part's classes must share no shifting
+    divisor with it, and for m >= 3 the expanded parts must be linearly
+    independent.  All draws of an attempt come before any check, and a
+    tuple that passes the later checks has pairwise shifting prime parts,
+    so the order decides only how soon an attempt is rejected: each seed
+    gives the same tuple, or the same ``SamplingBudgetError``, as with the
+    checks in any other order.
 
     Parts have degree min_deg = m - 1 to max(max_degree, min_deg).  On the
     default grid (max_degree = 3), min_deg exceeds max_degree from m = 5
@@ -616,12 +639,11 @@ def gen_mason_instance(
     rng = random.Random(seed)
     min_deg = max(1, m - 1)
     for attempt in range(1, max_attempts + 1):
-        parts = [
-            gen_factored_poly(rng, min_deg, max(max_degree, min_deg))
-            for _ in range(m)
-        ]
-        if not shiftcalc.pairwise_shifting_prime(parts)[0]:
+        draws = [_draw_factored(rng, min_deg, max(max_degree, min_deg)) for _ in range(m)]
+        classes = [shiftcalc.shift_classes(roots) for roots, _ in draws]
+        if shiftcalc._first_shared_pair(classes) is not None:
             continue
+        parts = [_build_factored(*draw) for draw in draws]
         expanded = [f.expand() for f in parts]
         total = sum(expanded, Poly())
         if not total or total.degree < min_deg:
@@ -630,7 +652,8 @@ def gen_mason_instance(
             rhs = factor(total)
         except RootsUnavailableError:
             continue
-        if not all(shiftcalc.is_shifting_prime(f, rhs) for f in parts):
+        rhs_classes = shiftcalc.shift_classes(rhs)
+        if any(shiftcalc._shares_divisor(c, rhs_classes) for c in classes):
             continue
         if m >= 3 and not casorati.linearly_independent(expanded):
             continue

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,7 +28,7 @@ from diffrad import (
     shifting_zero_height,
     shifting_zero_height_via_delta,
 )
-from diffrad import shiftcalc
+from diffrad import shiftcalc, theorems
 from diffrad.cli import Options, run_command
 from diffrad.diffcalc import falling_factorial_linear
 from diffrad.poly import linear_product, product
@@ -720,6 +721,45 @@ def test_keyed_pairing_makes_no_root_subtraction(monkeypatch):
     assert calls == []
     # the counter does see the oracle's subtraction
     assert integer_offset(S2 + 3, S2) == 3 and len(calls) == 1
+
+
+def test_drawn_int_keys_agree_with_the_built_parts(monkeypatch):
+    """The sampler's verdict on drawn ints: ``shift_classes`` of (n, d) pairs,
+    paired by ``_first_shared_pair``.  On a widened grid (d up to 6, so
+    residues collide across denominators), with repeated roots and 2-4 parts,
+    it agrees with ``pairwise_shifting_prime`` on the built parts and with
+    the definition-based oracle, and each pair's key is the built root's."""
+    monkeypatch.setattr(theorems, "DEFAULT_GRID_NUMERATORS", tuple(range(-7, 8)))
+    monkeypatch.setattr(theorems, "DEFAULT_GRID_DENOMINATORS", (1, 2, 3, 4, 6))
+    rng = random.Random(2323)
+    verdicts = []
+    for _ in range(150):
+        draws = [theorems._draw_factored(rng, 1, 4) for _ in range(rng.randint(2, 4))]
+        for roots, _ in draws:
+            if rng.random() < 0.3:
+                roots.append(rng.choice(roots))
+        parts = [theorems._build_factored(*draw) for draw in draws]
+        for roots, _ in draws:
+            for n, d in roots:
+                root = Exact.from_rational(Fraction(n, d))
+                assert shiftcalc._rational_key(n, d) == shiftcalc._residue_key(root)
+        classes = [shift_classes(roots) for roots, _ in draws]
+        assert [{c.key: (c.n, c.members) for c in cs} for cs in classes] == [
+            {c.key: (c.n, c.members) for c in shift_classes(f)} for f in parts
+        ]
+        shared = shiftcalc._first_shared_pair(classes)
+        ok, witness = pairwise_shifting_prime(parts)
+        brute = next(
+            (
+                (i, j)
+                for i, j in combinations(range(len(parts)), 2)
+                if brute_common_shifting_divisors(parts[i], parts[j])
+            ),
+            None,
+        )
+        assert shared == brute == (None if ok else witness[:2])
+        verdicts.append(ok)
+    assert 20 <= sum(verdicts) <= len(verdicts) - 20  # both verdicts occur
 
 
 def test_pairwise_groups_each_input_once(monkeypatch):

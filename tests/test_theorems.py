@@ -99,38 +99,52 @@ def test_mason_classical_expands_each_input_once(monkeypatch):
 
 @pytest.mark.parametrize("m, seed", [(2, 5), (3, 1), (3, 2), (3, 4)])
 def test_gen_mason_instance_expands_each_part_once(monkeypatch, m, seed):
-    """The parts' shifting primality is checked on their roots first: a part
-    is expanded at most once, and exactly when its attempt's parts pass that
-    check, decided here by the definition-based oracle."""
-    parts, expanded = [], []
-    generate, expand = theorems.gen_factored_poly, FactoredPoly.expand
+    """The parts' shifting primality is checked on their drawn ints first: a
+    part is built only when its attempt's parts pass that check, decided
+    here by the definition-based oracle on the built parts, and a built part
+    is expanded exactly once."""
+    draws, built, expanded = [], [], []
+    draw, build, expand = theorems._draw_factored, theorems._build_factored, FactoredPoly.expand
 
-    def generating(*args, **kwargs):
-        parts.append(generate(*args, **kwargs))
-        return parts[-1]
+    def drawing(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    def building(*draw):
+        built.append((draw, build(*draw)))
+        return built[-1][1]
 
     def counting(self):
-        if any(self is part for part in parts):
+        if any(self is part for _, part in built):
             expanded.append(self)
         return expand(self)
 
-    monkeypatch.setattr(theorems, "gen_factored_poly", generating)
+    monkeypatch.setattr(theorems, "_draw_factored", drawing)
+    monkeypatch.setattr(theorems, "_build_factored", building)
     monkeypatch.setattr(FactoredPoly, "expand", counting)
     fs = gen_mason_instance(m, seed=seed)
     expanded_ids = [id(f) for f in expanded]
     monkeypatch.undo()
-    attempts = [parts[i : i + m] for i in range(0, len(parts), m)]
+    attempts = [draws[i : i + m] for i in range(0, len(draws), m)]
     passing = [
         attempt
         for attempt in attempts
-        if not any(brute_common_shifting_divisors(f, g) for f, g in combinations(attempt, 2))
+        if not any(
+            brute_common_shifting_divisors(build(*f), build(*g))
+            for f, g in combinations(attempt, 2)
+        )
     ]
-    assert fs[:m] == passing[-1] == attempts[-1]
+    assert passing[-1] == attempts[-1]
+    assert fs[:m] == [build(*d) for d in attempts[-1]] == [f for _, f in built[-m:]]
+    # no part (and so no Exact root) is built for an attempt that fails
+    assert [d for d, _ in built] == [d for attempt in passing for d in attempt]
     assert len(set(expanded_ids)) == len(expanded_ids)
-    assert expanded_ids == [id(f) for attempt in passing for f in attempt]
+    assert expanded_ids == [id(f) for _, f in built]
 
 
 MASON_SEEDS_DIGEST = "e7e49e2cee9ef7c42860341cc4c519eb25ce027dd21cf247066e762ded31290b"
+# m = 4, seeds 0-9: five instances and five budget errors (seeds 1, 2, 5, 6, 8)
+MASON_FOUR_SEEDS_DIGEST = "6b4378ccd0e87c7532d82d95bd20d00d8e069d72f4d1ab733888cbb578fc25db"
 
 
 def mason_outcome(m: int, seed: int):
@@ -153,6 +167,14 @@ def test_gen_mason_instance_pins_each_seeds_instance():
     with pytest.raises(SamplingBudgetError) as excinfo:
         gen_mason_instance(4, 1)
     assert excinfo.value.attempts == 5000
+
+
+def test_gen_mason_instance_pins_the_m4_seeds():
+    """The rejection-heavy m = 4 seeds, pinned the same way: half of them
+    spend their whole budget, nearly all of it rejected on the drawn ints."""
+    outcomes = [[4, s, mason_outcome(4, s)] for s in range(10)]
+    text = json.dumps(outcomes, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MASON_FOUR_SEEDS_DIGEST
 
 
 # -- three-term inequality, difference radical --------------------------------
@@ -601,19 +623,22 @@ def test_gen_mason_budget_error(monkeypatch):
 
 
 def test_gen_mason_rejects_on_the_parts_roots_first(monkeypatch):
-    """Copies of z(z - 1) are not shifting prime (the zero 0 of height 2 runs
-    into the other copy's zero 1), so every attempt is rejected before any
-    part is expanded or anything is factored."""
-    monkeypatch.setattr(
-        theorems, "gen_factored_poly", lambda *_: FactoredPoly(1, [(0, 1), (1, 1)])
-    )
+    """Draws of z(z - 1) are not shifting prime (the zero 0 of height 2 runs
+    into the other copy's zero 1), so every attempt is rejected on the
+    drawn ints: no Exact root or FactoredPoly part is built, and nothing is
+    expanded or factored."""
+    monkeypatch.setattr(theorems, "_draw_factored", lambda *_: ([(0, 1), (1, 1)], 1))
     work, expand = [], FactoredPoly.expand
     monkeypatch.setattr(theorems, "factor", lambda p: work.append(p) or factor(p))
     monkeypatch.setattr(FactoredPoly, "expand", lambda f: work.append(f) or expand(f))
+    built, exact_init, poly_init = [], Exact.__init__, FactoredPoly.__init__
+    monkeypatch.setattr(Exact, "__init__", lambda s, *a: built.append(a) or exact_init(s, *a))
+    monkeypatch.setattr(FactoredPoly, "__init__", lambda s, *a: built.append(a) or poly_init(s, *a))
     with pytest.raises(SamplingBudgetError) as excinfo:
         gen_mason_instance(3, seed=0, max_attempts=25)
     assert excinfo.value.attempts == 25
     assert work == []
+    assert built == []
 
 
 def test_reports_are_deterministic():
