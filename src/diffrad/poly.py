@@ -137,8 +137,8 @@ class Poly(_Printed):
         return self.coeff(len(self._lane) - 1)
 
     def coeff(self, k: int) -> Exact:
-        terms, den = self._lane.terms, self._lane.den
-        return Exact({key: Fraction(v[k], den) for key, v in terms.items() if len(v) > k >= 0})
+        lane = self._lane
+        return Exact._of({key: v[k] for key, v in lane.terms.items() if len(v) > k >= 0}, lane.den)
 
     @staticmethod
     def scalar(x) -> Exact:
@@ -217,14 +217,15 @@ class Poly(_Printed):
     # -- evaluation & maps -------------------------------------------------
 
     def __call__(self, x) -> Exact:
-        """p(x) by Horner's rule on the ints, with x = X / v over the lcm v of
-        its denominators: v^d p(x) = sum c_k X^k v^(d-k) at d = deg p, over
-        v^d den.  A radical X multiplies through ``_vec_mul`` (``_key_mul``)."""
+        """p(x) by Horner's rule on the ints, with x = X / v its ints over its
+        den: v^d p(x) = sum c_k X^k v^(d-k) at d = deg p, over v^d den.  A
+        radical X multiplies through ``_vec_mul`` (``_key_mul``)."""
         x = self.scalar(x)
         lane, d = self._lane, len(self._lane) - 1
-        v = math.lcm(*(f.denominator for f in x._terms.values()))
-        xs = {key: f.numerator * (v // f.denominator) for key, f in x._terms.items()}
-        u = xs.get(_ONE_KEY, 0) if xs.keys() <= {_ONE_KEY} else None  # x = u / v
+        if not lane:
+            return _ZERO
+        xs, v = x._ints, x._den
+        u = xs.get(_ONE_KEY, 0) if x.is_rational else None  # x = u / v
         out, vk = {}, 1  # vk = v^(d-k)
         for k in range(d, -1, -1):
             out = _vec_mul(out, xs) if u is None else {key: c * u for key, c in out.items()}
@@ -232,7 +233,7 @@ class Poly(_Printed):
                 if k < len(ints):
                     out[key] = out.get(key, 0) + ints[k] * vk
             vk *= v
-        return Exact({key: Fraction(c, v**d * lane.den) for key, c in out.items()})
+        return Exact._of(out, v**d * lane.den)
 
     def monic(self) -> Poly:
         """The ints times the lead's conjugates over its norm (``lead_conjugate``)."""
@@ -275,21 +276,19 @@ def _scalar_expr(c: Scalar) -> tuple[str, bool]:
     if isinstance(c, Numeric):
         return c.text(), True
     parts: list[str] = []
-    terms = c.terms
-    for key in sorted(terms, key=_key_sort):  # canonical term order
-        coeff = terms[key]
+    for key, num, den in c._rationals():  # canonical term order
         n, has_i = _key_sort(key)
         factors = []
-        if abs(coeff) != 1 or (not has_i and n == 1):
-            body = int_text(abs(coeff.numerator))
-            if coeff.denominator != 1:
-                body += f"/{int_text(coeff.denominator)}"
+        if abs(num) != den or (not has_i and n == 1):
+            body = int_text(abs(num))
+            if den != 1:
+                body += f"/{int_text(den)}"
             factors.append(body)
         if has_i:
             factors.append("i")
         if n != 1:
             factors.append(f"sqrt({n})")
-        parts.append(("-" if coeff < 0 else "+") + "*".join(factors))
+        parts.append(("-" if num < 0 else "+") + "*".join(factors))
     if not parts:
         return "0", True
     text = parts[0][1:] if parts[0][0] == "+" else parts[0]
@@ -416,9 +415,9 @@ def linear_product(lead, roots: Iterable[tuple[Scalar, int]]) -> Poly:
 
 def offset_product(classes: Iterable[tuple[Scalar, Iterable[tuple[int, int]]]], lead=1) -> Poly:
     """lead * prod (z - r - o)^d over classes (r, [(o, d), ...]) of a root r,
-    integer offsets o and orders d >= 0.  No sum r + o is formed: over den,
-    the lcm of r's denominators, z - r - o holds -n den/q on each key of r
-    with coefficient n/q, less o den on the rational key, and den at z^1.
+    integer offsets o and orders d >= 0.  No sum r + o is formed: with r its
+    ints over its den, z - r - o holds minus r's ints, less o den on the
+    rational key, and den at z^1.
 
     A rational r gives den z - (n + o den) for r = n/den, and those factors
     multiply on plain int lists (``_linear_ints``).  A radical r gives one
@@ -430,17 +429,14 @@ def offset_product(classes: Iterable[tuple[Scalar, Iterable[tuple[int, int]]]], 
     for r, orders in classes:
         if not isinstance(r, Exact):
             raise BackendMismatchError("products of linear factors take exact roots")
-        if r._terms.keys() <= {_ONE_KEY}:
-            n, den = r._terms.get(_ONE_KEY, 0).as_integer_ratio()
+        n, den = r._ints.get(_ONE_KEY, 0), r._den
+        if r.is_rational:
             for o, d in orders:
                 linear += [(-n - o * den, den)] * d
             continue
-        den = math.lcm(*(f.denominator for f in r._terms.values()))
-        ints = {key: -f.numerator * (den // f.denominator) for key, f in r._terms.items()}
-        c0 = ints.pop(_ONE_KEY, 0)
-        rest = {key: [c] for key, c in ints.items()}
+        rest = {key: [-c] for key, c in r._ints.items() if key != _ONE_KEY}
         for o, d in orders:
-            lanes += [_Lane({**rest, _ONE_KEY: [c0 - o * den, den]}, den)] * d
+            lanes += [_Lane({**rest, _ONE_KEY: [-n - o * den, den]}, den)] * d
     if linear:
         lanes.append(_Lane({_ONE_KEY: _linear_ints(linear)}, math.prod(d for _, d in linear)))
     return Poly._wrap(_lane_product(lanes))
@@ -515,7 +511,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # An exact polynomial over Q(i, sqrt(p), ...) is split by radical key into
 # integer coefficient lists over one common denominator:
 # p = sum(key * ints(z) for key, ints in terms.items()) / den.  Q[z] is the
-# one-key case, so rational and radical inputs run the same integer code.
+# one-key case, so rational and radical inputs run the same integer code, and
+# an Exact scalar is the one-coefficient case: scalars cross by copying ints.
 # Poly itself keeps one representation, this one, in canonical form
 # (_Lane.canonical): every kernel reads its operands' lanes and wraps the
 # lane it computes (Poly._wrap), and never changes a list it did not make,
@@ -694,26 +691,23 @@ class _Lane:
 
 def _lane_of(coeffs: Iterable) -> _Lane:
     """The lane of coefficients from z^0 up (ints, Fractions or Exact
-    scalars), canonical as built: over den, the lcm of the reduced
-    denominators, some int is coprime to each prime power of den.  A numeric
+    scalars), canonical as built: over den, the lcm of the coefficients' own
+    dens, some int is prime to each prime power of den.  A numeric
     coefficient raises BackendMismatchError: it is output (``Poly.embed``)."""
     cs = list(coeffs)
-    parts: dict[Key, list] = {}  # ints and Fractions, 0 where a key is absent
+    if any(isinstance(c, Numeric) for c in cs):
+        raise BackendMismatchError("numeric values are output (Poly.embed), not coefficients")
+    cs = [c if isinstance(c, Exact) else Exact.from_rational(c) for c in cs]
+    den = math.lcm(*(c._den for c in cs))
+    terms: dict[Key, list[int]] = {}  # 0 where a key is absent
     for k, c in enumerate(cs):
-        if isinstance(c, Exact):
-            items = c._terms.items()
-        elif isinstance(c, Scalar):
-            raise BackendMismatchError("numeric values are output (Poly.embed), not coefficients")
-        else:
-            items = [(_ONE_KEY, c if isinstance(c, int) else Fraction(c))]
-        for key, f in items:
-            part = parts.get(key)
+        f = den // c._den
+        for key, n in c._ints.items():
+            part = terms.get(key)
             if part is None:
-                part = parts[key] = [0] * len(cs)
-            part[k] = f
-    den = math.lcm(*[f.denominator for part in parts.values() for f in part])
-    ints = {k: [f.numerator * (den // f.denominator) for f in part] for k, part in parts.items()}
-    return _Lane(ints, den)
+                part = terms[key] = [0] * len(cs)
+            part[k] = f * n
+    return _Lane(terms, den)
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -854,32 +848,27 @@ def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
 def exact_sqrt(d: Exact) -> Exact | None:
     """A square root of an exact scalar inside a radical field, or None.
 
-    A rational d = p/q has the root sqrt(|p| q) / q, times i when d < 0.
-    Otherwise one generator g of d (i or sqrt(prime)) is taken out at a
-    time: d = u + v g with u, v free of g and g^2 = c rational.  A root
-    x = a + b g has a^2 + c b^2 = u and 2 a b = v, so a^2 solves
-    A^2 - u A + c v^2 / 4 = 0, whose roots (u +- s) / 2 need a square root
-    s of u^2 - c v^2 in the smaller field.  Then a is a square root of A,
-    found the same way, and b = v / (2 a).  A candidate is returned only if
-    x * x == d; when none passes, the result is None.
+    A rational d = p/q has the root sqrt(p q) / q, which ``sqrt_int`` gives
+    the factor i when p < 0.  Otherwise one generator g of d (i or
+    sqrt(prime)) is taken out at a time: d = u + v g with u, v free of g and
+    g^2 = c rational.  A root x = a + b g has a^2 + c b^2 = u and 2 a b = v,
+    so a^2 solves A^2 - u A + c v^2 / 4 = 0, whose roots (u +- s) / 2 need a
+    square root s of u^2 - c v^2 in the smaller field.  Then a is a square
+    root of A, found the same way, and b = v / (2 a).  A candidate is
+    returned only if x * x == d; when none passes, the result is None.
     """
-    if not d:
-        return Exact()
-    fr = d.as_fraction()
-    if fr is not None:
-        p, q = fr.numerator, fr.denominator
-        root = Exact.sqrt_int(abs(p) * q) * Fraction(1, q)
-        return root * Exact.i() if p < 0 else root
+    if d.is_rational:
+        return Exact.sqrt_int(d._ints.get(_ONE_KEY, 0) * d._den) * Fraction(1, d._den)
     gens = d.generators()
     g = min(gens, key=str)
     u, v = {}, {}
-    for (has_i, primes), coeff in d.terms.items():
+    for (has_i, primes), c in d._ints.items():
         if g == "i":
             part, key = (v if has_i else u), (False, primes)
         else:
             part, key = (v if g in primes else u), (has_i, primes - {g})
-        part[key] = coeff
-    u, v = Exact(u), Exact(v)
+        part[key] = c
+    u, v = Exact._of(u, d._den), Exact._of(v, d._den)
     gen = Exact.i() if g == "i" else Exact.sqrt_int(g)
     s = _inner_sqrt(u * u - v * v * (gen * gen))
     if s is None or not s.generators() <= gens - {g}:

@@ -7,8 +7,10 @@ integer powers, equality and ``str``.  Each backend supplies its own sum,
 product, negation, quotient, inverse, hash and text.
 
 * :class:`Exact` — an element of the field Q(i, sqrt(p1), sqrt(p2), ...),
-  stored as a sparse map from radical keys to rationals.  A radical key is a
-  pair ``(has_i, primes)``: the imaginary unit flag and a frozen set of prime
+  stored as ints per radical key over one denominator, in lowest terms: the
+  one-coefficient case of the polynomial lane (``poly._Lane``), so scalars
+  and lanes cross by copying ints.  A radical key is a pair
+  ``(has_i, primes)``: the imaginary unit flag and a frozen set of prime
   radicands.  Every product of generators reduces canonically (i*i = -1,
   sqrt(p)*sqrt(p) = p, sqrt(a)*sqrt(b) = sqrt(ab) with square parts pulled
   into the rational), so structural equality coincides with equality of the
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import BackendMismatchError, RootsUnavailableError
 
@@ -267,74 +269,95 @@ class Scalar:
 
 
 class Exact(Scalar):
-    """Immutable element of Q(i, sqrt(p), ...) in canonical sparse form."""
+    """Immutable element of Q(i, sqrt(p), ...), the one-coefficient case of
+    the lane (``poly._Lane``): ints per radical key over one den, in lowest
+    terms (den > 0, gcd(den, *ints) = 1, no zero entry), so that equal
+    values have equal state.  ``Exact(terms)`` takes {key: int | Fraction},
+    in one pass over the lcm of their denominators: lowest as built, as some
+    int is prime to each prime power of the lcm."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_ints", "_den")
 
     backend = "exact"
 
-    def __init__(self, terms: dict[Key, Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        object.__setattr__(self, "_terms", clean)
+    def __init__(self, terms: dict[Key, RationalLike] | None = None):
+        ints, den = {}, 1
+        for key, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient of {key} is {c!r}, not an int or a Fraction")
+            if not c:
+                continue
+            d = c.denominator
+            if den % d:
+                f = d // math.gcd(den, d)
+                ints = {k: f * v for k, v in ints.items()}
+                den *= f
+            ints[key] = c.numerator * (den // d)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _of(cls, ints: dict[Key, int], den: int = 1) -> Exact:
+        """ints / den (den != 0) in lowest terms: every computed value."""
+        g = math.gcd(den, *ints.values()) * (1 if den > 0 else -1)
+        if g != 1 or not all(ints.values()):
+            ints, den = {key: c // g for key, c in ints.items() if c}, den // g
+        out = object.__new__(cls)
+        object.__setattr__(out, "_ints", ints)
+        object.__setattr__(out, "_den", den)
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> Exact:
-        fr = Fraction(value)
-        return cls({_ONE_KEY: fr}) if fr else cls()
+        n, d = (value, 1) if isinstance(value, int) else Fraction(value).as_integer_ratio()
+        return cls._of({_ONE_KEY: n}, d)
 
     @classmethod
     def i(cls) -> Exact:
-        return cls({_I_KEY: Fraction(1)})
+        return cls._of({_I_KEY: 1})
 
     @classmethod
     def sqrt_int(cls, n: int) -> Exact:
         """Square root of an integer; negative n contributes a factor i.
         Only a non-square |n| is factored (``prime_factors``)."""
-        if n == 0:
-            return cls()
         root = math.isqrt(abs(n))
         if root * root == abs(n):
-            return cls({(n < 0, frozenset()): Fraction(root)})
+            return cls._of({(n < 0, frozenset()): root})
         factors = prime_factors(abs(n)).items()
         primes = frozenset(p for p, e in factors if e % 2)
         outer = math.prod(p ** (e // 2) for p, e in factors)
-        return cls({(n < 0, primes): Fraction(outer)})
+        return cls._of({(n < 0, primes): outer})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> dict[Key, Fraction]:
-        return dict(self._terms)
+        return {key: Fraction(c, self._den) for key, c in self._ints.items()}
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._ints)
 
     @property
     def is_rational(self) -> bool:
-        return all(key == _ONE_KEY for key in self._terms)
+        return self._ints.keys() <= {_ONE_KEY}
 
     def as_fraction(self) -> Fraction | None:
-        if not self._terms:
-            return Fraction(0)
-        if self.is_rational:
-            return self._terms[_ONE_KEY]
-        return None
+        return Fraction(self._ints.get(_ONE_KEY, 0), self._den) if self.is_rational else None
 
     def as_integer(self) -> int | None:
-        fr = self.as_fraction()
-        if fr is not None and fr.denominator == 1:
-            return fr.numerator
-        return None
+        return self._ints.get(_ONE_KEY, 0) if self.is_rational and self._den == 1 else None
 
     def generators(self) -> set[object]:
         """Generators (the string "i" and/or prime ints) in the support."""
-        return set().union(*map(_key_gens, self._terms))
+        return set().union(*map(_key_gens, self._ints))
+
+    def _rationals(self) -> Iterator[tuple[Key, int, int]]:
+        """(key, n, d) per term in canonical key order, n/d in lowest terms."""
+        for key in sorted(self._ints, key=_key_sort):
+            g = math.gcd(self._ints[key], self._den)
+            yield key, self._ints[key] // g, self._den // g
 
     # -- arithmetic --------------------------------------------------------
 
@@ -342,37 +365,30 @@ class Exact(Scalar):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for key, coeff in rhs._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return Exact(terms)
+        ints = {key: c * rhs._den for key, c in self._ints.items()}
+        for key, c in rhs._ints.items():
+            ints[key] = ints.get(key, 0) + c * self._den
+        return Exact._of(ints, self._den * rhs._den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Exact:
-        return Exact({key: -coeff for key, coeff in self._terms.items()})
+        return Exact._of({key: -c for key, c in self._ints.items()}, self._den)
 
     def __mul__(self, other) -> Exact:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[Key, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in rhs._terms.items():
-                factor, key = _key_mul(k1, k2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2 * factor
-        return Exact(terms)
+        return Exact._of(_vec_mul(self._ints, rhs._ints), self._den * rhs._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Exact:
-        if not self._terms:
+        if not self._ints:
             raise ZeroDivisionError("exact scalar division by zero")
-        # self = vec / den on ints, so 1/self = den * conj / n
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
-        vec = {key: c.numerator * (den // c.denominator) for key, c in self._terms.items()}
-        conj, n = norm_conjugate(vec)
-        return Exact({key: Fraction(den * c, n) for key, c in conj.items()})
+        # self = ints / den and ints * conj = n, so 1/self = den * conj / n
+        conj, n = norm_conjugate(self._ints)
+        return Exact._of({key: self._den * c for key, c in conj.items()}, n)
 
     def __truediv__(self, other) -> Exact:
         rhs = self._coerce(other)
@@ -381,10 +397,10 @@ class Exact(Scalar):
         return self * rhs.inverse()
 
     def _value(self):
-        return self._terms
+        return self._den, self._ints
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._ints.items())))
 
     # -- conversions -------------------------------------------------------
 
@@ -393,10 +409,11 @@ class Exact(Scalar):
         at `bits` bits, each product and sum in canonical term order rounded
         there (``_nearest``), as mpmath's from_rational, mpf_* functions do."""
         parts = [(0, 0), (0, 0)]
-        for (has_i, primes), f in sorted(self._terms.items(), key=lambda kc: _key_sort(kc[0])):
-            k = bits + 2 + f.denominator.bit_length() - abs(f.numerator).bit_length()
-            q, r = divmod(abs(f) * Fraction(2) ** k, 1)  # q has at least bits + 2 bits
-            man, exp = _nearest((2 * q + bool(r)) * (1 if f > 0 else -1), -k - 1, bits)
+        for (has_i, primes), n, d in self._rationals():
+            k = bits + 2 + d.bit_length() - abs(n).bit_length()
+            top, bottom = (abs(n) << k, d) if k >= 0 else (abs(n), d << -k)
+            q, r = divmod(top, bottom)  # q has at least bits + 2 bits
+            man, exp = _nearest((2 * q + bool(r)) * (1 if n > 0 else -1), -k - 1, bits)
             for p in sorted(primes):
                 s = math.isqrt(p << 2 * bits + 4)  # sqrt(p) 2^(bits + 2), rounded down
                 root, e = _nearest(2 * s + (s * s != p << 2 * bits + 4), -bits - 3, bits)
@@ -420,22 +437,14 @@ class Exact(Scalar):
 
     def text(self) -> str:
         """Canonical form: terms sorted by radical key, `p/q[*i][*sqrt(n)]`."""
-        if not self._terms:
-            return "0"
         pieces: list[str] = []
-        for key in sorted(self._terms, key=_key_sort):
-            coeff = self._terms[key]
-            n, has_i = _key_sort(key)
-            body = f"{int_text(abs(coeff.numerator))}/{int_text(coeff.denominator)}"
-            if has_i:
-                body += "*i"
-            if n != 1:
-                body += f"*sqrt({n})"
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
-                pieces.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(pieces)
+        for key, n, d in self._rationals():
+            radicand, has_i = _key_sort(key)
+            body = f"{int_text(abs(n))}/{int_text(d)}{'*i' if has_i else ''}"
+            body += f"*sqrt({radicand})" if radicand != 1 else ""
+            sign = "-" if n < 0 else "+" if pieces else ""
+            pieces.append(f"{sign} {body}" if pieces else sign + body)
+        return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"Exact({self.text()!r})"

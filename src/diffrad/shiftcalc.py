@@ -80,11 +80,12 @@ _NO_REST: frozenset = frozenset()
 
 
 def _residue_key(root: Exact) -> tuple[tuple, int]:
-    """(key, n) for root = n/d + rest, n/d in lowest terms and rest its
-    non-rational terms: two roots differ by an integer exactly when their
-    keys (rest, n mod d, d) agree, and then by (n - n') // d."""
-    n, d = root._terms.get(_ONE_KEY, 0).as_integer_ratio()
-    rest = frozenset(kc for kc in root._terms.items() if kc[0] != _ONE_KEY)
+    """(key, n) for root = (n + rest) / d, its ints over its den: as
+    gcd(d, n + m d, rest) = gcd(d, n, rest) = 1, adding an integer m changes
+    n alone, so two roots differ by an integer exactly when their keys
+    (rest, n mod d, d) agree, and then by (n - n') // d."""
+    n, d = root._ints.get(_ONE_KEY, 0), root._den
+    rest = frozenset(kc for kc in root._ints.items() if kc[0] != _ONE_KEY)
     return (rest, n % d, d), n
 
 
@@ -99,9 +100,9 @@ def shift_classes(f: FactoredPoly | Iterable[tuple[int, int]]) -> list[ShiftClas
     """Partition the distinct roots by integer difference.
 
     Roots are grouped in one pass on ints: each root goes to the bucket of
-    its residue key, as a - b is an integer exactly when a and b have the
-    same non-rational terms and their rational parts n/d (in lowest terms)
-    have the same d and the same n mod d.  The member with the least n is
+    its residue key, as a - b is an integer exactly when a and b (ints over
+    a den d in lowest terms) have the same d, the same non-rational ints and
+    rational ints n with the same n mod d.  The member with the least n is
     the representative, and a member's offset is (n - n_rep) // d.
 
     The one pass serves two kinds of input.  A ``FactoredPoly`` feeds it
@@ -336,8 +337,8 @@ def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool | None:
     tested root by root, not by its size: Gamma != 0 divisible by no
     b xi - a proves (b), and otherwise the result is inconclusive.
     """
-    rational = [r._terms.get(_ONE_KEY, 0) for r, _ in f.roots if r._terms.keys() <= {_ONE_KEY}]
-    radical = [r for r, _ in f.roots if not r._terms.keys() <= {_ONE_KEY}]
+    rational = [(r._ints.get(_ONE_KEY, 0), r._den) for r, _ in f.roots if r.is_rational]
+    radical = [r for r, _ in f.roots if not r.is_rational]
     base = None if radical else _primitive(g._lane.terms[_ONE_KEY])
     cur = f.expand()
     cofactors: list[Poly] = []  # the c_k, evaluated at the radical roots
@@ -363,11 +364,11 @@ def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool | None:
     if not all(any(c(w) for c in cofactors) for w in radical):
         return False
     # |w| <= |a| < 2^e, and xi = 2^(8 width) >= 2^(e + 65)
-    e = max((abs(w.numerator).bit_length() for w in rational), default=0)
+    e = max((abs(a).bit_length() for a, _ in rational), default=0)
     width = e // 8 + 9
     gamma = math.gcd(*(_pack(part, width) for part in ints))
     xi = 1 << 8 * width
-    if gamma and all(gamma % (w.denominator * xi - w.numerator) for w in rational):
+    if gamma and all(gamma % (b * xi - a) for a, b in rational):
         return True
     return None
 

@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -12,12 +14,15 @@ from diffrad import (
     Numeric,
     Poly,
     RootsUnavailableError,
+    factor,
     shift_classes,
 )
 from diffrad import scalar
 from diffrad.scalar import Scalar, as_scalar
 from diffrad.scalar import TRIAL_LIMIT, prime_factors
-from helpers import rand_exact
+from diffrad.poly import linear_product
+import helpers
+from helpers import rand_exact, rand_radical_poly
 
 S2 = Exact.sqrt_int(2)
 S3 = Exact.sqrt_int(3)
@@ -212,9 +217,12 @@ def test_negligible_takes_tolerances_below_the_smallest_float():
 
 
 def test_polynomials_evaluate_at_exact_points_only():
-    """Every Poly is exact, the zero polynomial too: it evaluates at exact
-    points, and a numeric point is refused."""
-    assert isinstance(Poly()(3), Exact) and Poly()(3) == 0
+    """Every Poly is exact, the zero polynomial too: it evaluates to 0 at
+    exact points, rational and radical (its lane has degree -1, and no v^-1
+    is formed), and a numeric point is refused."""
+    for x in (3, 0, Fraction(1, 3), S2 + Fraction(1, 2)):
+        assert isinstance(Poly()(x), Exact) and Poly()(x) == 0
+        assert_lowest(Poly()(x))
     for p in (Poly(), Poly([1, 1])):
         with pytest.raises(BackendMismatchError):
             p(NUMERIC_TWO)
@@ -356,3 +364,93 @@ def test_conversion_on_ints_matches_mpmath_bit_for_bit(prec):
         assert (got._re, got._im) == want, x
         if prec == 64:
             assert complex(x) == complex(libmp.to_float(want[0]), libmp.to_float(want[1])), x
+
+
+# -- canonical form -------------------------------------------------------------
+
+
+def assert_lowest(x) -> None:
+    """x is an Exact in lowest terms: ints over den > 0, gcd(den, *ints) = 1
+    and no zero entry, each an int (no Fraction is stored)."""
+    assert isinstance(x, Exact)
+    ints, den = x._ints, x._den
+    assert type(den) is int and den > 0, (ints, den)
+    assert all(type(c) is int and c for c in ints.values()), (ints, den)
+    assert math.gcd(den, *ints.values()) == 1, (ints, den)
+
+
+def test_exact_refuses_a_coefficient_that_is_not_rational():
+    """A float (or any other non-rational) coefficient is refused, naming its
+    key, instead of being stored and compared as a rational."""
+    for key in (scalar._ONE_KEY, (True, frozenset({2, 3}))):
+        for bad in (0.5, 1.0, complex(1, 0), "1/2", S2):
+            with pytest.raises(TypeError, match=re.escape(str(key))):
+                Exact({key: bad})
+        with pytest.raises(TypeError):
+            Exact({scalar._ONE_KEY: 1, key: 0.5})
+    half = Exact({scalar._ONE_KEY: Fraction(2, 4), (False, frozenset({2})): 3})
+    assert half == S2 * 3 + Fraction(1, 2)
+
+
+def test_every_route_gives_lowest_terms():
+    """Every constructor and operation gives the canonical form, so values
+    that are equal but built by different routes are == with equal hashes,
+    and a FactoredPoly merges them into one root."""
+    rng = random.Random(20241019)
+    sqrt2 = (False, frozenset({2}))
+    values = [rand_exact(rng, max_terms=4) for _ in range(300)] + [
+        Exact({scalar._ONE_KEY: Fraction(2, 4)}),
+        Exact({scalar._ONE_KEY: 6, sqrt2: Fraction(4, 6), (True, frozenset()): Fraction(-9, 12)}),
+        Exact({scalar._ONE_KEY: 0, sqrt2: Fraction(0, 5)}),
+        Exact.from_rational(Fraction(-6, 4)),
+        Exact.from_rational(0),
+        Exact.from_rational(12),
+        Exact.i(),
+        *(Exact.sqrt_int(n) for n in (0, -1, -4, 4, 8, -12, 2, 6, 50)),
+    ]
+    for x in values:
+        assert_lowest(x)
+    for a, b in zip(values, values[1:] + values[:1]):
+        for x in (a + b, a - b, -a, a * b, a**2, a**0, a + 1, 2 - a, a * Fraction(3, 9)):
+            assert_lowest(x)
+        same = [(a + b) - b, Exact(a.terms)]
+        if b:
+            same.append(a * b / b)
+            for x in (a / b, b.inverse(), b**-2, 1 / b):
+                assert_lowest(x)
+        for y in same:
+            assert_lowest(y)
+            assert y == a and hash(y) == hash(a)
+        if a:
+            f = FactoredPoly(1, [(a, 1)] + [(y, 2) for y in same])
+            assert f.roots == ((a, 1 + 2 * len(same)),)
+
+
+def test_polynomial_crossings_give_lowest_terms():
+    """Coefficients, leads and values read off a lane, and factor's roots,
+    are in lowest terms."""
+    rng = random.Random(7310)
+    for _ in range(80):
+        scale = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        p = rand_radical_poly(rng, rng.randint(0, 4)) * scale
+        for c in p.coeffs:
+            assert_lowest(c)
+        assert_lowest(p.lead)
+        for x in (Fraction(1, 3), Fraction(-7, 4), 0, 2, rand_exact(rng)):
+            assert_lowest(p(x))
+            assert p(x) == helpers.horner_terms(p, x)
+    for _ in range(60):
+        roots = [(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 3))]
+        a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        b = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        g = Exact.sqrt_int(rng.choice((2, 3, 5, -1, -2)))
+        r, conj = a + b * g, a - b * g  # the roots of a rational quadratic
+        lead = Fraction(rng.randint(1, 5), 3)
+        rational = linear_product(lead, [(Exact.from_rational(x), m) for x, m in roots])
+        p = rational * Poly.linear(r) * Poly.linear(conj)
+        f = factor(p)
+        for root, _ in f.roots:
+            assert_lowest(root)
+        assert f.ord_at(r) >= 1 and f.ord_at(conj) >= 1
+        assert_lowest(f.lead)

@@ -538,6 +538,26 @@ def test_bucketed_classes_match_the_scan():
     assert shared >= 100  # most inputs have classes with several offsets
 
 
+def test_residue_keys_of_radical_roots_over_another_denominator():
+    """A radical root whose rational part has another denominator than its
+    radical part holds all its ints over one den (6 for 1/2 + sqrt(2)/3):
+    the key (rest, n mod d, d) groups exactly the roots an integer apart."""
+    third, half, sixth = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
+    a = S2 * third + half
+    b = S2 * third + Fraction(5, 2)  # a + 2
+    apart = [S2 * third + third, S2 * third + sixth, S2 * half + half]
+    (key_a, n_a), (key_b, n_b) = shiftcalc._residue_key(a), shiftcalc._residue_key(b)
+    assert key_a == key_b and key_a[2] == 6 and (n_b - n_a) // key_a[2] == 2
+    keys = [shiftcalc._residue_key(r)[0] for r in apart]
+    assert len({key_a, *keys}) == 4
+    f = FactoredPoly(1, [(b, 2), (a, 1)] + [(r, 1) for r in apart])
+    classes = shift_classes(f)
+    assert {cls.representative: cls.members for cls in classes} == {
+        a: {0: 1, 2: 2}, **{r: {0: 1} for r in apart}
+    }
+    assert [(c.representative.text(), c.members) for c in classes] == scanned_classes(f)
+
+
 def test_exact_classes_make_no_pairwise_comparison(monkeypatch):
     calls = []
     original = helpers.integer_offset
