@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from pathlib import Path
 
 from . import casorati, diffcalc, shiftcalc, theorems
 from .errors import DiffradError, ParseError, RootsUnavailableError
-from .parser import parse_factored, parse_poly
+from .parser import eval_expr, eval_factored, parse, parse_factored, parse_poly
 from .diffcalc import NewtonExpansion
 from .poly import Poly, classical_rad, coeffs_json, coeffs_text
 from .scalar import Numeric
@@ -106,12 +104,12 @@ def cmd_rad_q(inputs, opts, options: Options) -> dict:
 
 
 def cmd_gcd_tower(inputs, opts, options: Options) -> dict:
-    n = opts.get("n", 1)
+    value = parse(inputs[0])
     try:
-        tower = shiftcalc.gcd_tower(parse_factored(inputs[0]), n)
+        f = eval_factored(value)
     except RootsUnavailableError:
-        tower = shiftcalc.gcd_tower(parse_poly(inputs[0]), n)
-    return _poly_result(tower, options)
+        f = eval_expr(value)
+    return _poly_result(shiftcalc.gcd_tower(f, opts.get("n", 1)), options)
 
 
 def cmd_shifting_prime(inputs, opts, options: Options) -> dict:
@@ -272,7 +270,6 @@ def cmd_verify_paper(filter_text: str | None, as_json: bool) -> int:
 
 
 MAX_PRECISION = 2**16  # bits; every README example answers within 1 s at it
-TOLERANCE_DIGITS = 20000  # 10^20000 > 2^MAX_PRECISION
 
 
 def _precision(text: str) -> int:
@@ -287,27 +284,6 @@ def _precision(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> Fraction:
-    """A positive finite decimal, read exactly as a Fraction, of at most
-    TOLERANCE_DIGITS digits and a decimal exponent of at most that size.  It
-    is validated and read by nothing: numeric output is converted exact
-    output, with no zero test to tune."""
-    text = text.strip()  # an argument that starts with "-" comes with a space
-    try:
-        value = Decimal(text)
-        ok = value.is_finite() and value > 0
-    except InvalidOperation:
-        ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    if max(len(value.as_tuple().digits), abs(value.adjusted())) > TOLERANCE_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"must have at most {TOLERANCE_DIGITS} digits and a decimal exponent "
-            f"of at most that size, got {text}"
-        )
-    return Fraction(value)
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -319,11 +295,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--precision", type=_precision, default=256,
         help=f"bits of precision of numeric output, {Numeric.MIN_PREC} to "
         f"{MAX_PRECISION} (default: 256)",
-    )
-    common.add_argument(
-        "--tolerance", type=_tolerance, default=None,
-        help="accepted as a positive finite decimal for compatibility; it no "
-        "longer changes any result",
     )
     common.add_argument("--json", action="store_true", help="emit JSON output")
 
@@ -445,9 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     opts = {
         key: value
         for key, value in vars(args).items()
-        if key not in (
-            "command", "inputs", "backend", "precision", "tolerance", "json",
-        )
+        if key not in ("command", "inputs", "backend", "precision", "json")
     }
     inputs = getattr(args, "inputs", [])
     if isinstance(inputs, str):

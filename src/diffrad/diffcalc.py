@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import FactoredPoly, Poly, _Lane, offset_product, product
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar
 
 
 def binomial(n: int, k: int) -> int:
@@ -102,7 +102,7 @@ def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
     roots = []
     for r, m in f.roots:
         for j in range(n):
-            roots.append((r + as_scalar(j, r), m))
+            roots.append((r + j, m))
     return FactoredPoly(f.lead**n, roots)
 
 
@@ -160,19 +160,17 @@ def binomial_transform_check(p: Poly, z, k: int) -> tuple[bool, bool]:
     deltas = [p]
     for _ in range(k):
         deltas.append(delta(deltas[-1]))
-    zero = as_scalar(0, z)
-
-    lhs1 = p(z + as_scalar(k, z))
-    rhs1 = zero
+    lhs1 = p(z + k)
+    rhs1 = 0
     for j in range(k + 1):
         rhs1 = rhs1 + deltas[j](z) * Fraction(binomial(k, j))
     first = lhs1 == rhs1
 
     lhs2 = deltas[k](z)
-    rhs2 = zero
+    rhs2 = 0
     for j in range(k + 1):
         sign = 1 if (k - j) % 2 == 0 else -1
-        rhs2 = rhs2 + p(z + as_scalar(j, z)) * Fraction(sign * binomial(k, j))
+        rhs2 = rhs2 + p(z + j) * Fraction(sign * binomial(k, j))
     second = lhs2 == rhs2
 
     return first, second

@@ -13,6 +13,8 @@ BackendMismatchError.
 A :class:`FactoredPoly` is a leading coefficient plus a multiset of
 (root, multiplicity) pairs; it is the primary ingestion form for anything
 that needs root data (chain decompositions, radicals, shifting-prime tests).
+Its lead and roots are exact too: a numeric one raises BackendMismatchError
+at construction (``Poly.scalar``).
 """
 
 from __future__ import annotations
@@ -211,7 +213,10 @@ class Poly(_Printed):
         return self._lane.den == rhs._lane.den and self._lane.terms == rhs._lane.terms
 
     def __hash__(self) -> int:
+        """A constant hashes as the scalar it equals."""
         lane = self._lane
+        if len(lane) <= 1:
+            return hash(self.coeff(0))
         return hash((lane.den, frozenset((k, tuple(v)) for k, v in lane.terms.items())))
 
     # -- evaluation & maps -------------------------------------------------
@@ -314,23 +319,20 @@ def _term_text(c: Scalar, k: int) -> str:
 
 
 class FactoredPoly:
-    """Leading coefficient plus multiset of (root, multiplicity)."""
+    """Exact leading coefficient plus multiset of (exact root, multiplicity)."""
 
     __slots__ = ("_lead", "_roots")
 
-    def __init__(self, lead, roots: Iterable[tuple[Scalar, int]] = ()):
-        if not isinstance(lead, Scalar):
-            lead = Exact.from_rational(lead)
+    def __init__(self, lead, roots: Iterable[tuple[Exact, int]] = ()):
+        lead = Poly.scalar(lead)
         if not lead:
             raise ValueError("factored polynomial needs a nonzero lead")
-        # Exact and Numeric hash consistently with ==; a dict keeps the
-        # first-seen root object and order, and the stable sort keeps that
-        # order among roots with the same text.
-        merged: dict[Scalar, int] = {}
+        # equal exact values hash alike, so a dict merges equal roots
+        merged: dict[Exact, int] = {}
         for root, mult in roots:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
-            root = as_scalar(root, lead)
+            root = Poly.scalar(root)
             merged[root] = merged.get(root, 0) + mult
         ordered = sorted(merged.items(), key=lambda rm: rm[0].text())
         object.__setattr__(self, "_lead", lead)
@@ -340,25 +342,21 @@ class FactoredPoly:
         raise AttributeError("FactoredPoly values are immutable")
 
     @property
-    def lead(self) -> Scalar:
+    def lead(self) -> Exact:
         return self._lead
 
     @property
-    def roots(self) -> tuple[tuple[Scalar, int], ...]:
+    def roots(self) -> tuple[tuple[Exact, int], ...]:
         return self._roots
-
-    @property
-    def backend(self) -> str:
-        return self._lead.backend
 
     @property
     def degree(self) -> int:
         return sum(m for _, m in self._roots)
 
-    def distinct_roots(self) -> list[Scalar]:
+    def distinct_roots(self) -> list[Exact]:
         return [r for r, _ in self._roots]
 
-    def ord_at(self, w: Scalar) -> int:
+    def ord_at(self, w: Exact) -> int:
         """Multiplicity of the zero at w (0 when w is not a root)."""
         for r, m in self._roots:
             if r == w:
@@ -369,12 +367,7 @@ class FactoredPoly:
         """lead * prod (z - r)^m, by ``linear_product``."""
         return linear_product(self._lead, self._roots)
 
-    def scale(self, factor) -> FactoredPoly:
-        return FactoredPoly(self._lead * factor, self._roots)
-
     def times(self, other: FactoredPoly) -> FactoredPoly:
-        if self.backend != other.backend:
-            raise BackendMismatchError("factored polynomials mix backends")
         return FactoredPoly(
             self._lead * other._lead, list(self._roots) + list(other._roots)
         )
@@ -400,7 +393,7 @@ class FactoredPoly:
 
 def classical_rad(f: FactoredPoly) -> Poly:
     """Monic product of z - r over the distinct roots of f."""
-    return linear_product(as_scalar(1, f.lead), [(r, 1) for r in f.distinct_roots()])
+    return linear_product(1, [(r, 1) for r in f.distinct_roots()])
 
 
 def product(polys: Iterable[Poly]) -> Poly:
@@ -408,12 +401,12 @@ def product(polys: Iterable[Poly]) -> Poly:
     return Poly._wrap(_lane_product([f._lane for f in polys]))
 
 
-def linear_product(lead, roots: Iterable[tuple[Scalar, int]]) -> Poly:
+def linear_product(lead, roots: Iterable[tuple[Exact, int]]) -> Poly:
     """lead * prod (z - r)^m over (root, multiplicity) pairs, offsets 0."""
     return offset_product([(r, [(0, m)]) for r, m in roots], lead)
 
 
-def offset_product(classes: Iterable[tuple[Scalar, Iterable[tuple[int, int]]]], lead=1) -> Poly:
+def offset_product(classes: Iterable[tuple[Exact, Iterable[tuple[int, int]]]], lead=1) -> Poly:
     """lead * prod (z - r - o)^d over classes (r, [(o, d), ...]) of a root r,
     integer offsets o and orders d >= 0.  No sum r + o is formed: with r its
     ints over its den, z - r - o holds minus r's ints, less o den on the
@@ -423,12 +416,11 @@ def offset_product(classes: Iterable[tuple[Scalar, Iterable[tuple[int, int]]]], 
     multiply on plain int lists (``_linear_ints``).  A radical r gives one
     lane per factor.  The lead's lane, the radical lanes and the lane of
     the rational product meet in ``_lane_product``.  A numeric lead or root
-    raises BackendMismatchError."""
+    raises BackendMismatchError (``Poly.scalar``)."""
     lanes = [_lane_of([lead])]
     linear: list[tuple[int, int]] = []  # (c, den) for the factor den z + c
     for r, orders in classes:
-        if not isinstance(r, Exact):
-            raise BackendMismatchError("products of linear factors take exact roots")
+        r = Poly.scalar(r)
         n, den = r._ints.get(_ONE_KEY, 0), r._den
         if r.is_rational:
             for o, d in orders:
@@ -910,7 +902,7 @@ def factor(p: Poly) -> FactoredPoly:
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     lead = p.lead
-    roots: list[tuple[Scalar, int]] = []
+    roots: list[tuple[Exact, int]] = []
     lane = p.monic()._lane
     k = min(next(i for i, c in enumerate(ints) if c) for ints in lane.terms.values())
     if k:

@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterator, Union
 
 from .errors import BackendMismatchError, RootsUnavailableError
 
 RND = "n"  # mpmath's round_nearest: ties to even
+_HASH_MODULUS = sys.hash_info.modulus
 FZERO = (0, 0, 0, 0)  # mpmath's raw zero
 
 
@@ -400,7 +402,18 @@ class Exact(Scalar):
         return self._den, self._ints
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._ints.items())))
+        """A rational value hashes as the int or Fraction it equals: n/den
+        as n times den's inverse modulo the hash modulus (CPython's numeric
+        hash), without building the Fraction."""
+        n, den = self._ints.get(_ONE_KEY, 0), self._den
+        if len(self._ints) > (n != 0):
+            return hash((den, frozenset(self._ints.items())))
+        if den == 1:
+            return hash(n)
+        try:
+            return hash(n * pow(den, -1, _HASH_MODULUS))
+        except ValueError:  # den is a multiple of the modulus
+            return hash(Fraction(n, den))
 
     # -- conversions -------------------------------------------------------
 

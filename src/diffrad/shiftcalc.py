@@ -23,8 +23,8 @@ one power of two is divisible by no b xi - a for a rational root a/b.
 Where Gamma leaves that open, g is compared with the Euclidean route
 (``gcd_tower_euclid``), which stays the route for plain polynomials.
 
-Every quantity here is computed exactly; numeric roots raise
-BackendMismatchError (``shift_classes`` and ``offset_product``).
+Every quantity here is computed exactly, from the exact roots a
+``FactoredPoly`` holds.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import diffcalc
-from .errors import BackendMismatchError, ExactDivisionError
+from .errors import ExactDivisionError
 from .poly import (
     FactoredPoly,
     Poly,
@@ -46,7 +46,7 @@ from .poly import (
     offset_product,
     poly_gcd,
 )
-from .scalar import _ONE_KEY, Exact, Scalar
+from .scalar import _ONE_KEY, Exact
 
 
 class ShiftClass(NamedTuple):
@@ -106,11 +106,10 @@ def shift_classes(f: FactoredPoly | Iterable[tuple[int, int]]) -> list[ShiftClas
     the representative, and a member's offset is (n - n_rep) // d.
 
     The one pass serves two kinds of input.  A ``FactoredPoly`` feeds it
-    each exact root's ``_residue_key`` (numeric roots raise
-    BackendMismatchError), and its classes come back in the order of their
-    representatives in ``f.roots``, which ``FactoredPoly`` keeps sorted by
-    canonical text: the order used everywhere chains are emitted.  Rational
-    roots drawn as int pairs (n, d), d > 0, feed it each pair's
+    each root's ``_residue_key``, and its classes come back in the order of
+    their representatives in ``f.roots``, which ``FactoredPoly`` keeps
+    sorted by canonical text: the order used everywhere chains are emitted.
+    Rational roots drawn as int pairs (n, d), d > 0, feed it each pair's
     ``_rational_key``, repeats adding to the multiplicity; those classes
     have no representative (None) and come in the order of the draws.  They
     serve the shifting-primality verdict (``_first_shared_pair``), which
@@ -118,8 +117,6 @@ def shift_classes(f: FactoredPoly | Iterable[tuple[int, int]]) -> list[ShiftClas
     its draws before it builds any ``Exact``.
     """
     if isinstance(f, FactoredPoly):
-        if f.backend != "exact":
-            raise BackendMismatchError("shift classes need exact roots")
         keyed = [(_residue_key(root), root, mult) for root, mult in f.roots]
     else:
         keyed = [(_rational_key(n, d), None, 1) for n, d in f]
@@ -142,8 +139,8 @@ def shift_classes(f: FactoredPoly | Iterable[tuple[int, int]]) -> list[ShiftClas
 class ChainDecomposition:
     """lead * prod_j (z - start_j)^(falling length_j), in emission order."""
 
-    lead: Scalar
-    chains: tuple[tuple[Scalar, int], ...]
+    lead: Exact
+    chains: tuple[tuple[Exact, int], ...]
 
     @property
     def degree(self) -> int:
@@ -171,7 +168,7 @@ def chain_decomposition(f: FactoredPoly) -> ChainDecomposition:
     class) makes the list deterministic.  The radicals read the orders
     directly, so the chains serve the ``chains`` command.
     """
-    chains: list[tuple[Scalar, int]] = []
+    chains: list[tuple[Exact, int]] = []
     for cls in shift_classes(f):
         remaining = dict(cls.members)
         while any(m > 0 for m in remaining.values()):
@@ -373,7 +370,7 @@ def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool | None:
     return None
 
 
-def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Scalar]:
+def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Exact]:
     """Base points z0 of the common shifting divisors of f and g.
 
     z0 is reported when some zero chain of one polynomial continues into a
@@ -390,7 +387,7 @@ def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Scalar]:
     return _common_divisors(shift_classes(f), shift_classes(g))
 
 
-def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> list[Scalar]:
+def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> list[Exact]:
     found = [cls.representative + o for cls, o in _shared_offsets(cfs, cgs)]
     found.sort(key=lambda s: s.text())
     return found
@@ -433,7 +430,7 @@ def is_shifting_prime(f: FactoredPoly, g: FactoredPoly) -> bool:
 
 def pairwise_shifting_prime(
     fs: list[FactoredPoly],
-) -> tuple[bool, tuple[int, int, Scalar] | None]:
+) -> tuple[bool, tuple[int, int, Exact] | None]:
     """All-pairs check, grouping each input once; on failure returns
     (i, j, divisor base) as witness."""
     classes = [shift_classes(f) for f in fs]

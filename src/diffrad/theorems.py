@@ -30,7 +30,7 @@ from .poly import (
     linear_product,
     poly_gcd,
 )
-from .scalar import _ONE_KEY, Exact, Numeric, Scalar, as_scalar
+from .scalar import _ONE_KEY, Exact, Numeric
 
 
 @dataclass(frozen=True)
@@ -299,8 +299,7 @@ def fermat_multi_check(
 
     powers = [diffcalc.falling_power(f.expand(), n) for f in fs]
     left = powers if rhs_one else powers[:-1]
-    one = Poly.constant(as_scalar(1, fs[0].lead))
-    residual = sum(left, Poly()) - (one if rhs_one else powers[-1])
+    residual = sum(left, Poly()) - (1 if rhs_one else powers[-1])
     equation, sup = not residual, residual.coeff_sup()
 
     power_factored = [diffcalc.falling_power_factored(f, n) for f in fs]
@@ -502,10 +501,11 @@ def unit_cubic_resolvent_roots(prec: int = 256) -> list:
     return [Numeric(re._mpf_, im._mpf_, prec) for re, im in parts]
 
 
-def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
+def unit_cubic_triad(s, t=1) -> list[tuple[Numeric, list[Numeric]]]:
     """Two cubics and a quadratic summing (in falling cubes) to 1, from
-    their roots in closed form, as numeric factored polynomials: the inputs
-    of the numeric oracle for ``unit_cubic_certificate``.
+    their roots in closed form, as numeric (lead, [roots]) pairs: the inputs
+    of the numeric oracle for ``unit_cubic_certificate``.  The roots are
+    simple and come in the order built below.
 
     s must be a root of UNIT_CUBIC_RESOLVENT and t any nonzero scalar.  With
     b = -t / (2 s):
@@ -537,9 +537,10 @@ def unit_cubic_triad(s, t=1) -> list[FactoredPoly]:
             us = [mpmath.cbrt(c + mpmath.sqrt(c * c - 1)) * omega**k for k in range(3)]
             roots.append([b + u + 1 / u for u in us])
         roots.append([b + 1, b - 1])
+    one = Numeric.from_rational(1, s.prec)
     return [
-        FactoredPoly(as_scalar(lead, s), [(Numeric.from_mpc(r, s.prec), 1) for r in rs])
-        for lead, rs in zip((1, -1, s), roots)
+        (lead, [Numeric.from_mpc(r, s.prec) for r in rs])
+        for lead, rs in zip((one, -one, s), roots)
     ]
 
 
@@ -566,7 +567,7 @@ def gen_chain_poly(
     """Random product of falling-factorial chains with grid-rational starts
     and a lead from DEFAULT_LEADS."""
     count = rng.randint(1, max_chains)
-    roots: list[tuple[Scalar, int]] = []
+    roots: list[tuple[Exact, int]] = []
     for _ in range(count):
         start = _grid_rational(rng)
         length = rng.randint(1, max_length)

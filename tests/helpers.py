@@ -317,7 +317,7 @@ def unit_cubic_oracle(s, t, prec: int) -> tuple:
     t = Fraction(t)
     with mpmath.mp.workprec(prec + 64):
         b = -(mpmath.mpf(t.numerator) / t.denominator) / (2 * s.to_mpc())
-        members = [(f.lead.to_mpc(), [r.to_mpc() for r, _ in f.roots]) for f in fs]
+        members = [(lead.to_mpc(), [r.to_mpc() for r in roots]) for lead, roots in fs]
 
         def cube(i, z):
             lead, roots = members[i]

@@ -439,11 +439,29 @@ def test_factored_root_merge_keeps_order():
 
 
 def test_factored_numeric_roots_with_equal_text_stay_distinct():
+    """Numeric roots that print alike are refused; exact roots merge by value,
+    whatever type they come as."""
     one = Numeric.from_rational(1, 64)
     near = one + Numeric.from_rational(Fraction(1, 2**80), 64)
     assert near != one and near.text() == one.text()
-    f = FactoredPoly(Numeric.from_rational(1, 64), [(near, 1), (one, 2), (near, 3)])
-    assert [(r == near, m) for r, m in f.roots] == [(True, 4), (False, 2)]
+    with pytest.raises(BackendMismatchError):
+        FactoredPoly(1, [(near, 1), (one, 2), (near, 3)])
+    half = Fraction(3, 2)
+    f = FactoredPoly(1, [(half, 1), (1, 2), (Exact.from_rational(half), 3)])
+    assert f.roots == ((1, 2), (half, 4))
+
+
+def test_factored_poly_takes_exact_values_only():
+    """A numeric lead or root raises at construction, as in Poly; ints,
+    Fractions and Exact scalars are taken, and the result holds Exacts."""
+    x = Numeric.from_rational(2, 64)
+    for lead, roots in ((x, []), (x, [(1, 1)]), (1, [(x, 1)]), (1, [(0, 1), (x, 2)])):
+        with pytest.raises(BackendMismatchError):
+            FactoredPoly(lead, roots)
+    f = FactoredPoly(Fraction(-1, 2), [(3, 1), (Fraction(1, 3), 2), (S2, 1)])
+    assert all(isinstance(v, Exact) for v in (f.lead, *f.distinct_roots()))
+    assert f.lead == Fraction(-1, 2) and f.ord_at(Fraction(1, 3)) == 2 and f.ord_at(3) == 1
+    assert not hasattr(f, "backend") and not hasattr(f, "scale")
 
 
 def test_negligible():

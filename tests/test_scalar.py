@@ -426,6 +426,32 @@ def test_every_route_gives_lowest_terms():
             assert f.roots == ((a, 1 + 2 * len(same)),)
 
 
+def test_rational_values_hash_as_the_int_or_fraction_they_equal():
+    """Equal values hash alike across ints, Fractions, Exact scalars and
+    constant Polys, so sets and dicts take them for one key."""
+    rng = random.Random(20261020)
+    modulus = sys.hash_info.modulus  # a den it divides hashes as infinity
+    dens = [1, 1, 2, 3, 10**20, modulus, 2 * modulus]
+    # -(modulus + 2)/2 is -1 modulo the modulus: its hash is -2, not -1
+    values = [Fraction(0), Fraction(-1), Fraction(1, modulus), Fraction(-(modulus + 2), 2)] + [
+        Fraction(rng.randint(-(10**30), 10**30), rng.choice(dens + [rng.randint(1, 10**40)]))
+        for _ in range(400)
+    ]
+    for q in values:
+        plain = q.numerator if q.denominator == 1 else q
+        x = Exact.from_rational(q)
+        forms = [q, x, Exact({scalar._ONE_KEY: q}), x + S2 - S2, Poly([q]),
+                 Poly([x, 0]), Poly.constant(x * 3) * Fraction(1, 3)]
+        for form in forms:
+            assert form == plain and hash(form) == hash(plain), (q, form)
+        assert len({plain, *forms}) == 1
+        table = {plain: q}
+        assert all(table.get(form) is q for form in forms)
+        assert {form: q for form in forms} == {plain: q}
+    for x in (S2, I + Fraction(1, 3), S2 * S3 - 7):
+        assert hash(Poly([x])) == hash(x) and len({x, Poly([x])}) == 1
+
+
 def test_polynomial_crossings_give_lowest_terms():
     """Coefficients, leads and values read off a lane, and factor's roots,
     are in lowest terms."""

@@ -307,18 +307,14 @@ def test_order_rules_match_the_chain_route():
 
 
 def test_order_rules_match_the_chain_route_numerically():
-    """Numeric roots are refused; the order rules' exact radicals, converted
-    for output, are the chain route's bit for bit."""
+    """Numeric roots are refused when the input is built; the order rules'
+    exact radicals, converted for output, are the chain route's bit for bit."""
     rng = random.Random(31)
     for _ in range(60):
         exact = overlapping_chain_poly(rng)
-        f = FactoredPoly(
-            exact.lead.to_numeric(128), [(r.to_numeric(128), k) for r, k in exact.roots]
-        )
+        with pytest.raises(BackendMismatchError):
+            FactoredPoly(exact.lead, [(r.to_numeric(128), k) for r, k in exact.roots])
         q, n = rng.randint(1, 5), rng.randint(1, 5)
-        for radical in (rad_delta, lambda g: rad_delta_q(g, q), lambda g: gcd_tower_closed(g, n)):
-            with pytest.raises(BackendMismatchError):
-                radical(f)
         got = (rad_delta(exact), rad_delta_q(exact, q), gcd_tower_closed(exact, n))
         for a, b in zip(got, chain_route(exact, q, n)):
             assert a.embed(128) == b.embed(128)
@@ -350,18 +346,10 @@ def test_radicals_group_once_and_build_no_chains_or_powers(monkeypatch):
 
 def test_numeric_constant_radicals_keep_the_backend():
     """Constant radicals are exact 1s, printed as 1.0 on the numeric
-    backend; numeric factored input is refused."""
-    no_roots = FactoredPoly(nroot(5))
-    third = FactoredPoly(nroot(1), [(nroot(Fraction(1, 3)), 1)])
-    for radical in (
-        lambda: rad_delta(no_roots),
-        lambda: rad_kappa(no_roots, 1),
-        lambda: rad_delta_q(no_roots, 2),
-        lambda: gcd_tower_closed(third, 1),
-        lambda: gcd_tower(third, 1),
-    ):
+    backend; numeric factored input is refused when it is built."""
+    for lead, roots in ((nroot(5), []), (1, [(nroot(Fraction(1, 3)), 1)])):
         with pytest.raises(BackendMismatchError):
-            radical()
+            FactoredPoly(lead, roots)
     numeric = Options("numeric", 128)
     for command, src in [("rad-delta", "5"), ("rad-kappa", "5"), ("rad-q", "5"),
                          ("gcd-tower", "z - 1/3")]:
@@ -804,11 +792,12 @@ def test_pairwise_groups_each_input_once(monkeypatch):
 
 
 def test_pairwise_rejects_mixed_backends_before_any_pair():
+    """A numeric member is refused when it is built, before any pair."""
     a = FactoredPoly(1, [(0, 1), (1, 1)])
     bad = FactoredPoly(1, [(2, 1)])  # a and bad already share a divisor
-    numeric = FactoredPoly(nroot(1), [(nroot(5), 1)])
+    assert not pairwise_shifting_prime([a, bad])[0]
     with pytest.raises(BackendMismatchError):
-        pairwise_shifting_prime([a, bad, numeric])
+        FactoredPoly(1, [(nroot(5), 1)])
 
 
 def test_pairwise_shifting_prime_witness():
@@ -892,7 +881,7 @@ def test_rad_delta_scaling_invariance():
     rng = random.Random(43)
     for _ in range(50):
         f = gen_chain_poly(rng, max_chains=3, max_length=3)
-        scaled = f.scale(Fraction(-7, 3))
+        scaled = FactoredPoly(f.lead * Fraction(-7, 3), f.roots)
         assert rad_delta(scaled) == rad_delta(f)
 
 
@@ -905,20 +894,19 @@ def nroot(x, prec=128):
 
 def test_numeric_chains():
     """Chains are computed exactly and printed converted; numeric roots are
-    refused."""
-    f = FactoredPoly(nroot(1), [(nroot(0), 2), (nroot(1), 1), (nroot(2), 1)])
+    refused when the input is built."""
     with pytest.raises(BackendMismatchError):
-        chain_decomposition(f)
+        FactoredPoly(nroot(1), [(nroot(0), 2), (nroot(1), 1), (nroot(2), 1)])
     _, result = run_command("chains", ["roots(1; 0:2, 1:1, 2:1)"], {}, Options("numeric", 128))
     zero = nroot(0).text()
     assert result == {"lead": nroot(1).text(), "chains": [[zero, 3], [zero, 1]]}
 
 
 def test_numeric_common_shifting_divisors():
-    """Divisor base points are exact, printed converted."""
-    f = FactoredPoly(nroot(1), [(nroot(0), 1), (nroot(1), 1), (nroot(2), 1)])
+    """Divisor base points are exact, printed converted; numeric roots are
+    refused when the input is built."""
     with pytest.raises(BackendMismatchError):
-        common_shifting_divisors(f, f)
+        FactoredPoly(1, [(nroot(0), 1), (nroot(1), 1), (nroot(2), 1)])
     numeric = Options("numeric", 128)
     _, result = run_command("shifting-prime", ["ff(z, 3)", "ff(z - 2, 3)"], {}, numeric)
     assert result == {"shifting_prime": False, "divisors": [nroot(k).text() for k in range(3)]}
@@ -956,7 +944,7 @@ def test_numeric_ambiguous_classification():
     pair = FactoredPoly(1, [(0, 1), (1 + eps, 1)])
     assert len(chain_decomposition(pair).chains) == 2
     with pytest.raises(BackendMismatchError):
-        chain_decomposition(FactoredPoly(nroot(1), [(nroot(0), 1), (nroot(1 + eps), 1)]))
+        FactoredPoly(nroot(1), [(nroot(0), 1), (nroot(1 + eps), 1)])
 
 
 def test_ambiguity_message_prints_tolerances_below_the_smallest_float():

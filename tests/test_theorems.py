@@ -491,19 +491,19 @@ def test_triad_roots_match_polyroots_oracle(prec):
     for s in unit_cubic_resolvent_roots(prec):
         for t in TRIAD_TS:
             fs = unit_cubic_triad(s, t)
-            assert [f.lead for f in fs] == [1, -1, s]
+            assert [lead for lead, _ in fs] == [1, -1, s]
             with mpmath.mp.workprec(prec + 64):
                 tol = mpmath.mpf(2) ** -(prec - 8)
-                for f, oracle in zip(fs, _triad_oracle(s, Fraction(t), prec)):
-                    assert f.degree == len(oracle) and len(f.roots) == len(oracle)
-                    for root, _ in f.roots:
+                for (_, roots), oracle in zip(fs, _triad_oracle(s, Fraction(t), prec)):
+                    assert len(roots) == len(oracle)
+                    for root in roots:
                         r = root.to_mpc()
                         assert root.prec == prec
                         assert min(abs(r - o) for o in oracle) <= tol * abs(r)
                     # the roots are distinct, so the matching is one to one
                     nearest = {
                         min(oracle, key=lambda o: abs(r.to_mpc() - o))
-                        for r, _ in f.roots
+                        for r in roots
                     }
                     assert len(nearest) == len(oracle)
 
@@ -511,7 +511,7 @@ def test_triad_roots_match_polyroots_oracle(prec):
 def test_triad_quadratic_roots_are_two_apart():
     # p3's roots are b +- 1, so f3 against itself has dispersion {+-2}
     s = unit_cubic_resolvent_roots(256)[0]
-    (r, _), (q, _) = unit_cubic_triad(s, 5)[2].roots
+    _, (r, q) = unit_cubic_triad(s, 5)[2]
     assert abs(complex(r - q)) == pytest.approx(2, abs=1e-60)
 
 
@@ -549,16 +549,8 @@ def test_relatively_prime_witness_matches_gcd():
 
 def test_relatively_prime_numeric_witness_is_the_shared_factor():
     """The witness is exact text on both backends; numeric roots are refused."""
-    def numeric(*roots):
-        return FactoredPoly(
-            Numeric.from_rational(1, 256),
-            [(Numeric.from_rational(r, 256), m) for r, m in roots],
-        )
-
     with pytest.raises(BackendMismatchError):
-        theorems._relatively_prime_hypothesis(
-            [numeric((0, 1), (1, 2), (3, 1)), numeric((1, 3), (2, 1), (3, 1))]
-        )
+        FactoredPoly(1, [(Numeric.from_rational(r, 256), m) for r, m in ((0, 1), (1, 2), (3, 1))])
     srcs = ["roots(1; 0:1, 1:2, 3:1)", "roots(1; 1:3, 2:1, 3:1)", "z"]
     shared = ((Z - 1) ** 2 * (Z - 3)).expr_text()
     for backend in ("exact", "numeric"):
@@ -572,7 +564,7 @@ def test_unit_cubic_builder_passes_its_tolerance_on():
     s = unit_cubic_resolvent_roots(128)[4]
     assert s.prec == 128
     for t in (1, Fraction(-3, 7)):
-        values = [x for f in unit_cubic_triad(s, t) for x in (f.lead, *(r for r, _ in f.roots))]
+        values = [x for lead, roots in unit_cubic_triad(s, t) for x in (lead, *roots)]
         assert {x.prec for x in values} == {128}
 
 
@@ -595,16 +587,16 @@ def test_gen_mason_deterministic():
 
 
 def test_numeric_relatively_prime_tolerance_is_per_pair():
-    """Roots 2^-40 apart are distinct, exactly; numeric checkers are refused."""
+    """Roots 2^-40 apart are distinct, exactly; numeric inputs are refused
+    when they are built."""
     a = FactoredPoly(1, [(0, 1)])
     b = FactoredPoly(1, [(Fraction(1, 2**40), 1)])
     c = FactoredPoly(1, [(5, 1)])
     assert hyp_map(mason_classical(a, b, c))["relatively_prime"]
     assert not hyp_map(mason_classical(a, a, c))["relatively_prime"]
-    numeric = [FactoredPoly(f.lead.to_numeric(64), [(r.to_numeric(64), m) for r, m in f.roots])
-               for f in (a, b, c)]
-    with pytest.raises(BackendMismatchError):
-        mason_classical(*numeric)
+    for f in (a, b, c):
+        with pytest.raises(BackendMismatchError):
+            FactoredPoly(f.lead.to_numeric(64), [(r.to_numeric(64), m) for r, m in f.roots])
 
 
 def test_gen_mason_budget_error(monkeypatch):
