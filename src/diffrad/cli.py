@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from . import casorati, diffcalc, shiftcalc, theorems
 from .errors import DiffradError, ParseError, RootsUnavailableError
-from .parser import eval_expr, eval_factored, parse, parse_factored, parse_poly
+from .parser import NAMES, eval_expr, eval_factored, parse, parse_factored, parse_poly
 from .diffcalc import NewtonExpansion
 from .poly import Poly, classical_rad, coeffs_json, coeffs_text
 from .scalar import Numeric
@@ -394,12 +395,14 @@ def _human_lines(command: str, result: dict) -> str:
 
 def _expressions(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """argv with a space before each argument that starts with "-" but names
-    or abbreviates no subcommand option: argparse reads "-z^2" or "-1/2" as
-    an unknown option, and the expression grammar ignores the space."""
+    or abbreviates no subcommand option, as argparse reads "-z^2" as an unknown
+    option and the grammar ignores the space; a "--word" whose word the
+    grammar does not know ("--jsn", not "--z") is left for argparse to refuse."""
     subcommands = parser._subparsers._group_actions[0].choices.values()
     names = {name for sub in subcommands for name in sub._option_string_actions}
     return [
         f" {a}" if a[:1] == "-" and not any(n.startswith(a.split("=")[0]) for n in names)
+        and (a[:2] != "--" or "".join(takewhile(str.isalpha, a[2:])) in NAMES | {""})
         else a
         for a in argv
     ]

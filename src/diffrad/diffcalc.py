@@ -96,14 +96,13 @@ def raising_power(p: Poly, n: int) -> Poly:
 
 
 def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
-    """Factored form of f^(falling n): each root r spawns r, r+1, ..., r+n-1."""
+    """Factored form of f^(falling n): each root r spawns r, r+1, ..., r+n-1,
+    so a class keeps its key, and its orders shifted by j < n add up."""
     if n < 1:
         raise ValueError("factored falling power needs n >= 1")
-    roots = []
-    for r, m in f.roots:
-        for j in range(n):
-            roots.append((r + j, m))
-    return FactoredPoly(f.lead**n, roots)
+    shifted = [c._replace(members={o + j: m for o, m in c.members.items()})
+               for c in f.classes for j in range(n)]
+    return FactoredPoly._of(f.lead**n, shifted)
 
 
 def falling_factorial_linear(root: Scalar, n: int) -> Poly:

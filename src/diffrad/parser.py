@@ -67,6 +67,7 @@ MAX_DEGREE = 1000
 MAX_BITS = 12_000
 
 Value = Poly | FactoredPoly
+NAMES = frozenset({"z", "i", "sqrt", "ff", "rf", "shift", "roots"})  # every name parse_name reads
 
 # -- tokenizer ---------------------------------------------------------------
 
@@ -263,6 +264,8 @@ class _Parser:
     def parse_name(self) -> Value:
         tok = self.advance()
         name = tok.text
+        if name not in NAMES:
+            raise ParseError(f"unknown name {name!r}", tok.offset)
         if name == "z":
             return Poly.z()
         if name == "i":
@@ -295,9 +298,7 @@ class _Parser:
             spread = max(base.degree, 0) * (abs(step).bit_length() + 1)
             _check_bits(_bits(base) + spread, offset)
             return diffcalc.shift(base, step)
-        if name == "roots":
-            return self.parse_roots()
-        raise ParseError(f"unknown name {name!r}", tok.offset)
+        return self.parse_roots()  # name == "roots"
 
     def parse_roots(self) -> FactoredPoly:
         self.expect("(")

@@ -10,11 +10,11 @@ factors z - r - o enter the lane straight from the roots' ints
 a :class:`NumericPoly`, and ``Poly`` refuses a numeric coefficient with
 BackendMismatchError.
 
-A :class:`FactoredPoly` is a leading coefficient plus a multiset of
-(root, multiplicity) pairs; it is the primary ingestion form for anything
-that needs root data (chain decompositions, radicals, shifting-prime tests).
-Its lead and roots are exact too: a numeric one raises BackendMismatchError
-at construction (``Poly.scalar``).
+A :class:`FactoredPoly` is a leading coefficient plus the shift classes of
+its roots, grouped once when it is built: the ingestion form for anything
+that needs root data (chains, radicals, shifting-prime tests).  Its lead
+and roots are exact too: a numeric one raises BackendMismatchError at
+construction (``Poly.scalar``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BackendMismatchError,
@@ -49,6 +49,7 @@ from .scalar import (
 
 NEG_INF = float("-inf")
 _ZERO = Exact()
+_NO_REST: frozenset = frozenset()  # the non-rational ints in a rational root's residue key
 
 
 def coeffs_json(cs: Sequence[Scalar]) -> dict:
@@ -318,25 +319,95 @@ def _term_text(c: Scalar, k: int) -> str:
     return f"{text}*{power}"
 
 
+class ShiftClass(NamedTuple):
+    """Roots pairwise congruent modulo 1, grouped once, when a ``FactoredPoly``
+    is built (``_group``): offsets o >= 0 from the least member, the
+    representative, with ``members`` the order function m of ``shiftcalc``.
+    ``key`` and ``n`` are the representative's ``_residue_key``: classes hold
+    roots an integer apart exactly when their keys agree."""
+
+    representative: Exact | None
+    members: dict[int, int]
+    key: tuple
+    n: int
+
+    def run_length(self, start: int) -> int:
+        """Consecutive offsets present starting at `start` (its height)."""
+        n = 0
+        while self.members.get(start + n, 0) > 0:
+            n += 1
+        return n
+
+
+def _residue_key(root: Exact) -> tuple[tuple, int]:
+    """(key, n) for root = (n + rest) / d, its ints over its den: as
+    gcd(d, n + m d, rest) = gcd(d, n, rest) = 1, adding an integer m changes
+    n alone, so two roots differ by an integer exactly when their keys
+    (rest, n mod d, d) agree, and then by (n - n') // d."""
+    ints = root._ints
+    n, d = ints.get(_ONE_KEY, 0), root._den
+    rest = frozenset(kc for kc in ints.items() if kc[0] != _ONE_KEY) if len(ints) > (n != 0) else _NO_REST
+    return (rest, n % d, d), n
+
+
+def _rational_key(n: int, d: int) -> tuple[tuple, int]:
+    """``_residue_key`` of the rational root n/d (d > 0), read off the ints."""
+    g = math.gcd(n, d)
+    return (_NO_REST, n // g % (d // g), d // g), n // g
+
+
+def _group(pieces: Iterable[tuple]) -> list[ShiftClass]:
+    """The shift classes of `pieces`, ``ShiftClass``es or tuples in its field
+    order, in one keyed pass: roots differ by an integer exactly when their
+    residue keys agree.  The piece of least n gives the representative, and
+    a piece's offsets move by (n - n_rep) // d, so equal roots merge at one
+    offset without comparing values.  Classes come in the order their keys
+    first occur."""
+    buckets: dict[tuple, list[tuple]] = {}
+    for piece in pieces:
+        buckets.setdefault(piece[2], []).append(piece)
+    classes = []
+    for key, bucket in buckets.items():
+        rep, _, _, n_rep = min(bucket, key=operator.itemgetter(3)) if bucket[1:] else bucket[0]
+        members: dict[int, int] = {}
+        for _, orders, _, n in bucket:
+            shift = (n - n_rep) // key[2]
+            for o, m in orders.items():
+                members[o + shift] = members.get(o + shift, 0) + m
+        classes.append(ShiftClass(rep, members, key, n_rep))
+    return classes
+
+
+def _root_piece(entry: tuple[Exact, int]) -> tuple:
+    """The ``_group`` piece of one (root, multiplicity) entry."""
+    root, mult = entry
+    if mult < 1:
+        raise ValueError("multiplicities must be >= 1")
+    root = Poly.scalar(root)
+    return root, {0: mult}, *_residue_key(root)
+
+
 class FactoredPoly:
-    """Exact leading coefficient plus multiset of (exact root, multiplicity)."""
+    """Exact leading coefficient plus the shift classes of the exact roots,
+    grouped once, when it is built, and ordered by the canonical text of
+    their representatives; ``roots`` is a view of them."""
 
-    __slots__ = ("_lead", "_roots")
+    __slots__ = ("_lead", "_classes")
 
-    def __init__(self, lead, roots: Iterable[tuple[Exact, int]] = ()):
+    def __new__(cls, lead, roots: Iterable[tuple[Exact, int]] = ()):
+        return cls._of(lead, map(_root_piece, roots))
+
+    @classmethod
+    def _of(cls, lead, pieces: Iterable[tuple]) -> FactoredPoly:
+        """The polynomial of `pieces`, as ``_group`` takes them."""
         lead = Poly.scalar(lead)
         if not lead:
             raise ValueError("factored polynomial needs a nonzero lead")
-        # equal exact values hash alike, so a dict merges equal roots
-        merged: dict[Exact, int] = {}
-        for root, mult in roots:
-            if mult < 1:
-                raise ValueError("multiplicities must be >= 1")
-            root = Poly.scalar(root)
-            merged[root] = merged.get(root, 0) + mult
-        ordered = sorted(merged.items(), key=lambda rm: rm[0].text())
-        object.__setattr__(self, "_lead", lead)
-        object.__setattr__(self, "_roots", tuple(ordered))
+        out = object.__new__(cls)
+        object.__setattr__(out, "_lead", lead)
+        classes = sorted(_group(pieces), key=lambda c: c.representative.text())
+        object.__setattr__(out, "_classes", tuple(classes))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredPoly values are immutable")
@@ -346,54 +417,62 @@ class FactoredPoly:
         return self._lead
 
     @property
+    def classes(self) -> tuple[ShiftClass, ...]:
+        return self._classes
+
+    @property
     def roots(self) -> tuple[tuple[Exact, int], ...]:
-        return self._roots
+        """(root, multiplicity) per distinct root, sorted by canonical text."""
+        pairs = [(c.representative + o, m) for c in self._classes for o, m in c.members.items()]
+        return tuple(sorted(pairs, key=lambda rm: rm[0].text()))
 
     @property
     def degree(self) -> int:
-        return sum(m for _, m in self._roots)
+        return sum(sum(c.members.values()) for c in self._classes)
 
     def distinct_roots(self) -> list[Exact]:
-        return [r for r, _ in self._roots]
+        return [r for r, _ in self.roots]
 
     def ord_at(self, w: Exact) -> int:
         """Multiplicity of the zero at w (0 when w is not a root)."""
-        for r, m in self._roots:
-            if r == w:
-                return m
-        return 0
+        return self._order(*_residue_key(Poly.scalar(w)))
+
+    def _order(self, key: tuple, n: int) -> int:
+        """Multiplicity of the root with residue key `key` and numerator n."""
+        c = next((c for c in self._classes if c.key == key), None)
+        return 0 if c is None else c.members.get((n - c.n) // key[2], 0)
 
     def expand(self) -> Poly:
-        """lead * prod (z - r)^m, by ``linear_product``."""
-        return linear_product(self._lead, self._roots)
+        """lead * prod (z - r)^m, one ``offset_product`` over the classes."""
+        return offset_product(((c.representative, c.members.items()) for c in self._classes), self._lead)
 
     def times(self, other: FactoredPoly) -> FactoredPoly:
-        return FactoredPoly(
-            self._lead * other._lead, list(self._roots) + list(other._roots)
-        )
+        """The product, its classes merged by key (``_group``)."""
+        return FactoredPoly._of(self._lead * other._lead, self._classes + other._classes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredPoly):
             return NotImplemented
-        return self._lead == other._lead and self._roots == other._roots
+        return self._lead == other._lead and self._classes == other._classes
 
     def __hash__(self) -> int:
-        return hash((self._lead, self._roots))
+        """Of the lead and each class's key, n and members, which fix the class."""
+        return hash((self._lead, tuple((c.key, c.n, frozenset(c.members.items())) for c in self._classes)))
 
     def to_json_dict(self) -> dict:
         return {
             "lead": self._lead.text(),
-            "roots": [[r.text(), m] for r, m in self._roots],
+            "roots": [[r.text(), m] for r, m in self.roots],
         }
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"({r.text()}):{m}" for r, m in self._roots)
+        inner = ", ".join(f"({r.text()}):{m}" for r, m in self.roots)
         return f"FactoredPoly(lead={self._lead.text()}, roots=[{inner}])"
 
 
 def classical_rad(f: FactoredPoly) -> Poly:
     """Monic product of z - r over the distinct roots of f."""
-    return linear_product(1, [(r, 1) for r in f.distinct_roots()])
+    return offset_product((c.representative, [(o, 1) for o in c.members]) for c in f.classes)
 
 
 def product(polys: Iterable[Poly]) -> Poly:

@@ -2,9 +2,9 @@
 
 A zero z0 of p has *height* n when p vanishes at z0, z0+1, ..., z0+n-1 but
 not at z0+n (equivalently: p and its first n-1 forward differences vanish at
-z0 while the n-th does not).  In a shift class of roots (``shift_classes``)
-with representative r, m(o) is the order of P at r + o, 0 at an absent
-offset.  The unique chain decomposition
+z0 while the n-th does not).  In a shift class of roots (``shift_classes``,
+grouped when a ``FactoredPoly`` is built) with representative r, m(o) is the
+order of P at r + o, 0 at an absent offset.  The unique chain decomposition
 
     P(z) = A * prod_j (z - z_j)(z - z_j - 1)...(z - z_j - n_j + 1)
 
@@ -17,14 +17,11 @@ d^n P) min(m(o), ..., m(o+n)).
 ``gcd_tower`` proves that closed form g equal to the gcd on every factored
 call instead of recomputing it (``_tower_certified``): one exact division
 of each nonzero d^k P by g, so that g divides the gcd; then the cofactors
-d^k P / g have no common root, as each non-rational root of P has a nonzero
-cofactor value there, and the gcd Gamma of the cofactors' integer values at
-one power of two is divisible by no b xi - a for a rational root a/b.
-Where Gamma leaves that open, g is compared with the Euclidean route
-(``gcd_tower_euclid``), which stays the route for plain polynomials.
-
-Every quantity here is computed exactly, from the exact roots a
-``FactoredPoly`` holds.
+d^k P / g have no common root, as each root of P has a nonzero cofactor
+value there: at a rational root a/b, the gcd Gamma of the cofactors' integer
+values at a power of two xi shows it, or where b xi - a divides Gamma, exact
+values at a/b.  So the certificate decides every factored call; the
+Euclidean route (``gcd_tower_euclid``) serves plain polynomials and tests.
 """
 
 from __future__ import annotations
@@ -33,106 +30,36 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from . import diffcalc
 from .errors import ExactDivisionError
 from .poly import (
     FactoredPoly,
     Poly,
+    ShiftClass,
     _divexact_ints,
+    _group,
     _pack,
     _primitive,
+    _rational_key,
     offset_product,
     poly_gcd,
 )
 from .scalar import _ONE_KEY, Exact
 
 
-class ShiftClass(NamedTuple):
-    """Roots pairwise congruent modulo 1, as offsets from a representative.
+def shift_classes(f: FactoredPoly | Iterable[tuple[int, int]]) -> Sequence[ShiftClass]:
+    """The distinct roots partitioned by integer difference (``poly._group``).
 
-    The representative is the minimal member (offset 0); all stored offsets
-    are nonnegative and map to positive multiplicities: ``members`` is the
-    order function m of the module docstring, the radicals and the gcd tower
-    are order rules on it, and the chains are its level sets.  ``key`` and
-    ``n`` are the representative's residue key and numerator
-    (``_residue_key``): classes of two groupings hold roots an integer apart
-    exactly when their keys agree, and their representatives then differ by
-    the difference of their n over key[2].  ``shift_classes`` is the one
-    place that groups roots, in one keyed pass.
-    """
-
-    representative: Exact | None
-    members: dict[int, int]
-    key: tuple
-    n: int
-
-    def run_length(self, start: int) -> int:
-        """Consecutive offsets present starting at `start` (its height)."""
-        n = 0
-        while self.members.get(start + n, 0) > 0:
-            n += 1
-        return n
-
-
-_NO_REST: frozenset = frozenset()
-
-
-def _residue_key(root: Exact) -> tuple[tuple, int]:
-    """(key, n) for root = (n + rest) / d, its ints over its den: as
-    gcd(d, n + m d, rest) = gcd(d, n, rest) = 1, adding an integer m changes
-    n alone, so two roots differ by an integer exactly when their keys
-    (rest, n mod d, d) agree, and then by (n - n') // d."""
-    n, d = root._ints.get(_ONE_KEY, 0), root._den
-    rest = frozenset(kc for kc in root._ints.items() if kc[0] != _ONE_KEY)
-    return (rest, n % d, d), n
-
-
-def _rational_key(n: int, d: int) -> tuple[tuple, int]:
-    """``_residue_key`` of the rational root n/d (d > 0), read off the ints."""
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    return (_NO_REST, n % d, d), n
-
-
-def shift_classes(f: FactoredPoly | Iterable[tuple[int, int]]) -> list[ShiftClass]:
-    """Partition the distinct roots by integer difference.
-
-    Roots are grouped in one pass on ints: each root goes to the bucket of
-    its residue key, as a - b is an integer exactly when a and b (ints over
-    a den d in lowest terms) have the same d, the same non-rational ints and
-    rational ints n with the same n mod d.  The member with the least n is
-    the representative, and a member's offset is (n - n_rep) // d.
-
-    The one pass serves two kinds of input.  A ``FactoredPoly`` feeds it
-    each root's ``_residue_key``, and its classes come back in the order of
-    their representatives in ``f.roots``, which ``FactoredPoly`` keeps
-    sorted by canonical text: the order used everywhere chains are emitted.
-    Rational roots drawn as int pairs (n, d), d > 0, feed it each pair's
-    ``_rational_key``, repeats adding to the multiplicity; those classes
-    have no representative (None) and come in the order of the draws.  They
-    serve the shifting-primality verdict (``_first_shared_pair``), which
-    reads only keys and offsets, so ``theorems.gen_mason_instance`` rejects
-    its draws before it builds any ``Exact``.
-    """
+    A ``FactoredPoly`` grouped its roots once, when it was built, in the
+    order chains are emitted: by representatives' canonical text.  Int pairs
+    (n, d), d > 0, of drawn rational roots run the same pass on their
+    ``_rational_key``s, in draw order and with no representative (None), for
+    ``_first_shared_pair``: ``theorems.gen_mason_instance`` rejects draws
+    before it builds any ``Exact``."""
     if isinstance(f, FactoredPoly):
-        keyed = [(_residue_key(root), root, mult) for root, mult in f.roots]
-    else:
-        keyed = [(_rational_key(n, d), None, 1) for n, d in f]
-    buckets: dict[tuple, list[tuple[int, int, Exact | None, int]]] = {}
-    for rank, ((key, n), root, mult) in enumerate(keyed):
-        buckets.setdefault(key, []).append((n, rank, root, mult))
-    ranked = []
-    for key, bucket in buckets.items():
-        n_rep, rank, rep, _ = min(bucket, key=lambda m: m[0])
-        members: dict[int, int] = {}
-        for n, _, _, mult in bucket:
-            o = (n - n_rep) // key[2]
-            members[o] = members.get(o, 0) + mult
-        ranked.append((rank, ShiftClass(rep, members, key, n_rep)))
-    ranked.sort(key=lambda rc: rc[0])
-    return [cls for _, cls in ranked]
+        return f.classes
+    return _group((None, {0: 1}, *_rational_key(n, d)) for n, d in f)
 
 
 @dataclass(frozen=True)
@@ -297,45 +224,36 @@ def gcd_tower(p: Poly | FactoredPoly, n: int) -> Poly:
     Factored input computes the chain closed form g and proves it equal to
     G = gcd(P, delta P, ..., delta^n P), P = p.expand(), by ``_tower_certified``:
     g divides every nonzero delta^k P, so g | G, and the cofactors
-    delta^k P / g have no common root, so G / g is a unit.  When the
-    certificate is inconclusive, g is compared with the Euclidean route
-    instead; either way a wrong closed form raises ArithmeticError.  Plain
-    polynomials go through Euclid alone.
+    delta^k P / g have no common root, so G / g is a unit; a wrong closed
+    form raises ArithmeticError.  Plain polynomials go through Euclid.
     """
     if isinstance(p, FactoredPoly):
         closed = gcd_tower_closed(p, n)
-        verdict = _tower_certified(p, closed, n)
-        if verdict is None:
-            verdict = closed == gcd_tower_euclid(p.expand(), n)
-        if not verdict:
+        if not _tower_certified(p, closed, n):
             raise ArithmeticError("gcd tower routes disagree")
         return closed
     return gcd_tower_euclid(p, n)
 
 
-def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool | None:
-    """Whether g = gcd(P, delta P, ..., delta^n P) for P = f.expand(): True
-    or False when proved, None when inconclusive.
+def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool:
+    """Whether g = gcd(P, delta P, ..., delta^n P) for P = f.expand().
 
     (a) g divides each nonzero delta^k P, k <= n, by one exact division:
     ``_divexact_ints`` of each key's primitive ints by g's when every root
     of f is rational (so g is over Q), ``Poly.divexact`` otherwise.  A
     remainder disproves g.  (b) The cofactors c_k = delta^k P / g have no
-    common root; one would be a root of c_0 = P / g, so a distinct root w
-    of f.  A non-rational w is ruled out by an exact c_k(w) != 0 for some k,
-    and disproves g when there is none.  A rational w = a/b in lowest terms
-    is ruled out by the integer Gamma, the gcd of the values at
-    xi = 2^(8 width) > |w| of the cofactors' primitive per-key ints
-    (``_pack``), as in GCDHEU (Char, Geddes & Gonnet 1989): were w a common
-    root, b z - a would divide each of those lists over Z (Gauss; the keys
-    are independent over Q), so b xi - a would divide Gamma.  Gamma also
-    holds every small prime modulo which all c_k vanish at xi, and a P of
-    high degree vanishes everywhere modulo many small primes, so Gamma is
-    tested root by root, not by its size: Gamma != 0 divisible by no
-    b xi - a proves (b), and otherwise the result is inconclusive.
+    common root, which would be a distinct root w of f.  A non-rational w
+    is ruled out by an exact c_k(w) != 0.  A rational w = a/b, (n + o d)/d
+    in its class, is a common root exactly when b z - a divides every
+    primitive per-key int list of the c_k over Z (Gauss; the keys are
+    independent over Q), so b xi - a divides the gcd Gamma of their values
+    at xi = 2^(8 width) > |w| (``_pack``), as in GCDHEU (Char, Geddes &
+    Gonnet 1989).  Gamma also holds the small primes modulo which all c_k
+    vanish at xi, as a P of high degree does modulo many, so a w it leaves
+    open is decided by exact division by b z - a.  A common root disproves g.
     """
-    rational = [(r._ints.get(_ONE_KEY, 0), r._den) for r, _ in f.roots if r.is_rational]
-    radical = [r for r, _ in f.roots if not r.is_rational]
+    rational = [(c.n + o * c.key[2], c.key[2]) for c in f.classes if not c.key[0] for o in c.members]
+    radical = [c.representative + o for c in f.classes if c.key[0] for o in c.members]
     base = None if radical else _primitive(g._lane.terms[_ONE_KEY])
     cur = f.expand()
     cofactors: list[Poly] = []  # the c_k, evaluated at the radical roots
@@ -365,9 +283,10 @@ def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool | None:
     width = e // 8 + 9
     gamma = math.gcd(*(_pack(part, width) for part in ints))
     xi = 1 << 8 * width
-    if gamma and all(gamma % (b * xi - a) for a, b in rational):
-        return True
-    return None
+    return all(
+        gamma % (b * xi - a) or any(_divexact_ints(part, [-a, b]) is None for part in ints)
+        for a, b in rational
+    )
 
 
 def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Exact]:
@@ -376,9 +295,9 @@ def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Exact]:
     z0 is reported when some zero chain of one polynomial continues into a
     zero of the other: a zero z0 of f qualifies when g(z0 + m) = 0 for some
     1 <= m <= height of z0 in f, and symmetrically with f and g swapped.
-    f and g are grouped separately by ``shift_classes``; a class of f and a
-    class of g can share a divisor only when their representatives differ by
-    an integer, that is when their ``_residue_key``s agree.  So g's classes
+    f and g hold their own ``shift_classes``; a class of f and a class of g
+    can share a divisor only when their representatives differ by an
+    integer, that is when their ``_residue_key``s agree.  So g's classes
     go in a dict by that key, each class of f finds its partner with one
     lookup, and the offset between the representatives n_f/d and n_g/d is
     (n_g - n_f) // d, all on ints.  Heights are ``ShiftClass.run_length``.
@@ -388,9 +307,7 @@ def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Exact]:
 
 
 def _common_divisors(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> list[Exact]:
-    found = [cls.representative + o for cls, o in _shared_offsets(cfs, cgs)]
-    found.sort(key=lambda s: s.text())
-    return found
+    return sorted((cls.representative + o for cls, o in _shared_offsets(cfs, cgs)), key=Exact.text)
 
 
 def _shared_offsets(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> Iterator[tuple[ShiftClass, int]]:
@@ -431,7 +348,7 @@ def is_shifting_prime(f: FactoredPoly, g: FactoredPoly) -> bool:
 def pairwise_shifting_prime(
     fs: list[FactoredPoly],
 ) -> tuple[bool, tuple[int, int, Exact] | None]:
-    """All-pairs check, grouping each input once; on failure returns
+    """All-pairs check on each input's classes; on failure returns
     (i, j, divisor base) as witness."""
     classes = [shift_classes(f) for f in fs]
     pair = _first_shared_pair(classes)

@@ -27,7 +27,7 @@ from .poly import (
     _primitive,
     _root_bound_exp,
     factor,
-    linear_product,
+    offset_product,
     poly_gcd,
 )
 from .scalar import _ONE_KEY, Exact, Numeric
@@ -144,17 +144,18 @@ def _shifting_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
 
 
 def _relatively_prime_hypothesis(fs: Sequence[FactoredPoly]) -> Hypothesis:
-    """Pairwise coprimality from the roots: the witness is the monic product
-    of (z - r)^min(m, n) over the roots r that f_i and f_j share, with orders
-    m and n, which is gcd(f_i, f_j).
-    """
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            shared = [(r, min(m, fs[j].ord_at(r))) for r, m in fs[i].roots]
-            if any(m for _, m in shared):
-                g = linear_product(1, shared).expr_text()
-                text = f"inputs {i} and {j} share the factor {g}"
-                return Hypothesis("relatively_prime", False, text)
+    """Pairwise coprimality from the shift classes: the witness is the monic
+    product of (z - r)^min(m, n) over the roots r that f_i and f_j share,
+    with orders m and n, which is gcd(f_i, f_j)."""
+    for i, j in combinations(range(len(fs)), 2):
+        shared = [  # a member's ints are n + o d over d, d = key[2]
+            (c.representative, [(o, min(m, fs[j]._order(c.key, c.n + o * c.key[2])))
+                                for o, m in c.members.items()])
+            for c in fs[i].classes
+        ]
+        if any(d for _, orders in shared for _, d in orders):
+            g = offset_product(shared).expr_text()
+            return Hypothesis("relatively_prime", False, f"inputs {i} and {j} share the factor {g}")
     return Hypothesis("relatively_prime", True, "")
 
 
@@ -170,7 +171,7 @@ def mason_classical(a: FactoredPoly, b: FactoredPoly, c: FactoredPoly) -> MasonR
         equation_holds=equation,
         hypotheses=tuple(hyps),
         lhs=_max_degree([a, b, c]),
-        rhs=len(a.times(b).times(c).roots) - 1,  # deg rad(abc) - 1
+        rhs=sum(len(cls.members) for cls in a.times(b).times(c).classes) - 1,  # deg rad(abc) - 1
     )
 
 

@@ -110,7 +110,7 @@ def test_height_command(capsys):
 def _tolerance_exit_codes(capsys, *tol):
     """Exit codes of height and of mason-ext (its inputs are nargs="+") with
     the arguments `tol`, which name the removed --tolerance option: argparse
-    refuses them on height, and the expression parser on mason-ext."""
+    refuses them on both."""
     codes = []
     for argv in (["height", "z*(z - 1)", "--backend", "numeric"],
                  ["mason-ext", "z", "z + 1", "2*z + 1"]):
@@ -405,10 +405,29 @@ def test_numeric_output_is_the_converted_exact_output(capsys):
     (["delta", "-z^2"], "-2*z - 1"),
     (["newton", "z^2", "--at", "-1/2"], "base -1/2; coeffs: 1/4, 0, 1/1"),
     (["newton", "-z", "--at=-1"], "base -1/1; coeffs: 1/1, -1/1"),
+    (["delta", "-(z - 4)*(z - 5)"], "-2*z + 8"),
+    (["delta", "--z"], "1"),
 ])
 def test_expression_may_start_with_a_minus(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert (code, out.strip(), err) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["height", "z", "--jsn"],
+    ["height", "z", "--jsn=1"],
+    ["mason-ext", "z", "z + 1", "2*z + 1", "--jsn"],
+    ["casoratian", "z", "z^2", "--jsn"],
+    ["fermat-multi", "z", "z + 1", "--n", "2", "--jsn"],
+], ids=["height", "height-value", "mason-ext", "casoratian", "fermat-multi"])
+def test_a_mistyped_word_option_is_named(capsys, argv):
+    """A "--word" argument whose word the grammar does not know is an
+    option, on one-input commands and on those whose inputs are nargs="+"."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    option = argv[-1]
+    assert capsys.readouterr().err.splitlines()[-1] == f"diffrad: error: unrecognized arguments: {option}"
 
 
 @pytest.mark.parametrize("tol", [["--tolerance", "-1"], ["--tol", "-1"]])

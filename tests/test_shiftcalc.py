@@ -28,7 +28,7 @@ from diffrad import (
     shifting_zero_height,
     shifting_zero_height_via_delta,
 )
-from diffrad import shiftcalc, theorems
+from diffrad import poly, shiftcalc, theorems
 from diffrad.cli import Options, run_command
 from diffrad.diffcalc import falling_factorial_linear
 from diffrad.poly import linear_product, product
@@ -410,9 +410,10 @@ def counting_calls(monkeypatch, module, names) -> dict:
 @pytest.mark.parametrize("f", [TOWER_RATIONAL, TOWER_RADICAL], ids=["rational", "radical"])
 @pytest.mark.parametrize("step", [1, -1], ids=["too-high", "too-low"])
 def test_tower_guard_catches_a_wrong_closed_form(monkeypatch, f, step):
-    """An order rule one step off is refused: too high by a failed exact
-    division, too low through the value gcd and the Euclidean fallback on
-    rational roots, and by the evaluation at a radical root."""
+    """An order rule one step off is refused by the certificate alone, with
+    no Euclidean gcd: too high by a failed exact division, too low through
+    the value gcd and exact division at a rational root, and by the
+    evaluation at a radical root."""
     assert gcd_tower(f, 1) == helpers.linear_factors(helpers.tower_roots(f, 1))
     original = shiftcalc._least_order
     monkeypatch.setattr(
@@ -422,8 +423,7 @@ def test_tower_guard_catches_a_wrong_closed_form(monkeypatch, f, step):
     calls = counting_calls(monkeypatch, shiftcalc, ["gcd_tower_euclid"])
     with pytest.raises(ArithmeticError, match="gcd tower routes disagree"):
         gcd_tower(f, 1)
-    fallback = step < 0 and f is TOWER_RATIONAL
-    assert calls["gcd_tower_euclid"] == (1 if fallback else 0)
+    assert calls["gcd_tower_euclid"] == 0
 
 
 def test_factored_tower_runs_no_euclidean_gcd(monkeypatch):
@@ -493,6 +493,44 @@ def test_certified_tower_against_euclid_and_the_roots(monkeypatch, kind):
     assert len(verdicts) > 100 and all(verdicts)
 
 
+# the constant terms of P's cofactors hold a high power of 2, so at the root
+# 0, where b xi - a = xi, the value gcd Gamma is divisible by xi
+TOWER_OPEN_AT_ZERO = FactoredPoly(1, [
+    (0, 2), (-1, 3), (-3, 3), (-4, 2), (-5, 1), (-7, 4), (-9, 1), (-15, 4), (-31, 1),
+    (-63, 2), (3, 3), (5, 2), (9, 2), (17, 3), (33, 2),
+])
+
+
+def test_certificate_decides_the_roots_gamma_leaves_open(monkeypatch):
+    """Gamma leaves the root 0 open, and exact division by z decides it: a
+    cofactor it does not divide rules 0 out and certifies the closed form.
+    Against an order rule one step too low, z + 1 divides every cofactor,
+    which disproves it.  No Euclidean gcd is taken either way."""
+    f = TOWER_OPEN_AT_ZERO
+    want = gcd_tower_euclid(f.expand(), 1)
+    assert want == helpers.linear_factors(helpers.tower_roots(f, 1))
+    divisions = []  # (root, divides) per division by b z - a, a divisor of length 2
+    original = shiftcalc._divexact_ints
+
+    def recording(a, b):
+        q = original(a, b)
+        if len(b) == 2:
+            divisions.append((Fraction(-b[0], b[1]), q is not None))
+        return q
+
+    monkeypatch.setattr(shiftcalc, "_divexact_ints", recording)
+    calls = counting_calls(monkeypatch, shiftcalc, ["gcd_tower_euclid"])
+    assert gcd_tower(f, 1) == want
+    assert divisions == [(0, True), (0, False)]  # c_0(0) = 0, c_1(0) != 0
+    divisions.clear()
+    least = shiftcalc._least_order
+    monkeypatch.setattr(shiftcalc, "_least_order", lambda m, lo, hi: max(least(m, lo, hi) - 1, 0))
+    with pytest.raises(ArithmeticError, match="gcd tower routes disagree"):
+        gcd_tower(f, 1)
+    assert divisions == [(0, True), (0, False), (-1, True), (-1, True)]
+    assert calls == {"gcd_tower_euclid": 0}
+
+
 # -- shift classes ------------------------------------------------------------
 
 
@@ -534,9 +572,9 @@ def test_residue_keys_of_radical_roots_over_another_denominator():
     a = S2 * third + half
     b = S2 * third + Fraction(5, 2)  # a + 2
     apart = [S2 * third + third, S2 * third + sixth, S2 * half + half]
-    (key_a, n_a), (key_b, n_b) = shiftcalc._residue_key(a), shiftcalc._residue_key(b)
+    (key_a, n_a), (key_b, n_b) = poly._residue_key(a), poly._residue_key(b)
     assert key_a == key_b and key_a[2] == 6 and (n_b - n_a) // key_a[2] == 2
-    keys = [shiftcalc._residue_key(r)[0] for r in apart]
+    keys = [poly._residue_key(r)[0] for r in apart]
     assert len({key_a, *keys}) == 4
     f = FactoredPoly(1, [(b, 2), (a, 1)] + [(r, 1) for r in apart])
     classes = shift_classes(f)
@@ -615,6 +653,68 @@ def test_classes_come_in_representative_rank_order():
         f = FactoredPoly(rng.choice((1, -2, S2)), roots)
         got = [(c.representative.text(), c.members) for c in shift_classes(f)]
         assert got == scanned_classes(f)
+
+
+def seeded_root_entries(rng: random.Random) -> list:
+    """Rational and radical roots with multiplicities, in shuffled order,
+    some of them repeated across several entries."""
+    radicals = [Exact(), Exact(), S2, I * S3, S2 + I * Fraction(-1, 2)]
+    residues = [Fraction(0), Fraction(1, 3), Fraction(-2, 7), Fraction(5, 12)]
+    roots = [
+        (rng.choice(radicals) + Exact.from_rational(rng.choice(residues) + rng.randint(-5, 5)),
+         rng.randint(1, 3))
+        for _ in range(rng.randint(1, 12))
+    ]
+    roots += [(r, rng.randint(1, 2)) for r, _ in rng.sample(roots, rng.randint(0, len(roots)))]
+    rng.shuffle(roots)
+    return roots
+
+
+def test_factored_poly_holds_the_classes_of_its_roots():
+    """A FactoredPoly's classes are the scan oracle's, by representative
+    text; roots is the text-sorted merged multiset; equality and hash do not
+    depend on the order of the entries; times is construction from both
+    polynomials' roots."""
+    rng = random.Random(2601)
+    repeated = 0
+    for _ in range(150):
+        roots = seeded_root_entries(rng)
+        lead = rng.choice((1, -3, Fraction(2, 5), S2))
+        f = FactoredPoly(lead, roots)
+        want = sorted(scan_classes(roots), key=lambda c: c[0].text())
+        assert [(c.representative, c.members) for c in f.classes] == want
+        merged: dict[str, int] = {}
+        for r, m in roots:
+            merged[r.text()] = merged.get(r.text(), 0) + m
+        assert [(r.text(), m) for r, m in f.roots] == sorted(merged.items())
+        assert f.degree == sum(m for _, m in roots)
+        repeated += len(merged) < len(roots)
+        again = FactoredPoly(lead, rng.sample(roots, len(roots)))
+        assert again == f and hash(again) == hash(f)
+        assert FactoredPoly(lead, roots[1:]) != f
+        other = seeded_root_entries(rng)
+        assert f.times(FactoredPoly(-2, other)) == FactoredPoly(f.lead * -2, roots + other)
+    assert repeated >= 50
+
+
+def test_built_factored_polys_are_not_grouped_again(monkeypatch):
+    """Roots are keyed once, when a FactoredPoly is built: the chains,
+    radicals, towers and shifting divisors read the classes it holds."""
+    calls = counting_calls(monkeypatch, poly, ["_residue_key"])
+    entries = [seeded_root_entries(random.Random(seed)) for seed in range(6)]
+    fs = [FactoredPoly(1, roots) for roots in entries]
+    assert calls["_residue_key"] == sum(map(len, entries))
+    calls["_residue_key"] = 0
+    for f in fs + [TOWER_RATIONAL, TOWER_RADICAL, TOWER_OPEN_AT_ZERO]:
+        chain_decomposition(f)
+        rad_delta(f)
+        rad_kappa(f, 1)
+        rad_delta_q(f, 2)
+        gcd_tower(f, 2)
+    for f, g in combinations(fs, 2):
+        common_shifting_divisors(f, g)
+    pairwise_shifting_prime(fs)
+    assert calls == {"_residue_key": 0}
 
 
 def test_common_shifting_divisors_examples():
@@ -750,7 +850,7 @@ def test_drawn_int_keys_agree_with_the_built_parts(monkeypatch):
         for roots, _ in draws:
             for n, d in roots:
                 root = Exact.from_rational(Fraction(n, d))
-                assert shiftcalc._rational_key(n, d) == shiftcalc._residue_key(root)
+                assert poly._rational_key(n, d) == poly._residue_key(root)
         classes = [shift_classes(roots) for roots, _ in draws]
         assert [{c.key: (c.n, c.members) for c in cs} for cs in classes] == [
             {c.key: (c.n, c.members) for c in shift_classes(f)} for f in parts
