@@ -14,7 +14,7 @@ from .errors import (
     RootsUnavailableError,
     SamplingBudgetError,
 )
-from .scalar import Exact, Numeric, Scalar, as_scalar
+from .scalar import Exact, Numeric
 from .poly import (
     NEG_INF,
     FactoredPoly,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import FactoredPoly, Poly, _Lane, offset_product, product
-from .scalar import Scalar
+from .scalar import Exact, Numeric
 
 
 def binomial(n: int, k: int) -> int:
@@ -85,14 +85,14 @@ def falling_power(p: Poly, n: int) -> Poly:
     """p(z) p(z-1) ... p(z-n+1); n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("falling power needs n >= 0")
-    return product([Poly.constant(p.scalar(1))] + [shift(p, -j) for j in range(n)])
+    return product([Poly([1])] + [shift(p, -j) for j in range(n)])
 
 
 def raising_power(p: Poly, n: int) -> Poly:
     """p(z) p(z+1) ... p(z+n-1); n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("raising power needs n >= 0")
-    return product([Poly.constant(p.scalar(1))] + [shift(p, j) for j in range(n)])
+    return product([Poly([1])] + [shift(p, j) for j in range(n)])
 
 
 def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
@@ -105,7 +105,7 @@ def falling_power_factored(f: FactoredPoly, n: int) -> FactoredPoly:
     return FactoredPoly._of(f.lead**n, shifted)
 
 
-def falling_factorial_linear(root: Scalar, n: int) -> Poly:
+def falling_factorial_linear(root: Exact, n: int) -> Poly:
     """(z - root) (z - root - 1) ... (z - root - n + 1), one ``offset_product``."""
     return offset_product([(root, [(j, 1) for j in range(n)])])
 
@@ -114,8 +114,8 @@ def falling_factorial_linear(root: Scalar, n: int) -> Poly:
 class NewtonExpansion:
     """P(z) = sum a_j (z - base)^(falling j) in the falling-factorial basis."""
 
-    base: Scalar
-    coeffs: tuple[Scalar, ...]
+    base: Exact | Numeric
+    coeffs: tuple[Exact | Numeric, ...]
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,15 +6,15 @@ scalars.  The zero polynomial has no coefficients and degree ``NEG_INF`` (a
 genuine minus-infinity marker, so degree identities like
 deg(p*q) = deg(p) + deg(q) never hit -1 arithmetic).  Products of linear
 factors z - r - o enter the lane straight from the roots' ints
-(``offset_product``).  Numeric values are output only: ``embed`` converts to
-a :class:`NumericPoly`, and ``Poly`` refuses a numeric coefficient with
-BackendMismatchError.
+(``offset_product``).  Every coefficient, point, step, lead and root
+enters through ``Poly.scalar`` (``Exact._coerce``): ints, Fractions and
+Exact scalars are taken, a Numeric raises BackendMismatchError, and a
+float, complex or str raises TypeError.  Numeric values are output only:
+``embed`` converts to a :class:`NumericPoly`.
 
 A :class:`FactoredPoly` is a leading coefficient plus the shift classes of
 its roots, grouped once when it is built: the ingestion form for anything
-that needs root data (chains, radicals, shifting-prime tests).  Its lead
-and roots are exact too: a numeric one raises BackendMismatchError at
-construction (``Poly.scalar``).
+that needs root data (chains, radicals, shifting-prime tests).
 """
 
 from __future__ import annotations
@@ -26,21 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    BackendMismatchError,
-    ExactDivisionError,
-    RootsUnavailableError,
-)
+from .errors import ExactDivisionError, RootsUnavailableError
 from .scalar import (
     _ONE_KEY,
     Exact,
     Key,
     Numeric,
-    Scalar,
     _key_mul,
     _key_sort,
     _vec_mul,
-    as_scalar,
     int_text,
     norm_conjugate,
     power,
@@ -52,11 +46,11 @@ _ZERO = Exact()
 _NO_REST: frozenset = frozenset()  # the non-rational ints in a rational root's residue key
 
 
-def coeffs_json(cs: Sequence[Scalar]) -> dict:
+def coeffs_json(cs: Sequence[Exact | Numeric]) -> dict:
     return {"coeffs": [c.text() for c in cs]}
 
 
-def coeffs_text(cs: Sequence[Scalar]) -> str:
+def coeffs_text(cs: Sequence[Exact | Numeric]) -> str:
     """The polynomial with coefficients `cs`, from z^0 up, in the expression
     grammar; reparsing yields an equal Poly."""
     pieces = [_term_text(c, k) for k, c in reversed(list(enumerate(cs))) if c]
@@ -115,9 +109,9 @@ class Poly(_Printed):
         return cls([0, 1])
 
     @classmethod
-    def linear(cls, root: Scalar) -> Poly:
+    def linear(cls, root: Exact) -> Poly:
         """Monic z - root."""
-        return cls([-root, 1])
+        return cls([-cls.scalar(root), 1])
 
     # -- inspection --------------------------------------------------------
 
@@ -145,8 +139,12 @@ class Poly(_Printed):
 
     @staticmethod
     def scalar(x) -> Exact:
-        """x as an exact scalar; a numeric x raises BackendMismatchError."""
-        return as_scalar(x, _ZERO)
+        """x as an exact scalar (``Exact._coerce``): a Numeric raises
+        BackendMismatchError, and a float, complex or str TypeError."""
+        out = Exact._coerce(x)
+        if out is None:
+            raise TypeError(f"{x!r} is not an exact value (an int, a Fraction or an Exact)")
+        return out
 
     # -- ring operations ---------------------------------------------------
 
@@ -154,9 +152,8 @@ class Poly(_Printed):
     def _coerce(other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, Scalar)):
-            return Poly([other])
-        return None
+        x = Exact._coerce(other)
+        return None if x is None else Poly([x])
 
     def __add__(self, other) -> Poly:
         rhs = self._coerce(other)
@@ -277,7 +274,7 @@ class NumericPoly(_Printed):
     coeffs: tuple[Numeric, ...]
 
 
-def _scalar_expr(c: Scalar) -> tuple[str, bool]:
+def _scalar_expr(c: Exact | Numeric) -> tuple[str, bool]:
     """Expression text for a scalar plus a flag: is it a single product term."""
     if isinstance(c, Numeric):
         return c.text(), True
@@ -303,7 +300,7 @@ def _scalar_expr(c: Scalar) -> tuple[str, bool]:
     return text, len(parts) == 1
 
 
-def _term_text(c: Scalar, k: int) -> str:
+def _term_text(c: Exact | Numeric, k: int) -> str:
     power = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
     if not power:
         text, _ = _scalar_expr(c)
@@ -480,11 +477,6 @@ def product(polys: Iterable[Poly]) -> Poly:
     return Poly._wrap(_lane_product([f._lane for f in polys]))
 
 
-def linear_product(lead, roots: Iterable[tuple[Exact, int]]) -> Poly:
-    """lead * prod (z - r)^m over (root, multiplicity) pairs, offsets 0."""
-    return offset_product([(r, [(0, m)]) for r, m in roots], lead)
-
-
 def offset_product(classes: Iterable[tuple[Exact, Iterable[tuple[int, int]]]], lead=1) -> Poly:
     """lead * prod (z - r - o)^d over classes (r, [(o, d), ...]) of a root r,
     integer offsets o and orders d >= 0.  No sum r + o is formed: with r its
@@ -494,8 +486,8 @@ def offset_product(classes: Iterable[tuple[Exact, Iterable[tuple[int, int]]]], l
     A rational r gives den z - (n + o den) for r = n/den, and those factors
     multiply on plain int lists (``_linear_ints``).  A radical r gives one
     lane per factor.  The lead's lane, the radical lanes and the lane of
-    the rational product meet in ``_lane_product``.  A numeric lead or root
-    raises BackendMismatchError (``Poly.scalar``)."""
+    the rational product meet in ``_lane_product``.  The lead and the roots
+    enter through ``Poly.scalar``."""
     lanes = [_lane_of([lead])]
     linear: list[tuple[int, int]] = []  # (c, den) for the factor den z + c
     for r, orders in classes:
@@ -761,14 +753,10 @@ class _Lane:
 
 
 def _lane_of(coeffs: Iterable) -> _Lane:
-    """The lane of coefficients from z^0 up (ints, Fractions or Exact
-    scalars), canonical as built: over den, the lcm of the coefficients' own
-    dens, some int is prime to each prime power of den.  A numeric
-    coefficient raises BackendMismatchError: it is output (``Poly.embed``)."""
-    cs = list(coeffs)
-    if any(isinstance(c, Numeric) for c in cs):
-        raise BackendMismatchError("numeric values are output (Poly.embed), not coefficients")
-    cs = [c if isinstance(c, Exact) else Exact.from_rational(c) for c in cs]
+    """The lane of coefficients from z^0 up, each through ``Poly.scalar``,
+    canonical as built: over den, the lcm of the coefficients' own dens,
+    some int is prime to each prime power of den."""
+    cs = list(map(Poly.scalar, coeffs))
     den = math.lcm(*(c._den for c in cs))
     terms: dict[Key, list[int]] = {}  # 0 where a key is absent
     for k, c in enumerate(cs):

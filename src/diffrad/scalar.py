@@ -1,36 +1,33 @@
-"""Exact and arbitrary-precision scalar arithmetic.
+"""Exact scalar arithmetic, and the printed form of its values.
 
-Two interchangeable backends derive from :class:`Scalar`, which holds the
-operator surface they share: immutability, coercion of ints, Fractions and
-scalars (``as_scalar``), subtraction, reflected subtraction and division,
-integer powers, equality and ``str``.  Each backend supplies its own sum,
-product, negation, quotient, inverse, hash and text.
+* :class:`Exact` — the one scalar that computes: an element of the field
+  Q(i, sqrt(p1), sqrt(p2), ...), stored as ints per radical key over one
+  denominator, in lowest terms: the one-coefficient case of the polynomial
+  lane (``poly._Lane``), so scalars and lanes cross by copying ints.  A
+  radical key is a pair ``(has_i, primes)``: the imaginary unit flag and a
+  frozen set of prime radicands.  Every product of generators reduces
+  canonically (i*i = -1, sqrt(p)*sqrt(p) = p, sqrt(a)*sqrt(b) = sqrt(ab)
+  with square parts pulled into the rational), so structural equality
+  coincides with equality of the complex values.  Declared radicands such as
+  sqrt(6) live on the product key {2, 3}; products of distinct prime square
+  roots are linearly independent over Q, which keeps the representation
+  canonical under any mixing.  ``Exact._coerce`` is the one conversion
+  point: an int or a Fraction converts, and a float, complex or str is no
+  exact value.
 
-* :class:`Exact` — an element of the field Q(i, sqrt(p1), sqrt(p2), ...),
-  stored as ints per radical key over one denominator, in lowest terms: the
-  one-coefficient case of the polynomial lane (``poly._Lane``), so scalars
-  and lanes cross by copying ints.  A radical key is a pair
-  ``(has_i, primes)``: the imaginary unit flag and a frozen set of prime
-  radicands.  Every product of generators reduces canonically (i*i = -1,
-  sqrt(p)*sqrt(p) = p, sqrt(a)*sqrt(b) = sqrt(ab) with square parts pulled
-  into the rational), so structural equality coincides with equality of the
-  complex values.  Declared radicands such as sqrt(6) live on the product key
-  {2, 3}; products of distinct prime square roots are linearly independent
-  over Q, which keeps the representation canonical under any mixing.
-
-* :class:`Numeric` — an arbitrary-precision complex number built on raw
-  mpmath mantissa/exponent tuples, the output format of exact values
-  (``Exact.to_numeric``).  Its precision (>= 64 bits) is set per value at
-  conversion; a binary operation takes the wider operand's, so no global
-  state is consulted.  No kernel computes with it and it has no zero
-  tolerance: every result is computed exactly and converted for printing.
+* :class:`Numeric` — an arbitrary-precision complex value built on raw
+  mpmath mantissa/exponent tuples, the printed form of an exact value
+  (``Exact.to_numeric``) at a precision (>= 64 bits) set per value.  It is
+  an output value, like ``poly.NumericPoly``: text, ``complex``, ``==`` and
+  ``hash``.  Its one arithmetic method, ``__mul__``, stays only because the
+  benchmark's tracer (perfbench/spans.py) counts its calls by name.
   Conversion rounds on ints, as mpmath would; mpmath itself is imported for
-  numeric arithmetic and text only (``_libmp``), not with diffrad.
+  numeric values only (``_libmp``), not with diffrad.
 
-Mixing the two backends in one arithmetic operation raises
-:class:`BackendMismatchError` (from ``as_scalar``, the one place that does);
-conversion is explicit via :meth:`Exact.to_numeric`.  Comparing scalars of
-the two backends with ``==`` is False, not an error.
+An arithmetic operation that meets a Numeric raises
+:class:`BackendMismatchError` (from ``Exact._coerce``); conversion is
+explicit via :meth:`Exact.to_numeric`.  Comparing an Exact and a Numeric
+with ``==`` is False, not an error.
 """
 
 from __future__ import annotations
@@ -99,7 +96,7 @@ def power(base, exponent: int, one):
 
     The result takes popcount(exponent) products, in ascending bit order, and
     the base is squared bit_length(exponent) - 1 times: never after the last
-    bit.  Shared by Exact, Numeric and Poly.
+    bit.  Shared by Exact and Poly.
     """
     out = one
     while exponent:
@@ -211,66 +208,7 @@ def _key_sort(key: Key) -> tuple[int, bool]:
     return n, has_i
 
 
-class Scalar:
-    """The operator surface Exact and Numeric share.
-
-    A subclass supplies ``__add__``, ``__mul__``, ``__neg__``,
-    ``__truediv__``, ``inverse``, ``__hash__``, ``text`` and ``_value`` (the
-    state ``==`` compares).
-    """
-
-    __slots__ = ()
-
-    backend: str
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} values are immutable")
-
-    def _coerce(self, other):
-        """other in this backend, or None when it is no scalar operand."""
-        if type(other) is type(self):
-            return other
-        if isinstance(other, (int, Fraction, Scalar)):
-            return as_scalar(other, self)
-        return None
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            self._coerce(exponent)  # an other-backend exponent is a mismatch
-            return NotImplemented
-        base = self if exponent >= 0 else self.inverse()
-        return power(base, abs(exponent), self._coerce(1))
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self._coerce(other)
-        return self._value() == other._value()
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-class Exact(Scalar):
+class Exact:
     """Immutable element of Q(i, sqrt(p), ...), the one-coefficient case of
     the lane (``poly._Lane``): ints per radical key over one den, in lowest
     terms (den > 0, gcd(den, *ints) = 1, no zero entry), so that equal
@@ -279,8 +217,6 @@ class Exact(Scalar):
     int is prime to each prime power of the lcm."""
 
     __slots__ = ("_ints", "_den")
-
-    backend = "exact"
 
     def __init__(self, terms: dict[Key, RationalLike] | None = None):
         ints, den = {}, 1
@@ -309,12 +245,34 @@ class Exact(Scalar):
         object.__setattr__(out, "_den", den)
         return out
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Exact values are immutable")
+
+    @staticmethod
+    def _coerce(value) -> Exact | None:
+        """value as an Exact, the one conversion point: an Exact passes
+        through, an int or a Fraction converts, a Numeric raises
+        BackendMismatchError, and anything else is None (no operand)."""
+        if type(value) is Exact:
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Exact.from_rational(value)
+        if isinstance(value, Numeric):
+            raise BackendMismatchError(
+                "cannot mix exact and numeric scalars; convert explicitly (Exact.to_numeric)"
+            )
+        return None
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> Exact:
-        n, d = (value, 1) if isinstance(value, int) else Fraction(value).as_integer_ratio()
-        return cls._of({_ONE_KEY: n}, d)
+        """An int or a Fraction; a float, complex or str raises TypeError."""
+        if isinstance(value, int):
+            return cls._of({_ONE_KEY: value})
+        if isinstance(value, Fraction):
+            return cls._of({_ONE_KEY: value.numerator}, value.denominator)
+        raise TypeError(f"{value!r} is not an int or a Fraction")
 
     @classmethod
     def i(cls) -> Exact:
@@ -377,6 +335,14 @@ class Exact(Scalar):
     def __neg__(self) -> Exact:
         return Exact._of({key: -c for key, c in self._ints.items()}, self._den)
 
+    def __sub__(self, other) -> Exact:
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self + (-rhs)
+
+    def __rsub__(self, other) -> Exact:
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else rhs + (-self)
+
     def __mul__(self, other) -> Exact:
         rhs = self._coerce(other)
         if rhs is None:
@@ -398,8 +364,24 @@ class Exact(Scalar):
             return NotImplemented
         return self * rhs.inverse()
 
-    def _value(self):
-        return self._den, self._ints
+    def __rtruediv__(self, other) -> Exact:
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else rhs * self.inverse()
+
+    def __pow__(self, exponent: int) -> Exact:
+        if not isinstance(exponent, int):
+            return NotImplemented
+        base = self if exponent >= 0 else self.inverse()
+        return power(base, abs(exponent), Exact._of({_ONE_KEY: 1}))
+
+    def __eq__(self, other) -> bool:
+        """Equal state; an int or a Fraction is converted first, and any
+        other value, a Numeric too, is not equal."""
+        if type(other) is not Exact:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Exact.from_rational(other)
+        return self._den == other._den and self._ints == other._ints
 
     def __hash__(self) -> int:
         """A rational value hashes as the int or Fraction it equals: n/den
@@ -459,21 +441,20 @@ class Exact(Scalar):
             pieces.append(f"{sign} {body}" if pieces else sign + body)
         return " ".join(pieces) or "0"
 
+    def __str__(self) -> str:
+        return self.text()
+
     def __repr__(self) -> str:
         return f"Exact({self.text()!r})"
 
 
-class Numeric(Scalar):
-    """Arbitrary-precision complex scalar with per-value precision.
-
-    Operations run at the larger operand precision plus GUARD_BITS, so chains
-    of arithmetic stay accurate to the nominal precision even for operands
-    well above unit magnitude; the nominal precision itself never shrinks.
-    """
+class Numeric:
+    """An arbitrary-precision complex value, printed: the real and imaginary
+    parts as raw mpmath mpfs and the precision they are printed at.  It is
+    an output value, as ``NumericPoly`` is, and ``==`` and ``hash`` read the
+    parts, so two Numerics are equal only when their bits are."""
 
     __slots__ = ("_re", "_im", "prec")
-
-    backend = "numeric"
 
     MIN_PREC = 64
     GUARD_BITS = 32
@@ -485,7 +466,8 @@ class Numeric(Scalar):
         object.__setattr__(self, "_im", im)
         object.__setattr__(self, "prec", prec)
 
-    # -- constructors ------------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError("Numeric values are immutable")
 
     @classmethod
     def from_rational(cls, value: RationalLike, prec: int) -> Numeric:
@@ -498,53 +480,25 @@ class Numeric(Scalar):
         re, im = value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, FZERO)
         return cls(re, im, prec)
 
-    # -- inspection --------------------------------------------------------
-
     def __bool__(self) -> bool:
         return self._re != FZERO or self._im != FZERO
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _binary(self, other, fn):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        wide = rhs if rhs.prec > self.prec else self
-        re, im = fn(
-            (self._re, self._im), (rhs._re, rhs._im), wide.prec + self.GUARD_BITS, RND
-        )
-        return Numeric(re, im, wide.prec)
-
-    def __add__(self, other):
-        return self._binary(other, _libmp().mpc_add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, _libmp().mpc_sub)
-
     def __mul__(self, other):
-        return self._binary(other, _libmp().mpc_mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        """The product of two Numerics at the wider precision, computed
+        GUARD_BITS above it; the one arithmetic left (see the module
+        docstring)."""
+        if not isinstance(other, Numeric):
             return NotImplemented
-        if not rhs:
-            raise ZeroDivisionError("numeric scalar division by zero")
-        return self._binary(rhs, _libmp().mpc_div)
+        prec = max(self.prec, other.prec)
+        re, im = _libmp().mpc_mul(
+            (self._re, self._im), (other._re, other._im), prec + self.GUARD_BITS, RND
+        )
+        return Numeric(re, im, prec)
 
-    def __neg__(self) -> Numeric:
-        re, im = _libmp().mpc_neg((self._re, self._im))
-        return Numeric(re, im, self.prec)
-
-    def inverse(self) -> Numeric:
-        return Numeric.from_rational(1, self.prec) / self
-
-    def _value(self):
-        return self._re, self._im
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Numeric):
+            return NotImplemented
+        return self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
         return hash((self._re, self._im))
@@ -569,23 +523,8 @@ class Numeric(Scalar):
             return re
         return f"({re} {'+' if not im.startswith('-') else '-'} {im.lstrip('-')}j)"
 
+    def __str__(self) -> str:
+        return self.text()
+
     def __repr__(self) -> str:
         return f"Numeric({self.text()}, prec={self.prec})"
-
-
-def as_scalar(value, like: Scalar) -> Scalar:
-    """value in the backend of `like`: an int or Fraction is converted (a
-    numeric one at like's precision), a scalar of that backend
-    passes through, and a scalar of the other backend raises
-    BackendMismatchError."""
-    if isinstance(value, Scalar):
-        if value.backend != like.backend:
-            raise BackendMismatchError(
-                f"cannot mix {like.backend} and {value.backend} scalars; "
-                "convert explicitly"
-            )
-        return value
-    if isinstance(like, Exact):
-        return Exact.from_rational(value)
-    return Numeric.from_rational(value, like.prec)
-

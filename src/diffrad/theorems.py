@@ -538,11 +538,8 @@ def unit_cubic_triad(s, t=1) -> list[tuple[Numeric, list[Numeric]]]:
             us = [mpmath.cbrt(c + mpmath.sqrt(c * c - 1)) * omega**k for k in range(3)]
             roots.append([b + u + 1 / u for u in us])
         roots.append([b + 1, b - 1])
-    one = Numeric.from_rational(1, s.prec)
-    return [
-        (lead, [Numeric.from_mpc(r, s.prec) for r in rs])
-        for lead, rs in zip((one, -one, s), roots)
-    ]
+    leads = (Numeric.from_rational(1, s.prec), Numeric.from_rational(-1, s.prec), s)
+    return [(lead, [Numeric.from_mpc(r, s.prec) for r in rs]) for lead, rs in zip(leads, roots)]
 
 
 # -- random instance generation ---------------------------------------------

@@ -25,7 +25,6 @@ from diffrad import (
     to_newton,
 )
 from diffrad.poly import product
-from diffrad.scalar import as_scalar
 from helpers import (
     rand_exact,
     rand_fraction,
@@ -259,7 +258,7 @@ def test_shift_by_scalar_step():
 def horner_shift(p: Poly, step) -> Poly:
     """Oracle: p(z + step) by Horner's rule, one Poly product per coefficient."""
     acc = Poly()
-    zk = Poly([step, as_scalar(1, step)])
+    zk = Poly([step, 1])
     for c in reversed(p.coeffs):
         acc = acc * zk + Poly.constant(c)
     return acc
@@ -280,7 +279,7 @@ def test_shift_matches_horner_on_radical_and_numeric_input():
                     shift(p, step.to_numeric(prec))
                 assert shift(p, step).embed(prec) == horner_shift(p, step).embed(prec)
         k = rng.randint(-5, 5)
-        assert shift(p, k) == horner_shift(p, as_scalar(Fraction(k), p.lead))
+        assert shift(p, k) == horner_shift(p, Exact.from_rational(k))
         with pytest.raises(BackendMismatchError):
             shift(Poly(p.embed(128).coeffs), k)
 

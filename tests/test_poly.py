@@ -23,7 +23,8 @@ from diffrad import (
     factor,
     poly_gcd,
 )
-from diffrad.poly import NumericPoly, linear_product, offset_product, product
+from diffrad.poly import NumericPoly, offset_product, product
+from diffrad.scalar import power
 from helpers import (
     horner_terms,
     rand_exact,
@@ -226,8 +227,14 @@ def test_eval_on_the_lane_matches_horner():
     )
 
 
-def test_linear_product_matches_the_product_of_linear_polys():
-    """linear_product(lead, roots) is lead * prod (z - r)^m built from
+def at_offset_zero(lead, roots) -> Poly:
+    """lead * prod (z - r)^m over (root, multiplicity) pairs, one
+    ``offset_product`` with every offset 0."""
+    return offset_product([(r, [(0, m)]) for r, m in roots], lead)
+
+
+def test_offset_product_at_offset_zero_matches_the_product_of_linear_polys():
+    """offset_product at offset 0 is lead * prod (z - r)^m built from
     Poly.linear: grid-rational and radical roots, multiplicities, a zero root,
     no roots and a radical lead."""
     rng = random.Random(1818)
@@ -243,19 +250,19 @@ def test_linear_product_matches_the_product_of_linear_polys():
         roots.append((Exact(), rng.randint(0, 2)))
         cases.append((rand_exact(rng) or Exact.from_rational(1), roots))
     for lead, roots in cases:
-        got = linear_product(lead, roots)
+        got = at_offset_zero(lead, roots)
         assert got == oracle(lead, roots), (lead, roots)
         assert got.degree == sum(m for _, m in roots) and got.lead == lead
-    assert linear_product(1, []) == Poly.constant(1)
+    assert at_offset_zero(1, []) == Poly.constant(1)
     f = FactoredPoly(S3, [(S2, 3), (S2 + 1, 2), (I, 1), (Fraction(1, 3), 4)])
     assert f.expand() == oracle(f.lead, f.roots)
 
 
-def test_linear_product_refuses_numeric_roots():
+def test_offset_product_refuses_numeric_roots():
     with pytest.raises(BackendMismatchError):
-        linear_product(1, [(Exact.from_rational(1), 1), (Numeric.from_rational(2, 64), 1)])
+        at_offset_zero(1, [(Exact.from_rational(1), 1), (Numeric.from_rational(2, 64), 1)])
     with pytest.raises(BackendMismatchError):
-        linear_product(Numeric.from_rational(1, 64), [])
+        at_offset_zero(Numeric.from_rational(1, 64), [])
 
 
 OFFSET_LEADS = (1, -1, Fraction(-7, 3), Fraction(5, 4), S2 + Fraction(1, 2), -I * S3)
@@ -415,17 +422,18 @@ def test_pow_multiplication_count(monkeypatch):
 
 def test_numeric_pow_keeps_product_order():
     """Rounded results depend on the order of the products into the result:
-    ascending bits, from 1."""
+    ascending bits, from 1 (``power``, on the one product a Numeric has)."""
     x = (S2 + I * Fraction(1, 7)).to_numeric(80)
+    one = Numeric.from_rational(1, 80)
     for n in range(10):
-        want = Numeric.from_rational(1, 80)
+        want = one
         base, k = x, n
         while k:
             if k & 1:
                 want = want * base
             k >>= 1
             base = base * base
-        assert x**n == want
+        assert power(x, n, one) == want
 
 
 def test_factored_root_merge_keeps_order():
@@ -442,7 +450,7 @@ def test_factored_numeric_roots_with_equal_text_stay_distinct():
     """Numeric roots that print alike are refused; exact roots merge by value,
     whatever type they come as."""
     one = Numeric.from_rational(1, 64)
-    near = one + Numeric.from_rational(Fraction(1, 2**80), 64)
+    near = Exact.from_rational(1 + Fraction(1, 2**70)).to_numeric(64)
     assert near != one and near.text() == one.text()
     with pytest.raises(BackendMismatchError):
         FactoredPoly(1, [(near, 1), (one, 2), (near, 3)])

@@ -17,10 +17,8 @@ from diffrad import (
     factor,
     shift_classes,
 )
-from diffrad import scalar
-from diffrad.scalar import Scalar, as_scalar
-from diffrad.scalar import TRIAL_LIMIT, prime_factors
-from diffrad.poly import linear_product
+from diffrad import scalar, shift, to_newton
+from diffrad.scalar import TRIAL_LIMIT, power, prime_factors
 import helpers
 from helpers import rand_exact, rand_radical_poly
 
@@ -73,7 +71,7 @@ def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         Exact.from_rational(0).inverse()
     with pytest.raises(ZeroDivisionError):
-        Numeric.from_rational(1, 64) / Numeric.from_rational(0, 64)
+        Exact.from_rational(1) / 0
 
 
 def test_backend_mixing_rejected():
@@ -83,7 +81,7 @@ def test_backend_mixing_rejected():
         Numeric.from_rational(1, 64) * S2
 
 
-# -- the shared operator surface -----------------------------------------------
+# -- one arithmetic scalar, one printed one -----------------------------------
 
 EXACT_TWO = Exact.from_rational(2)
 NUMERIC_TWO = Numeric.from_rational(2, 64)
@@ -95,53 +93,76 @@ BINARY = {
 }
 
 
-def test_both_backends_derive_from_scalar():
-    assert issubclass(Exact, Scalar) and issubclass(Numeric, Scalar)
-    assert isinstance(EXACT_TWO, Scalar) and isinstance(NUMERIC_TWO, Scalar)
-
-
 @pytest.mark.parametrize("name", sorted(BINARY))
 @pytest.mark.parametrize(
     "a, b", [(EXACT_TWO, NUMERIC_TWO), (NUMERIC_TWO, EXACT_TWO)],
     ids=["exact-numeric", "numeric-exact"],
 )
 def test_every_operator_rejects_the_other_backend(name, a, b):
+    """Each operator raises in both orders: a numeric left operand has no
+    method but ``__mul__``, which takes Numerics only, so the exact right
+    operand's reflected method raises."""
     op, forward, reflected = BINARY[name]
-    for call in (lambda: op(a, b), lambda: getattr(a, forward)(b),
-                 lambda: getattr(a, reflected)(b)):
-        with pytest.raises(BackendMismatchError, match="^cannot mix "):
-            call()
+    with pytest.raises(BackendMismatchError, match="^cannot mix "):
+        op(a, b)
+    for method in (forward, reflected):
+        if isinstance(a, Exact):
+            with pytest.raises(BackendMismatchError, match="^cannot mix "):
+                getattr(a, method)(b)
+        elif method in vars(Numeric):
+            assert getattr(a, method)(b) is NotImplemented
+        else:
+            with pytest.raises(AttributeError):
+                getattr(a, method)(b)
 
 
 def test_power_rejects_an_exponent_of_the_other_backend():
-    with pytest.raises(BackendMismatchError):
+    with pytest.raises(TypeError):
         EXACT_TWO ** NUMERIC_TWO
-    with pytest.raises(BackendMismatchError):
+    with pytest.raises(TypeError):
         NUMERIC_TWO ** EXACT_TWO
     with pytest.raises(TypeError):
         EXACT_TWO ** 0.5
 
 
-def test_as_scalar_is_the_one_mismatch_message():
-    for value, like in ((EXACT_TWO, NUMERIC_TWO), (NUMERIC_TWO, EXACT_TWO)):
-        with pytest.raises(BackendMismatchError) as excinfo:
-            as_scalar(value, like)
-        assert str(excinfo.value) == (
-            f"cannot mix {like.backend} and {value.backend} scalars; "
-            "convert explicitly"
-        )
-    assert as_scalar(EXACT_TWO, EXACT_TWO) is EXACT_TWO
+def test_coerce_is_the_one_conversion_point():
+    """An Exact passes through, an int or a Fraction converts, a Numeric
+    raises the one mismatch message, and anything else is no operand."""
+    assert Exact._coerce(EXACT_TWO) is EXACT_TWO
+    for value in (2, Fraction(4, 2), True + True):
+        assert type(Exact._coerce(value)) is Exact and Exact._coerce(value) == EXACT_TWO
+    with pytest.raises(BackendMismatchError) as excinfo:
+        Exact._coerce(NUMERIC_TWO)
+    assert str(excinfo.value) == (
+        "cannot mix exact and numeric scalars; convert explicitly (Exact.to_numeric)"
+    )
+    for value in (2.0, 2j, "2", None, Poly([2])):
+        assert Exact._coerce(value) is None
+        assert EXACT_TWO.__add__(value) is NotImplemented
 
 
 def test_equality_across_backends_is_false_not_an_error():
     assert not EXACT_TWO == NUMERIC_TWO
     assert not NUMERIC_TWO == EXACT_TWO
     assert EXACT_TWO != NUMERIC_TWO
-    assert EXACT_TWO == 2 and NUMERIC_TWO == 2
-    assert NUMERIC_TWO == Fraction(4, 2) and EXACT_TWO != Fraction(1, 2)
+    assert EXACT_TWO == 2 and EXACT_TWO != Fraction(1, 2)
+    assert NUMERIC_TWO == Numeric.from_rational(Fraction(4, 2), 64) and NUMERIC_TWO != 2
 
 
-@pytest.mark.parametrize("x", [EXACT_TWO, NUMERIC_TWO], ids=["exact", "numeric"])
+def test_numeric_equality_agrees_with_its_hash():
+    """A Numeric equals only a Numeric with the same parts, and then hashes
+    alike; an int it prints as is no equal, so sets keep both."""
+    one = Numeric.from_rational(1, 64)
+    assert not one == 1 and one != 1 and len({one, 1}) == 2
+    x = (S2 + I).to_numeric(128)
+    for a, b in ((one, Numeric.from_rational(Fraction(3, 3), 64)),
+                 (one, Exact.from_rational(1).to_numeric(64)),
+                 (x, (S2 * S3 / S3 + I).to_numeric(128)),
+                 (x, Numeric.from_mpc(x.to_mpc(), 128))):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+@pytest.mark.parametrize("x", [EXACT_TWO, Exact.sqrt_int(2) ** 2], ids=["exact", "radical-square"])
 def test_int_and_fraction_operands_on_both_sides(x):
     half = Fraction(1, 2)
     assert x + 1 == 3 and 1 + x == 3
@@ -153,7 +174,7 @@ def test_int_and_fraction_operands_on_both_sides(x):
     assert type(x + 1) is type(x) and type(half / x) is type(x)
 
 
-@pytest.mark.parametrize("x", [EXACT_TWO, NUMERIC_TWO], ids=["exact", "numeric"])
+@pytest.mark.parametrize("x", [EXACT_TWO, Exact.sqrt_int(2) ** 2], ids=["exact", "radical-square"])
 def test_negative_powers(x):
     assert x**-1 == Fraction(1, 2)
     assert x**-3 == Fraction(1, 8)
@@ -192,7 +213,8 @@ def test_negligible_numeric_default_and_boundary():
     for prec in (64, 128, 256):
         below = Fraction(1, 2 ** (prec // 2 + 1))
         x = Exact.from_rational(below).to_numeric(prec)
-        assert x and -x and _fraction(x) == (below, 0)
+        negated = Exact.from_rational(-below).to_numeric(prec)
+        assert x and negated and _fraction(x) == (below, 0) and _fraction(negated) == (-below, 0)
         assert not Exact().to_numeric(prec)
 
 
@@ -229,15 +251,19 @@ def test_polynomials_evaluate_at_exact_points_only():
 
 
 def test_embedding_homomorphism():
+    """The conversion of a product is the product of the conversions, to
+    within the rounding: the exact parts (``_fraction``) are compared, the
+    right side multiplied out over Q."""
     rng = random.Random(7)
     for prec in (64, 128, 256):
-        bound = 2.0 ** (8 - prec)
+        bound = Fraction(2) ** (8 - prec)
         for _ in range(200):
             a = rand_exact(rng, top=1000)
             b = rand_exact(rng, top=1000)
-            lhs = (a * b).to_numeric(prec)
-            rhs = a.to_numeric(prec) * b.to_numeric(prec)
-            assert abs(complex(lhs - rhs)) < bound
+            lhs = _fraction((a * b).to_numeric(prec))
+            (ar, ai), (br, bi) = _fraction(a.to_numeric(prec)), _fraction(b.to_numeric(prec))
+            rhs = (ar * br - ai * bi, ar * bi + ai * br)
+            assert abs(complex(lhs[0] - rhs[0], lhs[1] - rhs[1])) < bound
 
 
 def test_numeric_precision_floor():
@@ -250,7 +276,7 @@ def test_numeric_as_integer_tolerance():
     as_integer, and shift classes refuse numeric roots."""
     x = Numeric.from_rational(3, 128)
     with pytest.raises(BackendMismatchError):
-        shift_classes(FactoredPoly(x, [(x, 1), (x + 1, 1)]))
+        shift_classes(FactoredPoly(x, [(x, 1), (Numeric.from_rational(4, 128), 1)]))
     assert Exact.from_rational(3).as_integer() == 3
 
 
@@ -258,25 +284,25 @@ def test_numeric_precision_never_downgrades():
     lo = Numeric.from_rational(Fraction(1, 3), 64)
     hi = Numeric.from_rational(Fraction(1, 7), 256)
     assert (lo * hi).prec == 256
-    assert (hi - lo).prec == 256
+    assert (hi * lo).prec == 256
 
 
 def test_tolerance_goes_with_the_wider_operand_and_the_left_on_a_tie():
-    """Only the precision travels with a numeric value: the wider operand's."""
+    """Only the precision travels with a numeric value: the wider operand's,
+    in the one product a Numeric has."""
     a64 = Numeric.from_rational(3, 64)
     b64 = Numeric.from_rational(5, 64)
     c256 = Numeric.from_rational(7, 256)
-    for x in (a64 + c256, c256 * a64, a64 / c256, c256 - a64):
+    for x in (a64 * c256, c256 * a64):
         assert x.prec == 256
-    assert (a64 * b64).prec == (b64 - a64).prec == 64
+    assert (a64 * b64).prec == (b64 * a64).prec == 64
 
 
 def test_derived_values_keep_the_tolerance():
     """Derived values and conversions keep the precision, the one setting a
     numeric value carries."""
     x = Numeric.from_rational(3, 64)
-    assert as_scalar(2, x).prec == 64
-    for y in (-x, x.inverse(), x + 1, 1 - x, 2 / x, x**-2, x**0):
+    for y in (x * x, Numeric.from_mpc(x.to_mpc(), 64), (-EXACT_TWO).to_numeric(64)):
         assert y.prec == 64
     assert Exact.from_rational(1).to_numeric(128).prec == 128
     assert {c.prec for c in Poly([1, 2, S2]).embed(128).coeffs} == {128}
@@ -392,6 +418,34 @@ def test_exact_refuses_a_coefficient_that_is_not_rational():
     assert half == S2 * 3 + Fraction(1, 2)
 
 
+NOT_EXACT = [0.1, 1.0, complex(1, 0), "1/3"]
+EXACT_ENTRY_POINTS = {
+    "Poly": lambda v: Poly([1, v]),
+    "Poly.constant": Poly.constant,
+    "Poly.scalar": Poly.scalar,
+    "evaluate": lambda v: Poly([1, 1])(v),
+    "shift": lambda v: shift(Poly([0, 1]), v),
+    "to_newton": lambda v: to_newton(Poly([0, 1]), v),
+    "FactoredPoly-lead": lambda v: FactoredPoly(v, [(1, 1)]),
+    "FactoredPoly-root": lambda v: FactoredPoly(1, [(0, 1), (v, 2)]),
+    "ord_at": lambda v: FactoredPoly(1, [(0, 1)]).ord_at(v),
+    "Exact.from_rational": Exact.from_rational,
+}
+
+
+@pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+@pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+def test_floats_and_strings_are_no_exact_values(entry, value):
+    """A float, complex or str raises TypeError wherever an exact value
+    enters (``Exact._coerce``), instead of being read as the binary
+    fraction it holds or parsed as text; ints and Fractions are taken."""
+    make = EXACT_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        make(value)
+    make(Fraction(1, 2))
+    make(3)
+
+
 def test_every_route_gives_lowest_terms():
     """Every constructor and operation gives the canonical form, so values
     that are equal but built by different routes are == with equal hashes,
@@ -473,7 +527,7 @@ def test_polynomial_crossings_give_lowest_terms():
         g = Exact.sqrt_int(rng.choice((2, 3, 5, -1, -2)))
         r, conj = a + b * g, a - b * g  # the roots of a rational quadratic
         lead = Fraction(rng.randint(1, 5), 3)
-        rational = linear_product(lead, [(Exact.from_rational(x), m) for x, m in roots])
+        rational = helpers.linear_factors(roots) * lead
         p = rational * Poly.linear(r) * Poly.linear(conj)
         f = factor(p)
         for root, _ in f.roots:

@@ -31,8 +31,7 @@ from diffrad import (
 from diffrad import poly, shiftcalc, theorems
 from diffrad.cli import Options, run_command
 from diffrad.diffcalc import falling_factorial_linear
-from diffrad.poly import linear_product, product
-from diffrad.scalar import Scalar, as_scalar
+from diffrad.poly import product
 from diffrad.theorems import gen_chain_poly
 import helpers
 from helpers import (
@@ -111,7 +110,7 @@ def test_chain_decomposition_reconstructs():
         dec = chain_decomposition(f)
         assert dec.degree == f.degree
         assert dec.expand() == f.expand()
-        # one linear_product over the chain roots, against linear Polys
+        # the product of linear Polys over the chain roots
         linear = [Poly.linear(s + j) for s, n in dec.chains for j in range(n)]
         assert dec.expand() == product([Poly.constant(dec.lead)] + linear)
 
@@ -265,7 +264,7 @@ def chain_route(f: FactoredPoly, q: int, n: int) -> tuple[Poly, Poly, Poly]:
     Monic products of z - start, of falling factorials of length min(len, q),
     and of falling factorials of length len - n over the chains longer than n.
     """
-    one = Poly.constant(as_scalar(1, f.lead))
+    one = Poly([1])
     chains = chain_decomposition(f).chains
     return (
         product([one] + [Poly.linear(start) for start, _ in chains]),
@@ -820,9 +819,9 @@ def test_keyed_pairing_makes_no_root_subtraction(monkeypatch):
     ]
     calls = []
     for name in ("__sub__", "__rsub__"):
-        original = getattr(Scalar, name)
+        original = getattr(Exact, name)
         monkeypatch.setattr(
-            Scalar, name, lambda a, b, original=original: calls.append((a, b)) or original(a, b)
+            Exact, name, lambda a, b, original=original: calls.append((a, b)) or original(a, b)
         )
     assert any(common_shifting_divisors(f, g) for f in fs for g in fs)
     assert not pairwise_shifting_prime(fs)[0]
@@ -1059,7 +1058,8 @@ def test_ambiguity_message_prints_tolerances_below_the_smallest_float():
 def test_radicals_from_representative_ints_match_the_root_sums():
     """_radical builds each factor z - rep - o from the representative's ints
     (offset_product); the oracle forms each root rep + o as an Exact sum and
-    multiplies with linear_product, for any order rule, zero orders too."""
+    multiplies one linear factor at a time (``linear_factors``), for any
+    order rule, zero orders too."""
     rng = random.Random(151)
     orders = [
         lambda m, o: m[o],
@@ -1075,4 +1075,4 @@ def test_radicals_from_representative_ints_match_the_root_sums():
         classes = shift_classes(f)
         for order in orders:
             pairs = [(c.representative + o, order(c.members, o)) for c in classes for o in c.members]
-            assert shiftcalc._radical(f, order) == linear_product(1, pairs)
+            assert shiftcalc._radical(f, order) == helpers.linear_factors(pairs)

@@ -491,7 +491,9 @@ def test_triad_roots_match_polyroots_oracle(prec):
     for s in unit_cubic_resolvent_roots(prec):
         for t in TRIAD_TS:
             fs = unit_cubic_triad(s, t)
-            assert [lead for lead, _ in fs] == [1, -1, s]
+            assert [lead for lead, _ in fs] == [
+                Numeric.from_rational(1, prec), Numeric.from_rational(-1, prec), s
+            ]
             with mpmath.mp.workprec(prec + 64):
                 tol = mpmath.mpf(2) ** -(prec - 8)
                 for (_, roots), oracle in zip(fs, _triad_oracle(s, Fraction(t), prec)):
@@ -512,7 +514,8 @@ def test_triad_quadratic_roots_are_two_apart():
     # p3's roots are b +- 1, so f3 against itself has dispersion {+-2}
     s = unit_cubic_resolvent_roots(256)[0]
     _, (r, q) = unit_cubic_triad(s, 5)[2]
-    assert abs(complex(r - q)) == pytest.approx(2, abs=1e-60)
+    with mpmath.mp.workprec(256):
+        assert abs(r.to_mpc() - q.to_mpc() - 2) <= mpmath.mpf(2) ** -200
 
 
 def _gcd_witness(fs):
