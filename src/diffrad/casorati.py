@@ -109,15 +109,15 @@ def casoratian(fs: Sequence[Poly], form: Form = "delta") -> Poly:
 
     Both forms name the same determinant, which is computed from the
     difference rows f_i, delta f_i, ..., delta^(m-1) f_i; ``form`` is only
-    checked.
+    checked.  Column i is the first m items of ``differences(f_i)``, padded
+    with zeros past the last nonzero difference.
     """
     _check_form(form)
     if not fs:
         raise ValueError("need at least one polynomial")
-    rows = [list(fs)]
-    while len(rows) < len(fs):
-        rows.append([diffcalc.delta(f) for f in rows[-1]])
-    return determinant(rows)
+    m, zero = len(fs), Poly()
+    cols = [list(itertools.islice(diffcalc.differences(f), m)) for f in fs]
+    return determinant(list(zip(*(col + [zero] * (m - len(col)) for col in cols))))
 
 
 def linearly_independent(fs: Sequence[Poly]) -> bool:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import casorati, diffcalc, shiftcalc, theorems
 from .errors import DiffradError, ParseError, RootsUnavailableError
-from .parser import NAMES, eval_expr, eval_factored, parse, parse_factored, parse_poly
+from .parser import NAMES, count_bound, eval_expr, eval_factored, parse, parse_factored, parse_poly
 from .diffcalc import NewtonExpansion
 from .poly import Poly, classical_rad, coeffs_json, coeffs_text
 from .scalar import Numeric
@@ -141,9 +141,18 @@ def cmd_mason_ext(inputs, opts, options: Options):
     return theorems.mason_delta_ext(fs)
 
 
+def _falling_inputs(inputs, n: int) -> list:
+    """The inputs, factored, with --n refused where the grammar refuses
+    ff(f, n) for an input f, read as the grammar reads it (``eval_expr``)."""
+    values = [(value, eval_factored(value)) for value in map(parse, inputs)]
+    for src, (value, _) in zip(inputs, values):
+        if passed := count_bound(eval_expr(value), n, factorial=True):
+            raise ValueError(f"--n {n}: ff({src.strip()}, {n}) would have {passed}")
+    return [f for _, f in values]
+
+
 def cmd_fermat(inputs, opts, options: Options):
-    fs = [parse_factored(src) for src in inputs]
-    return theorems.fermat_check(*fs, n=opts["n"])
+    return theorems.fermat_check(*_falling_inputs(inputs, opts["n"]), n=opts["n"])
 
 
 def cmd_fermat_multi(inputs, opts, options: Options):
@@ -152,7 +161,7 @@ def cmd_fermat_multi(inputs, opts, options: Options):
         if (opts["n"], rhs_one) != (3, True):
             raise ValueError("the unit cubic triad is certified for n = 3 with rhs_one")
         return theorems.unit_cubic_certificate()
-    fs = [parse_factored(src) for src in inputs]
+    fs = _falling_inputs(inputs, opts["n"])
     return theorems.fermat_multi_check(fs, n=opts["n"], rhs_one=rhs_one)
 
 

@@ -4,13 +4,19 @@ Provides the shift p(z) -> p(z+k), the forward difference
 delta p(z) = p(z+1) - p(z) and its iterates, falling/raising factorial
 expressions p(z)p(z-1)...  and p(z)p(z+1)..., and conversion to and from
 the falling-factorial (Newton) basis around an arbitrary base point.
+
+Every shift, by a rational or a radical step, and every difference run one
+Taylor loop on coefficients (``_taylor``); every iterated difference reads
+the one loop over delta, ``differences``, which ends at the last nonzero one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .poly import FactoredPoly, Poly, _Lane, offset_product, product
 from .scalar import Exact, Numeric
@@ -28,7 +34,7 @@ def shift(p: Poly, k) -> Poly:
     Taylor-shift loop on its ints: with the part sum c_i z^i / den,
     v^d p(z + u/v) = (1/den) sum c_i v^(d-i) (w + u)^i at w = v z and
     d = deg p, an integer shift by u, then w^j rescaled to v^j z^j.  A
-    radical step runs Horner's rule on lanes with the factor z + k.
+    radical step runs the same loop on the exact coefficients.
     """
     if not p:
         return p
@@ -38,11 +44,7 @@ def shift(p: Poly, k) -> Poly:
     lane, d = p._lane, p.degree
     h = step.as_fraction()
     if h is None:
-        z_k, acc = Poly([step, 1])._lane, _Lane()
-        for j in range(d, -1, -1):
-            top = {key: [ints[j]] for key, ints in lane.terms.items() if j < len(ints)}
-            acc = acc * z_k + _Lane(top, lane.den)
-        return Poly._wrap(acc)
+        return Poly(_taylor(list(p.coeffs), step))
     u, v = h.numerator, h.denominator
     terms = {}
     for key, cs in lane.terms.items():
@@ -69,16 +71,20 @@ def delta(p: Poly) -> Poly:
     return Poly._wrap(_Lane(terms, lane.den))
 
 
+def differences(p: Poly) -> Iterator[Poly]:
+    """p, delta p, ..., delta^d p at d = deg p, nothing for p = 0: each
+    difference lowers the degree by one, so delta^d p is a nonzero constant
+    and every later one is zero."""
+    while p:
+        yield p
+        p = delta(p)
+
+
 def delta_k(p: Poly, k: int) -> Poly:
     """k-fold forward difference, k >= 0 (k = 0 returns p itself)."""
     if k < 0:
         raise ValueError("difference order must be nonnegative")
-    out = p
-    for _ in range(k):
-        if not out:  # delta^j p = 0 for every j > deg p
-            break
-        out = delta(out)
-    return out
+    return next(islice(differences(p), k, None), Poly())
 
 
 def falling_power(p: Poly, n: int) -> Poly:
@@ -125,17 +131,14 @@ class NewtonExpansion:
 
 
 def to_newton(p: Poly, z0) -> NewtonExpansion:
-    """Expand around z0; coefficient j is delta^j p(z0) / j!."""
+    """Expand around z0; coefficient j is delta^j p(z0) / j!, read off the
+    difference table of p(z0), ..., p(z0 + deg p) in O(d^2) scalar steps."""
     z0 = p.scalar(z0)
+    values = [p(z0 + k) for k in range(len(p._lane))]
     coeffs = []
-    cur = p
-    fact = 1
-    j = 0
-    while cur:
-        coeffs.append(cur(z0) * Fraction(1, fact))
-        cur = delta(cur)
-        j += 1
-        fact *= j
+    for j in range(len(values)):
+        coeffs.append(values[0] * Fraction(1, math.factorial(j)))
+        values = [b - a for a, b in zip(values, values[1:])]
     return NewtonExpansion(z0, tuple(coeffs))
 
 
@@ -156,20 +159,8 @@ def binomial_transform_check(p: Poly, z, k: int) -> tuple[bool, bool]:
     z = p.scalar(z)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    deltas = [p]
-    for _ in range(k):
-        deltas.append(delta(deltas[-1]))
-    lhs1 = p(z + k)
-    rhs1 = 0
-    for j in range(k + 1):
-        rhs1 = rhs1 + deltas[j](z) * Fraction(binomial(k, j))
-    first = lhs1 == rhs1
-
-    lhs2 = deltas[k](z)
-    rhs2 = 0
-    for j in range(k + 1):
-        sign = 1 if (k - j) % 2 == 0 else -1
-        rhs2 = rhs2 + p(z + j) * Fraction(sign * binomial(k, j))
-    second = lhs2 == rhs2
-
-    return first, second
+    deltas = list(islice(differences(p), k + 1))  # delta^j p = 0 past the last
+    first = p(z + k) == sum(d(z) * Fraction(binomial(k, j)) for j, d in enumerate(deltas))
+    lhs2 = deltas[k](z) if k < len(deltas) else 0
+    rhs2 = sum(p(z + j) * Fraction((-1) ** (k - j) * binomial(k, j)) for j in range(k + 1))
+    return first, lhs2 == rhs2

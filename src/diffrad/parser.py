@@ -141,6 +141,18 @@ def _check_bits(bits: int, offset: int) -> None:
         raise ParseError(f"coefficients above {MAX_BITS} bits", offset)
 
 
+def count_bound(base: Value, count: int, factorial: bool = False) -> str | None:
+    """The bound an exponent or ff/rf count of base passes, None within both:
+    the result's degree above MAX_DEGREE (a constant base counts as degree 1)
+    or its estimated bits above MAX_BITS (each ff/rf factor base - j has
+    |j| < count)."""
+    if max(base.degree, 1) * count > MAX_DEGREE:
+        return f"degree above {MAX_DEGREE}"
+    if (_bits(base) + (count.bit_length() if factorial else 0)) * count > MAX_BITS:
+        return f"coefficients above {MAX_BITS} bits"
+    return None
+
+
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
@@ -221,14 +233,11 @@ class _Parser:
         return self.parse_uint()
 
     def parse_count(self, base: Value, factorial: bool = False) -> int:
-        """An exponent or ff/rf count, refused when the result's degree would
-        pass MAX_DEGREE (a constant base counts as degree 1) or its estimated
-        bits MAX_BITS (each ff/rf factor base - j has |j| < count)."""
+        """An exponent or ff/rf count, refused by ``count_bound``."""
         offset = self.peek().offset
         count = self.parse_uint()
-        _check_degree(max(base.degree, 1) * count, offset)
-        spread = count.bit_length() if factorial else 0
-        _check_bits((_bits(base) + spread) * count, offset)
+        if passed := count_bound(base, count, factorial):
+            raise ParseError(passed, offset)
         return count
 
     def parse_scalar(self, what: str) -> Exact:

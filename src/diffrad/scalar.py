@@ -471,6 +471,9 @@ class Numeric:
 
     @classmethod
     def from_rational(cls, value: RationalLike, prec: int) -> Numeric:
+        """An int or a Fraction at prec bits; a float, complex or str raises TypeError."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{value!r} is not an int or a Fraction")
         fr = Fraction(value)
         re = _libmp().from_rational(fr.numerator, fr.denominator, prec, RND)
         return cls(re, FZERO, prec)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import diffcalc
 from .errors import ExactDivisionError
@@ -125,12 +125,8 @@ def shifting_zero_height(p: Poly, z0) -> int:
 def shifting_zero_height_via_delta(p: Poly, z0) -> int:
     """Height from the definition: least n with delta^n p(z0) nonzero."""
     z0 = _height_point(p, z0)
-    n = 0
-    cur = p
-    while not cur(z0):
-        cur = diffcalc.delta(cur)
-        n += 1
-    return n
+    # delta^(deg p) p is a nonzero constant, so some difference is nonzero at z0
+    return next(n for n, d in enumerate(diffcalc.differences(p)) if d(z0))
 
 
 def _height_point(p: Poly, z0) -> Exact:
@@ -201,12 +197,8 @@ def gcd_tower_euclid(p: Poly, n: int) -> Poly:
     if n < 1:
         raise ValueError("tower height n must be >= 1")
     g = p.monic()
-    cur = p
-    for _ in range(n):
-        cur = diffcalc.delta(cur)
-        if not cur:  # delta^k p = 0 for every k > deg p
-            break
-        g = poly_gcd(g, cur)
+    for d in islice(diffcalc.differences(p), 1, n + 1):
+        g = poly_gcd(g, d)
     return g
 
 
@@ -255,14 +247,9 @@ def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool:
     rational = [(c.n + o * c.key[2], c.key[2]) for c in f.classes if not c.key[0] for o in c.members]
     radical = [c.representative + o for c in f.classes if c.key[0] for o in c.members]
     base = None if radical else _primitive(g._lane.terms[_ONE_KEY])
-    cur = f.expand()
     cofactors: list[Poly] = []  # the c_k, evaluated at the radical roots
     ints: list[list[int]] = []  # the primitive per-key ints of every c_k
-    for k in range(n + 1):
-        if k:
-            cur = diffcalc.delta(cur)
-            if not cur:  # delta^k P = 0 for every k > deg P
-                break
+    for cur in islice(diffcalc.differences(f.expand()), n + 1):
         if base is not None:
             for part in cur._lane.terms.values():
                 q = _divexact_ints(_primitive(part), base)

@@ -13,6 +13,7 @@ import pytest
 from diffrad import casorati, diffcalc, factor, parser, theorems
 from diffrad import FermatReport, Hypothesis, MasonReport, Poly
 from diffrad.cli import HANDLERS, REPORT_COMMANDS, load_fixtures, main, run_fixture
+from diffrad.errors import ParseError
 from diffrad.parser import parse_poly
 
 
@@ -123,7 +124,7 @@ def _tolerance_exit_codes(capsys, *tol):
     return codes
 
 
-def test_height_with_loose_tolerance_exits_1(capsys):
+def test_numeric_heights_are_exact_and_tolerance_is_refused(capsys):
     """Heights are exact, so there is no tolerance to loosen: the numeric
     backend prints the exact heights, and --tolerance is refused."""
     for expr, height in (("z", 1), ("z^2 - 1/1000", 0)):
@@ -337,6 +338,27 @@ def _converted(command: str, doc: dict, prec: int) -> dict:
         return {**doc, "divisors": [_scalar_shown(d, prec) for d in doc["divisors"]]}
     assert command in REPORT_COMMANDS  # reports print no values
     return doc
+
+
+@pytest.mark.parametrize("command", ["fermat", "fermat-multi"])
+def test_exponent_is_refused_where_the_grammar_refuses_ff(capsys, command):
+    """--n builds ff(f, n) for every input f, so it is refused (exit 2,
+    naming --n and the bound) exactly where the grammar refuses ff(f, n):
+    past the degree bound, past the bit bound, and at --n 100000."""
+    cases = [
+        (("z^250", "z", "z + 1"), 4, "z^250", "degree above 1000"),
+        (("z", "z + 1", "(2^1000)^3"), 3, "(2^1000)^3", "coefficients above 12000 bits"),
+    ]
+    for inputs, n, f, bound in cases:
+        parse_poly(f"ff({f}, {n})")
+        code, _, err = run(capsys, command, *inputs, "--n", str(n))
+        assert code in (0, 1) and err == ""
+        with pytest.raises(ParseError, match=re.escape(bound)):
+            parse_poly(f"ff({f}, {n + 1})")
+        code, out, err = run(capsys, command, *inputs, "--n", str(n + 1))
+        assert (code, out, err) == (2, "", f"error: --n {n + 1}: ff({f}, {n + 1}) would have {bound}\n")
+    code, out, err = run(capsys, command, "z", "z + 1", "z + 2", "--n", "100000")
+    assert (code, out, err) == (2, "", "error: --n 100000: ff(z, 100000) would have degree above 1000\n")
 
 
 def _seeded_calls(rng) -> list[list[str]]:

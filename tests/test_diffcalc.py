@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,11 @@ from diffrad import (
     falling_power_factored,
     FactoredPoly,
     from_newton,
+    gcd_tower,
+    gcd_tower_euclid,
     raising_power,
     shift,
+    shifting_zero_height_via_delta,
     to_newton,
 )
 from diffrad.poly import product
@@ -245,6 +249,59 @@ def test_delta_k_stops_once_the_difference_is_zero(monkeypatch):
     assert delta_k(p, 3) == Poly.constant(6)
     assert len(calls) == 3
     assert delta_k(Poly(), 5) == Poly() and len(calls) == 3
+
+
+def test_differences_end_at_the_last_nonzero_difference():
+    rng = random.Random(29)
+    assert list(islice(diffcalc.differences(Poly()), 3)) == []
+    for degree in range(6):
+        p = Poly([rand_fraction(rng) for _ in range(degree)] + [Fraction(degree + 1, 2)])
+        items = list(islice(diffcalc.differences(p), degree + 3))
+        assert len(items) == degree + 1 and all(items)
+        assert items[0] is p
+        assert all(delta(a) == b for a, b in zip(items, items[1:]))
+        assert not delta(items[-1])
+
+
+def test_every_difference_loop_stops_at_the_last_nonzero_difference(monkeypatch):
+    """delta_k, both gcd towers and the via-delta height read
+    ``differences``: asked for delta^(10^8), they make at most deg p + 1
+    differences of ff(z, 3), whose fourth difference is zero."""
+    p = falling_power(Z, 3)
+    calls = []
+    original = diffcalc.delta
+
+    def counting(q):
+        calls.append(q)
+        if len(calls) > p.degree + 1:
+            raise AssertionError("differenced past delta^(deg p + 1) p = 0")
+        return original(q)
+
+    monkeypatch.setattr(diffcalc, "delta", counting)
+    runs = [
+        (lambda: delta_k(p, 10**8), Poly()),
+        (lambda: gcd_tower_euclid(p, 10**8), Poly.constant(1)),
+        (lambda: gcd_tower(FactoredPoly(1, [(0, 1), (1, 1), (2, 1)]), 10**8), Poly.constant(1)),
+        (lambda: shifting_zero_height_via_delta(p, 0), 3),
+    ]
+    for run, want in runs:
+        calls.clear()
+        assert run() == want
+        assert 1 <= len(calls) <= p.degree + 1
+
+
+def test_newton_coefficients_are_the_differences_at_the_base_point():
+    """to_newton reads delta^j p(z0) off a table of values; the definition
+    evaluates each item of ``differences`` at z0."""
+    rng = random.Random(41)
+    assert to_newton(Poly(), 3).coeffs == ()
+    for degree in (0, 1, 2, 5, 9, 16, 27, 40):
+        rational = Poly([rand_fraction(rng) for _ in range(degree)] + [Fraction(-2, 3)])
+        for p in (rational, rand_radical_poly(rng, degree)):
+            for z0 in (Exact.from_rational(rand_fraction(rng)), rand_exact(rng)):
+                want = tuple(d(z0) * Fraction(1, math.factorial(j))
+                             for j, d in enumerate(diffcalc.differences(p)))
+                assert to_newton(p, z0) == NewtonExpansion(z0, want)
 
 
 def test_shift_by_scalar_step():

@@ -480,7 +480,7 @@ def test_negligible():
     assert Poly([Fraction(1, 2**40)]).embed(64).coeffs[0]
 
 
-def test_negligible_boundary_is_strict():
+def test_coeff_sup_reports_the_widest_coefficient():
     """coeff_sup reports the widest coefficient; it decides nothing."""
     tol = Fraction(1, 2**32)
     at = Poly([tol, -3 * tol])

@@ -430,6 +430,7 @@ EXACT_ENTRY_POINTS = {
     "FactoredPoly-root": lambda v: FactoredPoly(1, [(0, 1), (v, 2)]),
     "ord_at": lambda v: FactoredPoly(1, [(0, 1)]).ord_at(v),
     "Exact.from_rational": Exact.from_rational,
+    "Numeric.from_rational": lambda v: Numeric.from_rational(v, 64),
 }
 
 

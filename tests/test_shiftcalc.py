@@ -1024,7 +1024,7 @@ def test_numeric_divisor_base_on_a_tie_is_the_smaller_text():
     assert [d.text() for d in common_shifting_divisors(FactoredPoly(1, [(-1, 1)]), g)] == ["-1/1"]
 
 
-def test_height_run_longer_than_degree_is_ambiguous():
+def test_height_runs_end_within_the_degree_and_numeric_points_are_refused():
     """Heights are exact: a run of zeros ends within the degree, and a
     numeric point is refused by both height functions."""
     quadratic = Poly([Fraction(-1, 1000), 0, 1])
