@@ -328,13 +328,6 @@ class ShiftClass(NamedTuple):
     key: tuple
     n: int
 
-    def run_length(self, start: int) -> int:
-        """Consecutive offsets present starting at `start` (its height)."""
-        n = 0
-        while self.members.get(start + n, 0) > 0:
-            n += 1
-        return n
-
 
 def _residue_key(root: Exact) -> tuple[tuple, int]:
     """(key, n) for root = (n + rest) / d, its ints over its den: as

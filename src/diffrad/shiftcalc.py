@@ -15,18 +15,20 @@ rad_delta_q m(o) - min(m(o-q), ..., m(o)); the gcd tower gcd(P, dP, ...,
 d^n P) min(m(o), ..., m(o+n)).
 
 ``gcd_tower`` proves that closed form g equal to the gcd on every factored
-call instead of recomputing it (``_tower_certified``): one exact division
-of each nonzero d^k P by g, so that g divides the gcd; then the cofactors
-d^k P / g have no common root, as each root of P has a nonzero cofactor
-value there: at a rational root a/b, the gcd Gamma of the cofactors' integer
-values at a power of two xi shows it, or where b xi - a divides Gamma, exact
-values at a/b.  So the certificate decides every factored call; the
-Euclidean route (``gcd_tower_euclid``) serves plain polynomials and tests.
+call instead of recomputing it (``_tower_certified``): P = g c is read from
+the classes, c of orders m(o) - d(o), so the k = 0 step is the check d <= m;
+one exact division of each nonzero d^k P, k >= 1, by g, so that g divides
+the gcd; then the cofactors d^k P / g have no common root, as each root of P
+has a nonzero cofactor value there: at a rational root a/b, the gcd Gamma of
+the cofactors' integer values at a power of two xi shows it, or where b xi - a
+divides Gamma, exact values at a/b.  So the certificate decides every factored
+call; the Euclidean route (``gcd_tower_euclid``) serves plain polynomials.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -153,13 +155,16 @@ def factor_at(p: Poly, z0) -> tuple[int, Poly]:
     return n, g
 
 
+def _orders(f: FactoredPoly, order) -> list[tuple[Exact, list[tuple[int, int]]]]:
+    """(rep, [(o, order(m, o))]) per class, rep its representative and m its
+    ``members``, over the class's offsets o: what ``offset_product`` reads."""
+    return [(c.representative, [(o, order(c.members, o)) for o in c.members])
+            for c in shift_classes(f)]
+
+
 def _radical(f: FactoredPoly, order) -> Poly:
-    """Monic prod (z - rep - o)^order(m, o) over each class's offsets o, rep
-    its representative and m its ``members``: one ``offset_product``."""
-    return offset_product(
-        (cls.representative, [(o, order(cls.members, o)) for o in cls.members])
-        for cls in shift_classes(f)
-    )
+    """Monic prod (z - rep - o)^order(m, o), one ``offset_product``."""
+    return offset_product(_orders(f, order))
 
 
 def _least_order(m: dict[int, int], lo: int, hi: int) -> int:
@@ -205,51 +210,66 @@ def gcd_tower_euclid(p: Poly, n: int) -> Poly:
 def gcd_tower_closed(f: FactoredPoly, n: int) -> Poly:
     """Closed form prod (z - start)^(falling max(length - n, 0)), chains
     shortened by n: the order rule min(m(o), ..., m(o+n))."""
+    return offset_product(_tower_orders(f, n))
+
+
+def _tower_orders(f: FactoredPoly, n: int) -> list[tuple[Exact, list[tuple[int, int]]]]:
+    """The ``_orders`` of the closed form, d(o) = min(m(o), ..., m(o+n))."""
     if n < 1:
         raise ValueError("tower height n must be >= 1")
-    return _radical(f, lambda m, o: _least_order(m, o, o + n))
+    return _orders(f, lambda m, o: _least_order(m, o, o + n))
 
 
 def gcd_tower(p: Poly | FactoredPoly, n: int) -> Poly:
     """gcd(p, delta p, ..., delta^n p), monic.
 
     Factored input computes the chain closed form g and proves it equal to
-    G = gcd(P, delta P, ..., delta^n P), P = p.expand(), by ``_tower_certified``:
-    g divides every nonzero delta^k P, so g | G, and the cofactors
-    delta^k P / g have no common root, so G / g is a unit; a wrong closed
-    form raises ArithmeticError.  Plain polynomials go through Euclid.
+    G = gcd(P, delta P, ..., delta^n P) by ``_tower_certified``, which reads
+    P = g c off the same orders: g divides every nonzero delta^k P, so g | G,
+    and the cofactors delta^k P / g have no common root, so G / g is a unit;
+    a wrong closed form raises ArithmeticError.  Plain polynomials go
+    through Euclid.
     """
     if isinstance(p, FactoredPoly):
-        closed = gcd_tower_closed(p, n)
-        if not _tower_certified(p, closed, n):
+        orders = _tower_orders(p, n)
+        closed = offset_product(orders)
+        if not _tower_certified(p, closed, orders, n):
             raise ArithmeticError("gcd tower routes disagree")
         return closed
     return gcd_tower_euclid(p, n)
 
 
-def _tower_certified(f: FactoredPoly, g: Poly, n: int) -> bool:
-    """Whether g = gcd(P, delta P, ..., delta^n P) for P = f.expand().
+def _tower_certified(f: FactoredPoly, g: Poly, orders: list, n: int) -> bool:
+    """Whether g, the ``offset_product`` of `orders` (d per offset o of each
+    class of f), is gcd(P, delta P, ..., delta^n P) for P = f.expand().
 
-    (a) g divides each nonzero delta^k P, k <= n, by one exact division:
+    (k = 0) P = g c for c of f's lead and orders m(o) - d(o) exactly when
+    every d(o) <= m(o); a d(o) > m(o) disproves g.  (a) g divides each
+    nonzero delta^k P, 1 <= k <= n, by one exact division:
     ``_divexact_ints`` of each key's primitive ints by g's when every root
     of f is rational (so g is over Q), ``Poly.divexact`` otherwise.  A
-    remainder disproves g.  (b) The cofactors c_k = delta^k P / g have no
-    common root, which would be a distinct root w of f.  A non-rational w
-    is ruled out by an exact c_k(w) != 0.  A rational w = a/b, (n + o d)/d
-    in its class, is a common root exactly when b z - a divides every
-    primitive per-key int list of the c_k over Z (Gauss; the keys are
-    independent over Q), so b xi - a divides the gcd Gamma of their values
-    at xi = 2^(8 width) > |w| (``_pack``), as in GCDHEU (Char, Geddes &
-    Gonnet 1989).  Gamma also holds the small primes modulo which all c_k
-    vanish at xi, as a P of high degree does modulo many, so a w it leaves
-    open is decided by exact division by b z - a.  A common root disproves g.
+    remainder disproves g.  (b) The cofactors c_k = delta^k P / g, c_0 = c,
+    have no common root, which would be a distinct root w of f.  A
+    non-rational w is ruled out by an exact c_k(w) != 0.  A rational w =
+    a/b, (n + o d)/d in its class, is a common root exactly when b z - a
+    divides every primitive per-key int list of the c_k over Z (Gauss; the
+    keys are independent over Q; prim(P) = prim(g) prim(c)), so b xi - a
+    divides the gcd Gamma of their values at xi = 2^(8 width) > |w|
+    (``_pack``), as in GCDHEU (Char, Geddes & Gonnet 1989).  Gamma also
+    holds the small primes modulo which all c_k vanish at xi, as a P of
+    high degree does modulo many, so a w it leaves open is decided by exact
+    division by b z - a.  A common root disproves g.
     """
+    rest = [(r, [(o, c.members[o] - d) for o, d in od]) for (r, od), c in zip(orders, f.classes)]
+    if any(e < 0 for _, od in rest for _, e in od):
+        return False
+    c0 = offset_product(rest, f.lead)
     rational = [(c.n + o * c.key[2], c.key[2]) for c in f.classes if not c.key[0] for o in c.members]
     radical = [c.representative + o for c in f.classes if c.key[0] for o in c.members]
     base = None if radical else _primitive(g._lane.terms[_ONE_KEY])
-    cofactors: list[Poly] = []  # the c_k, evaluated at the radical roots
-    ints: list[list[int]] = []  # the primitive per-key ints of every c_k
-    for cur in islice(diffcalc.differences(f.expand()), n + 1):
+    cofactors = [c0]  # the c_k, evaluated at the radical roots
+    ints = [_primitive(part) for part in c0._lane.terms.values()]  # of every c_k
+    for cur in islice(diffcalc.differences(g * c0), 1, n + 1):
         if base is not None:
             for part in cur._lane.terms.values():
                 q = _divexact_ints(_primitive(part), base)
@@ -287,7 +307,7 @@ def common_shifting_divisors(f: FactoredPoly, g: FactoredPoly) -> list[Exact]:
     integer, that is when their ``_residue_key``s agree.  So g's classes
     go in a dict by that key, each class of f finds its partner with one
     lookup, and the offset between the representatives n_f/d and n_g/d is
-    (n_g - n_f) // d, all on ints.  Heights are ``ShiftClass.run_length``.
+    (n_g - n_f) // d, all on ints.  Heights are read in ``_chain_hits``.
     Sorted by canonical text; an empty list means f and g are shifting prime.
     """
     return _common_divisors(shift_classes(f), shift_classes(g))
@@ -319,12 +339,18 @@ def _shares_divisor(cfs: list[ShiftClass], cgs: list[ShiftClass]) -> bool:
 
 
 def _chain_hits(a: ShiftClass, b: ShiftClass, k: int) -> set[int]:
-    """Offsets in a whose zero chain runs into b; b's representative is a's + k."""
-    return {
-        o
-        for o in a.members
-        if any(o + m - k in b.members for m in range(1, a.run_length(o) + 1))
-    }
+    """Offsets in a whose zero chain runs into b; b's representative is a's + k.
+    The height h(o) = h(o + 1) + 1 is read from the top offset down, and b
+    holds an offset in o + 1 - k ... o + h(o) - k: one bisect, O(|a| log |b|)."""
+    offsets = sorted(b.members)
+    heights: dict[int, int] = {}
+    hits = set()
+    for o in sorted(a.members, reverse=True):
+        h = heights[o] = heights.get(o + 1, 0) + 1
+        i = bisect_left(offsets, o + 1 - k)
+        if i < len(offsets) and offsets[i] <= o + h - k:
+            hits.add(o)
+    return hits
 
 
 def is_shifting_prime(f: FactoredPoly, g: FactoredPoly) -> bool:

@@ -245,17 +245,17 @@ def fermat_check(
     The exponent bound is 2, dropping to 1 when any of a, b, c is constant.
     Shifting primality of the falling powers is reported per pair, so both
     the pairwise and the joint readings of the hypothesis are inspectable.
+    Each falling power is built once, factored: its ``expand`` gives the
+    identity and its classes the shifting primality.
     """
     if n < 1:
         raise ValueError("exponent n must be >= 1")
-    powers = [diffcalc.falling_power(f.expand(), n) for f in (a, b, c)]
+    factored = [diffcalc.falling_power_factored(f, n) for f in (a, b, c)]
+    powers = [f.expand() for f in factored]
     residual = powers[0] + powers[1] - powers[2]
     equation, sup = not residual, residual.coeff_sup()
 
-    classes = [
-        shiftcalc.shift_classes(diffcalc.falling_power_factored(f, n))
-        for f in (a, b, c)
-    ]
+    classes = [shiftcalc.shift_classes(f) for f in factored]
     hyps = [Hypothesis("not_all_constant", _max_degree([a, b, c]) >= 1)]
     labels = ["a", "b", "c"]
     for i, j in combinations(range(3), 2):
@@ -298,12 +298,12 @@ def fermat_multi_check(
     if m < 2:
         raise ValueError("need m >= 2 terms")
 
-    powers = [diffcalc.falling_power(f.expand(), n) for f in fs]
+    power_factored = [diffcalc.falling_power_factored(f, n) for f in fs]
+    powers = [f.expand() for f in power_factored]
     left = powers if rhs_one else powers[:-1]
     residual = sum(left, Poly()) - (1 if rhs_one else powers[-1])
     equation, sup = not residual, residual.coeff_sup()
 
-    power_factored = [diffcalc.falling_power_factored(f, n) for f in fs]
     hyps = [
         Hypothesis(
             "nonconstant",

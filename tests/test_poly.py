@@ -472,7 +472,7 @@ def test_factored_poly_takes_exact_values_only():
     assert not hasattr(f, "backend") and not hasattr(f, "scale")
 
 
-def test_negligible():
+def test_zero_test_is_exact():
     """A polynomial's zero test is ``not p``, exact, with no tolerance; a
     numeric coefficient is printed as it is, never chopped."""
     assert not Poly() and Z * Fraction(1, 10**40)

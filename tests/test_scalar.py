@@ -198,7 +198,7 @@ def _fraction(x: Numeric) -> tuple[Fraction, Fraction]:
     )
 
 
-def test_negligible_exact_is_zero_only():
+def test_exact_is_zero_only_at_zero():
     """No scalar has a zero tolerance: an exact value is zero only when it
     is 0, however small, and numeric values have no zero test to tune."""
     assert not Exact() and Exact.from_rational(Fraction(1, 10**40))
@@ -207,7 +207,7 @@ def test_negligible_exact_is_zero_only():
     assert not hasattr(Exact, "negligible")
 
 
-def test_negligible_numeric_default_and_boundary():
+def test_values_below_half_precision_convert_to_nonzero_numerics():
     """A value below 2^(-prec/2) converts to a nonzero numeric value, and
     exactly, as it is a power of two."""
     for prec in (64, 128, 256):
@@ -219,7 +219,7 @@ def test_negligible_numeric_default_and_boundary():
 
 
 @pytest.mark.parametrize("prec", [64, 2150, 4096])
-def test_negligible_is_exact_at_every_precision(prec):
+def test_conversion_is_faithful_at_every_precision(prec):
     """Conversion is faithful at every precision: each part is within
     2^-prec of the exact value, relatively, also where 2^(-prec/2) is below
     the smallest float (from 2150 bits on)."""
@@ -231,7 +231,7 @@ def test_negligible_is_exact_at_every_precision(prec):
             assert abs(got - part) <= abs(part) / 2**prec
 
 
-def test_negligible_takes_tolerances_below_the_smallest_float():
+def test_values_below_the_smallest_float_convert_and_print():
     """A value below the smallest float converts, prints and stays nonzero."""
     x = Exact.from_rational(Fraction(1, 10**401)).to_numeric(4096)
     assert x and complex(x) == 0

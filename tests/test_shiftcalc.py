@@ -492,6 +492,50 @@ def test_certified_tower_against_euclid_and_the_roots(monkeypatch, kind):
     assert len(verdicts) > 100 and all(verdicts)
 
 
+@pytest.mark.parametrize("kind", ["rational", "zero", "radical"])
+def test_factored_tower_expands_nothing(monkeypatch, kind):
+    """The certificate reads P as the closed form times its cofactor, both
+    from f's classes: no ``FactoredPoly.expand`` runs, and the P it takes
+    differences of is f.expand()."""
+    rng = random.Random({"rational": 81, "zero": 82, "radical": 83}[kind])
+    inputs = [seeded_tower_input(rng, kind) for _ in range(8)]
+    expanded = [f.expand() for f in inputs]
+    seen = []
+    differences = shiftcalc.diffcalc.differences
+
+    def recording(p):
+        seen.append(p)
+        return differences(p)
+
+    monkeypatch.setattr(shiftcalc.diffcalc, "differences", recording)
+    calls = counting_calls(monkeypatch, FactoredPoly, ["expand"])
+    for f, p in zip(inputs, expanded):
+        for n in (1, 2, 3):
+            seen.clear()
+            closed = gcd_tower(f, n)
+            assert seen == [p] and p.divexact(closed).lead == f.lead
+    assert calls == {"expand": 0}
+
+
+@pytest.mark.parametrize(
+    "f",
+    [FactoredPoly(Fraction(2, 3), [(0, 1), (1, 3)]), FactoredPoly(1, [(S2, 1), (S2 + 1, 3)])],
+    ids=["rational", "radical"],
+)
+def test_tower_guard_refuses_an_order_above_the_multiplicity(monkeypatch, f):
+    """A closed form one order too high at offset 0, d(0) = 2 > m(0) = 1,
+    is the true tower of g c with c's order there clamped at 0, so only
+    the check d <= m refuses it, with no Euclidean gcd."""
+    least = shiftcalc._least_order
+    monkeypatch.setattr(shiftcalc, "_least_order", lambda m, lo, hi: least(m, lo, hi) + (lo == 0))
+    wrong = gcd_tower_closed(f, 1)
+    assert wrong.degree == 2 and wrong != gcd_tower_euclid(f.expand(), 1)
+    calls = counting_calls(monkeypatch, shiftcalc, ["gcd_tower_euclid"])
+    with pytest.raises(ArithmeticError, match="gcd tower routes disagree"):
+        gcd_tower(f, 1)
+    assert calls == {"gcd_tower_euclid": 0}
+
+
 # the constant terms of P's cofactors hold a high power of 2, so at the root
 # 0, where b xi - a = xi, the value gcd Gamma is divisible by xi
 TOWER_OPEN_AT_ZERO = FactoredPoly(1, [
@@ -748,6 +792,47 @@ def test_common_shifting_divisors_against_brute_force():
         assert [
             d.text() for d in common_shifting_divisors(f, g)
         ] == brute_common_shifting_divisors(f, g)
+
+
+def quadratic_chain_hits(a, b, k) -> set[int]:
+    """Offsets in a whose zero chain runs into b, by the definition: scan
+    the run of consecutive offsets from o, then test each step of it."""
+    def height(o):
+        h = 0
+        while a.members.get(o + h, 0) > 0:
+            h += 1
+        return h
+
+    return {o for o in a.members if any(o + m - k in b.members for m in range(1, height(o) + 1))}
+
+
+def test_chain_hits_match_the_quadratic_definition():
+    rng = random.Random(29)
+    hits = misses = 0
+    for _ in range(3000):
+        a, b = (
+            poly.ShiftClass(None, {o: rng.randint(1, 3) for o in rng.sample(range(12), rng.randint(1, 9))},
+                            (), 0)
+            for _ in range(2)
+        )
+        k = rng.randint(-14, 14)
+        got = shiftcalc._chain_hits(a, b, k)
+        assert got == quadratic_chain_hits(a, b, k)
+        hits += bool(got)
+        misses += not got
+    assert hits >= 500 and misses >= 500
+
+
+def test_chains_of_length_2000_pair_at_once():
+    """Heights are read once and each window is one bisect: two classes of
+    2000 consecutive roots pair within a second, in both orders, whether
+    every chain of one runs into the other or none does."""
+    f = FactoredPoly(1, [(j, 1) for j in range(2000)])
+    start = time.perf_counter()
+    for lo, want in ((2000, 2000), (2001, 0)):
+        g = FactoredPoly(1, [(j, 1) for j in range(lo, lo + 2000)])
+        assert len(common_shifting_divisors(f, g)) == len(common_shifting_divisors(g, f)) == want
+    assert time.perf_counter() - start < 1
 
 
 def rand_radical_factored(rng: random.Random, bases: list) -> FactoredPoly:
